@@ -1,7 +1,7 @@
 """Exact computations in the affine building of PGL_d(F_q((1/t))) modulo PGL_d(F_q[t]).
 
 Modules:
-    gf        -- prime-field scalars and q-counting functions
+    gf        -- prime-field checks, inverses and q-counting functions
     laurent   -- Laurent polynomials and matrices over F_q, the lattice substrate
     building  -- vertices of the full building: normal forms, neighbors, BFS
     domain    -- the fundamental domain: labels, stabilizers, reduction

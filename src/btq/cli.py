@@ -23,6 +23,7 @@ from .errors import (
     PrecisionError,
     ResourceBoundError,
 )
+from .gf import gaussian_binomial
 from .laurent import LaurentMatrix
 
 
@@ -134,7 +135,7 @@ def _cmd_covolume(args) -> int:
 def _cmd_hecke_check(args) -> int:
     graph = quotient.build_graph(args.d, args.q, args.max_n)
     lines = []
-    gb = args.q**2 + args.q + 1 if args.d == 3 else args.q + 1
+    gb = gaussian_binomial(args.d, 1, args.q)
     interior = [u for u in graph.nodes if u[0] < graph.max_n1]
     row_ok = all(
         sum(e.ratio_from for e in graph.out_edges[u]) == gb for u in interior
@@ -155,10 +156,12 @@ def _cmd_hecke_check(args) -> int:
     g = hecke.DomainFunction(args.d, args.q, args.max_n, gvals)
     lines.append(f"adjointness_residual {hecke.adjointness_residual(graph, f, g)}")
     _emit("\n".join(lines) + "\n")
-    return 0
+    return 0 if row_ok else 4
 
 
 def _cmd_eigenvector(args) -> int:
+    if args.d not in (2, 3):
+        raise InvalidInputError(f"eigenvector supports d = 2 and d = 3, got {args.d}")
     if args.d == 2:
         lam = _parse_scalar(args.lambda1)
         func = hecke.eigenvector_d2(lam, args.q, args.max_n)

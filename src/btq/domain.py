@@ -20,7 +20,7 @@ from .errors import (
     ResourceBoundError,
     SingularMatrixError,
 )
-from .gf import check_prime, gl_order, inv_mod
+from .gf import check_prime, inv_mod
 from .laurent import LaurentMatrix, LaurentPoly
 
 DEFAULT_GROUP_BOUND = 10**6
@@ -218,23 +218,43 @@ def friends(label) -> dict[int, tuple[int, ...]]:
 
 
 def stabilizer_order(label, q: int) -> int:
-    """|Gamma_label| = (1/(q-1)) * prod_l |GL_{d_l}(F_q)| * q^E.
+    """|Gamma_label|: the degree-pattern order of the label with itself."""
+    return pattern_order(label, label, q)
 
-    E sums d_l * d_m * (g_l - g_m + 1) over block pairs l < m: each entry
-    of an upper off-diagonal block is a polynomial of degree at most
-    g_l - g_m, contributing q^(g_l - g_m + 1) choices.
+
+def pattern_order(label1, label2, q: int) -> int:
+    """|Gamma_{label1} intersect Gamma_{label2}| in closed form.
+
+    The intersection is the set of g with deg g_ij <= c_ij =
+    min(u_i - u_j, v_i - v_j) (a negative bound forces g_ij = 0).  Indices
+    with equal (u_i, v_i) form contiguous blocks; entries below the blocks
+    vanish and the diagonal blocks are constant, so the order is
+    prod_blocks |GL_s(F_q)| * q^E / (q - 1), where E sums
+    s_a * s_b * (c_ab + 1) over block pairs a < b.  With label1 = label2
+    this is the vertex stabilizer order.
     """
-    label = validate_label(label)
+    u = validate_label(label1)
+    v = validate_label(label2)
+    if len(u) != len(v):
+        raise InvalidInputError("labels must have the same length")
     check_prime(q)
-    sizes, values = block_seq(label)
-    r = len(sizes)
-    order = 1
-    for size in sizes:
-        order *= gl_order(size, q)
+    return _pattern_order(u, v, q)
+
+
+def _pattern_order(u, v, q: int) -> int:
+    # pattern_order on validated input.  |GL_s(F_q)| = q^(s(s-1)/2) *
+    # prod_{r=1}^{s} (q^r - 1), and c_ij = 0 inside a block, so the powers
+    # of q from all pairs i < j sum to one exponent, and the position r of
+    # each index within its block contributes the factor q^r - 1.
+    d = len(u)
     exp = 0
-    for l in range(r):
-        for m in range(l + 1, r):
-            exp += sizes[l] * sizes[m] * (values[l] - values[m] + 1)
+    order = 1
+    r = 0
+    for i in range(d):
+        r = r + 1 if i and u[i] == u[i - 1] and v[i] == v[i - 1] else 1
+        order *= q**r - 1
+        for j in range(i + 1, d):
+            exp += min(u[i] - u[j], v[i] - v[j]) + 1
     return order * q**exp // (q - 1)
 
 

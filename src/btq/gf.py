@@ -30,90 +30,6 @@ def check_prime(q: int) -> int:
     return q
 
 
-class FqElem:
-    """An element of the prime field F_q, stored as a reduced residue.
-
-    Immutable; arithmetic operators are overloaded and require matching
-    moduli.  Division by zero raises ZeroDivisionError.
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        check_prime(modulus)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "value", value % modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FqElem is immutable")
-
-    def _coerce(self, other) -> "FqElem":
-        if isinstance(other, FqElem):
-            if other.modulus != self.modulus:
-                raise InvalidInputError("mixed moduli in F_q arithmetic")
-            return other
-        if isinstance(other, int):
-            return FqElem(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FqElem(-self.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FqElem":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F_q")
-        return FqElem(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (
-            isinstance(other, FqElem)
-            and self.modulus == other.modulus
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FqElem({self.value}, q={self.modulus})"
-
-
 def inv_mod(a: int, q: int) -> int:
     """Inverse of a nonzero residue mod prime q (internal int fast path)."""
     a %= q

@@ -233,38 +233,27 @@ def apply_hecke(graph: QuotientGraph, i: int, f: DomainFunction) -> DomainFuncti
     left undefined in the result.
     """
     d = graph.d
-    if d == 2:
-        if i != 1:
-            raise InvalidInputError("d = 2 has a single operator, i = 1")
-        directions = ("out",)
-    elif i == 1:
-        directions = ("out",)
-    elif i == d - 1:
-        directions = ("in",)
-    else:
+    if d == 2 and i != 1:
+        raise InvalidInputError("d = 2 has a single operator, i = 1")
+    if i not in (1, d - 1):
         raise InvalidInputError(
             f"only colors 1 and {d - 1} are realized on the stored graph, got {i}"
         )
+    forward = i == 1
     out: dict[Label, object] = {}
     for u in graph.nodes:
         if u[0] >= graph.max_n1:
             continue  # outward edges leave the truncation: boundary vertex
         acc = None
-        ok = True
-        for direction in directions:
-            edges = graph.out_edges[u] if direction == "out" else graph.in_edges[u]
-            for e in edges:
-                other = e.dst if direction == "out" else e.src
-                ratio = e.ratio_from if direction == "out" else e.ratio_to
-                if ratio is None or other not in f.values:
-                    ok = False
-                    break
-                term = ratio * f.values[other]
-                acc = term if acc is None else acc + term
-            if not ok:
+        for e in graph.out_edges[u] if forward else graph.in_edges[u]:
+            other, ratio = (e.dst, e.ratio_from) if forward else (e.src, e.ratio_to)
+            if other not in f.values:
                 break
-        if ok and acc is not None:
-            out[u] = acc
+            term = ratio * f.values[other]
+            acc = term if acc is None else acc + term
+        else:
+            if acc is not None:
+                out[u] = acc
     return DomainFunction(d, graph.q, graph.max_n1, out)
 
 

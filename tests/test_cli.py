@@ -139,6 +139,26 @@ def test_hecke_check(run):
     assert lines[2] == "adjointness_residual 0"
     code, out, _ = run("hecke-check", "--d", "2", "--q", "3", "--max-n", "8")
     assert code == 0 and out.splitlines()[0] == "row_sums ok (expected 4)"
+    code, out, _ = run("hecke-check", "--d", "4", "--q", "2", "--max-n", "3")
+    assert code == 0 and out.splitlines()[0] == "row_sums ok (expected 15)"
+
+
+def test_hecke_check_fail_exit_code(run, monkeypatch):
+    from dataclasses import replace
+
+    from btq import quotient
+
+    exact = quotient.build_graph
+
+    def one_wrong_ratio(*args):
+        graph = exact(*args)
+        edges = graph.out_edges[(0, 0, 0)]
+        edges[0] = replace(edges[0], ratio_from=edges[0].ratio_from + 1)
+        return graph
+
+    monkeypatch.setattr(quotient, "build_graph", one_wrong_ratio)
+    code, out, _ = run("hecke-check", "--d", "3", "--q", "2", "--max-n", "4", "--trials", "1")
+    assert code == 4 and out.splitlines()[0] == "row_sums FAIL (expected 7)"
 
 
 def test_distance_discrepancy_note(run):
@@ -157,6 +177,8 @@ def test_exit_code_invalid_input(run):
     assert code == 2
     code, _, err = run("eigenvector", "--d", "3", "--q", "2", "--lambda1", "1")
     assert code == 2
+    code, out, err = run("eigenvector", "--d", "4", "--q", "2", "--lambda1", "1", "--lambda2", "1")
+    assert code == 2 and not out and "d = 2 and d = 3" in err
 
 
 def test_exit_code_resource_bound(run):

@@ -19,12 +19,13 @@ from btq.domain import (
     stabilizer_contains,
     stabilizer_degree_pattern_ok,
     stabilizer_enumerate,
+    pattern_order,
     stabilizer_order,
     support_size,
     validate_label,
 )
 from btq.errors import InvalidInputError, ResourceBoundError
-from btq.gf import pgl_order
+from btq.gf import gaussian_binomial, pgl_order
 from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
 
 
@@ -71,6 +72,34 @@ def test_neighbor_count_law():
         for lab in enumerate_domain(d, 8):
             got = len(neighbors_in_domain(lab, 1))
             assert got == 1 + support_size(diff_seq(lab)), lab
+
+
+def test_pattern_order_row_sum_law_every_color():
+    # |Gamma_v| / |Gamma_u cap Gamma_v| is the size of the Gamma_v-orbit of
+    # degree-k neighbors reducing to u, so the orbits of every color k
+    # partition all [d choose k]_q degree-k neighbors of v
+    cases = 0
+    for d in (3, 4, 5):
+        for q in (2, 3):
+            for v in enumerate_domain(d, 6):
+                stab_v = stabilizer_order(v, q)
+                for k in range(1, d):
+                    total = 0
+                    for u in neighbors_in_domain(v, k):
+                        index, rem = divmod(stab_v, pattern_order(u, v, q))
+                        assert rem == 0, (u, v, q)
+                        total += index
+                    assert total == gaussian_binomial(d, k, q), (v, k, q)
+                    cases += 1
+    assert cases == 2296
+
+
+def test_pattern_order_validation():
+    assert pattern_order((2, 1, 0), (1, 0, 0), 3) == pattern_order((1, 0, 0), (2, 1, 0), 3)
+    with pytest.raises(InvalidInputError):
+        pattern_order((1, 0), (1, 0, 0), 2)
+    with pytest.raises(InvalidInputError):
+        pattern_order((1, 0, 0), (1, 1, 0), 4)
 
 
 def test_neighbors_symmetry_of_degrees():

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
+from btq import domain
 from btq.domain import (
     edge_stabilizer_brute,
     enumerate_domain,
     neighbors_in_domain,
+    pattern_order,
     stabilizer_order,
 )
-from btq.errors import InvalidInputError
+from btq.errors import InternalInvariantError, InvalidInputError
 from btq.gf import gaussian_binomial
 from btq.quotient import (
     build_graph,
@@ -98,6 +100,46 @@ def test_edge_stabilizer_table_consistency():
             rf, rt = ratio_table(etype, q)
             assert stabilizer_order(u, q) == rf * stab
             assert stabilizer_order(v, q) == rt * stab
+
+
+def test_pattern_formula_matches_table_on_every_d3_edge():
+    checked = 0
+    for q in (2, 3, 5, 7):
+        for e in build_graph(3, q, 10).edges:
+            u, v = e.src, e.dst
+            expected = edge_stab_table(classify_edge_d3(u, v), u[0], q)
+            assert e.edge_stab_order == expected == pattern_order(u, v, q), (u, v, q)
+            checked += 1
+    assert checked == 660
+
+
+def test_pattern_formula_matches_brute_force_d4():
+    g = build_graph(4, 2, 2)
+    assert len(g.edges) == 16
+    for e in g.edges:
+        # the intersection is symmetric: enumerate the smaller stabilizer
+        a, b = sorted((e.src, e.dst), key=g.stab_order)
+        assert e.edge_stab_order == edge_stabilizer_brute(a, b, 2), (e.src, e.dst)
+
+
+def test_d4_q3_graph_has_every_ratio():
+    g = build_graph(4, 3, 2)
+    expected = 40  # [4 choose 1]_3 = [4 choose 3]_3
+    for e in g.edges:
+        assert e.ratio_from * e.edge_stab_order == g.nodes[e.src]
+        assert e.ratio_to * e.edge_stab_order == g.nodes[e.dst]
+    for u in g.nodes:
+        if u[0] < g.max_n1:
+            assert sum(e.ratio_from for e in g.out_edges[u]) == expected
+            assert sum(e.ratio_to for e in g.in_edges[u]) == expected
+
+
+def test_non_dividing_edge_order_is_an_invariant_violation(monkeypatch):
+    # vertex orders stay exact; every edge order becomes 5, which divides none
+    exact = domain._pattern_order
+    monkeypatch.setattr(domain, "_pattern_order", lambda u, v, q: exact(u, v, q) if u == v else 5)
+    with pytest.raises(InternalInvariantError):
+        build_graph(3, 2, 2)
 
 
 def test_edge_stabilizer_brute_force_agreement():
