@@ -18,12 +18,12 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import (
+    InternalInvariantError,
     InvalidInputError,
-    PrecisionError,
     ResourceBoundError,
     SingularMatrixError,
 )
-from .gf import check_prime, gaussian_binomial, inv_mod
+from .gf import check_prime, gaussian_binomial
 from .laurent import LaurentMatrix, LaurentPoly, series_inverse
 
 DEFAULT_ENUMERATION_BOUND = 100_000
@@ -82,50 +82,6 @@ def standard_vertex(d: int, q: int) -> BuildingVertex:
 # ---------------------------------------------------------------------------
 
 
-def _u_degree(f: LaurentPoly) -> int:
-    # viewing f (all exponents <= 0) as a polynomial in u = 1/t
-    return -f.low_exponent()
-
-
-def _hnf_columns(cols: list[list[LaurentPoly]], q: int) -> None:
-    """In-place column Hermite form over F_q[u], u = 1/t.
-
-    Entries must have exponents <= 0.  Produces an upper-triangular system:
-    cols[j][i] = 0 for i > j, with nonzero pivots cols[j][j].  All steps are
-    exact polynomial operations.
-    """
-    d = len(cols)
-
-    def col_op(dst: int, src: int, mult: LaurentPoly):
-        csrc = cols[src]
-        cdst = cols[dst]
-        for i in range(d):
-            if csrc[i]:
-                cdst[i] = cdst[i] - mult * csrc[i]
-
-    for r in range(d - 1, -1, -1):
-        while True:
-            nz = [j for j in range(r + 1) if cols[j][r]]
-            if not nz:
-                raise SingularMatrixError("matrix is singular over F_q((1/t))")
-            if len(nz) == 1:
-                piv = nz[0]
-                break
-            jmin = min(nz, key=lambda j: _u_degree(cols[j][r]))
-            g = cols[jmin][r]
-            glow = g.low_exponent()
-            ginv = inv_mod(g.coeffs[glow], q)
-            for j in nz:
-                if j == jmin:
-                    continue
-                f = cols[j][r]
-                c = (f.coeffs[f.low_exponent()] * ginv) % q
-                mult = LaurentPoly.t_power(f.low_exponent() - glow, q, c)
-                col_op(j, jmin, mult)
-        if piv != r:
-            cols[piv], cols[r] = cols[r], cols[piv]
-
-
 def _certify_same_lattice(canon: LaurentMatrix, original: LaurentMatrix) -> bool:
     """Exact check that canon and original span the same O-lattice.
 
@@ -153,54 +109,74 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     """Canonical representative of the homothety class of m's column span.
 
     Idempotent; invariant under right multiplication by GL_d(O) and under
-    scaling by powers of t.  The result is certified exact: a failed
-    certificate (possible only if the internal series depth were too
-    small) retries with more depth and ultimately raises PrecisionError.
+    scaling by powers of t.
+
+    Once m is scaled to entries in O = F_q[[1/t]], its column lattice L
+    contains u^N O^d, where u = 1/t and N = v(det m), because
+    m adj(m) = det(m) I.  So one column Hermite pass over O, computed
+    modulo u^N, is exact (Domich, Kannan and Trotter, Math. Oper. Res.
+    1987).  Row by row from the bottom, the entry of least valuation
+    becomes the pivot, or u^N e_r when the row vanishes modulo u^N.  Then
+    N drops by the pivot's valuation, because the lattice left in the rows
+    above has that much smaller a determinant.  The result is certified by
+    an exact membership test; a failed certificate is a bug and raises
+    InternalInvariantError.
     """
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     d, q = m.d, m.q
-    if m.det().is_zero():
+    det = m.det()
+    if det.is_zero():
         raise SingularMatrixError("matrix is singular over F_q((1/t))")
 
     top = max(x.degree() for row in m.rows for x in row if x)
     scaled = m.shift(-top)
+    modulus = d * top - det.degree()
+    zero = LaurentPoly.zero(q)
     cols = [scaled.column(j) for j in range(d)]
-    _hnf_columns(cols, q)
-    hnf = LaurentMatrix([[cols[j][i] for j in range(d)] for i in range(d)], q)
-
-    pivots = [cols[j][j].degree() for j in range(d)]
-    tops = max(
-        max((x.degree() for x in col if x), default=0) for col in cols
-    )
-    depth = (d + 2) * (tops - min(pivots) + 1) + 8
-
-    for _ in range(4):
-        work = [list(col) for col in cols]
-        for j in range(d):
-            aj = pivots[j]
-            unit = work[j][j].shift(-aj)
-            if not (unit.is_monomial() and unit.degree() == 0 and unit.coeff(0) == 1):
-                inv = series_inverse(unit, depth)
-                work[j] = [x * inv if x else x for x in work[j]]
-            work[j][j] = LaurentPoly.t_power(aj, q)
-            for i in range(j - 1, -1, -1):
-                low = work[j][i].part_at_most(pivots[i])
-                if low:
-                    f = low.shift(-pivots[i])
-                    col_i = work[i]
-                    work[j] = [
-                        work[j][r] - f * col_i[r] if col_i[r] else work[j][r]
-                        for r in range(d)
-                    ]
-        canon = LaurentMatrix([[work[j][i] for j in range(d)] for i in range(d)], q)
-        if _certify_same_lattice(canon, hnf):
-            break
-        depth = depth * 2 + 16
-    else:
-        raise PrecisionError(
-            "could not certify the lattice normal form at any tried series depth"
+    work = [None] * d
+    pivots = [0] * d
+    for r in range(d - 1, -1, -1):
+        # each column holds rows 0..r (the rows below are zero), known
+        # modulo u^modulus
+        cols = [[x.part_above(-modulus) for x in col] for col in cols]
+        live = [j for j, col in enumerate(cols) if col[r]]
+        if live:
+            piv = cols.pop(max(live, key=lambda j: cols[j][r].degree()))
+            a = piv[r].degree()
+        else:
+            a = -modulus
+            piv = [zero] * r + [LaurentPoly.t_power(a, q)]
+        # from here on, rows 0..r-1 are needed modulo the new u^modulus only
+        modulus += a
+        unit = piv[r].shift(-a)
+        if unit.coeffs != {0: 1}:
+            inv = series_inverse(unit, modulus - 1)
+            piv = [x * inv for x in piv]
+        piv = [x.part_above(-modulus) for x in piv[:r]] + [LaurentPoly.t_power(a, q)]
+        for j, col in enumerate(cols):
+            f = col[r].shift(-a)
+            cols[j] = [x - f * y if f and y else x for x, y in zip(col, piv[:r])]
+        work[r] = piv + [zero] * (d - 1 - r)
+        pivots[r] = a
+    if modulus != 0:
+        raise InternalInvariantError(
+            f"Hermite pass left modulus u^{modulus}, expected the full determinant"
         )
+
+    for j in range(d):
+        for i in range(j - 1, -1, -1):
+            low = work[j][i].part_at_most(pivots[i])
+            if low:
+                f = low.shift(-pivots[i])
+                col_i = work[i]
+                work[j] = [
+                    work[j][r] - f * col_i[r] if col_i[r] else work[j][r]
+                    for r in range(d)
+                ]
+    canon = LaurentMatrix([[work[j][i] for j in range(d)] for i in range(d)], q)
+    if not _certify_same_lattice(canon, scaled):
+        raise InternalInvariantError("lattice normal form failed its exact certificate")
 
     shift = min(pivots)
     canon = canon.shift(-shift)

@@ -20,7 +20,6 @@ from .errors import (
     BtqError,
     InternalInvariantError,
     InvalidInputError,
-    PrecisionError,
     ResourceBoundError,
 )
 from .gf import gaussian_binomial
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stabilizer", help="vertex stabilizer order (optionally enumerate)")
     sp.add_argument("--n", required=True)
     sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--d", type=int, default=None, help="ignored; d is the label length")
     sp.add_argument("--enumerate", action="store_true")
     sp.add_argument("--bound", type=int, default=domain.DEFAULT_GROUP_BOUND)
     sp.set_defaults(func=_cmd_stabilizer)
@@ -330,7 +328,7 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceBoundError, PrecisionError) as exc:
+    except ResourceBoundError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return 3
     except InternalInvariantError as exc:

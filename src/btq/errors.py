@@ -21,16 +21,9 @@ class ResourceBoundError(BtqError):
     """A configurable enumeration or size bound was exceeded."""
 
 
-class PrecisionError(BtqError):
-    """A power-series computation could not be certified exact.
-
-    Raised instead of silently truncating; callers may retry with more
-    working precision.
-    """
-
-
 class InternalInvariantError(BtqError):
-    """Two independent computations of the same quantity disagree.
+    """Two independent computations of the same quantity disagree, or an
+    exact certificate of a result fails.
 
     Always a bug, never a user error.
     """

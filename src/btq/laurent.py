@@ -5,35 +5,20 @@ valuation is v(f) = -deg(f): v(t^n) = -n and v(t^-n) = +n.  The valuation
 ring O = F_q[[1/t]] consists of the elements with no positive exponents.
 
 Polynomials are stored sparsely as {exponent: nonzero residue}; the zero
-polynomial is the empty map.  All ring operations are exact.  The only
-inexact object anywhere is a truncated inverse of an O-unit
-(`series_inverse`), and every consumer of it certifies its final result
-by an exact membership test.
+polynomial is the empty map.  All ring operations are exact.  A truncated
+inverse of an O-unit (`series_inverse`) is exact modulo a power of 1/t;
+its one consumer, the lattice normal form, works modulo a power of 1/t
+that the lattice contains, so its result is exact, and it still certifies
+that result by an exact membership test.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+
 from .errors import InvalidInputError
 from .gf import check_prime, inv_mod
-
-
-@dataclass(frozen=True)
-class OPrecision:
-    """Working depth for truncated O = F_q[[1/t]] computations.
-
-    An element of O represented at depth P carries exponents in [-P, 0];
-    coefficients below -P are unknown.  Sampling (random_k) and unit
-    inversion take their depth from here.
-    """
-
-    depth: int = 16
-
-    def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 0:
-            raise InvalidInputError(f"precision depth must be >= 0, got {self.depth!r}")
 
 
 class LaurentPoly:
@@ -182,6 +167,8 @@ class LaurentPoly:
 
     def part_above(self, cutoff: int) -> "LaurentPoly":
         """Terms with exponent strictly greater than cutoff."""
+        if all(e > cutoff for e in self.coeffs):
+            return self
         return LaurentPoly(
             {e: c for e, c in self.coeffs.items() if e > cutoff}, self.q, _clean=False
         )
@@ -272,8 +259,8 @@ def is_unit_in_O(f: LaurentPoly) -> bool:
 def series_inverse(f: LaurentPoly, depth: int) -> LaurentPoly:
     """Truncated inverse of an O-unit: exponents of the result lie in [-depth, 0].
 
-    The returned g satisfies f*g = 1 + (terms with exponent < -depth).
-    Exact up to that floor; callers must certify downstream results.
+    The returned g satisfies f*g = 1 + (terms with exponent < -depth), so
+    g is the exact inverse modulo (1/t)^(depth+1).
     """
     if f.is_zero() or f.degree() != 0:
         raise InvalidInputError("series_inverse requires an O-unit (degree 0)")
@@ -444,8 +431,13 @@ class LaurentMatrix:
             entries = obj["entries"]
         except (TypeError, KeyError) as exc:
             raise InvalidInputError(f"bad matrix literal: missing {exc}") from exc
-        if len(entries) != d or any(len(r) != d for r in entries):
-            raise InvalidInputError("matrix literal entries must be d x d")
+        if not (
+            isinstance(entries, list)
+            and len(entries) == d
+            and all(isinstance(r, list) and len(r) == d for r in entries)
+            and all(isinstance(x, str) for r in entries for x in r)
+        ):
+            raise InvalidInputError("matrix literal entries must be d lists of d strings")
         return cls([[LaurentPoly.parse(s, q) for s in row] for row in entries], q)
 
 
@@ -526,18 +518,17 @@ def random_gamma(d: int, q: int, deg_bound: int, seed) -> LaurentMatrix:
     return m * _random_constant_invertible(d, q, rng)
 
 
-def random_k(d: int, q: int, precision, seed) -> LaurentMatrix:
-    """Random element of GL_d(O) truncated to the given precision depth.
+def random_k(d: int, q: int, depth: int, seed) -> LaurentMatrix:
+    """Random element of GL_d(O) with entry exponents in [-depth, 0].
 
-    Entries have exponents in [-P, 0]; the determinant is an O-unit.
+    The determinant is an O-unit.
     """
     check_prime(q)
-    if isinstance(precision, int):
-        precision = OPrecision(precision)
     if d < 2:
         raise InvalidInputError("need d >= 2")
+    if not isinstance(depth, int) or depth < 0:
+        raise InvalidInputError(f"depth must be an int >= 0, got {depth!r}")
     rng = _as_rng(seed)
-    depth = precision.depth
     while True:
         rows = [
             [

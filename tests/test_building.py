@@ -17,7 +17,12 @@ from btq.building import (
     vertex_from_label,
     vertex_normal_form,
 )
-from btq.errors import InvalidInputError, ResourceBoundError, SingularMatrixError
+from btq.errors import (
+    InternalInvariantError,
+    InvalidInputError,
+    ResourceBoundError,
+    SingularMatrixError,
+)
 from btq.gf import gaussian_binomial
 from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
 
@@ -66,8 +71,8 @@ def test_normal_form_diag_and_homothety():
 
 def test_normal_form_idempotent_random():
     rng = random.Random(17)
-    for q in (2, 3):
-        for d in (2, 3):
+    for q in (2, 3, 5):
+        for d in (2, 3, 4):
             for _ in range(50):
                 m = random_invertible(d, q, rng)
                 v = vertex_normal_form(m)
@@ -77,11 +82,27 @@ def test_normal_form_idempotent_random():
 
 def test_normal_form_k_invariance():
     rng = random.Random(23)
-    for q in (2, 3):
-        for _ in range(10):
-            m = random_invertible(3, q, rng)
-            k = random_k(3, q, 10, rng)
-            assert vertex_normal_form(m * k) == vertex_normal_form(m)
+    for q in (2, 3, 5):
+        for d in (3, 4):
+            for _ in range(10):
+                m = random_invertible(d, q, rng)
+                k = random_k(d, q, 10, rng)
+                assert vertex_normal_form(m * k) == vertex_normal_form(m)
+
+
+def test_normal_form_zero_row_pivot():
+    # det = t^-2 + t^-4 gives modulus u^2, below which row 1 (t^-3, t^-2)
+    # vanishes, so its pivot is u^2 e_1 rather than an input column
+    v = vertex_normal_form(mat([["1", "t^-1"], ["t^-3", "t^-2"]]))
+    assert v == vertex_from_label((2, 0), 2) and v.profile == (2, 0)
+
+
+def test_normal_form_failed_certificate_is_internal(monkeypatch):
+    from btq import building
+
+    monkeypatch.setattr(building, "_certify_same_lattice", lambda canon, original: False)
+    with pytest.raises(InternalInvariantError):
+        vertex_normal_form(LaurentMatrix.diagonal((2, 1, 0), 2))
 
 
 def test_normal_form_rejects_singular():

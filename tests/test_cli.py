@@ -1,8 +1,12 @@
 """CLI surface: determinism, exit codes, and the documented outputs."""
 
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btq.cli import main
 from btq.laurent import LaurentMatrix, LaurentPoly
@@ -42,8 +46,11 @@ def test_covolume_gap_shrinks(run):
 
 
 def test_stabilizer_order(run):
-    code, out, _ = run("stabilizer", "--n", "0,0,0", "--d", "3", "--q", "2")
+    code, out, _ = run("stabilizer", "--n", "0,0,0", "--q", "2")
     assert code == 0 and out.strip() == "168"
+    with pytest.raises(SystemExit) as exc:
+        main(["stabilizer", "--n", "1,0", "--d", "3"])
+    assert exc.value.code == 2
     code, out, _ = run("stabilizer", "--n", "2,1,0", "--q", "2", "--enumerate")
     assert code == 0
     lines = out.splitlines()
@@ -187,9 +194,6 @@ def test_exit_code_resource_bound(run):
 
 
 def test_matrix_from_stdin(run, monkeypatch, tmp_path):
-    import io
-    import sys
-
     m = LaurentMatrix.diagonal((2, 1, 0), 2)
     text = json.dumps(m.to_literal())
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -197,10 +201,71 @@ def test_matrix_from_stdin(run, monkeypatch, tmp_path):
     assert code == 0 and json.loads(out)["label"] == [2, 1, 0]
 
 
-def test_bad_matrix_file(run, tmp_path):
+def test_bad_matrix_file(run, tmp_path, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     code, _, err = run("reduce", "--matrix", str(path))
     assert code == 2
     code, _, err = run("reduce", "--matrix", str(tmp_path / "missing.json"))
     assert code == 2
+    literal = '{"q": 2, "d": 2, "entries": [[1, 0], [0, 1]]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
+    code, out, err = run("reduce", "--matrix", "-")
+    assert code == 2 and not out and "entries" in err
+
+
+def test_failed_certificate_exit_code(run, tmp_path, monkeypatch):
+    from btq import building
+
+    monkeypatch.setattr(building, "_certify_same_lattice", lambda canon, original: False)
+    path = matrix_file(tmp_path, [["t^2", "0"], ["1", "t"]])
+    code, out, err = run("reduce", "--matrix", path)
+    assert code == 4 and not out and "internal invariant" in err
+
+
+_TERM = st.tuples(st.sampled_from([" + ", " - "]), st.integers(1, 7), st.integers(-20, 20))
+_POLY = st.lists(_TERM, max_size=4).map(
+    lambda terms: "".join(f"{sign}{c}*t^{e}" for sign, c, e in terms).removeprefix(" + ") or "0"
+)
+_SCALAR = st.none() | st.booleans() | st.integers(-3, 7) | st.floats(allow_nan=False)
+_JSON = st.recursive(
+    _SCALAR | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_CORRUPTIONS = [None] * 4 + ["q", "d", "entries", "entry", "row", "key", "whole"]
+
+
+@st.composite
+def _literals(draw):
+    """A well-formed literal with d <= 4, then at most one corruption."""
+    d = draw(st.integers(1, 4))
+    entries = [[draw(_POLY) for _ in range(d)] for _ in range(d)]
+    obj = {"q": draw(st.sampled_from([2, 3, 5])), "d": d, "entries": entries}
+    corruption = draw(st.sampled_from(_CORRUPTIONS))
+    if corruption in ("q", "d", "entries"):
+        obj[corruption] = draw(_JSON)
+    elif corruption == "entry":
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        entries[i][j] = draw(_JSON | st.text(max_size=8))
+    elif corruption == "row":
+        entries[draw(st.integers(0, d - 1))].pop()
+    elif corruption == "key":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif corruption == "whole":
+        return draw(_JSON)
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(literal=_literals())
+def test_reduce_fuzz_literals(literal):
+    stdin, stdout = sys.stdin, sys.stdout
+    sys.stdin = io.StringIO(json.dumps(literal))
+    sys.stdout = io.TextIOWrapper(io.BytesIO())
+    try:
+        code = main(["reduce", "--matrix", "-"])
+    finally:
+        sys.stdin, sys.stdout = stdin, stdout
+    assert code in (0, 2)

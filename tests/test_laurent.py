@@ -10,7 +10,6 @@ from btq.errors import InvalidInputError
 from btq.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    OPrecision,
     is_unit_in_O,
     random_gamma,
     random_k,
@@ -156,7 +155,7 @@ def test_random_gamma_product_degree():
 
 def test_random_k_contract():
     for seed in range(20):
-        k = random_k(3, 2, OPrecision(8), seed)
+        k = random_k(3, 2, 8, seed)
         assert is_unit_in_O(k.det())
         for row in k.rows:
             for x in row:
@@ -180,10 +179,15 @@ def test_matrix_literal_round_trip():
         2,
     )
     assert LaurentMatrix.from_literal(m.to_literal()) == m
-    with pytest.raises(InvalidInputError):
-        LaurentMatrix.from_literal({"q": 2, "d": 2, "entries": [["1"]]})
+    for bad in (
+        {"q": 2, "d": 2, "entries": [["1"]]},
+        {"q": 2, "d": 2, "entries": 5},
+        {"q": 2, "d": 2, "entries": [[1, 0], [0, 1]]},
+    ):
+        with pytest.raises(InvalidInputError):
+            LaurentMatrix.from_literal(bad)
 
 
 def test_oprecision_validation():
     with pytest.raises(InvalidInputError):
-        OPrecision(-1)
+        random_k(3, 2, -1, 0)
