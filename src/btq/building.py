@@ -23,7 +23,7 @@ from .errors import (
     ResourceBoundError,
     SingularMatrixError,
 )
-from .gf import check_prime, gaussian_binomial
+from .gf import check_prime, gaussian_binomial, left_null_vector
 from .laurent import LaurentMatrix, LaurentPoly, series_inverse
 
 DEFAULT_ENUMERATION_BOUND = 100_000
@@ -82,27 +82,47 @@ def standard_vertex(d: int, q: int) -> BuildingVertex:
 # ---------------------------------------------------------------------------
 
 
+def _solve_canonical(canon: LaurentMatrix, m: LaurentMatrix) -> LaurentMatrix:
+    """canon^-1 * m, exactly, for canon upper triangular with pivots t^(a_i).
+
+    Back-substitution from the last row; each division is by a monic
+    monomial, so it is an exponent shift.  Any other shape of canon is a
+    bug and raises InternalInvariantError.
+    """
+    d, rows = canon.d, canon.rows
+    pivots = []
+    for i in range(d):
+        piv = rows[i][i].coeffs
+        if len(piv) != 1 or 1 not in piv.values() or any(rows[r][i] for r in range(i + 1, d)):
+            raise InternalInvariantError(
+                "expected an upper-triangular basis with monic monomial pivots"
+            )
+        pivots.append(next(iter(piv)))
+    out = [[None] * d for _ in range(d)]
+    for j in range(d):
+        for i in range(d - 1, -1, -1):
+            acc = m.rows[i][j]
+            for k in range(i + 1, d):
+                if rows[i][k] and out[k][j]:
+                    acc = acc - rows[i][k] * out[k][j]
+            out[i][j] = acc.shift(-pivots[i])
+    return LaurentMatrix(out, canon.q)
+
+
 def _certify_same_lattice(canon: LaurentMatrix, original: LaurentMatrix) -> bool:
     """Exact check that canon and original span the same O-lattice.
 
-    canon is upper triangular with monomial pivots, so det(canon) is a
-    monomial and U = canon^-1 * original has exact Laurent entries; the
-    lattices agree iff U is over O with unit determinant.  Pure degree
-    tests, no series arithmetic.
+    The lattices agree iff U = canon^-1 * original lies in GL_d(O): every
+    entry of U is in O, and U modulo 1/t (its constant-term matrix) is
+    invertible over F_q.  canon is upper triangular with monic monomial
+    pivots, so U is one exact back-substitution (`_solve_canonical`); no
+    series arithmetic and no determinant.
     """
-    det_c = canon.det()
-    det_o = original.det()
-    if det_o.is_zero():
-        raise SingularMatrixError("matrix is singular over F_q((1/t))")
-    if det_c.degree() != det_o.degree():
+    u = _solve_canonical(canon, original)
+    if not all(x.in_O() for row in u.rows for x in row):
         return False
-    shift = det_c.degree()
-    v = canon.adjugate() * original
-    for row in v.rows:
-        for x in row:
-            if x and x.degree() > shift:
-                return False
-    return True
+    residue = [[x.coeff(0) for x in row] for row in u.rows]
+    return left_null_vector(residue, canon.q) is None
 
 
 def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
@@ -118,9 +138,10 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     1987).  Row by row from the bottom, the entry of least valuation
     becomes the pivot, or u^N e_r when the row vanishes modulo u^N.  Then
     N drops by the pivot's valuation, because the lattice left in the rows
-    above has that much smaller a determinant.  The result is certified by
-    an exact membership test; a failed certificate is a bug and raises
-    InternalInvariantError.
+    above has that much smaller a determinant.  m's determinant is the one
+    Laurent determinant computed.  The result is certified exactly:
+    canon^-1 * m, found by back-substitution, must lie in GL_d(O).  A
+    failed certificate is a bug and raises InternalInvariantError.
     """
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
@@ -270,12 +291,10 @@ def edge_color(x: BuildingVertex, y: BuildingVertex) -> int | None:
     """
     if x.q != y.q or x.d != y.d:
         raise InvalidInputError("vertices live in different buildings")
-    d, q = x.d, x.q
-    det_y = y.basis.det()
-    rel = y.basis.adjugate() * x.basis
-    shift = det_y.degree()
-    # rel / t^shift has Smith valuations s_1 <= ... <= s_d with partial sums
-    # given by minimal minor valuations; homothety-normalize to s_1 = 0.
+    d = x.d
+    rel = _solve_canonical(y.basis, x.basis)
+    # y^-1 x has Smith valuations s_1 <= ... <= s_d with partial sums given
+    # by minimal minor valuations; homothety-normalize to s_1 = 0.
     idx = tuple(range(d))
     sums = [0]
     for k in range(1, d + 1):
@@ -284,7 +303,7 @@ def edge_color(x: BuildingVertex, y: BuildingVertex) -> int | None:
             for ci in combinations(idx, k):
                 mn = rel.minor(ri, ci)
                 if mn:
-                    val = -(mn.degree() - k * shift)
+                    val = -mn.degree()
                     if best is None or val < best:
                         best = val
         if best is None:

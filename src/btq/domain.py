@@ -12,6 +12,7 @@ together with a group-element witness.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 from .building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
 from .errors import (
@@ -20,10 +21,12 @@ from .errors import (
     ResourceBoundError,
     SingularMatrixError,
 )
-from .gf import check_prime, inv_mod
+from .gf import check_prime, left_null_vector
 from .laurent import LaurentMatrix, LaurentPoly
 
 DEFAULT_GROUP_BOUND = 10**6
+# enumerate_domain refuses to list more labels than this
+LABEL_COUNT_BOUND = 10**6
 _GL_CANDIDATE_BOUND = 2 * 10**6
 
 
@@ -92,11 +95,21 @@ def _normalize(entries) -> tuple[int, ...]:
 
 
 def enumerate_domain(d: int, max_n1: int) -> list[tuple[int, ...]]:
-    """All domain labels with n_1 <= max_n1, in lexicographic order."""
+    """All domain labels with n_1 <= max_n1, in lexicographic order.
+
+    There are C(max_n1 + d - 1, d - 1) of them; above LABEL_COUNT_BOUND
+    this raises ResourceBoundError before listing any.
+    """
     if d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     if max_n1 < 0:
         raise InvalidInputError("max_n1 must be >= 0")
+    count = comb(max_n1 + d - 1, d - 1)
+    if count > LABEL_COUNT_BOUND:
+        raise ResourceBoundError(
+            f"the domain up to n_1 = {max_n1} has {count} labels, over the bound "
+            f"{LABEL_COUNT_BOUND}"
+        )
     labels: list[tuple[int, ...]] = []
 
     def build(prefix: list[int]):
@@ -276,27 +289,6 @@ def stabilizer_contains(label1, label2) -> bool:
     return all(a <= b for a, b in zip(diff_seq(label1), diff_seq(label2)))
 
 
-def _det_mod_q(mat, q: int) -> int:
-    n = len(mat)
-    m = [[x % q for x in row] for row in mat]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = (det * m[col][col]) % q
-        inv = inv_mod(m[col][col], q)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = (m[r][col] * inv) % q
-                for c in range(col, n):
-                    m[r][c] = (m[r][c] - f * m[col][c]) % q
-    return det % q
-
-
 _GL_CACHE: dict[tuple[int, int], list] = {}
 
 
@@ -308,11 +300,11 @@ def _gl_matrices(m: int, q: int):
             raise ResourceBoundError(
                 f"GL_{m}(F_{q}) needs {q**(m*m)} candidate matrices, over the bound"
             )
-        _GL_CACHE[key] = [
-            mat
+        mats = (
+            tuple(flat[i * m : (i + 1) * m] for i in range(m))
             for flat in product(range(q), repeat=m * m)
-            if _det_mod_q(mat := tuple(flat[i * m : (i + 1) * m] for i in range(m)), q)
-        ]
+        )
+        _GL_CACHE[key] = [mat for mat in mats if left_null_vector(mat, q) is None]
     return _GL_CACHE[key]
 
 
@@ -457,19 +449,19 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     bounded below by deg det).  Once the leading matrix is invertible the
     row degrees are the label exponents up to sorting and homothety.
     """
-    if isinstance(v, BuildingVertex):
-        basis = v.basis
-    elif isinstance(v, LaurentMatrix):
-        basis = vertex_normal_form(v).basis
-    else:
+    if isinstance(v, LaurentMatrix):
+        v = vertex_normal_form(v)
+    elif not isinstance(v, BuildingVertex):
         raise InvalidInputError("expected a BuildingVertex or LaurentMatrix")
+    basis = v.basis
     d, q = basis.d, basis.q
 
     low = min((x.low_exponent() for row in basis.rows for x in row if x), default=0)
     low = min(low, 0)
     rows = [[x.shift(-low) if x else x for x in row] for row in basis.rows]
     acc = [list(r) for r in LaurentMatrix.identity(d, q).rows]
-    det_deg = basis.det().degree() - low * d
+    # the canonical basis is triangular with pivots t^profile_i
+    det_deg = sum(v.profile) - low * d
 
     def row_degree(i: int) -> int:
         degs = [x.degree() for x in rows[i] if x]
@@ -480,7 +472,7 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     while True:
         degs = [row_degree(i) for i in range(d)]
         lead = [[rows[i][j].coeff(degs[i]) for j in range(d)] for i in range(d)]
-        combo = _left_null_vector(lead, q)
+        combo = left_null_vector(lead, q)
         if combo is None:
             break
         pivot = max((i for i in range(d) if combo[i]), key=lambda i: (degs[i], i))
@@ -513,31 +505,3 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     witness = LaurentMatrix([acc[i] for i in order], q)
     return label, witness
 
-
-def _left_null_vector(mat, q: int):
-    """A nonzero vector c with c * mat = 0 over F_q, or None if invertible."""
-    n = len(mat)
-    a = [[mat[j][i] % q for j in range(n)] for i in range(n)]  # transpose
-    pivots: dict[int, int] = {}  # column -> reduced row index
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = inv_mod(a[row][col], q)
-        a[row] = [(x * inv) % q for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[row])]
-        pivots[col] = row
-        row += 1
-    if row == n:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    x = [0] * n
-    x[free] = 1
-    for col, r in pivots.items():
-        x[col] = (-a[r][free]) % q
-    return x

@@ -1,11 +1,16 @@
 """Arithmetic in the prime field F_q and q-combinatorial counting functions.
 
+`left_null_vector` is the library's one elimination over F_q: it decides
+invertibility and returns a null combination when there is one.
+
 Counting functions (`gl_order`, `pgl_order`, `gaussian_binomial`) return
 Python ints, so they are arbitrary precision by construction.  Extension
 fields are intentionally not supported: q must be prime.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .errors import InvalidInputError
 
@@ -19,7 +24,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         result = False
     else:
-        result = all(n % k for k in range(2, int(n**0.5) + 1))
+        result = all(n % k for k in range(2, isqrt(n) + 1))
     _PRIME_CACHE[n] = result
     return result
 
@@ -36,6 +41,39 @@ def inv_mod(a: int, q: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in F_q")
     return pow(a, q - 2, q)
+
+
+def left_null_vector(mat, q: int):
+    """A nonzero vector c with c * mat = 0 over F_q, or None if mat is invertible.
+
+    Gauss-Jordan elimination on the transpose of the square integer
+    matrix mat, read modulo q.
+    """
+    n = len(mat)
+    a = [[mat[j][i] % q for j in range(n)] for i in range(n)]
+    pivots: dict[int, int] = {}  # column -> reduced row index
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, n) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = inv_mod(a[row][col], q)
+        a[row] = [(x * inv) % q for x in a[row]]
+        for r in range(n):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[row])]
+        pivots[col] = row
+        row += 1
+    if row == n:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    x = [0] * n
+    x[free] = 1
+    for col, r in pivots.items():
+        x[col] = (-a[r][free]) % q
+    return x
 
 
 def gl_order(m: int, q: int) -> int:

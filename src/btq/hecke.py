@@ -536,41 +536,30 @@ def l2_partial_norm(graph: QuotientGraph, f: DomainFunction):
     return total, shells
 
 
-def compositions(d: int):
-    """Ordered compositions of d (block-size sequences of domain labels)."""
-    if d == 0:
-        yield ()
-        return
-    for first in range(1, d + 1):
-        for rest in compositions(d - first):
-            yield (first,) + rest
-
-
 def covolume(d: int, q: int, normalization: str = "pgl") -> Fraction:
     """Exact total weight of the fundamental domain.
 
-    Closed form: (q-1) * sum over ordered compositions (d_1..d_r) of
+    Closed form: (q-1) * sum over ordered compositions (d_1..d_r) of d of
     [prod_i |GL_{d_i}(F_q)|]^-1 * q^(-sum_{i<j} d_i d_j) *
-    prod_{l<r} 1/(q^(s_l) - 1), with s_l the product of the l-prefix and
-    l-suffix size sums.  The 'gl' normalization divides by q-1.
+    prod_{l<r} 1/(q^(s_l) - 1), with s_l = P_l (d - P_l) for the prefix
+    sums P_l = d_1 + ... + d_l.  Every factor depends on one block and the
+    prefix sums around it, so the sum runs as a recursion over prefix
+    sums in O(d^2) steps: F[0] = 1, F[P] = sum_{b=1..P} F[P-b] c(P-b) /
+    (|GL_b(F_q)| q^(b(d-P))), with c(0) = 1 and c(p) = 1/(q^(p(d-p)) - 1);
+    the covolume is (q-1) F[d].  The 'gl' normalization divides by q-1.
     """
     check_prime(q)
     if d < 2:
         raise InvalidInputError("d must be >= 2")
-    total = Fraction(0)
-    for comp in compositions(d):
-        r = len(comp)
-        denom = 1
-        for size in comp:
-            denom *= gl_order(size, q)
-        cross = sum(comp[i] * comp[j] for i in range(r) for j in range(i + 1, r))
-        term = Fraction(1, denom) * Fraction(1, q**cross)
-        for l in range(1, r):
-            s_l = sum(comp[:l]) * sum(comp[l:])
-            term *= Fraction(1, q**s_l - 1)
-        total += term
-    total *= q - 1
-    return _apply_normalization(total, q, normalization)
+    # prefix[p] = F[p] c(p) for p < d, ready for the next block; prefix[d] = F[d]
+    prefix = [Fraction(1)]
+    for total in range(1, d + 1):
+        f = sum(
+            prefix[total - b] / (gl_order(b, q) * q ** (b * (d - total)))
+            for b in range(1, total + 1)
+        )
+        prefix.append(f / (q ** (total * (d - total)) - 1) if total < d else f)
+    return _apply_normalization((q - 1) * prefix[d], q, normalization)
 
 
 def covolume_partial(d: int, q: int, max_n1: int, normalization: str = "pgl") -> Fraction:

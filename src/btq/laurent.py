@@ -8,8 +8,11 @@ Polynomials are stored sparsely as {exponent: nonzero residue}; the zero
 polynomial is the empty map.  All ring operations are exact.  A truncated
 inverse of an O-unit (`series_inverse`) is exact modulo a power of 1/t;
 its one consumer, the lattice normal form, works modulo a power of 1/t
-that the lattice contains, so its result is exact, and it still certifies
-that result by an exact membership test.
+that the lattice contains, so its result is exact.  The normal form still
+certifies it without series arithmetic: the triangular canonical basis
+has monic monomial pivots, so its inverse times the input comes from an
+exact back-substitution, and must lie in GL_d(O).  `LaurentMatrix.det`,
+`minor` and `adjugate` are exact Laplace expansions, meant for small d.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ class LaurentPoly:
     def valuation(self) -> int:
         """v(f) = -deg(f) for the uniformizer 1/t."""
         return -self.degree()
-
-    def leading_coeff(self) -> int:
-        return self.coeffs[self.degree()]
 
     def coeff(self, e: int) -> int:
         return self.coeffs.get(e, 0)
@@ -140,28 +140,11 @@ class LaurentPoly:
                     out.pop(e, None)
         return LaurentPoly(out, q, _clean=False)
 
-    def scale(self, c: int) -> "LaurentPoly":
-        c %= self.q
-        if c == 0:
-            return LaurentPoly.zero(self.q)
-        return LaurentPoly(
-            {e: (a * c) % self.q for e, a in self.coeffs.items()}, self.q, _clean=False
-        )
-
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by t^e."""
         return LaurentPoly(
             {k + e: c for k, c in self.coeffs.items()}, self.q, _clean=False
         )
-
-    def monomial_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division by a nonzero monomial c * t^e."""
-        self._check_compat(divisor)
-        if divisor.is_zero() or not divisor.is_monomial():
-            raise InvalidInputError("division is only defined by nonzero monomials")
-        e = divisor.degree()
-        cinv = inv_mod(divisor.leading_coeff(), self.q)
-        return self.shift(-e).scale(cinv)
 
     # -- support windows ---------------------------------------------------
 
@@ -366,18 +349,10 @@ class LaurentMatrix:
             out.append(row)
         return LaurentMatrix(out, self.q)
 
-    def scale(self, f: LaurentPoly) -> "LaurentMatrix":
-        return self * f
-
     def shift(self, e: int) -> "LaurentMatrix":
         """Multiply every entry by t^e (a homothety of the column span)."""
         return LaurentMatrix(
             [[x.shift(e) for x in row] for row in self.rows], self.q
-        )
-
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[self.rows[j][i] for j in range(self.d)] for i in range(self.d)], self.q
         )
 
     def minor(self, rows_idx, cols_idx) -> LaurentPoly:
@@ -405,9 +380,6 @@ class LaurentMatrix:
                     cof = -cof
                 out[j][i] = cof
         return LaurentMatrix(out, self.q)
-
-    def is_invertible(self) -> bool:
-        return not self.det().is_zero()
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from btq import building
 from btq.building import (
     adjacent_vertices,
     bfs_color1_distance,
@@ -98,11 +99,81 @@ def test_normal_form_zero_row_pivot():
 
 
 def test_normal_form_failed_certificate_is_internal(monkeypatch):
-    from btq import building
-
     monkeypatch.setattr(building, "_certify_same_lattice", lambda canon, original: False)
     with pytest.raises(InternalInvariantError):
         vertex_normal_form(LaurentMatrix.diagonal((2, 1, 0), 2))
+
+
+def _with_entry(canon, r, i, value):
+    rows = [list(row) for row in canon.rows]
+    rows[r][i] = value
+    return LaurentMatrix(rows, canon.q)
+
+
+def test_certificate_accepts_scaled_frame_only():
+    # canon spans m.shift(e) for the one e matching determinant degrees;
+    # every other homothety is a lattice of different determinant
+    rng = random.Random(31)
+    for q, d in ((2, 2), (2, 3), (3, 3), (5, 4)):
+        for _ in range(5):
+            m = random_invertible(d, q, rng)
+            v = vertex_normal_form(m)
+            e, rem = divmod(sum(v.profile) - m.det().degree(), d)
+            assert rem == 0
+            assert building._certify_same_lattice(v.basis, m.shift(e))
+            assert not building._certify_same_lattice(v.basis, m.shift(e + 1))
+            assert not building._certify_same_lattice(v.basis, m.shift(e - 1))
+
+
+def test_certificate_rejects_raised_entry_above_pivot():
+    # entry (r, i) above pivot i, raised by t^(a_r + 1), stays reduced
+    # against pivot r: the same determinant, another canonical basis
+    rng = random.Random(37)
+    for q, d in ((2, 3), (3, 3), (2, 4)):
+        for _ in range(3):
+            canon = vertex_normal_form(random_invertible(d, q, rng)).basis
+            assert building._certify_same_lattice(canon, canon)
+            for i in range(1, d):
+                for r in range(i):
+                    a_r = canon.rows[r][r].degree()
+                    raised = canon.rows[r][i] + LaurentPoly.t_power(a_r + 1, q)
+                    wrong = _with_entry(canon, r, i, raised)
+                    assert wrong.det() == canon.det()
+                    assert not building._certify_same_lattice(wrong, canon)
+                    assert not building._certify_same_lattice(canon, wrong)
+
+
+def test_certificate_rejects_raised_pivot_mod_uniformizer():
+    # canon^-1 * original is over O and singular modulo 1/t: only the F_q
+    # invertibility half of the certificate can reject it
+    for label in ((0, 0), (2, 1, 0), (3, 3, 1, 0)):
+        canon = vertex_from_label(label, 3).basis
+        for i in range(len(label)):
+            a_i = canon.rows[i][i].degree()
+            wrong = _with_entry(canon, i, i, LaurentPoly.t_power(a_i + 1, 3))
+            u = building._solve_canonical(wrong, canon)
+            assert all(x.in_O() for row in u.rows for x in row)
+            assert not building._certify_same_lattice(wrong, canon)
+
+
+def test_certificate_catches_wrong_determinant(monkeypatch):
+    # a determinant off by a factor of t sets the wrong modulus for the
+    # Hermite pass; the certificate does not trust it
+    inputs = [LaurentMatrix.diagonal((2, 1, 0), 2), mat([["1", "t^-1"], ["t^-3", "t^-2"]])]
+    rng = random.Random(41)
+    inputs += [random_invertible(3, 2, rng) for _ in range(5)]
+    true_det = LaurentMatrix.det
+    monkeypatch.setattr(LaurentMatrix, "det", lambda self: true_det(self) * P("t"))
+    for m in inputs:
+        with pytest.raises(InternalInvariantError):
+            vertex_normal_form(m)
+
+
+def test_solve_canonical_requires_triangular_monic_pivots():
+    with pytest.raises(InternalInvariantError):
+        building._solve_canonical(mat([["1", "0"], ["t", "1"]]), mat([["1", "0"], ["0", "1"]]))
+    with pytest.raises(InternalInvariantError):
+        building._solve_canonical(mat([["1", "0"], ["0", "1 + t"]]), mat([["1", "0"], ["0", "1"]]))
 
 
 def test_normal_form_rejects_singular():

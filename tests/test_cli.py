@@ -186,11 +186,17 @@ def test_exit_code_invalid_input(run):
     assert code == 2
     code, out, err = run("eigenvector", "--d", "4", "--q", "2", "--lambda1", "1", "--lambda2", "1")
     assert code == 2 and not out and "d = 2 and d = 3" in err
+    code, _, err = run("stabilizer", "--n", "1,0", "--q", "1" + "0" * 400)
+    assert code == 2 and "prime" in err
 
 
 def test_exit_code_resource_bound(run):
     code, _, err = run("stabilizer", "--n", "9,5,0", "--q", "3", "--enumerate", "--bound", "100")
     assert code == 3 and "bound" in err
+    code, out, err = run("covolume", "--d", "22")
+    assert code == 3 and not out and "labels" in err
+    code, out, _ = run("covolume", "--d", "22", "--max-n", "2")
+    assert code == 0 and out.startswith("covolume ")
 
 
 def test_matrix_from_stdin(run, monkeypatch, tmp_path):

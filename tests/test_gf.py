@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from btq.errors import InvalidInputError
-from btq.gf import gaussian_binomial, gl_order, inv_mod, pgl_order
+from btq.gf import gaussian_binomial, gl_order, inv_mod, left_null_vector, pgl_order
 
 
 def det_mod(mat, q):
@@ -73,6 +73,19 @@ def test_gl_order_matches_enumeration():
                 continue
             assert gl_order(m, q) == count_invertible(m, q)
     assert gl_order(3, 3) == count_invertible(3, 3)
+
+
+def test_left_null_vector_exhaustive():
+    # every 2x2 and 3x3 matrix over F_2 and every 2x2 matrix over F_3
+    for m, q in ((2, 2), (3, 2), (2, 3)):
+        for flat in product(range(q), repeat=m * m):
+            mat = [flat[i * m : (i + 1) * m] for i in range(m)]
+            c = left_null_vector(mat, q)
+            if det_mod(mat, q):
+                assert c is None, mat
+            else:
+                assert c is not None and any(c), mat
+                assert all(sum(c[i] * mat[i][j] for i in range(m)) % q == 0 for j in range(m))
 
 
 def test_pgl_order_examples():

@@ -18,7 +18,6 @@ from btq.hecke import (
     apply_hecke,
     closed_form_regression,
     commutator_check,
-    compositions,
     covolume,
     covolume_partial,
     eigenvector_d2,
@@ -286,9 +285,42 @@ def test_l2_partial_norm_rho_coloring_matches_ones():
     assert abs(total - float(covolume_partial(3, q, 8))) < 1e-9
 
 
+def compositions(d):
+    """Ordered compositions of d (block-size sequences of domain labels)."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(1, d + 1):
+        for rest in compositions(d - first):
+            yield (first,) + rest
+
+
+def covolume_by_compositions(d, q):
+    # the closed form summed term by term over all 2^(d-1) compositions
+    total = Fraction(0)
+    for comp in compositions(d):
+        r = len(comp)
+        denom = 1
+        for size in comp:
+            denom *= gl_order(size, q)
+        cross = sum(comp[i] * comp[j] for i in range(r) for j in range(i + 1, r))
+        term = Fraction(1, denom) * Fraction(1, q**cross)
+        for l in range(1, r):
+            s_l = sum(comp[:l]) * sum(comp[l:])
+            term *= Fraction(1, q**s_l - 1)
+        total += term
+    return (q - 1) * total
+
+
 def test_compositions():
     assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert len(list(compositions(4))) == 8
+
+
+def test_covolume_recursion_matches_composition_sum():
+    for q in (2, 3, 5):
+        for d in range(2, 13):
+            assert covolume(d, q) == covolume_by_compositions(d, q), (d, q)
 
 
 def test_covolume_d2():

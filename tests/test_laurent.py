@@ -41,14 +41,6 @@ def test_is_unit_in_O():
         is_unit_in_O(LaurentPoly.zero(2))
 
 
-def test_monomial_division():
-    assert P("t^2 + t").monomial_div(P("t")) == P("t + 1")
-    with pytest.raises(InvalidInputError):
-        P("t").monomial_div(P("t + 1"))
-    with pytest.raises(InvalidInputError):
-        P("t").monomial_div(LaurentPoly.zero(2))
-
-
 def test_parse_round_trip():
     cases = ["0", "1", "t", "t^-2", "2*t^3 + 1", "t^2 + t + 1", "t^5 + t^-5"]
     for q in (2, 3, 5):
