@@ -12,7 +12,7 @@ together with a group-element witness.
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import comb, log2
 
 from .building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
 from .errors import (
@@ -27,7 +27,20 @@ from .laurent import LaurentMatrix, LaurentPoly
 DEFAULT_GROUP_BOUND = 10**6
 # enumerate_domain refuses to list more labels than this
 LABEL_COUNT_BOUND = 10**6
+# exact results predicted above this many bits are refused before the work;
+# two such fractions and their difference print within Python's 4300-digit
+# int-to-str limit
+RESULT_BIT_BOUND = 7000
 _GL_CANDIDATE_BOUND = 2 * 10**6
+
+
+def check_result_size(q_exponent: int, q: int, what: str) -> None:
+    """Raise ResourceBoundError if q^q_exponent exceeds RESULT_BIT_BOUND bits."""
+    bits = q_exponent * log2(q)
+    if bits > RESULT_BIT_BOUND:
+        raise ResourceBoundError(
+            f"{what} would have about {bits:.0f} bits, over the bound {RESULT_BIT_BOUND}"
+        )
 
 
 def validate_label(label) -> tuple[int, ...]:
@@ -259,15 +272,15 @@ def _pattern_order(u, v, q: int) -> int:
     # prod_{r=1}^{s} (q^r - 1), and c_ij = 0 inside a block, so the powers
     # of q from all pairs i < j sum to one exponent, and the position r of
     # each index within its block contributes the factor q^r - 1.
+    # The order is below q^(exp + d(d+1)/2), which is checked first.
     d = len(u)
-    exp = 0
+    exp = sum(min(u[i] - u[j], v[i] - v[j]) + 1 for i in range(d) for j in range(i + 1, d))
+    check_result_size(exp + d * (d + 1) // 2, q, "the stabilizer order")
     order = 1
     r = 0
     for i in range(d):
         r = r + 1 if i and u[i] == u[i - 1] and v[i] == v[i - 1] else 1
         order *= q**r - 1
-        for j in range(i + 1, d):
-            exp += min(u[i] - u[j], v[i] - v[j]) + 1
     return order * q**exp // (q - 1)
 
 

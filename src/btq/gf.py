@@ -12,19 +12,28 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceBoundError
+
+TRIAL_DIVISOR_BOUND = 10**6
 
 _PRIME_CACHE: dict[int, bool] = {}
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, cached (q stays small in practice)."""
+    """Trial-division primality test, cached (q stays small in practice).
+
+    Divisors run up to TRIAL_DIVISOR_BOUND only: an n with no divisor there
+    and isqrt(n) above it is undecided, and raises ResourceBoundError.
+    """
     if n in _PRIME_CACHE:
         return _PRIME_CACHE[n]
-    if n < 2:
-        result = False
-    else:
-        result = all(n % k for k in range(2, isqrt(n) + 1))
+    root = isqrt(n) if n >= 2 else 0
+    result = n >= 2 and all(n % k for k in range(2, min(root, TRIAL_DIVISOR_BOUND) + 1))
+    if result and root > TRIAL_DIVISOR_BOUND:
+        raise ResourceBoundError(
+            f"q = {n} has no divisor up to {TRIAL_DIVISOR_BOUND}; "
+            "deciding whether it is prime exceeds the trial-division bound"
+        )
     _PRIME_CACHE[n] = result
     return result
 

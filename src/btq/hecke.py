@@ -1,12 +1,11 @@
 """Weighted adjacency (Hecke) operators on the quotient graph.
 
 Everything here is exact unless the caller opts into the complex backend:
-rational scalars are `fractions.Fraction`, and the d = 2 closed form uses
-a little quadratic extension Q(sqrt(delta)).  Operator application at a
-truncation boundary yields an explicit undefined marker (the vertex is
-simply absent from the result), never a silent zero: zero-padding would
-fabricate boundary conditions and corrupt the commutator and adjointness
-identities.
+rational scalars are `fractions.Fraction`, and the d = 2 closed form is a
+binomial sum over Q.  Operator application at a truncation boundary
+yields an explicit undefined marker (the vertex is simply absent from the
+result), never a silent zero: zero-padding would fabricate boundary
+conditions and corrupt the commutator and adjointness identities.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import comb
 
 from . import domain
 from .errors import InternalInvariantError, InvalidInputError
@@ -33,96 +33,6 @@ COMPLEX_TOLERANCE = 1e-9
 # ---------------------------------------------------------------------------
 
 
-class QuadExt:
-    """a + b*sqrt(delta) with rational a, b: exact field arithmetic.
-
-    delta is a fixed non-square rational; used for the d = 2 closed form
-    with delta = lambda^2 - 4q.
-    """
-
-    __slots__ = ("a", "b", "delta")
-
-    def __init__(self, a, b, delta):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "delta", Fraction(delta))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if other.delta != self.delta:
-                raise InvalidInputError("mixed quadratic extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.delta)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a + other.a, self.b + other.b, self.delta)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.delta)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExt(
-            self.a * other.a + self.b * other.b * self.delta,
-            self.a * other.b + self.b * other.a,
-            self.delta,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        norm = self.a * self.a - self.b * self.b * self.delta
-        if norm == 0:
-            raise ZeroDivisionError("zero or zero-norm element in Q(sqrt(delta))")
-        return QuadExt(self.a / norm, -self.b / norm, self.delta)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return (
-            isinstance(other, QuadExt)
-            and self.delta == other.delta
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.delta))
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.delta}))"
-
-
 def _conj(x):
     if isinstance(x, complex):
         return x.conjugate()
@@ -132,10 +42,6 @@ def _conj(x):
 def _abs_sq(x):
     if isinstance(x, complex):
         return (x * x.conjugate()).real
-    if isinstance(x, QuadExt):
-        if x.delta < 0:
-            return x.a * x.a - x.b * x.b * x.delta
-        return x * x
     return x * x
 
 
@@ -162,7 +68,8 @@ class DomainFunction:
     """A scalar-valued function on a truncation of the fundamental domain.
 
     Vertices absent from `values` are undefined (the boundary marker after
-    operator application).  Values are Fractions, QuadExt or complex.
+    operator application).  Values are Fractions or complex scalars (Python
+    complex, or mpmath numbers for high-precision runs).
     """
 
     def __init__(self, d: int, q: int, max_n1: int, values: dict[Label, object]):
@@ -340,7 +247,7 @@ def eigenvector_d3(params: HeckeParams, max_n1: int):
             if a > max_n1:
                 continue
             if (a, b) == (0, 0):
-                val = _one_like(l1)
+                val = l1 * 0 + 1  # one in the scalar type of l1
             elif (a, b) == (1, 0):
                 val = l1 * F(0, 0) / t3
             elif (a, b) == (1, 1):
@@ -383,14 +290,6 @@ def eigenvector_d3(params: HeckeParams, max_n1: int):
 
     func = DomainFunction(3, q, max_n1, f)
     return func, residuals
-
-
-def _one_like(x):
-    if isinstance(x, QuadExt):
-        return QuadExt(1, 0, x.delta)
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    return x * 0 + 1  # complex, or any numeric scalar type (e.g. mpmath)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +349,10 @@ def eigenvector_d2(lam, q: int, max_n: int) -> DomainFunction:
     """Eigenvector on the half-line: f_0 = 1, f_1 = lam/(q+1),
     f_{n+1} = lam f_n - q f_{n-1}.
 
-    For lam^2 != 4q the closed form through the characteristic roots is
-    evaluated as well (exactly in Q(sqrt(lam^2-4q)) for rational lam,
-    within tolerance for complex lam) and any disagreement is an internal
-    error.  lam^2 = 4q routes to recursion-only mode.
+    Every value is checked against `eigenvector_d2_closed_form`, exactly
+    for rational lam and within tolerance for complex lam; any
+    disagreement is an internal error.  A complex lam with lam^2 = 4q
+    (numerically coincident roots) routes to recursion-only mode.
     """
     check_prime(q)
     if max_n < 1:
@@ -461,14 +360,11 @@ def eigenvector_d2(lam, q: int, max_n: int) -> DomainFunction:
     complex_backend = isinstance(lam, complex)
     if not complex_backend:
         lam = Fraction(lam)
-    vals: list[object] = [_one_like(lam), lam / (q + 1)]
+    vals: list[object] = [lam * 0 + 1, lam / (q + 1)]
     for _ in range(2, max_n + 1):
         vals.append(lam * vals[-1] - q * vals[-2])
 
-    delta = lam * lam - 4 * q
-    if complex_backend and _degenerate_complex(lam, q):
-        delta = 0  # numerically coincident roots: recursion-only mode
-    if delta != 0:
+    if not (complex_backend and _degenerate_complex(lam, q)):
         for n in range(max_n + 1):
             closed = eigenvector_d2_closed_form(lam, q, n)
             if not scalars_close(vals[n], closed):
@@ -484,8 +380,14 @@ def _degenerate_complex(lam: complex, q: int) -> bool:
 
 
 def eigenvector_d2_closed_form(lam, q: int, n: int):
-    """f_n = C r1^n + D r2^n with r_{1,2} the roots of x^2 - lam x + q,
-    C = (lam - (q+1) r2) / ((q+1) sqrt(lam^2 - 4q)) and D = 1 - C."""
+    """f_n in closed form, independent of the recursion.
+
+    Rational lam, exactly: f_0 = 1 and f_n = lam/(q+1) U_n - q U_{n-1}
+    with U_m = sum_{k < (m+1)//2} C(m-1-k, k) lam^(m-1-2k) (-q)^k.
+    Complex lam, where that sum cancels: f_n = C r1^n + D r2^n with r_{1,2}
+    the roots of x^2 - lam x + q, C = (lam - (q+1) r2) / ((q+1) sqrt(lam^2
+    - 4q)) and D = 1 - C.
+    """
     if isinstance(lam, complex):
         if _degenerate_complex(lam, q):
             raise InvalidInputError("lam^2 = 4q has no two-root closed form")
@@ -496,26 +398,15 @@ def eigenvector_d2_closed_form(lam, q: int, n: int):
         d = 1 - c
         return c * r1**n + d * r2**n
     lam = Fraction(lam)
-    delta = lam * lam - 4 * q
-    if delta == 0:
-        raise InvalidInputError("lam^2 = 4q has no two-root closed form")
-    s = QuadExt(0, 1, delta)
-    lam_e = QuadExt(lam, 0, delta)
-    r1 = (lam_e + s) / 2
-    r2 = (lam_e - s) / 2
-    c = (lam_e - (q + 1) * r2) / ((q + 1) * s)
-    d = 1 - c
-    val = c * _pow(r1, n) + d * _pow(r2, n)
-    if val.b != 0:
-        raise InternalInvariantError("d=2 closed form should be rational")
-    return val.a
+    if n == 0:
+        return Fraction(1)
+    return lam / (q + 1) * _lucas_u(lam, q, n) - q * _lucas_u(lam, q, n - 1)
 
 
-def _pow(x, n: int):
-    out = _one_like(x)
-    for _ in range(n):
-        out = out * x
-    return out
+def _lucas_u(lam: Fraction, q: int, m: int) -> Fraction:
+    # U_0 = 0, U_1 = 1, U_{m+1} = lam U_m - q U_{m-1}
+    terms = (comb(m - 1 - k, k) * lam ** (m - 1 - 2 * k) * (-q) ** k for k in range((m + 1) // 2))
+    return sum(terms, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +442,9 @@ def covolume(d: int, q: int, normalization: str = "pgl") -> Fraction:
     check_prime(q)
     if d < 2:
         raise InvalidInputError("d must be >= 2")
+    # the result is a small numerator over a denominator a few bits below
+    # |GL_d(F_q)| < q^(d^2) (measured for d <= 80), so q^(d^2) bounds its size
+    domain.check_result_size(d * d, q, "the covolume")
     # prefix[p] = F[p] c(p) for p < d, ready for the next block; prefix[d] = F[d]
     prefix = [Fraction(1)]
     for total in range(1, d + 1):

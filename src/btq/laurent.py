@@ -21,7 +21,7 @@ import random
 import re
 
 from .errors import InvalidInputError
-from .gf import check_prime, inv_mod
+from .gf import check_prime, inv_mod, left_null_vector
 
 
 class LaurentPoly:
@@ -459,14 +459,9 @@ def _random_permutation(d, q, rng) -> LaurentMatrix:
 
 def _random_constant_invertible(d, q, rng) -> LaurentMatrix:
     while True:
-        rows = [
-            [LaurentPoly.constant(rng.randrange(q), q) for _ in range(d)]
-            for _ in range(d)
-        ]
-        m = LaurentMatrix(rows, q)
-        det = m.det()
-        if not det.is_zero():
-            return m
+        rows = [[rng.randrange(q) for _ in range(d)] for _ in range(d)]
+        if left_null_vector(rows, q) is None:
+            return LaurentMatrix([[LaurentPoly.constant(c, q) for c in row] for row in rows], q)
 
 
 def random_gamma(d: int, q: int, deg_bound: int, seed) -> LaurentMatrix:
@@ -493,7 +488,8 @@ def random_gamma(d: int, q: int, deg_bound: int, seed) -> LaurentMatrix:
 def random_k(d: int, q: int, depth: int, seed) -> LaurentMatrix:
     """Random element of GL_d(O) with entry exponents in [-depth, 0].
 
-    The determinant is an O-unit.
+    Draws until the constant-term matrix is invertible over F_q, which is
+    exactly when the determinant is an O-unit.
     """
     check_prime(q)
     if d < 2:
@@ -511,7 +507,5 @@ def random_k(d: int, q: int, depth: int, seed) -> LaurentMatrix:
             ]
             for _ in range(d)
         ]
-        m = LaurentMatrix(rows, q)
-        det = m.det()
-        if not det.is_zero() and is_unit_in_O(det):
-            return m
+        if left_null_vector([[x.coeff(0) for x in row] for row in rows], q) is None:
+            return LaurentMatrix(rows, q)

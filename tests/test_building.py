@@ -326,3 +326,48 @@ def test_distance_formulas():
     # d = 2: formula gives ceil(n/2) where the tree distance is n
     for n in range(1, 7):
         assert distance_formulas((n, 0), (0, 0))[0] == (n + 1) // 2
+
+
+def _distance_formulas_by_scan(n, m):
+    # every j from min(diffs) - 1 to max(diffs) + 1
+    diffs = [a - b for a, b in zip(n, m)]
+    js = range(min(diffs) - 1, max(diffs) + 2)
+    return (
+        min(max(abs(x - j) for x in diffs) for j in js),
+        min(sum(abs(x - j) for x in diffs) for j in js),
+    )
+
+
+def test_distance_formulas_match_scan():
+    rng = random.Random(17)
+    for _ in range(400):
+        d = rng.randint(2, 6)
+        n, m = ([0] * d, [0] * d)
+        for lab in (n, m):
+            for i in range(d - 2, -1, -1):
+                lab[i] = lab[i + 1] + rng.randint(0, 5)
+        assert distance_formulas(n, m) == _distance_formulas_by_scan(n, m), (n, m)
+
+
+def test_distance_formulas_huge_labels():
+    big = 10**30
+    assert distance_formulas((big, 0), (0, 0)) == ((big + 1) // 2, big)
+    assert distance_formulas((big, big, 0), (0, 0, 0)) == ((big + 1) // 2, big)
+
+
+def test_bfs_vertex_bound(monkeypatch):
+    monkeypatch.setattr(building, "BFS_VERTEX_BOUND", 100)
+    origin = standard_vertex(3, 2)
+    far = vertex_from_label((9, 0, 0), 2)
+    with pytest.raises(ResourceBoundError):
+        bfs_distance(far, origin, 6)
+    with pytest.raises(ResourceBoundError):
+        bfs_color1_distance(far, origin, 9)
+    assert bfs_distance(vertex_from_label((2, 1, 0), 2), origin, 3) == 2
+
+
+def test_bfs_rejects_vertices_of_different_buildings():
+    with pytest.raises(InvalidInputError):
+        bfs_distance(vertex_from_label((1, 0), 2), standard_vertex(3, 2), 2)
+    with pytest.raises(InvalidInputError):
+        bfs_color1_distance(standard_vertex(2, 3), standard_vertex(2, 2), 2)

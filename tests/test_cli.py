@@ -5,7 +5,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btq.cli import main
@@ -197,6 +197,17 @@ def test_exit_code_resource_bound(run):
     assert code == 3 and not out and "labels" in err
     code, out, _ = run("covolume", "--d", "22", "--max-n", "2")
     assert code == 0 and out.startswith("covolume ")
+    code, out, _ = run("covolume", "--d", "12", "--q", "2", "--max-n", "4")
+    assert code == 0 and out.startswith("covolume ")
+    for argv in (
+        ("stabilizer", "--n", "1,0", "--q", "1000000000000000003"),
+        ("stabilizer", "--n", "20000,0", "--q", "2"),
+        ("covolume", "--d", "100", "--max-n", "0"),
+        ("distance", "--n", "9,0,0", "--m", "0,0,0", "--q", "2"),
+    ):
+        code, out, err = run(*argv)
+        assert code == 3 and not out and err.startswith("resource bound:"), argv
+        assert len(err.splitlines()) == 1, argv
 
 
 def test_matrix_from_stdin(run, monkeypatch, tmp_path):
@@ -275,3 +286,101 @@ def test_reduce_fuzz_literals(literal):
     finally:
         sys.stdin, sys.stdout = stdin, stdout
     assert code in (0, 2)
+
+
+# weighted towards valid input: a repeated strategy is drawn more often
+_SMALL_PRIME = st.sampled_from([2, 3, 5])
+_Q = st.one_of(
+    _SMALL_PRIME,
+    _SMALL_PRIME,
+    st.integers(-3, 12),
+    st.sampled_from([10**12 + 39, 10**18 + 3, 10**18 + 4, 10**400]),
+)
+_COORD = st.one_of(
+    st.integers(0, 6), st.integers(0, 6), st.integers(-3, -1), st.sampled_from([10**5, 10**9])
+)
+_LABEL = st.lists(_COORD, min_size=1, max_size=3).map(
+    lambda xs: ",".join(map(str, sorted(xs, reverse=True) + [0]))
+) | st.sampled_from(["", "a,b", "1,2,0", "1;0", "0", "3,1"])
+_SCALAR_TEXT = st.sampled_from(["3", "-3/7", "2.5", "0", "7", "1+2i", "0.5-0.1i", "x", "1/0"])
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+# the required flags, and --radius: at its default of 6 a search takes seconds
+_ALWAYS = {"n", "m", "degree", "lambda1", "radius"}
+
+
+@st.composite
+def _cli_argv(draw):
+    """One subcommand with the flags in _ALWAYS and a random subset of the others."""
+    small = st.integers(-2, 4)
+    common = {"q": _Q}
+    flags = {
+        "stabilizer": {"n": _LABEL, "enumerate": None, "bound": st.integers(-1, 500), **common},
+        "covolume": {
+            "d": st.integers(-1, 6) | st.sampled_from([100, 10**9]),
+            "max-n": st.integers(-1, 8) | st.sampled_from([10**6, 10**9]),
+            "normalization": st.sampled_from(["pgl", "gl", "sl"]),
+            **common,
+        },
+        "distance": {"n": _LABEL, "m": _LABEL, "radius": st.integers(-1, 1), **common},
+        "neighbors": {"n": _LABEL, "degree": small, "in-domain": None, **common},
+        # small only: eigenvector has no bound on --max-n or on the size of lambda
+        "eigenvector": {
+            "d": st.sampled_from([2, 3, 3, 1, 4]),
+            "lambda1": _SCALAR_TEXT,
+            "lambda2": _SCALAR_TEXT,
+            "max-n": st.integers(-1, 14),
+            "l2": None,
+            "regression": None,
+            "format": st.sampled_from(["json", "text"]),
+            **common,
+        },
+        "hecke-check": {
+            "d": st.integers(1, 4),
+            "max-n": st.integers(-1, 4) | st.sampled_from([10**6, 10**9]),
+            "trials": small,
+            "seed": st.integers(-5, 5),
+            **common,
+        },
+        "domain": {
+            "d": st.integers(1, 4),
+            "max-n": st.integers(-1, 4) | st.sampled_from([10**6, 10**9]),
+            "format": st.sampled_from(["json", "dot"]),
+            **common,
+        },
+    }
+    command = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    for name, values in flags[command].items():
+        if values is None:
+            argv += draw(st.sampled_from([[], [f"--{name}"]]))
+        elif name in _ALWAYS:
+            argv.append(f"--{name}={draw(values)}")
+        else:
+            argv += draw(_flag(name, values))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_cli_argv())
+@example(argv=["stabilizer", "--n=1,0", "--q=1000000000000000003"])
+@example(argv=["stabilizer", "--n=1,0", "--q=1" + "0" * 400])
+@example(argv=["stabilizer", "--n=20000,0", "--q=2"])
+@example(argv=["covolume", "--d=100", "--max-n=0"])
+@example(argv=["covolume", "--d=22", "--max-n=2"])
+@example(argv=["distance", "--n=100000000,0", "--m=0,0", "--radius=2"])
+def test_cli_fuzz_flags(argv):
+    stdout, stderr = sys.stdout, sys.stderr
+    sys.stdout = io.TextIOWrapper(io.BytesIO())
+    sys.stderr = io.StringIO()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a value, such as --normalization=sl
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = stdout, stderr
+    assert code in (0, 2, 3), argv

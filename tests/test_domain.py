@@ -94,6 +94,14 @@ def test_pattern_order_row_sum_law_every_color():
     assert cases == 2296
 
 
+def test_pattern_order_result_size_bound():
+    assert stabilizer_order((6000, 0), 2) == 2**6001
+    with pytest.raises(ResourceBoundError):
+        stabilizer_order((20000, 0), 2)
+    with pytest.raises(ResourceBoundError):
+        pattern_order((2000, 1000, 0), (2000, 0, 0), 7)
+
+
 def test_pattern_order_validation():
     assert pattern_order((2, 1, 0), (1, 0, 0), 3) == pattern_order((1, 0, 0), (2, 1, 0), 3)
     with pytest.raises(InvalidInputError):

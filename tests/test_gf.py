@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from btq.errors import InvalidInputError
-from btq.gf import gaussian_binomial, gl_order, inv_mod, left_null_vector, pgl_order
+from btq import gf
+from btq.errors import InvalidInputError, ResourceBoundError
+from btq.gf import gaussian_binomial, gl_order, inv_mod, is_prime, left_null_vector, pgl_order
 
 
 def det_mod(mat, q):
@@ -115,6 +116,25 @@ def test_gaussian_binomial_symmetry():
         for d in range(1, 6):
             for k in range(d + 1):
                 assert gaussian_binomial(d, k, q) == gaussian_binomial(d, d - k, q)
+
+
+def test_is_prime_trial_division_bound(monkeypatch):
+    monkeypatch.setattr(gf, "TRIAL_DIVISOR_BOUND", 10)
+    monkeypatch.setattr(gf, "_PRIME_CACHE", {})
+    assert [n for n in range(-3, 121) if is_prime(n)] == [
+        n for n in range(2, 121) if all(n % k for k in range(2, n))
+    ]
+    assert not is_prime(130) and not is_prime(10**400)
+    for undecided in (127, 143):  # isqrt above 10, no divisor up to 10
+        with pytest.raises(ResourceBoundError):
+            is_prime(undecided)
+        assert undecided not in gf._PRIME_CACHE
+
+
+def test_is_prime_large_prime_is_undecided():
+    assert is_prime(999983) and is_prime(10**12 + 39)  # isqrt <= 10^6: decided
+    with pytest.raises(ResourceBoundError):
+        is_prime(10**18 + 3)
 
 
 def test_input_validation():

@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 from btq.domain import enumerate_domain, stabilizer_order
-from btq.errors import InvalidInputError
+from btq.errors import InvalidInputError, ResourceBoundError
 from btq.gf import gaussian_binomial, gl_order
 from btq.hecke import (
     COMPLEX_TOLERANCE,
     DomainFunction,
     HeckeParams,
-    QuadExt,
     adjointness_residual,
     apply_hecke,
     closed_form_regression,
@@ -35,19 +34,6 @@ def rational_params(seed, q=2):
     l1 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
     l2 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
     return HeckeParams(l1, l2, q)
-
-
-# -- scalars ----------------------------------------------------------------
-
-
-def test_quadext_field_ops():
-    x = QuadExt(Fraction(1, 2), Fraction(3), 5)
-    y = QuadExt(2, Fraction(-1, 7), 5)
-    assert (x * y) / y == x
-    assert x + (-x) == QuadExt(0, 0, 5)
-    assert (x / x) == QuadExt(1, 0, 5)
-    with pytest.raises(InvalidInputError):
-        x + QuadExt(1, 1, 7)
 
 
 # -- operators ----------------------------------------------------------------
@@ -235,6 +221,24 @@ def test_eigenvector_d2_recursion_and_closed_form():
                 assert f[(n, 0)] == lam * f[(n - 1, 0)] - q * f[(n - 2, 0)]
 
 
+def test_eigenvector_d2_closed_form_values():
+    for q in (2, 3, 5):
+        for lam in (Fraction(-7, 3), Fraction(1, 2), Fraction(4), Fraction(q + 1)):
+            r = q + 1
+            expected = [
+                1,
+                lam / r,
+                lam**2 / r - q,
+                lam**3 / r - q * lam - q * lam / r,
+                lam**4 / r - q * lam**2 * (1 + 2 / Fraction(r)) + q**2,
+            ]
+            for n, value in enumerate(expected):
+                closed = eigenvector_d2_closed_form(lam, q, n)
+                assert type(closed) is Fraction and closed == value, (q, lam, n)
+    # lam = q+1 gives the all-ones vector; the same sum in floats is far off
+    assert all(eigenvector_d2_closed_form(Fraction(6), 5, n) == 1 for n in range(40))
+
+
 def test_eigenvector_d2_complex_backend():
     lam = 1.25 + 0.5j
     q = 2
@@ -321,6 +325,18 @@ def test_covolume_recursion_matches_composition_sum():
     for q in (2, 3, 5):
         for d in range(2, 13):
             assert covolume(d, q) == covolume_by_compositions(d, q), (d, q)
+
+
+def test_covolume_result_size_bound():
+    assert covolume(60, 2).denominator.bit_length() < 60 * 60
+    for d, q in ((100, 2), (60, 5), (10**9, 2)):
+        with pytest.raises(ResourceBoundError):
+            covolume(d, q)
+    covolume_partial(12, 2, 4)
+    # the stabilizer orders in the sum are bounded, and so is its denominator
+    for d, q, max_n in ((2, 2, 7100), (100, 2, 0)):
+        with pytest.raises(ResourceBoundError):
+            covolume_partial(d, q, max_n)
 
 
 def test_covolume_d2():
