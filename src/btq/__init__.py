@@ -3,7 +3,7 @@
 Modules:
     gf        -- prime-field checks, inverses and q-counting functions
     laurent   -- Laurent polynomials and matrices over F_q, the lattice substrate
-    building  -- vertices of the full building: normal forms, neighbors, BFS
+    building  -- vertices of the full building: normal forms, neighbors, relative position
     domain    -- the fundamental domain: labels, stabilizers, reduction
     quotient  -- the weighted quotient graph with exact edge data
     hecke     -- weighted adjacency operators, covolume, eigenvector recursions

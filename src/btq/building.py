@@ -6,11 +6,14 @@ entry above a pivot in row i is supported on exponents strictly greater
 than a_i, and min(a_i) = 0 fixes the homothety.  Two vertices are equal
 iff their canonical bases are entrywise equal.
 
-This module is the ground-truth oracle: neighbor enumeration goes through
-subspaces of the residue space, and distances are breadth-first searches
-on the 1-skeleton.  The closed-form label distances are kept separate
-(`distance_formulas`) because they do not agree with BFS everywhere; the
-CLI reports both.
+Neighbor enumeration goes through subspaces of the residue space.  Edge
+colors and both distances are read off the relative position of two
+vertices, the Smith valuations of y^-1 x from one elimination over O;
+breadth-first search on the 1-skeleton is their oracle in the tests.  The
+`bfs_*` names are kept from the search they replaced.  The closed-form
+label distances (`distance_formulas`) are the old label formulas the CLI
+has always printed next to them; they do not agree with the graph metric
+everywhere, and the CLI reports both.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from .gf import check_prime, gaussian_binomial, left_null_vector
 from .laurent import LaurentMatrix, LaurentPoly, series_inverse
 
 DEFAULT_ENUMERATION_BOUND = 100_000
-# breadth-first searches stop with ResourceBoundError past this many vertices
-BFS_VERTEX_BOUND = 2000
 
 
 class BuildingVertex:
@@ -273,52 +274,70 @@ def neighbors(
     return out
 
 
-def adjacent_vertices(
-    v: BuildingVertex, max_enumeration: int = DEFAULT_ENUMERATION_BOUND
-) -> list[BuildingVertex]:
-    """All vertices sharing a chamber with v (union over neighbor degrees)."""
-    seen = {}
-    for k in range(1, v.d):
-        for w in neighbors(v, k, max_enumeration):
-            seen.setdefault(w.key(), w)
-    return list(seen.values())
+def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
+    """Smith valuations s_1 <= ... <= s_d of y^-1 x over O = F_q[[1/t]].
+
+    In bases adapted to both lattices, x's lattice is spanned by the
+    (1/t)^(s_i) e_i where y's is spanned by the e_i; the tuple is the
+    relative position of the two vertices up to a common shift (Garrett,
+    Buildings and Classical Groups, 1997).  y^-1 x comes from one
+    back-substitution.  Scaled by t^-top into O, it has determinant
+    valuation N = d top - sum profile(x) + sum profile(y), read off the
+    monomial determinants of the canonical bases.  Each valuation is at
+    most N, so one elimination modulo u^(N+1), u = 1/t, is exact: each
+    step takes the entry of least valuation a, clears its row and column,
+    records a, and leaves the rest needed modulo u^(N+1-a) only.  The
+    recorded valuations must sum to N, else InternalInvariantError.
+    """
+    if x.q != y.q or x.d != y.d:
+        raise InvalidInputError("vertices live in different buildings")
+    rel = _solve_canonical(y.basis, x.basis)
+    top = max(e.degree() for row in rel.rows for e in row if e)
+    det_val = x.d * top - sum(x.profile) + sum(y.profile)
+    modulus = det_val + 1
+    rows = [[e.shift(-top).part_above(-modulus) for e in row] for row in rel.rows]
+    vals = []
+    while rows:
+        live = [(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e]
+        if not live:
+            break
+        r, c = max(live, key=lambda ij: rows[ij[0]][ij[1]].degree())
+        piv = rows.pop(r)
+        a = -piv[c].degree()
+        modulus -= a
+        unit = piv[c].shift(a)
+        if unit.coeffs != {0: 1}:
+            inv = series_inverse(unit, modulus - 1)
+            piv = [e * inv for e in piv]
+        for i, row in enumerate(rows):
+            f = row[c].shift(a)
+            rows[i] = [
+                (e - f * p if f and p else e).part_above(-modulus)
+                for j, (e, p) in enumerate(zip(row, piv))
+                if j != c
+            ]
+        vals.append(a)
+    if len(vals) != x.d or sum(vals) != det_val:
+        raise InternalInvariantError(
+            f"Smith valuations {vals} do not account for the determinant valuation {det_val}"
+        )
+    return tuple(a - top for a in vals)
 
 
 def edge_color(x: BuildingVertex, y: BuildingVertex) -> int | None:
     """Color of the edge between x and y, or None if not adjacent.
 
     Returns i when representatives exist with (1/t)L' < L < L' where
-    L' represents x, L represents y and [L' : L] = q^i.  Satisfies
+    L' represents x, L represents y and [L' : L] = q^i: the relative
+    position, shifted to s_1 = 0, is d - i zeros and i ones.  Satisfies
     edge_color(x, y) + edge_color(y, x) = 0 mod d.
     """
-    if x.q != y.q or x.d != y.d:
-        raise InvalidInputError("vertices live in different buildings")
-    d = x.d
-    rel = _solve_canonical(y.basis, x.basis)
-    # y^-1 x has Smith valuations s_1 <= ... <= s_d with partial sums given
-    # by minimal minor valuations; homothety-normalize to s_1 = 0.
-    idx = tuple(range(d))
-    sums = [0]
-    for k in range(1, d + 1):
-        best = None
-        for ri in combinations(idx, k):
-            for ci in combinations(idx, k):
-                mn = rel.minor(ri, ci)
-                if mn:
-                    val = -mn.degree()
-                    if best is None or val < best:
-                        best = val
-        if best is None:
-            raise SingularMatrixError("relative position of singular lattices")
-        sums.append(best)
-    s = [sums[k] - sums[k - 1] for k in range(1, d + 1)]
+    s = relative_position(x, y)
     shat = [e - s[0] for e in s]
     colength = sum(shat)
-    if colength == 0:
+    if colength == 0 or shat[-1] > 1:
         return None
-    if max(shat) > 1:
-        return None
-    return d - colength
+    return x.d - colength
 
 
 # ---------------------------------------------------------------------------
@@ -326,59 +345,36 @@ def edge_color(x: BuildingVertex, y: BuildingVertex) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def bfs_distance(
-    x: BuildingVertex,
-    y: BuildingVertex,
-    radius: int,
-    max_enumeration: int = DEFAULT_ENUMERATION_BOUND,
-) -> int | None:
-    """Edge count of a shortest 1-skeleton path, or None beyond the radius."""
-    return _bfs(x, y, radius, lambda v: adjacent_vertices(v, max_enumeration))
-
-
-def bfs_color1_distance(
-    x: BuildingVertex,
-    y: BuildingVertex,
-    radius: int,
-    max_enumeration: int = DEFAULT_ENUMERATION_BOUND,
-) -> int | None:
-    """Directed BFS along color-1 edges only.
-
-    A color-1 step from v leads to the classes of its degree-(d-1)
-    neighbors: those are exactly the superlattices of index q.
-    """
-    return _bfs(x, y, radius, lambda v: neighbors(v, v.d - 1, max_enumeration))
-
-
-def _bfs(x, y, radius, expand) -> int | None:
+def _within_radius(dist: int, radius: int) -> int | None:
     if radius < 0:
         raise InvalidInputError("radius must be >= 0")
-    if x.q != y.q or x.d != y.d:
-        raise InvalidInputError("vertices live in different buildings")
-    if x == y:
-        return 0
-    frontier = {x.key(): x}
-    seen = {x.key()}
-    target = y.key()
-    for dist in range(1, radius + 1):
-        nxt = {}
-        for v in frontier.values():
-            for w in expand(v):
-                kw = w.key()
-                if kw == target:
-                    return dist
-                if kw not in seen:
-                    seen.add(kw)
-                    nxt[kw] = w
-                    if len(seen) > BFS_VERTEX_BOUND:
-                        raise ResourceBoundError(
-                            f"breadth-first search passed {BFS_VERTEX_BOUND} vertices "
-                            f"before distance {dist}"
-                        )
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
+    return dist if dist <= radius else None
+
+
+def bfs_distance(x: BuildingVertex, y: BuildingVertex, radius: int) -> int | None:
+    """Edge count of a shortest 1-skeleton path, or None beyond the radius.
+
+    It is max s - min s for the relative position s: an edge changes s by
+    a 0/1 vector up to a common shift, so the spread drops by at most one
+    per edge, and lowering every largest entry at once attains that.
+    Breadth-first search over the 1-skeleton is the oracle in the tests.
+    """
+    s = relative_position(x, y)
+    return _within_radius(s[-1] - s[0], radius)
+
+
+def bfs_color1_distance(x: BuildingVertex, y: BuildingVertex, radius: int) -> int | None:
+    """Length of a shortest directed color-1 path from x to y, or None
+    beyond the radius.
+
+    A color-1 step from v leads to the classes of its degree-(d-1)
+    neighbors: those are exactly the superlattices of index q.  The
+    smallest representative of y containing x's lattice has index
+    q^(sum_i (s_i - min s)), and every containment of that index is a
+    chain of that many index-q steps.
+    """
+    s = relative_position(x, y)
+    return _within_radius(sum(e - s[0] for e in s), radius)
 
 
 def distance_formulas(label1, label2) -> tuple[int, int]:
@@ -387,11 +383,12 @@ def distance_formulas(label1, label2) -> tuple[int, int]:
     Evaluates min_j max_i |n_i - m_i - j| and min_j sum_i |n_i - m_i - j|.
     Both are convex and piecewise linear in j: the first is least at the
     midpoint of the differences and the second at one of them (a median),
-    so only those j are tried.  Kept separate from the BFS ground truth:
-    the first formula disagrees with the 1-skeleton metric already on
-    (2,1,0) vs (0,0,0), and for d = 2 it gives ceil(n/2) where the tree
-    distance is n.  The CLI `distance` subcommand surfaces both values
-    with a note.
+    so only those j are tried.  These are the old label formulas, kept
+    because the `distance` output pinned in bench/pins.json prints them;
+    correcting them is a change of pinned output.  The first disagrees
+    with the 1-skeleton metric (`bfs_distance`) already on (2,1,0) vs
+    (0,0,0), and for d = 2 it gives ceil(n/2) where the tree distance is
+    n.  The CLI `distance` subcommand surfaces both values with a note.
     """
     n = tuple(label1)
     m = tuple(label2)

@@ -310,11 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=_cmd_eigenvector)
 
-    sp = sub.add_parser("distance", help="BFS distances vs the closed formulas")
+    help_text = "distances from the relative position (bfs_* lines) vs the old label formulas"
+    sp = sub.add_parser(
+        "distance",
+        help=help_text,
+        description=help_text + ".  The bfs_* lines keep the names of the breadth-first "
+        "search they replaced.  The formula_* lines are the old label formulas, which "
+        "disagree with the graph metric on some pairs; a note line says so.",
+    )
     sp.add_argument("--n", required=True)
     sp.add_argument("--m", required=True)
     sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--radius", type=int, default=6)
+    sp.add_argument("--radius", type=int, default=6,
+                    help="print unreachable-within-radius above this distance")
     sp.set_defaults(func=_cmd_distance)
 
     return p

@@ -4,9 +4,11 @@ Domain vertices are labels: weakly decreasing nonnegative integer tuples
 with last entry 0.  This module owns the label combinatorics (difference
 and block sequences), the in-domain neighbor enumeration (computed two
 independent ways and cross-checked), friends, stabilizer orders and
-brute-force stabilizer groups, the orbit decomposition of neighbors, and
-the reduction of an arbitrary building vertex to its unique domain label
-together with a group-element witness.
+brute-force stabilizer groups, the orbit decomposition of neighbors (each
+orbit the closure of one neighbor under a generating set; enumerating the
+whole group is its oracle in the tests), and the reduction of an
+arbitrary building vertex to its unique domain label together with a
+group-element witness.
 """
 
 from __future__ import annotations
@@ -419,29 +421,63 @@ def _matrix_sort_key(mat: LaurentMatrix):
     )
 
 
-def orbit_decomposition(
-    label, q: int, k: int, bound: int = DEFAULT_GROUP_BOUND
-) -> list[list[BuildingVertex]]:
-    """Partition the degree-k neighbors of the label's vertex under its
-    enumerated stabilizer.
+def _residue_action_generators(label, q: int) -> list[LaurentMatrix]:
+    # g in Gamma_label acts on the residue space L'/(1/t)L', L' = diag(t^n)O^d,
+    # through D^-1 g D mod 1/t, D = diag(t^n): entry (i, j) keeps only the
+    # coefficient of t^(n_i - n_j) in g_ij.  The image is the parabolic
+    # subgroup with blocks given by the label, and its orbits on subspaces
+    # are those of the elementary matrices I + c E_ij, n_i >= n_j: each
+    # orbit holds a coordinate subspace (Bruhat decomposition), which the
+    # diagonal matrices fix.  q is prime, so the powers of
+    # I + t^(n_i - n_j) E_ij give every multiple c.
+    d = len(label)
+    one, zero = LaurentPoly.constant(1, q), LaurentPoly.zero(q)
+    gens = []
+    for i in range(d):
+        for j in range(d):
+            if i != j and label[i] >= label[j]:
+                rows = [[one if r == c else zero for c in range(d)] for r in range(d)]
+                rows[i][j] = LaurentPoly.t_power(label[i] - label[j], q)
+                gens.append(LaurentMatrix(rows, q))
+    return gens
 
-    Friends are exactly the singleton orbits; every orbit reduces to a
-    single in-domain neighbor label.  Deterministic order.
+
+def orbit_decomposition(label, q: int, k: int) -> list[list[BuildingVertex]]:
+    """Partition the degree-k neighbors of the label's vertex into orbits
+    of its stabilizer.
+
+    Each orbit is the closure of one representative under a generating
+    set of the stabilizer's action on the neighbors: one normal form per
+    neighbor and generator.  Exact check: every orbit has size
+    |Gamma_label| / |Gamma_label cap Gamma_w| for the domain label w it
+    reduces to, else InternalInvariantError.  Friends are exactly the
+    singleton orbits.  Deterministic order.  Applying every enumerated
+    stabilizer element is the oracle in the tests.
     """
     label = validate_label(label)
-    base = vertex_from_label(label, q)
-    group = stabilizer_enumerate(label, q, bound)
-    remaining = {v.key(): v for v in neighbors(base, k)}
+    order = stabilizer_order(label, q)
+    gens = _residue_action_generators(label, q)
+    remaining = {v.key(): v for v in neighbors(vertex_from_label(label, q), k)}
     orbits: list[list[BuildingVertex]] = []
     while remaining:
         key = min(remaining, key=_matrix_sort_key)
         rep = remaining.pop(key)
-        orbit = {rep.key(): rep}
-        for g in group:
-            img = vertex_normal_form(g * rep.basis)
-            orbit.setdefault(img.key(), img)
-        for kk in orbit:
-            remaining.pop(kk, None)
+        orbit = {key: rep}
+        frontier = [rep]
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                img = vertex_normal_form(g * v.basis)
+                if img.key() not in orbit:
+                    orbit[img.key()] = img
+                    remaining.pop(img.key(), None)
+                    frontier.append(img)
+        w = reduce_to_domain(rep)[0]
+        if len(orbit) * _pattern_order(label, w, q) != order:
+            raise InternalInvariantError(
+                f"the orbit reducing to {w} under the stabilizer of {label}, q={q}, has "
+                f"{len(orbit)} neighbors, not |Gamma_v| / |Gamma_v cap Gamma_w|"
+            )
         orbits.append(sorted(orbit.values(), key=lambda v: _matrix_sort_key(v.key())))
     orbits.sort(key=lambda orb: _matrix_sort_key(orb[0].key()))
     return orbits

@@ -140,7 +140,7 @@ def test_criterion_5_neighbor_combinatorics():
     for _ in range(2):
         nxt = []
         for v in frontier:
-            for w in building.adjacent_vertices(v):
+            for w in building.neighbors(v, 1) + building.neighbors(v, 2):
                 if w.key() not in ball:
                     ball[w.key()] = w
                     nxt.append(w)
@@ -155,9 +155,9 @@ def test_criterion_5_neighbor_combinatorics():
             expected = 1 + domain.support_size(domain.diff_seq(lab))
             assert len(domain.neighbors_in_domain(lab, 1)) == expected
     # friends = the singleton orbits of the stabilizer action, exactly
-    for lab in domain.enumerate_domain(3, 2):
+    for lab in domain.enumerate_domain(3, 2) + [(1, 1, 0, 0), (2, 1, 0, 0)]:
         fr = domain.friends(lab)
-        for k in (1, 2):
+        for k in range(1, len(lab)):
             orbits = domain.orbit_decomposition(lab, q, k)
             fixed = {o[0] for o in orbits if len(o) == 1}
             expected = (

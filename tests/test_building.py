@@ -1,17 +1,23 @@
-"""Normal forms, neighbors, colors and distances against brute-force oracles."""
+"""Normal forms, neighbors, colors and distances against brute-force oracles.
+
+Breadth-first search over the 1-skeleton and the Smith valuations from
+minors live here as oracles for `relative_position` and the distances read
+off it.
+"""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from btq import building
 from btq.building import (
-    adjacent_vertices,
     bfs_color1_distance,
     bfs_distance,
     distance_formulas,
     edge_color,
     neighbors,
+    relative_position,
     standard_vertex,
     subspace_bases,
     vertex_color,
@@ -50,6 +56,75 @@ def random_invertible(d, q, rng):
         )
         if not m.det().is_zero():
             return m
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+# breadth-first searches stop with ResourceBoundError past this many vertices
+ORACLE_VERTEX_BOUND = 2000
+
+
+def adjacent_vertices(v):
+    """All vertices sharing a chamber with v (union over neighbor degrees)."""
+    seen = {}
+    for k in range(1, v.d):
+        for w in neighbors(v, k):
+            seen.setdefault(w.key(), w)
+    return list(seen.values())
+
+
+def _bfs(x, y, radius, expand, bound):
+    if x == y:
+        return 0
+    frontier = [x]
+    seen = {x.key()}
+    for dist in range(1, radius + 1):
+        nxt = []
+        for v in frontier:
+            for w in expand(v):
+                if w == y:
+                    return dist
+                if w.key() not in seen:
+                    seen.add(w.key())
+                    nxt.append(w)
+                    if len(seen) > bound:
+                        raise ResourceBoundError(f"search passed {bound} vertices")
+        frontier = nxt
+    return None
+
+
+def oracle_distance(x, y, radius, bound=ORACLE_VERTEX_BOUND):
+    """Edge count of a shortest 1-skeleton path by search, or None beyond the radius."""
+    return _bfs(x, y, radius, adjacent_vertices, bound)
+
+
+def oracle_color1_distance(x, y, radius, bound=ORACLE_VERTEX_BOUND):
+    """Directed search along color-1 edges: to the superlattices of index q."""
+    return _bfs(x, y, radius, lambda v: neighbors(v, v.d - 1), bound)
+
+
+def smith_by_minors(x, y):
+    """Smith valuations of y^-1 x: the k-th partial sum is the least
+    valuation of a k x k minor."""
+    rel = building._solve_canonical(y.basis, x.basis)
+    idx = range(x.d)
+    sums = [0]
+    for k in range(1, x.d + 1):
+        sums.append(
+            min(
+                -mn.degree()
+                for ri in combinations(idx, k)
+                for ci in combinations(idx, k)
+                if (mn := rel.minor(ri, ci))
+            )
+        )
+    return tuple(b - a for a, b in zip(sums, sums[1:]))
+
+
+def _random_label(rng, d, max_n1):
+    return tuple(sorted((rng.randint(0, max_n1) for _ in range(d - 1)), reverse=True)) + (0,)
 
 
 def test_normal_form_worked_example():
@@ -293,6 +368,70 @@ def test_chamber_color_additivity():
         assert count > 0
 
 
+def test_relative_position_matches_minors():
+    rng = random.Random(61)
+    checked = 0
+    for q in (2, 3):
+        for d in (2, 3, 4):
+            for _ in range(40):
+                x = vertex_normal_form(random_invertible(d, q, rng))
+                y = vertex_normal_form(random_invertible(d, q, rng))
+                assert relative_position(x, y) == smith_by_minors(x, y), (x, y)
+                checked += 1
+    assert checked >= 200
+
+
+def test_relative_position_labels_and_checks():
+    x = vertex_from_label((10**9, 7, 0), 2)
+    assert relative_position(x, standard_vertex(3, 2)) == (-(10**9), -7, 0)
+    assert relative_position(standard_vertex(3, 2), x) == (0, 7, 10**9)
+    with pytest.raises(InvalidInputError):
+        relative_position(vertex_from_label((1, 0), 2), standard_vertex(3, 2))
+    with pytest.raises(InvalidInputError):
+        edge_color(standard_vertex(2, 3), standard_vertex(2, 2))
+
+
+def test_relative_position_wrong_determinant_is_internal():
+    # a profile that misstates the determinant leaves valuations unaccounted
+    v = vertex_from_label((2, 1, 0), 2)
+    wrong = building.BuildingVertex(v.basis, (3, 1, 0))
+    with pytest.raises(InternalInvariantError):
+        relative_position(wrong, standard_vertex(3, 2))
+
+
+# (d, q, label bound, pairs, graph radius, color-1 radius): searches of the
+# oracle stay within a few hundred normal forms per pair
+_DISTANCE_GRID = [
+    (2, 2, 4, 8, 4, 4),
+    (2, 3, 3, 8, 3, 3),
+    (3, 2, 2, 14, 2, 3),
+    (3, 3, 1, 6, 2, 2),
+    (4, 2, 1, 4, 1, 2),
+]
+
+
+def test_distances_match_bfs_oracle():
+    # a Gamma-translate of a label against the origin (odd i), or two labels
+    # translated by the same element (even i); the directed color-1
+    # distance in both orders
+    rng = random.Random(71)
+    checked = 0
+    for d, q, max_n1, pairs, radius, radius1 in _DISTANCE_GRID:
+        origin = standard_vertex(d, q)
+        for i in range(pairs):
+            g = random_gamma(d, q, 1, rng)
+            x = vertex_normal_form(g * vertex_from_label(_random_label(rng, d, max_n1), q).basis)
+            y = origin if i % 2 else vertex_normal_form(
+                g * vertex_from_label(_random_label(rng, d, max_n1), q).basis
+            )
+            assert bfs_distance(x, y, radius) == oracle_distance(x, y, radius)
+            assert bfs_distance(y, x, radius) == bfs_distance(x, y, radius)
+            for a, b in ((x, y), (y, x)):
+                assert bfs_color1_distance(a, b, radius1) == oracle_color1_distance(a, b, radius1)
+            checked += 1
+    assert checked >= 40
+
+
 def test_bfs_examples():
     q = 2
     L0 = standard_vertex(3, q)
@@ -305,6 +444,10 @@ def test_bfs_examples():
     assert bfs_color1_distance(L0, L0, 0) == 0
     assert bfs_color1_distance(v110, L0, 3) == 1
     assert bfs_color1_distance(L0, vertex_from_label((1, 0, 0), q), 3) == 1
+    with pytest.raises(InvalidInputError):
+        bfs_distance(L0, L0, -1)
+    with pytest.raises(InvalidInputError):
+        bfs_color1_distance(L0, L0, -1)
 
 
 def test_bfs_gamma_invariance():
@@ -355,15 +498,20 @@ def test_distance_formulas_huge_labels():
     assert distance_formulas((big, big, 0), (0, 0, 0)) == ((big + 1) // 2, big)
 
 
-def test_bfs_vertex_bound(monkeypatch):
-    monkeypatch.setattr(building, "BFS_VERTEX_BOUND", 100)
+def test_bfs_vertex_bound():
+    # the search oracle stops at its vertex bound; the library answers the
+    # same pair at once, well beyond any radius a search could reach
     origin = standard_vertex(3, 2)
     far = vertex_from_label((9, 0, 0), 2)
     with pytest.raises(ResourceBoundError):
-        bfs_distance(far, origin, 6)
+        oracle_distance(far, origin, 6, bound=100)
     with pytest.raises(ResourceBoundError):
-        bfs_color1_distance(far, origin, 9)
-    assert bfs_distance(vertex_from_label((2, 1, 0), 2), origin, 3) == 2
+        oracle_color1_distance(far, origin, 9, bound=100)
+    assert oracle_distance(vertex_from_label((2, 1, 0), 2), origin, 3, bound=100) == 2
+    assert bfs_distance(far, origin, 6) is None
+    assert bfs_distance(far, origin, 9) == 9
+    assert bfs_color1_distance(far, origin, 10**9) == 18
+    assert bfs_color1_distance(origin, far, 10**9) == 9
 
 
 def test_bfs_rejects_vertices_of_different_buildings():

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -203,11 +204,34 @@ def test_exit_code_resource_bound(run):
         ("stabilizer", "--n", "1,0", "--q", "1000000000000000003"),
         ("stabilizer", "--n", "20000,0", "--q", "2"),
         ("covolume", "--d", "100", "--max-n", "0"),
-        ("distance", "--n", "9,0,0", "--m", "0,0,0", "--q", "2"),
     ):
         code, out, err = run(*argv)
         assert code == 3 and not out and err.startswith("resource bound:"), argv
         assert len(err.splitlines()) == 1, argv
+    # distances are no longer searched, so no vertex bound applies
+    code, out, _ = run("distance", "--n", "9,0,0", "--m", "0,0,0", "--q", "2")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "bfs_distance unreachable-within-radius",
+        "bfs_color1_distance unreachable-within-radius",
+    ]
+    code, out, _ = run("distance", "--n", "3,1,0", "--m", "0,0,0", "--q", "3", "--radius", "3")
+    assert code == 0
+    assert out.splitlines()[:2] == ["bfs_distance 3", "bfs_color1_distance unreachable-within-radius"]
+    code, out, _ = run("distance", "--n", "3,1,0", "--m", "0,0,0", "--q", "3", "--radius", "5")
+    assert code == 0 and out.splitlines()[1] == "bfs_color1_distance 5"
+
+
+def test_distance_far_labels_and_mismatched_lengths(run):
+    start = time.perf_counter()
+    code, out, _ = run("distance", "--n=1000000000,7,0", "--m=0,0,0", "--radius=1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.splitlines()[:2] == [
+        "bfs_distance 1000000000",
+        "bfs_color1_distance unreachable-within-radius",
+    ]
+    code, out, err = run("distance", "--n=0,0", "--m=0,0,0")
+    assert code == 2 and not out and "different buildings" in err
 
 
 def test_matrix_from_stdin(run, monkeypatch, tmp_path):
@@ -309,8 +333,8 @@ def _flag(name, values):
     return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
 
 
-# the required flags, and --radius: at its default of 6 a search takes seconds
-_ALWAYS = {"n", "m", "degree", "lambda1", "radius"}
+# the required flags
+_ALWAYS = {"n", "m", "degree", "lambda1"}
 
 
 @st.composite
@@ -326,7 +350,7 @@ def _cli_argv(draw):
             "normalization": st.sampled_from(["pgl", "gl", "sl"]),
             **common,
         },
-        "distance": {"n": _LABEL, "m": _LABEL, "radius": st.integers(-1, 1), **common},
+        "distance": {"n": _LABEL, "m": _LABEL, "radius": st.integers(-1, 10**9), **common},
         "neighbors": {"n": _LABEL, "degree": small, "in-domain": None, **common},
         # small only: eigenvector has no bound on --max-n or on the size of lambda
         "eigenvector": {
@@ -373,6 +397,8 @@ def _cli_argv(draw):
 @example(argv=["covolume", "--d=100", "--max-n=0"])
 @example(argv=["covolume", "--d=22", "--max-n=2"])
 @example(argv=["distance", "--n=100000000,0", "--m=0,0", "--radius=2"])
+@example(argv=["distance", "--n=1000000000,7,0", "--m=0,0,0"])
+@example(argv=["distance", "--n=0,0", "--m=0,0,0"])
 def test_cli_fuzz_flags(argv):
     stdout, stderr = sys.stdout, sys.stderr
     sys.stdout = io.TextIOWrapper(io.BytesIO())

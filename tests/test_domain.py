@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from btq.building import vertex_from_label, vertex_normal_form
+from btq import domain
+from btq.building import neighbors, vertex_from_label, vertex_normal_form
 from btq.domain import (
     block_seq,
     diff_seq,
@@ -24,7 +25,7 @@ from btq.domain import (
     support_size,
     validate_label,
 )
-from btq.errors import InvalidInputError, ResourceBoundError
+from btq.errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from btq.gf import gaussian_binomial, pgl_order
 from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
 
@@ -215,6 +216,47 @@ def test_stabilizer_contains_vs_brute_force():
 
 def test_edge_stabilizer_brute_example():
     assert edge_stabilizer_brute((1, 0, 0), (1, 1, 0), 2) == 16
+
+
+def _matrix_sort_key(mat):
+    return tuple(tuple(sorted(x.coeffs.items())) for row in mat.rows for x in row)
+
+
+def orbits_by_enumeration(label, q, k):
+    """Oracle: apply every enumerated stabilizer element to each orbit
+    representative, in the deterministic order of orbit_decomposition."""
+    group = stabilizer_enumerate(label, q)
+    remaining = {v.key(): v for v in neighbors(vertex_from_label(label, q), k)}
+    orbits = []
+    while remaining:
+        key = min(remaining, key=_matrix_sort_key)
+        rep = remaining.pop(key)
+        orbit = {key: rep}
+        for g in group:
+            img = vertex_normal_form(g * rep.basis)
+            orbit.setdefault(img.key(), img)
+        for kk in orbit:
+            remaining.pop(kk, None)
+        orbits.append(sorted(orbit.values(), key=lambda v: _matrix_sort_key(v.key())))
+    orbits.sort(key=lambda orb: _matrix_sort_key(orb[0].key()))
+    return orbits
+
+
+def test_orbit_decomposition_matches_enumeration():
+    # the d = 3, q = 3 case is the one the benchmark times
+    cases = [((0, 0), 2, 1), ((1, 0), 3, 1), ((2, 0), 2, 1), ((1, 1, 0), 3, 1)]
+    cases += [(lab, 2, k) for lab in enumerate_domain(3, 2) for k in (1, 2)]
+    for label, q, k in cases:
+        got = orbit_decomposition(label, q, k)
+        assert got == orbits_by_enumeration(label, q, k), (label, q, k)
+
+
+def test_orbit_decomposition_checks_orbit_sizes(monkeypatch):
+    # a closure under too few generators leaves orbits the count check rejects
+    real = domain._residue_action_generators
+    monkeypatch.setattr(domain, "_residue_action_generators", lambda lab, q: real(lab, q)[:1])
+    with pytest.raises(InternalInvariantError):
+        orbit_decomposition((0, 0, 0), 2, 1)
 
 
 def test_orbit_decomposition_origin_transitive():
