@@ -283,8 +283,8 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
     Buildings and Classical Groups, 1997).  y^-1 x comes from one
     back-substitution.  Scaled by t^-top into O, it has determinant
     valuation N = d top - sum profile(x) + sum profile(y), read off the
-    monomial determinants of the canonical bases.  Each valuation is at
-    most N, so one elimination modulo u^(N+1), u = 1/t, is exact: each
+    monomial determinants of the canonical bases.  With u = 1/t, each
+    valuation is at most N, so one elimination modulo u^(N+1) is exact: each
     step takes the entry of least valuation a, clears its row and column,
     records a, and leaves the rest needed modulo u^(N+1-a) only.  The
     recorded valuations must sum to N, else InternalInvariantError.
