@@ -243,21 +243,20 @@ def subspace_bases(d: int, s: int, q: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def neighbors(
-    v: BuildingVertex, k: int, max_enumeration: int = DEFAULT_ENUMERATION_BOUND
-) -> list[BuildingVertex]:
+def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     """All degree-k neighbors of v: classes [L] with (1/t)L' < L < L', [L':L] = q^k.
 
     Enumerates codimension-k subspaces of the residue space L'/(1/t)L';
     returns exactly gaussian_binomial(d, k, q) pairwise-distinct vertices.
+    Above DEFAULT_ENUMERATION_BOUND residue vectors or subspaces this raises
+    ResourceBoundError before enumerating any.
     """
     d, q = v.d, v.q
     if not 1 <= k <= d - 1:
         raise InvalidInputError(f"neighbor degree must be in [1, {d - 1}], got {k}")
-    if q**d > max_enumeration or gaussian_binomial(d, k, q) > max_enumeration:
-        raise ResourceBoundError(
-            f"residue enumeration for q^d = {q**d} exceeds bound {max_enumeration}"
-        )
+    bound = DEFAULT_ENUMERATION_BOUND
+    if q**d > bound or gaussian_binomial(d, k, q) > bound:
+        raise ResourceBoundError(f"residue enumeration for q^d = {q**d} exceeds bound {bound}")
     zero = LaurentPoly.zero(q)
     uniformizer = LaurentPoly.t_power(-1, q)
     out = []

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid input, 3 resource bound exceeded,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -31,9 +32,12 @@ def _parse_scalar(text: str):
     s = text.strip().replace(" ", "")
     if "i" in s:
         try:
-            return complex(s.replace("i", "j"))
+            z = complex(s.replace("i", "j"))
         except ValueError as exc:
             raise InvalidInputError(f"bad complex literal {text!r}") from exc
+        if not cmath.isfinite(z):
+            raise InvalidInputError(f"complex literal {text!r} is not finite")
+        return z
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -140,8 +144,8 @@ def _cmd_hecke_check(args) -> int:
         sum(e.ratio_from for e in graph.out_edges[u]) == gb for u in interior
     )
     lines.append(f"row_sums {'ok' if row_ok else 'FAIL'} (expected {gb})")
+    worst = Fraction(0)
     if args.d == 3:
-        worst = Fraction(0)
         for seed in range(args.trials):
             f = hecke.DomainFunction.random_rational(args.d, args.q, args.max_n, args.seed + seed)
             worst = max(worst, hecke.commutator_check(graph, f))
@@ -153,43 +157,44 @@ def _cmd_hecke_check(args) -> int:
     gvals = {u: (rng_g.values[u] if u in interior2 else Fraction(0)) for u in graph.nodes}
     f = hecke.DomainFunction(args.d, args.q, args.max_n, fvals)
     g = hecke.DomainFunction(args.d, args.q, args.max_n, gvals)
-    lines.append(f"adjointness_residual {hecke.adjointness_residual(graph, f, g)}")
+    adjointness = hecke.adjointness_residual(graph, f, g)
+    lines.append(f"adjointness_residual {adjointness}")
     _emit("\n".join(lines) + "\n")
-    return 0 if row_ok else 4
+    checks = {"row sums": row_ok, "commutator": worst == 0, "adjointness": adjointness == 0}
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise InternalInvariantError(f"hecke-check fails: {', '.join(failed)}")
+    return 0
 
 
 def _cmd_eigenvector(args) -> int:
     if args.d not in (2, 3):
         raise InvalidInputError(f"eigenvector supports d = 2 and d = 3, got {args.d}")
+    failed: list[str] = []  # the residuals and asserted closed forms that fail
+    payload: dict = {"d": args.d, "q": args.q}
     if args.d == 2:
-        lam = _parse_scalar(args.lambda1)
-        func = hecke.eigenvector_d2(lam, args.q, args.max_n)
-        rows = [
-            {"label": list(u), "value": _scalar_str(func[u])}
-            for u in sorted(func.values)
-        ]
-        payload: dict = {"d": 2, "q": args.q, "values": rows}
+        func = hecke.eigenvector_d2(_parse_scalar(args.lambda1), args.q, args.max_n)
     else:
         if args.lambda2 is None:
             raise InvalidInputError("--lambda2 is required for d = 3")
         l1 = _parse_scalar(args.lambda1)
         l2 = _parse_scalar(args.lambda2)
         if isinstance(l1, complex) != isinstance(l2, complex):
-            l1, l2 = complex(l1), complex(l2)
+            try:
+                l1, l2 = complex(l1), complex(l2)
+            except OverflowError as exc:
+                raise ResourceBoundError("an eigenvalue is outside the float range") from exc
         params = hecke.HeckeParams(l1, l2, args.q)
         func, residuals = hecke.eigenvector_d3(params, args.max_n)
-        rows = [
-            {"label": list(u), "value": _scalar_str(func[u])}
-            for u in sorted(func.values)
+        payload["residuals"] = [
+            {"label": list(u), "residual": _scalar_str(r)} for u, r in residuals
         ]
-        payload = {
-            "d": 3,
-            "q": args.q,
-            "values": rows,
-            "residuals": [
-                {"label": list(u), "residual": _scalar_str(r)} for u, r in residuals
-            ],
-        }
+        # exact residuals must vanish; complex ones must be small next to the value
+        failed += [
+            f"residual at {domain.format_label(u)}"
+            for u, r in residuals
+            if not hecke.scalars_close(func[u], func[u] - r)
+        ]
         if args.regression:
             reg = hecke.closed_form_regression(params, max_n1=max(args.max_n, 6))
             payload["regression"] = {
@@ -198,15 +203,22 @@ def _cmd_eigenvector(args) -> int:
                     "match": entry["match"],
                     "residual": _scalar_str(entry["residual"]),
                 }
-                for name, entry in sorted(reg.items())
+                for name, entry in reg.items()
             }
+            failed += [
+                f"closed form {name}"
+                for name, entry in reg.items()
+                if entry["status"] == "asserted" and not entry["match"]
+            ]
         if args.l2:
-            graph = quotient.build_graph(3, args.q, args.max_n)
-            total, shells = hecke.l2_partial_norm(graph, func)
+            total, shells = hecke.l2_partial_norm(func)
             payload["l2_partial"] = {
                 "total": _scalar_str(total),
                 "shells": [_scalar_str(s) for s in shells],
             }
+    payload["values"] = [
+        {"label": list(u), "value": _scalar_str(func[u])} for u in sorted(func.values)
+    ]
     if args.format == "json":
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
@@ -214,6 +226,10 @@ def _cmd_eigenvector(args) -> int:
         for row in payload["values"]:
             lines.append(f"{','.join(map(str, row['label'])):>10}  {row['value']}")
         _emit("\n".join(lines) + "\n")
+    if failed:
+        raise InternalInvariantError(
+            f"{len(failed)} eigenvector checks fail, first the {failed[0]}"
+        )
     return 0
 
 

@@ -2,13 +2,13 @@
 
 Domain vertices are labels: weakly decreasing nonnegative integer tuples
 with last entry 0.  This module owns the label combinatorics (difference
-and block sequences), the in-domain neighbor enumeration (computed two
-independent ways and cross-checked), friends, stabilizer orders and
-brute-force stabilizer groups, the orbit decomposition of neighbors (each
-orbit the closure of one neighbor under a generating set; enumerating the
-whole group is its oracle in the tests), and the reduction of an
-arbitrary building vertex to its unique domain label together with a
-group-element witness.
+and block sequences), the in-domain neighbor enumeration (block-suffix
+drops; alternating changes of the difference sequence are its oracle in
+the tests), friends, stabilizer orders and brute-force stabilizer groups,
+the orbit decomposition of neighbors (each orbit the closure of one
+neighbor under a generating set; enumerating the whole group is its
+oracle in the tests), and the reduction of an arbitrary building vertex
+to its unique domain label together with a group-element witness.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ def block_seq(label) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sizes), tuple(values)
 
 
-def label_from_diffs(m_seq) -> tuple[int, ...]:
-    """Inverse of diff_seq: n_i = sum_{j >= i} m_j, n_d = 0."""
-    out = [0]
-    for m in reversed(m_seq):
-        out.append(out[-1] + m)
-    out.reverse()
-    return tuple(out)
-
-
 def _normalize(entries) -> tuple[int, ...]:
     low = min(entries)
     return tuple(n - low for n in entries)
@@ -141,79 +132,29 @@ def enumerate_domain(d: int, max_n1: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# in-domain neighbors, two independent ways
+# in-domain neighbors
 # ---------------------------------------------------------------------------
-
-
-def _neighbors_by_suffix_drops(label, k: int) -> set[tuple[int, ...]]:
-    # lower a suffix of each block; the drop counts sum to k
-    sizes, _ = block_seq(label)
-    r = len(sizes)
-    found: set[tuple[int, ...]] = set()
-
-    def rec(block: int, remaining: int, drops: list[int]):
-        if block == r:
-            if remaining == 0:
-                v: list[int] = []
-                for size, s in zip(sizes, drops):
-                    v.extend([0] * (size - s) + [-1] * s)
-                found.add(_normalize([n + x for n, x in zip(label, v)]))
-            return
-        for s in range(min(sizes[block], remaining) + 1):
-            rec(block + 1, remaining - s, drops + [s])
-
-    rec(0, k, [])
-    return found
-
-
-def _neighbors_by_chains(label, k: int) -> set[tuple[int, ...]]:
-    # alternating changes of the difference sequence
-    m1 = diff_seq(label)
-    found: set[tuple[int, ...]] = set()
-    for chain in product((-1, 0, 1), repeat=len(m1)):
-        if all(c == 0 for c in chain):
-            continue
-        if any(m == 0 and c < 0 for m, c in zip(m1, chain)):
-            continue
-        signs = [c for c in chain if c]
-        if any(signs[i] == signs[i + 1] for i in range(len(signs) - 1)):
-            continue
-        # recover the drop vector: v_i = v_d + sum_{j>=i} c_j must land in {0,-1}
-        suffix = [0] * (len(m1) + 1)
-        for i in range(len(m1) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + chain[i]
-        if all(s in (0, -1) for s in suffix):
-            v_last = 0
-        elif all(s in (0, 1) for s in suffix):
-            v_last = -1
-        else:
-            continue
-        degree = sum(1 for s in suffix if v_last + s == -1)
-        if degree != k:
-            continue
-        found.add(label_from_diffs([m + c for m, c in zip(m1, chain)]))
-    return found
 
 
 def neighbors_in_domain(label, k: int) -> list[tuple[int, ...]]:
     """All domain labels adjacent to `label` by a degree-k edge.
 
-    Computed two independent ways (block-suffix drops, and alternating
-    changes of the difference sequence); a disagreement is an internal
-    invariant violation.  For k = 1 the count is 1 + |m|.
+    Each one lowers a suffix of every block of the label by one, the suffix
+    lengths summing to k, and is renormalized.  For k = 1 the count is
+    1 + |m|.  Alternating changes of the difference sequence give the same
+    set independently; the tests use them as the oracle.
     """
     label = validate_label(label)
     d = len(label)
     if not 1 <= k <= d - 1:
         raise InvalidInputError(f"degree must be in [1, {d - 1}], got {k}")
-    by_drops = _neighbors_by_suffix_drops(label, k)
-    by_chains = _neighbors_by_chains(label, k)
-    if by_drops != by_chains:
-        raise InternalInvariantError(
-            f"neighbor enumerations disagree for {label}, k={k}: "
-            f"{sorted(by_drops)} vs {sorted(by_chains)}"
-        )
-    return sorted(by_drops)
+    sizes, _ = block_seq(label)
+    found: set[tuple[int, ...]] = set()
+    for drops in product(*(range(min(size, k) + 1) for size in sizes)):
+        if sum(drops) == k:
+            v = [x for size, s in zip(sizes, drops) for x in [0] * (size - s) + [-1] * s]
+            found.add(_normalize([n + x for n, x in zip(label, v)]))
+    return sorted(found)
 
 
 def friends(label) -> dict[int, tuple[int, ...]]:

@@ -13,19 +13,23 @@ from __future__ import annotations
 import cmath
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import comb
+from math import comb, log2
 
 from . import domain
-from .errors import InternalInvariantError, InvalidInputError
+from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from .gf import check_prime, gl_order
 from .quotient import QuotientGraph
 
 Label = tuple[int, ...]
 
 COMPLEX_TOLERANCE = 1e-9
+# the eigenvector recursions refuse more predicted work than this, counted
+# as arithmetic operations times predicted operand bits
+EIGENVECTOR_WORK_BOUND = 2 * 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +61,36 @@ def scalars_close(x, y, tol: float = COMPLEX_TOLERANCE) -> bool:
         scale = max(1.0, abs(complex(x)), abs(complex(y)))
         return abs(complex(x) - complex(y)) <= tol * scale
     return x == y
+
+
+def _check_eigenvector_size(lambdas, q: int, max_n1: int, operations: int) -> None:
+    """Raise ResourceBoundError if eigenvector values to depth max_n1 are
+    predicted above RESULT_BIT_BOUND bits (for complex scalars, beyond the
+    float exponent range), or `operations` times that size above
+    EIGENVECTOR_WORK_BOUND.
+
+    A unit of n_1 multiplies by an eigenvalue and powers of q and divides by
+    q + 1 or q^2 + q + 1: about 2 log2 H + 2 log2(q + 1) bits per eigenvalue,
+    H = max(1, |numerator|, denominator), or max(1, |lambda|) if complex.
+    """
+    exact = all(isinstance(x, (int, Fraction)) for x in lambdas)
+    heights = [
+        max(1, abs(Fraction(x).numerator), Fraction(x).denominator) if exact
+        else max(1.0, abs(complex(x)))
+        for x in lambdas
+    ]
+    bits = max_n1 * sum(2 * log2(h) + 2 * log2(q + 1) for h in heights)
+    limit = domain.RESULT_BIT_BOUND if exact else sys.float_info.max_exp
+    if not bits <= limit:
+        raise ResourceBoundError(
+            f"eigenvector values to n_1 = {max_n1} would have about {bits:.0f} bits, "
+            f"over the bound {limit}"
+        )
+    if operations * bits > EIGENVECTOR_WORK_BOUND:
+        raise ResourceBoundError(
+            f"the eigenvector to n_1 = {max_n1} predicts {operations * bits:.3g} units of "
+            f"work, over the bound {EIGENVECTOR_WORK_BOUND}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +267,8 @@ def eigenvector_d3(params: HeckeParams, max_n1: int):
         raise InvalidInputError("the recursion needs max_n1 >= 2")
     q = params.q
     check_prime(q)
+    # about six products per label, on (max_n1 + 1)(max_n1 + 2)/2 labels
+    _check_eigenvector_size((params.lambda1, params.lambda2), q, max_n1, 3 * (max_n1 + 1) ** 2)
     l1, l2 = params.lambda1, params.lambda2
     t3, r = params.t3, params.r
     f: dict[Label, object] = {}
@@ -357,6 +393,8 @@ def eigenvector_d2(lam, q: int, max_n: int) -> DomainFunction:
     check_prime(q)
     if max_n < 1:
         raise InvalidInputError("max_n must be >= 1")
+    # the closed form sums about n terms at every n <= max_n
+    _check_eigenvector_size((lam,), q, max_n, (max_n + 1) ** 2 // 2)
     complex_backend = isinstance(lam, complex)
     if not complex_backend:
         lam = Fraction(lam)
@@ -414,15 +452,17 @@ def _lucas_u(lam: Fraction, q: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def l2_partial_norm(graph: QuotientGraph, f: DomainFunction):
+def l2_partial_norm(f: DomainFunction):
     """Partial square norm sum |f(u)|^2 / |Gamma_u|, reported per shell.
 
     Returns (total, shells) where shells[n] is the contribution of the
-    vertices with n_1 = n; the total is monotone in the truncation.
+    vertices with n_1 = n <= f.max_n1; the total is monotone in the
+    truncation.
     """
-    shells: list[object] = [Fraction(0)] * (graph.max_n1 + 1)
+    shells: list[object] = [Fraction(0)] * (f.max_n1 + 1)
     for u, val in f.values.items():
-        shells[u[0]] = shells[u[0]] + _abs_sq(val) * Fraction(1, graph.nodes[u])
+        weight = Fraction(1, domain.stabilizer_order(u, f.q))
+        shells[u[0]] = shells[u[0]] + _abs_sq(val) * weight
     total = sum(shells[1:], shells[0]) if shells else Fraction(0)
     return total, shells
 

@@ -282,11 +282,12 @@ def test_neighbors_contain_diagonal_shapes():
         assert vertex_from_label(lab, 2) in got
 
 
-def test_neighbor_guard():
+def test_neighbor_guard(monkeypatch):
     with pytest.raises(InvalidInputError):
         neighbors(standard_vertex(3, 2), 3)
+    monkeypatch.setattr(building, "DEFAULT_ENUMERATION_BOUND", 3)
     with pytest.raises(ResourceBoundError):
-        neighbors(standard_vertex(3, 2), 1, max_enumeration=3)
+        neighbors(standard_vertex(3, 2), 1)
 
 
 def test_subspace_bases_count():

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -169,6 +170,71 @@ def test_hecke_check_fail_exit_code(run, monkeypatch):
     assert code == 4 and out.splitlines()[0] == "row_sums FAIL (expected 7)"
 
 
+@pytest.mark.parametrize("name, failing, d", [
+    ("commutator_check", "commutator", "3"),
+    ("adjointness_residual", "adjointness", "4"),
+])
+def test_hecke_check_residual_exit_code(run, monkeypatch, name, failing, d):
+    from btq import hecke
+
+    monkeypatch.setattr(hecke, name, lambda *args: Fraction(1, 3))
+    code, out, err = run("hecke-check", "--d", d, "--q", "2", "--max-n", "4", "--trials", "1")
+    assert code == 4 and out.splitlines()[0].startswith("row_sums ok")
+    assert out.splitlines()[-1] == "adjointness_residual " + ("1/3" if d == "4" else "0")
+    assert err == f"internal invariant violation: hecke-check fails: {failing}\n"
+
+
+def test_eigenvector_regression_exit_code(run, monkeypatch):
+    from btq import hecke
+
+    argv = ("eigenvector", "--d", "3", "--q", "2", "--lambda1", "3/7", "--lambda2=-1/2",
+            "--max-n", "4", "--regression")
+    for status, expected in (("flagged", 0), ("asserted", 4)):
+        wrong = {
+            "000": {"expr": "1", "status": "asserted"},
+            "100": {"expr": "l1", "status": status},
+        }
+        monkeypatch.setattr(hecke, "load_closed_forms", lambda: wrong)
+        code, out, err = run(*argv)
+        assert code == expected
+        assert json.loads(out)["regression"]["100"] == {
+            "status": status, "match": False, "residual": "-18/49",
+        }
+    assert err.endswith(": 1 eigenvector checks fail, first the closed form 100\n")
+
+
+def _complex(text):
+    """Parse the CLI's complex output, e.g. '1.5+-0.25i'."""
+    return complex(text.replace("+-", "-").replace("i", "j"))
+
+
+@pytest.mark.parametrize("lambdas", [("3/7", "-1/2"), ("0.5-0.1i", "7")])
+def test_eigenvector_residual_exit_code(run, monkeypatch, lambdas):
+    from btq import hecke
+
+    argv = ("eigenvector", "--d", "3", "--q", "11", "--lambda1=" + lambdas[0],
+            "--lambda2=" + lambdas[1], "--max-n", "14")
+    code, out, _ = run(*argv)
+    assert code == 0
+    if "i" in lambdas[0]:
+        # complex residuals are judged next to the value: the largest is above
+        # 1 in absolute terms, at a label whose value is about 6e14
+        worst = max(json.loads(out)["residuals"], key=lambda r: abs(_complex(r["residual"])))
+        assert worst["label"] == [14, 10, 0] and abs(_complex(worst["residual"])) > 1
+    exact = hecke.eigenvector_d3
+
+    def one_wrong_residual(params, max_n1):
+        func, residuals = exact(params, max_n1)
+        u, r = residuals[-1]
+        residuals[-1] = (u, r + func[u] / 10**6)
+        return func, residuals
+
+    monkeypatch.setattr(hecke, "eigenvector_d3", one_wrong_residual)
+    code, wrong_out, err = run(*argv)
+    assert code == 4 and json.loads(wrong_out)["values"] == json.loads(out)["values"]
+    assert err.endswith(": 1 eigenvector checks fail, first the residual at 14,13,0\n")
+
+
 def test_distance_discrepancy_note(run):
     code, out, _ = run("distance", "--n", "2,1,0", "--m", "0,0,0", "--q", "2")
     assert code == 0
@@ -189,6 +255,20 @@ def test_exit_code_invalid_input(run):
     assert code == 2 and not out and "d = 2 and d = 3" in err
     code, _, err = run("stabilizer", "--n", "1,0", "--q", "1" + "0" * 400)
     assert code == 2 and "prime" in err
+    for literal in ("nan+1i", "1e400+1i"):
+        code, out, err = run("eigenvector", "--d", "2", "--q", "2", "--lambda1", literal)
+        assert code == 2 and not out and "not finite" in err
+
+
+# three over the value-size bound, one over the work bound only (all ones,
+# but a closed form of n^3 work) and one outside the float range
+EIGENVECTOR_OVER_BOUNDS = [
+    ("eigenvector", "--d=2", "--q=2", "--lambda1=1e1000", "--max-n=5"),
+    ("eigenvector", "--d=2", "--q=2", "--lambda1=3", "--max-n=3000"),
+    ("eigenvector", "--d=3", "--q=2", "--lambda1=3", "--lambda2=2", "--max-n=2000"),
+    ("eigenvector", "--d=2", "--q=2", "--lambda1=3", "--max-n=1000"),
+    ("eigenvector", "--d=3", "--q=2", "--lambda1=1e1000", "--lambda2=1+2i"),
+]
 
 
 def test_exit_code_resource_bound(run):
@@ -204,8 +284,11 @@ def test_exit_code_resource_bound(run):
         ("stabilizer", "--n", "1,0", "--q", "1000000000000000003"),
         ("stabilizer", "--n", "20000,0", "--q", "2"),
         ("covolume", "--d", "100", "--max-n", "0"),
+        *EIGENVECTOR_OVER_BOUNDS,
     ):
+        start = time.perf_counter()
         code, out, err = run(*argv)
+        assert time.perf_counter() - start < 1.0, argv
         assert code == 3 and not out and err.startswith("resource bound:"), argv
         assert len(err.splitlines()) == 1, argv
     # distances are no longer searched, so no vertex bound applies
@@ -352,12 +435,11 @@ def _cli_argv(draw):
         },
         "distance": {"n": _LABEL, "m": _LABEL, "radius": st.integers(-1, 10**9), **common},
         "neighbors": {"n": _LABEL, "degree": small, "in-domain": None, **common},
-        # small only: eigenvector has no bound on --max-n or on the size of lambda
         "eigenvector": {
             "d": st.sampled_from([2, 3, 3, 1, 4]),
-            "lambda1": _SCALAR_TEXT,
+            "lambda1": _SCALAR_TEXT | st.sampled_from(["1e1000", "1e300+1i"]),
             "lambda2": _SCALAR_TEXT,
-            "max-n": st.integers(-1, 14),
+            "max-n": st.integers(-1, 14) | st.sampled_from([200, 2000, 3000, 10**9]),
             "l2": None,
             "regression": None,
             "format": st.sampled_from(["json", "text"]),
@@ -399,6 +481,11 @@ def _cli_argv(draw):
 @example(argv=["distance", "--n=100000000,0", "--m=0,0", "--radius=2"])
 @example(argv=["distance", "--n=1000000000,7,0", "--m=0,0,0"])
 @example(argv=["distance", "--n=0,0", "--m=0,0,0"])
+@example(argv=list(EIGENVECTOR_OVER_BOUNDS[0]))
+@example(argv=list(EIGENVECTOR_OVER_BOUNDS[1]))
+@example(argv=list(EIGENVECTOR_OVER_BOUNDS[2]))
+@example(argv=list(EIGENVECTOR_OVER_BOUNDS[3]))
+@example(argv=list(EIGENVECTOR_OVER_BOUNDS[4]))
 def test_cli_fuzz_flags(argv):
     stdout, stderr = sys.stdout, sys.stderr
     sys.stdout = io.TextIOWrapper(io.BytesIO())

@@ -1,6 +1,7 @@
 """Label combinatorics, stabilizers, orbits and the domain reduction."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,6 @@ from btq.domain import (
     edge_stabilizer_brute,
     enumerate_domain,
     friends,
-    label_from_diffs,
     neighbors_in_domain,
     orbit_decomposition,
     parse_label,
@@ -57,6 +57,53 @@ def test_enumerate_domain():
     assert enumerate_domain(2, 3) == [(0, 0), (1, 0), (2, 0), (3, 0)]
     for m in range(6):
         assert len(enumerate_domain(3, m)) == (m + 1) * (m + 2) // 2
+
+
+def label_from_diffs(m_seq):
+    """Inverse of diff_seq: n_i = sum_{j >= i} m_j, n_d = 0."""
+    out = [0]
+    for m in reversed(m_seq):
+        out.append(out[-1] + m)
+    return tuple(reversed(out))
+
+
+def neighbors_by_chains(label, k):
+    """Degree-k in-domain neighbors as alternating changes of the
+    difference sequence, independent of the block-suffix drops."""
+    m1 = diff_seq(label)
+    found = set()
+    for chain in product((-1, 0, 1), repeat=len(m1)):
+        if all(c == 0 for c in chain):
+            continue
+        if any(m == 0 and c < 0 for m, c in zip(m1, chain)):
+            continue
+        signs = [c for c in chain if c]
+        if any(signs[i] == signs[i + 1] for i in range(len(signs) - 1)):
+            continue
+        # recover the drop vector: v_i = v_d + sum_{j>=i} c_j must land in {0,-1}
+        suffix = [0] * (len(m1) + 1)
+        for i in range(len(m1) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + chain[i]
+        if all(s in (0, -1) for s in suffix):
+            v_last = 0
+        elif all(s in (0, 1) for s in suffix):
+            v_last = -1
+        else:
+            continue
+        if sum(1 for s in suffix if v_last + s == -1) != k:
+            continue
+        found.add(label_from_diffs([m + c for m, c in zip(m1, chain)]))
+    return found
+
+
+def test_neighbors_in_domain_matches_chains():
+    cases = 0
+    for d in (2, 3, 4, 5):
+        for lab in enumerate_domain(d, 6):
+            for k in range(1, d):
+                assert neighbors_in_domain(lab, k) == sorted(neighbors_by_chains(lab, k)), (lab, k)
+                cases += 1
+    assert cases == 1155
 
 
 def test_neighbors_in_domain_examples():

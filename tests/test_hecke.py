@@ -269,23 +269,23 @@ def test_eigenvalue_q_plus_one_case():
 
 
 def test_l2_partial_norm_of_constant_is_covolume_partial():
-    q = 2
-    g = build_graph(3, q, 10)
-    one = DomainFunction.constant(3, q, 10, Fraction(1))
-    total, shells = l2_partial_norm(g, one)
-    assert total == covolume_partial(3, q, 10)
-    assert len(shells) == 11
-    zero = DomainFunction.constant(3, q, 10, Fraction(0))
-    assert l2_partial_norm(g, zero)[0] == 0
+    for d, q in ((2, 3), (3, 2), (4, 2)):
+        one = DomainFunction.constant(d, q, 10, Fraction(1))
+        total, shells = l2_partial_norm(one)
+        assert total == covolume_partial(d, q, 10)
+        assert len(shells) == 11
+        assert shells[0] == Fraction(q - 1, gl_order(d, q))  # 1 / |PGL_d(F_q)|
+    zero = DomainFunction.constant(3, 2, 10, Fraction(0))
+    assert l2_partial_norm(zero)[0] == 0
 
 
 def test_l2_partial_norm_rho_coloring_matches_ones():
     q = 2
     t3 = q * q + q + 1
     rho = cmath.exp(2j * cmath.pi / 3)
-    g = build_graph(3, q, 8)
     f, _ = eigenvector_d3(HeckeParams(rho * t3, rho**2 * t3, q), 8)
-    total, _ = l2_partial_norm(g, f)
+    total, shells = l2_partial_norm(f)
+    assert len(shells) == 9
     assert abs(total - float(covolume_partial(3, q, 8))) < 1e-9
 
 
