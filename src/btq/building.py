@@ -176,11 +176,14 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
         unit = piv[r].shift(-a)
         if unit.coeffs != {0: 1}:
             inv = series_inverse(unit, modulus - 1)
-            piv = [x * inv for x in piv]
-        piv = [x.part_above(-modulus) for x in piv[:r]] + [LaurentPoly.t_power(a, q)]
+            head = [x.mul_above(inv, -modulus) for x in piv[:r]]
+        else:
+            head = [x.part_above(-modulus) for x in piv[:r]]
+        piv = head + [LaurentPoly.t_power(a, q)]
         for j, col in enumerate(cols):
+            # the next row's truncation drops every term at or below -modulus
             f = col[r].shift(-a)
-            cols[j] = [x - f * y if f and y else x for x, y in zip(col, piv[:r])]
+            cols[j] = [x - f.mul_above(y, -modulus) if f and y else x for x, y in zip(col, head)]
         work[r] = piv + [zero] * (d - 1 - r)
         pivots[r] = a
     if modulus != 0:

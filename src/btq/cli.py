@@ -73,6 +73,7 @@ def _emit(data: bytes | str):
 
 
 def _cmd_domain(args) -> int:
+    quotient.check_export_size(args.d, args.q, args.max_n, args.format)
     graph = quotient.build_graph(args.d, args.q, args.max_n)
     _emit(quotient.export(graph, args.format))
     return 0
@@ -170,6 +171,8 @@ def _cmd_hecke_check(args) -> int:
 def _cmd_eigenvector(args) -> int:
     if args.d not in (2, 3):
         raise InvalidInputError(f"eigenvector supports d = 2 and d = 3, got {args.d}")
+    if args.d == 2 and (args.regression or args.lambda2 is not None):
+        raise InvalidInputError("--regression and --lambda2 apply to d = 3 only")
     failed: list[str] = []  # the residuals and asserted closed forms that fail
     payload: dict = {"d": args.d, "q": args.q}
     if args.d == 2:
@@ -196,7 +199,7 @@ def _cmd_eigenvector(args) -> int:
             if not hecke.scalars_close(func[u], func[u] - r)
         ]
         if args.regression:
-            reg = hecke.closed_form_regression(params, max_n1=max(args.max_n, 6))
+            reg = hecke.closed_form_regression(params, func)
             payload["regression"] = {
                 name: {
                     "status": entry["status"],
@@ -210,12 +213,12 @@ def _cmd_eigenvector(args) -> int:
                 for name, entry in reg.items()
                 if entry["status"] == "asserted" and not entry["match"]
             ]
-        if args.l2:
-            total, shells = hecke.l2_partial_norm(func)
-            payload["l2_partial"] = {
-                "total": _scalar_str(total),
-                "shells": [_scalar_str(s) for s in shells],
-            }
+    if args.l2:
+        total, shells = hecke.l2_partial_norm(func)
+        payload["l2_partial"] = {
+            "total": _scalar_str(total),
+            "shells": [_scalar_str(s) for s in shells],
+        }
     payload["values"] = [
         {"label": list(u), "value": _scalar_str(func[u])} for u in sorted(func.values)
     ]

@@ -100,22 +100,29 @@ def _normalize(entries) -> tuple[int, ...]:
     return tuple(n - low for n in entries)
 
 
-def enumerate_domain(d: int, max_n1: int) -> list[tuple[int, ...]]:
-    """All domain labels with n_1 <= max_n1, in lexicographic order.
-
-    There are C(max_n1 + d - 1, d - 1) of them; above LABEL_COUNT_BOUND
-    this raises ResourceBoundError before listing any.
-    """
+def label_count(d: int, max_n1: int) -> int:
+    """C(max_n1 + d - 1, d - 1), the number of domain labels with
+    n_1 <= max_n1; above LABEL_COUNT_BOUND this raises ResourceBoundError."""
     if d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     if max_n1 < 0:
         raise InvalidInputError("max_n1 must be >= 0")
     count = comb(max_n1 + d - 1, d - 1)
     if count > LABEL_COUNT_BOUND:
+        # the count itself can be too long to print
         raise ResourceBoundError(
-            f"the domain up to n_1 = {max_n1} has {count} labels, over the bound "
-            f"{LABEL_COUNT_BOUND}"
+            f"the domain up to n_1 = {max_n1} has more than {LABEL_COUNT_BOUND} labels"
         )
+    return count
+
+
+def enumerate_domain(d: int, max_n1: int) -> list[tuple[int, ...]]:
+    """All domain labels with n_1 <= max_n1, in lexicographic order.
+
+    There are `label_count(d, max_n1)` of them, checked before any is
+    listed.
+    """
+    label_count(d, max_n1)
     labels: list[tuple[int, ...]] = []
 
     def build(prefix: list[int]):
@@ -459,15 +466,17 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
             raise SingularMatrixError("zero row during domain reduction")
         return max(degs)
 
+    zero = LaurentPoly.zero(q)
+    # only the pivot row changes in a step, so only its degree is recomputed
+    degs = [row_degree(i) for i in range(d)]
     while True:
-        degs = [row_degree(i) for i in range(d)]
         lead = [[rows[i][j].coeff(degs[i]) for j in range(d)] for i in range(d)]
         combo = left_null_vector(lead, q)
         if combo is None:
             break
         pivot = max((i for i in range(d) if combo[i]), key=lambda i: (degs[i], i))
-        new_row = [LaurentPoly.zero(q)] * d
-        new_acc = [LaurentPoly.zero(q)] * d
+        new_row = [zero] * d
+        new_acc = [zero] * d
         for i in range(d):
             if not combo[i]:
                 continue
@@ -479,16 +488,17 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
                     new_acc[j] = new_acc[j] + mono * acc[i][j]
         rows[pivot] = new_row
         acc[pivot] = new_acc
-        if row_degree(pivot) >= degs[pivot]:
+        new_deg = row_degree(pivot)
+        if new_deg >= degs[pivot]:
             raise InternalInvariantError(
                 "row degree did not decrease during domain reduction"
             )
-        if sum(row_degree(i) for i in range(d)) < det_deg:
+        degs[pivot] = new_deg
+        if sum(degs) < det_deg:
             raise InternalInvariantError(
                 "total row degree fell below deg(det) during domain reduction"
             )
 
-    degs = [row_degree(i) for i in range(d)]
     order = sorted(range(d), key=lambda i: (-degs[i], i))
     base_deg = min(degs)
     label = tuple(degs[i] - base_deg for i in order)

@@ -355,14 +355,19 @@ def _eval_closed_form(expr: str, l1, l2, q):
     return eval(expr, {"__builtins__": {}}, names)  # data file is package-owned
 
 
-def closed_form_regression(params: HeckeParams, max_n1: int = 6) -> dict[str, dict]:
+def closed_form_regression(
+    params: HeckeParams, func: DomainFunction | None = None
+) -> dict[str, dict]:
     """Compare the recursion against every tabulated closed form.
 
-    Returns, per label, the tabulated status ('asserted' or 'flagged'),
-    whether the two values agree, and their difference.  Flagged entries
-    are reported, never asserted by callers.
+    func, the values of `eigenvector_d3(params, n)`, is reused when
+    n >= 6, which covers every tabulated label; otherwise the recursion
+    runs to n = 6 here.  Returns, per label, the tabulated status
+    ('asserted' or 'flagged'), whether the two values agree, and their
+    difference.  Flagged entries are reported, never asserted by callers.
     """
-    func, _ = eigenvector_d3(params, max_n1=max(max_n1, 6))
+    if func is None or func.max_n1 < 6:
+        func, _ = eigenvector_d3(params, max_n1=6)
     out = {}
     for name, entry in load_closed_forms().items():
         label = tuple(int(c) for c in name)

@@ -5,14 +5,28 @@ valuation is v(f) = -deg(f): v(t^n) = -n and v(t^-n) = +n.  The valuation
 ring O = F_q[[1/t]] consists of the elements with no positive exponents.
 
 Polynomials are stored sparsely as {exponent: nonzero residue}; the zero
-polynomial is the empty map.  All ring operations are exact.  A truncated
-inverse of an O-unit (`series_inverse`) is exact modulo a power of 1/t;
-its one consumer, the lattice normal form, works modulo a power of 1/t
-that the lattice contains, so its result is exact.  The normal form still
-certifies it without series arithmetic: the triangular canonical basis
-has monic monomial pivots, so its inverse times the input comes from an
-exact back-substitution, and must lie in GL_d(O).  `LaurentMatrix.det`,
-`minor` and `adjugate` are exact Laplace expansions, meant for small d.
+polynomial is the empty map.  All ring operations are exact.
+
+q is validated once, where a value enters from outside: `LaurentPoly(...)`,
+`zero`, `constant`, `t_power`, `parse`, `LaurentMatrix(...)`,
+`from_literal` and the random samplers.  Arithmetic on those values
+(`+`, `-`, `*`, negation, `shift`, `part_*`, `mul_above` and
+`series_inverse`) builds its result through the private `_poly`, which
+neither re-checks q nor re-reduces coefficients; every binary operation
+still checks that its operands share q.  A product with a monomial factor
+is a shift and a scale.  `mul_above(other, cutoff)` equals
+`(self * other).part_above(cutoff)` and never forms the products at or
+below the cutoff: the lattice normal form, which works modulo a power of
+1/t, discards them anyway.
+
+A truncated inverse of an O-unit (`series_inverse`) is exact modulo a
+power of 1/t; its one consumer, the lattice normal form, works modulo a
+power of 1/t that the lattice contains, so its result is exact.  The
+normal form still certifies it without series arithmetic: the triangular
+canonical basis has monic monomial pivots, so its inverse times the input
+comes from an exact back-substitution, and must lie in GL_d(O).
+`LaurentMatrix.det`, `minor` and `adjugate` are exact Laplace expansions,
+meant for small d.
 """
 
 from __future__ import annotations
@@ -32,12 +46,10 @@ class LaurentPoly:
 
     __slots__ = ("q", "coeffs")
 
-    def __init__(self, coeffs: dict[int, int], q: int, _clean: bool = True):
+    def __init__(self, coeffs: dict[int, int], q: int):
         check_prime(q)
-        if _clean:
-            coeffs = {e: c % q for e, c in coeffs.items() if c % q}
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _reduced(coeffs, q))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -46,7 +58,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, q: int) -> "LaurentPoly":
-        return cls({}, q, _clean=False)
+        return cls({}, q)
 
     @classmethod
     def constant(cls, c: int, q: int) -> "LaurentPoly":
@@ -108,43 +120,84 @@ class LaurentPoly:
             raise InvalidInputError("mixed moduli in Laurent arithmetic")
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "LaurentPoly":
+        """self + sign * other, for sign = 1 or -1."""
         self._check_compat(other)
-        out = dict(self.coeffs)
+        if not other.coeffs:
+            return self
         q = self.q
+        out = dict(self.coeffs)
+        get = out.get
         for e, c in other.coeffs.items():
-            s = (out.get(e, 0) + c) % q
+            s = (get(e, 0) + sign * c) % q
             if s:
                 out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out, q, _clean=False)
+            else:  # c is nonzero, so e was present
+                del out[e]
+        return _poly(out, q)
 
     def __neg__(self):
         q = self.q
-        return LaurentPoly({e: q - c for e, c in self.coeffs.items()}, q, _clean=False)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return _poly({e: q - c for e, c in self.coeffs.items()}, q)
 
     def __mul__(self, other):
         self._check_compat(other)
         q = self.q
+        short, long = self.coeffs, other.coeffs
+        if len(short) > len(long):
+            short, long = long, short
+        if len(short) == 1:
+            ((e, c),) = short.items()
+            return _poly(_monomial_times(long, e, c, q), q)
         out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        get = out.get
+        for e1, c1 in short.items():
+            for e2, c2 in long.items():
                 e = e1 + e2
-                s = (out.get(e, 0) + c1 * c2) % q
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(out, q, _clean=False)
+                out[e] = get(e, 0) + c1 * c2
+        return _poly(_reduced(out, q), q)
+
+    def mul_above(self, other, cutoff: int) -> "LaurentPoly":
+        """(self * other).part_above(cutoff), without forming the products
+        at or below the cutoff."""
+        self._check_compat(other)
+        q = self.q
+        short, long = self.coeffs, other.coeffs
+        if len(short) > len(long):
+            short, long = long, short
+        if not short:
+            return _poly({}, q)
+        if len(short) == 1:
+            ((e, c),) = short.items()
+            kept = {k: v for k, v in long.items() if k + e > cutoff}
+            return _poly(_monomial_times(kept, e, c, q), q)
+        # both factors by falling exponent: once a pair lands at or below the
+        # cutoff, so does every later pair in that row, and every later row
+        inner = sorted(short.items(), reverse=True)
+        top = inner[0][0]
+        out: dict[int, int] = {}
+        get = out.get
+        for e1, c1 in sorted(long.items(), reverse=True):
+            cut = cutoff - e1
+            if top <= cut:
+                break
+            for e2, c2 in inner:
+                if e2 <= cut:
+                    break
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return _poly(_reduced(out, q), q)
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by t^e."""
-        return LaurentPoly(
-            {k + e: c for k, c in self.coeffs.items()}, self.q, _clean=False
-        )
+        if not e:
+            return self
+        return _poly({k + e: c for k, c in self.coeffs.items()}, self.q)
 
     # -- support windows ---------------------------------------------------
 
@@ -152,15 +205,11 @@ class LaurentPoly:
         """Terms with exponent strictly greater than cutoff."""
         if all(e > cutoff for e in self.coeffs):
             return self
-        return LaurentPoly(
-            {e: c for e, c in self.coeffs.items() if e > cutoff}, self.q, _clean=False
-        )
+        return _poly({e: c for e, c in self.coeffs.items() if e > cutoff}, self.q)
 
     def part_at_most(self, cutoff: int) -> "LaurentPoly":
         """Terms with exponent at most cutoff."""
-        return LaurentPoly(
-            {e: c for e, c in self.coeffs.items() if e <= cutoff}, self.q, _clean=False
-        )
+        return _poly({e: c for e, c in self.coeffs.items() if e <= cutoff}, self.q)
 
     # -- text form ---------------------------------------------------------
 
@@ -226,7 +275,33 @@ class LaurentPoly:
                 out.pop(e, None)
             pos = m.end()
             first = False
-        return cls(out, q, _clean=False)
+        return _poly(out, q)
+
+
+_new = object.__new__
+_set_q = LaurentPoly.q.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def _poly(coeffs: dict[int, int], q: int) -> LaurentPoly:
+    """The constructor of arithmetic results: q was validated when an
+    operand was built, and every coefficient already lies in [1, q)."""
+    p = _new(LaurentPoly)
+    _set_q(p, q)
+    _set_coeffs(p, coeffs)
+    return p
+
+
+def _reduced(coeffs: dict[int, int], q: int) -> dict[int, int]:
+    return {e: r for e, c in coeffs.items() if (r := c % q)}
+
+
+def _monomial_times(coeffs: dict[int, int], e: int, c: int, q: int) -> dict[int, int]:
+    # c * t^e times a clean polynomial; q is prime and c, every coefficient
+    # nonzero, so no product vanishes
+    if c == 1:
+        return {k + e: v for k, v in coeffs.items()}
+    return {k + e: v * c % q for k, v in coeffs.items()}
 
 
 def is_unit_in_O(f: LaurentPoly) -> bool:
@@ -261,7 +336,7 @@ def series_inverse(f: LaurentPoly, depth: int) -> LaurentPoly:
         v = (-c0_inv * acc) % q
         if v:
             g[-k] = v
-    return LaurentPoly(g, q, _clean=False)
+    return _poly(g, q)
 
 
 class LaurentMatrix:

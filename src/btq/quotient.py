@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import ceil, comb, log2
 
 from . import domain
-from .errors import InternalInvariantError, InvalidInputError
-from .gf import check_prime
+from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
+from .gf import check_prime, gaussian_binomial
 
 Label = tuple[int, ...]
+
+# `check_export_size` refuses exports predicted above this many bytes
+EXPORT_BYTE_BOUND = 10**7
 
 
 @dataclass(frozen=True)
@@ -177,9 +181,60 @@ def export_dot(graph: QuotientGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _writer(fmt: str):
+    writers = {"json": export_json, "dot": export_dot}
+    if fmt not in writers:
+        raise InvalidInputError(f"unknown export format {fmt!r}")
+    return writers[fmt]
+
+
 def export(graph: QuotientGraph, fmt: str) -> bytes:
-    if fmt == "json":
-        return export_json(graph)
-    if fmt == "dot":
-        return export_dot(graph)
-    raise InvalidInputError(f"unknown export format {fmt!r}")
+    return _writer(fmt)(graph)
+
+
+def predicted_export_bytes(d: int, q: int, max_n1: int, fmt: str) -> int:
+    """An upper estimate of len(export(build_graph(d, q, max_n1), fmt)),
+    found without building the graph.
+
+    Both counts are exact.  With N = max_n1 there are L = C(N+d-1, d-1)
+    labels; L' = C(N+d-2, d-2) of them have n_i = n_(i+1), for any one i,
+    and L' have n_1 = N.  A label has one degree-1 in-domain neighbor per
+    block, so 1 + #{i : n_i > n_(i+1)} of them, and the one that lowers
+    the zero block leaves the truncation exactly when n_1 = N: there are
+    L + (d-1)(L - L') - L' edges.  Each node and edge is costed at its
+    widest: label entries as wide as N, orders below
+    q^(floor(d^2/4) N + d^2), the bound on every |Gamma_u| (capped at
+    domain.RESULT_BIT_BOUND bits, where the orders themselves are refused),
+    and ratios up to [d choose 1]_q, their row sum.
+    """
+    check_prime(q)
+    if d < 2 or max_n1 < 0:
+        raise InvalidInputError(f"need d >= 2 and max_n1 >= 0, got d = {d}, max_n1 = {max_n1}")
+    # every stabilizer order checks a q-exponent of at least d^2 first, so
+    # above this no graph can be built, whatever its size
+    domain.check_result_size(d * d, q, "every stabilizer order")
+    n_labels = domain.label_count(d, max_n1)
+    n_flat = comb(max_n1 + d - 2, d - 2)
+    n_edges = n_labels + (d - 1) * (n_labels - n_flat) - n_flat
+    exponent = d * d // 4 * max_n1 + d * d
+    order = 2 ** min(ceil(exponent * log2(q)), domain.RESULT_BIT_BOUND)
+    ratio = gaussian_binomial(d, 1, q)
+    label = (max_n1,) * d
+    edge = QuotientEdge(label, label, 1, 12 if d == 3 else "generic", order, ratio, ratio)
+    write = _writer(fmt)
+    sizes = [
+        len(write(QuotientGraph(d, q, max_n1, nodes, edges)))
+        for nodes, edges in (({}, []), ({label: order}, []), ({label: order}, [edge]))
+    ]
+    return sizes[0] + n_labels * (sizes[1] - sizes[0]) + n_edges * (sizes[2] - sizes[1])
+
+
+def check_export_size(d: int, q: int, max_n1: int, fmt: str) -> None:
+    """Raise ResourceBoundError before any work if the export of the graph
+    is predicted above EXPORT_BYTE_BOUND bytes."""
+    size = predicted_export_bytes(d, q, max_n1, fmt)
+    if size > EXPORT_BYTE_BOUND:
+        raise ResourceBoundError(
+            f"the {fmt} graph up to n_1 = {max_n1} would print about {size} bytes, "
+            f"over the bound {EXPORT_BYTE_BOUND}"
+        )

@@ -129,6 +129,39 @@ def test_eigenvector_d2_cli(run):
     assert obj["values"][1] == {"label": [1, 0], "value": "1"}
 
 
+def test_eigenvector_d2_l2(run):
+    code, out, _ = run("eigenvector", "--d", "2", "--q", "2", "--lambda1", "3", "--max-n", "2",
+                       "--l2")
+    assert code == 0
+    # every value is 1, so the shells are 1/|Gamma_u|: |PGL_2(F_2)| = 6, then 4 and 8
+    assert json.loads(out)["l2_partial"] == {"total": "13/24", "shells": ["1/6", "1/4", "1/8"]}
+
+
+@pytest.mark.parametrize("flag", [["--regression"], ["--lambda2", "5"]])
+def test_eigenvector_d2_rejects_d3_flags(run, flag):
+    code, out, err = run("eigenvector", "--d", "2", "--q", "2", "--lambda1", "3", "--max-n", "2",
+                         "--l2", *flag)
+    assert code == 2 and not out and "d = 3 only" in err
+
+
+@pytest.mark.parametrize("max_n, runs", [(8, 1), (4, 2)])
+def test_eigenvector_regression_reuses_values(run, monkeypatch, max_n, runs):
+    from btq import hecke
+
+    calls = []
+    recursion = hecke.eigenvector_d3
+
+    def counted(params, max_n1):
+        calls.append(max_n1)
+        return recursion(params, max_n1)
+
+    monkeypatch.setattr(hecke, "eigenvector_d3", counted)
+    code, out, _ = run("eigenvector", "--d", "3", "--q", "2", "--lambda1", "3/7",
+                       "--lambda2=-1/2", "--max-n", str(max_n), "--regression")
+    assert code == 0 and json.loads(out)["regression"]["420"]["match"] is True
+    assert len(calls) == runs
+
+
 def test_eigenvector_complex(run):
     code, out, _ = run(
         "eigenvector", "--d", "3", "--q", "2",
@@ -284,6 +317,8 @@ def test_exit_code_resource_bound(run):
         ("stabilizer", "--n", "1,0", "--q", "1000000000000000003"),
         ("stabilizer", "--n", "20000,0", "--q", "2"),
         ("covolume", "--d", "100", "--max-n", "0"),
+        # 23 MB of JSON, refused before the graph is built
+        ("domain", "--d", "3", "--q", "2", "--max-n", "200", "--format", "json"),
         *EIGENVECTOR_OVER_BOUNDS,
     ):
         start = time.perf_counter()
@@ -481,6 +516,8 @@ def _cli_argv(draw):
 @example(argv=["distance", "--n=100000000,0", "--m=0,0", "--radius=2"])
 @example(argv=["distance", "--n=1000000000,7,0", "--m=0,0,0"])
 @example(argv=["distance", "--n=0,0", "--m=0,0,0"])
+@example(argv=["domain", "--d=3", "--max-n=1" + "0" * 3000])
+@example(argv=["domain", "--d=1000000000", "--max-n=0"])
 @example(argv=list(EIGENVECTOR_OVER_BOUNDS[0]))
 @example(argv=list(EIGENVECTOR_OVER_BOUNDS[1]))
 @example(argv=list(EIGENVECTOR_OVER_BOUNDS[2]))

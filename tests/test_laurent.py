@@ -183,3 +183,117 @@ def test_matrix_literal_round_trip():
 def test_oprecision_validation():
     with pytest.raises(InvalidInputError):
         random_k(3, 2, -1, 0)
+
+
+# -- the kernel against a reference -----------------------------------------
+#
+# The reference is the plain dict double loop, reducing modulo q at every
+# step, on raw coefficient maps: the kernel's fast paths (monomial factors,
+# one reduction per product, truncated products, no re-validation of q) must
+# agree with it everywhere.
+
+
+def _ref_clean(coeffs, q):
+    return {e: c % q for e, c in coeffs.items() if c % q}
+
+
+def _ref_add(a, b, q):
+    out = dict(a)
+    for e, c in b.items():
+        s = (out.get(e, 0) + c) % q
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_neg(a, q):
+    return {e: (-c) % q for e, c in a.items()}
+
+
+def _ref_mul(a, b, q):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = (out.get(e, 0) + c1 * c2) % q
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+@st.composite
+def _kernel_operands(draw):
+    q = draw(st.sampled_from([2, 3, 5, 1000003]))
+    # coefficients up to 3q: zero, reducible and multiples of q at input
+    coeffs = st.integers(0, 3 * q) | st.sampled_from([q, 2 * q, q + 1])
+    maps = st.dictionaries(st.integers(-8, 8), coeffs, max_size=6)
+    monomial = st.dictionaries(st.integers(-8, 8), st.integers(1, 3 * q), min_size=1, max_size=1)
+    a = draw(maps | monomial)
+    b = draw(maps | monomial | st.just({}))
+    return q, a, b
+
+
+def _clean_invariant(f, q):
+    return f.q == q and all(isinstance(c, int) and 0 < c < q for c in f.coeffs.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_operands())
+def test_kernel_matches_reference(operands):
+    q, ca, cb = operands
+    a, b = LaurentPoly(ca, q), LaurentPoly(cb, q)
+    ra, rb = _ref_clean(ca, q), _ref_clean(cb, q)
+    assert a.coeffs == ra and b.coeffs == rb
+    results = {
+        "add": (a + b, _ref_add(ra, rb, q)),
+        "sub": (a - b, _ref_add(ra, _ref_neg(rb, q), q)),
+        "mul": (a * b, _ref_mul(ra, rb, q)),
+        "rmul": (b * a, _ref_mul(rb, ra, q)),
+        "neg": (-a, _ref_neg(ra, q)),
+        "shift": (a.shift(3), {e + 3: c for e, c in ra.items()}),
+    }
+    for name, (got, expected) in results.items():
+        assert got.coeffs == expected, name
+        assert _clean_invariant(got, q), name
+    product = _ref_mul(ra, rb, q)
+    # exponent sums lie in [-16, 16]; the cutoffs cover every split of it
+    for cutoff in range(-18, 19):
+        above = a.mul_above(b, cutoff)
+        assert above == (a * b).part_above(cutoff)
+        assert above.coeffs == {e: c for e, c in product.items() if e > cutoff}
+        assert _clean_invariant(above, q)
+
+
+def test_public_constructors_validate_q():
+    for q in (1, 4, 9, 0, -3, 2.0, "2"):
+        for build in (
+            lambda: LaurentPoly({0: 1}, q),
+            lambda: LaurentPoly.zero(q),
+            lambda: LaurentPoly.constant(1, q),
+            lambda: LaurentPoly.t_power(2, q),
+            lambda: LaurentPoly.parse("t + 1", q),
+            lambda: LaurentMatrix([[P("1")]], q),
+            lambda: LaurentMatrix.from_literal({"q": q, "d": 1, "entries": [["1"]]}),
+            lambda: random_gamma(2, q, 1, 0),
+            lambda: random_k(2, q, 1, 0),
+        ):
+            with pytest.raises(InvalidInputError):
+                build()
+
+
+def test_mixed_moduli_rejected():
+    a, b = P("t + 1", 2), P("t + 1", 3)
+    for op in (
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a * b,
+        lambda: a.mul_above(b, 0),
+        lambda: P("t", 2) * P("2", 3),  # the monomial path checks too
+        lambda: a + 1,
+    ):
+        with pytest.raises(InvalidInputError):
+            op()

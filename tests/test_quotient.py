@@ -12,15 +12,18 @@ from btq.domain import (
     pattern_order,
     stabilizer_order,
 )
-from btq.errors import InternalInvariantError, InvalidInputError
+from btq.errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from btq.gf import gaussian_binomial
 from btq.quotient import (
+    EXPORT_BYTE_BOUND,
     build_graph,
+    check_export_size,
     classify_edge_d3,
     edge_stabilizer_order,
     export,
     export_dot,
     export_json,
+    predicted_export_bytes,
 )
 
 # one minimal instantiation per edge type: (u, v, expected type)
@@ -269,3 +272,30 @@ def test_export_deterministic():
     a = export_json(build_graph(3, 2, 5))
     b = export_json(build_graph(3, 2, 5))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "d, q, max_n1",
+    [(2, 2, 0), (2, 3, 30), (3, 2, 0), (3, 2, 1), (3, 2, 24), (3, 5, 12), (4, 2, 8), (4, 3, 6),
+     (5, 2, 5)],
+)
+def test_predicted_export_bytes_bounds_the_export(d, q, max_n1):
+    graph = build_graph(d, q, max_n1)
+    for fmt in ("json", "dot"):
+        actual = len(export(graph, fmt))
+        predicted = predicted_export_bytes(d, q, max_n1, fmt)
+        assert actual <= predicted <= 1.25 * actual, (fmt, actual, predicted)
+
+
+def test_check_export_size():
+    # the pinned domain jobs and the largest d = 4 one stay under the bound
+    for d, q, max_n1, fmt in ((3, 2, 48, "json"), (3, 3, 48, "dot"), (4, 3, 12, "json")):
+        check_export_size(d, q, max_n1, fmt)
+    assert predicted_export_bytes(3, 2, 100, "json") < EXPORT_BYTE_BOUND
+    # too many bytes; every stabilizer order over the bit bound; too many labels
+    for d, max_n1 in ((3, 200), (84, 0), (3, 10**9)):
+        with pytest.raises(ResourceBoundError):
+            check_export_size(d, 2, max_n1, "json")
+    for d, q, max_n1 in ((1, 2, 4), (3, 2, -1), (3, 4, 4)):
+        with pytest.raises(InvalidInputError):
+            check_export_size(d, q, max_n1, "json")
