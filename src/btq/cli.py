@@ -137,6 +137,9 @@ def _cmd_covolume(args) -> int:
 
 
 def _cmd_hecke_check(args) -> int:
+    # the work of the checks grows with the graph, so the bound on its
+    # export bounds them too
+    quotient.check_export_size(args.d, args.q, args.max_n, "json")
     graph = quotient.build_graph(args.d, args.q, args.max_n)
     lines = []
     gb = gaussian_binomial(args.d, 1, args.q)

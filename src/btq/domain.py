@@ -13,7 +13,7 @@ to its unique domain label together with a group-element witness.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, log2
 
 from .building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
@@ -123,19 +123,10 @@ def enumerate_domain(d: int, max_n1: int) -> list[tuple[int, ...]]:
     listed.
     """
     label_count(d, max_n1)
-    labels: list[tuple[int, ...]] = []
-
-    def build(prefix: list[int]):
-        if len(prefix) == d - 1:
-            labels.append(tuple(prefix) + (0,))
-            return
-        upper = prefix[-1] if prefix else max_n1
-        for n in range(upper + 1):
-            build(prefix + [n])
-
-    build([])
-    labels.sort()
-    return labels
+    return sorted(
+        tuple(reversed(c)) + (0,)
+        for c in combinations_with_replacement(range(max_n1 + 1), d - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +213,12 @@ def _pattern_order(u, v, q: int) -> int:
     # prod_{r=1}^{s} (q^r - 1), and c_ij = 0 inside a block, so the powers
     # of q from all pairs i < j sum to one exponent, and the position r of
     # each index within its block contributes the factor q^r - 1.
-    # The order is below q^(exp + d(d+1)/2), which is checked first.
+    # The order is below q^(exp + d(d+1)/2), which is checked before the
+    # product.  Each of the d(d-1)/2 pairs adds at least 1 to exp, so d^2
+    # bounds that exponent from below; checking it before the pair sum
+    # refuses a long label without the quadratic work.
     d = len(u)
+    check_result_size(d * d, q, "the stabilizer order")
     exp = sum(min(u[i] - u[j], v[i] - v[j]) + 1 for i in range(d) for j in range(i + 1, d))
     check_result_size(exp + d * (d + 1) // 2, q, "the stabilizer order")
     order = 1

@@ -1,22 +1,24 @@
 """Weighted adjacency (Hecke) operators on the quotient graph.
 
-Everything here is exact unless the caller opts into the complex backend:
-rational scalars are `fractions.Fraction`, and the d = 2 closed form is a
-binomial sum over Q.  Operator application at a truncation boundary
-yields an explicit undefined marker (the vertex is simply absent from the
-result), never a silent zero: zero-padding would fabricate boundary
-conditions and corrupt the commutator and adjointness identities.
+One scalar rule covers every function here.  Exact input (int, float or
+Fraction) becomes a Fraction where it enters, and everything computed
+from it stays exact; the d = 2 closed form is then a binomial sum over Q.
+Any other scalar (Python complex, mpmath mpf/mpc for high-precision runs)
+goes through the number protocol only: `x.conjugate()`, `abs(x)`,
+`(x * x.conjugate()).real` and `** 0.5`, and is compared within
+COMPLEX_TOLERANCE relative to its size.  The tabulated d = 3 closed forms
+are the code in CLOSED_FORMS.  Operator application at a truncation
+boundary yields an explicit undefined marker (the vertex is simply absent
+from the result), never a silent zero: zero-padding would fabricate
+boundary conditions and corrupt the commutator and adjointness identities.
 """
 
 from __future__ import annotations
 
-import cmath
-import json
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from math import comb, log2
 
 from . import domain
@@ -37,46 +39,42 @@ EIGENVECTOR_WORK_BOUND = 2 * 10**8
 # ---------------------------------------------------------------------------
 
 
-def _conj(x):
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
+def _exact(x) -> bool:
+    return isinstance(x, (int, Fraction))
 
 
-def _abs_sq(x):
-    if isinstance(x, complex):
-        return (x * x.conjugate()).real
-    return x * x
+def _lift(x):
+    """An int, float or Fraction as a Fraction; any other scalar unchanged."""
+    if not isinstance(x, (int, float, Fraction)):
+        return x
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError) as exc:
+        raise InvalidInputError(f"scalar {x!r} is not finite") from exc
 
 
-def _abs_val(x):
-    if isinstance(x, complex):
-        return abs(x)
-    return x if x >= 0 else -x
-
-
-def scalars_close(x, y, tol: float = COMPLEX_TOLERANCE) -> bool:
-    """Equality for exact scalars, |x - y| <= tol*max(1, |x|, |y|) for complex."""
-    if isinstance(x, complex) or isinstance(y, complex):
-        scale = max(1.0, abs(complex(x)), abs(complex(y)))
-        return abs(complex(x) - complex(y)) <= tol * scale
-    return x == y
+def scalars_close(x, y) -> bool:
+    """Equality for exact scalars, |x - y| <= COMPLEX_TOLERANCE*max(1, |x|, |y|)
+    otherwise."""
+    if _exact(x) and _exact(y):
+        return x == y
+    return abs(x - y) <= COMPLEX_TOLERANCE * max(1.0, abs(x), abs(y))
 
 
 def _check_eigenvector_size(lambdas, q: int, max_n1: int, operations: int) -> None:
     """Raise ResourceBoundError if eigenvector values to depth max_n1 are
-    predicted above RESULT_BIT_BOUND bits (for complex scalars, beyond the
+    predicted above RESULT_BIT_BOUND bits (for inexact scalars, beyond the
     float exponent range), or `operations` times that size above
     EIGENVECTOR_WORK_BOUND.
 
     A unit of n_1 multiplies by an eigenvalue and powers of q and divides by
     q + 1 or q^2 + q + 1: about 2 log2 H + 2 log2(q + 1) bits per eigenvalue,
-    H = max(1, |numerator|, denominator), or max(1, |lambda|) if complex.
+    H = max(1, |numerator|, denominator), or max(1, |lambda|) if inexact.
     """
-    exact = all(isinstance(x, (int, Fraction)) for x in lambdas)
+    lambdas = [_lift(x) for x in lambdas]
+    exact = all(_exact(x) for x in lambdas)
     heights = [
-        max(1, abs(Fraction(x).numerator), Fraction(x).denominator) if exact
-        else max(1.0, abs(complex(x)))
+        max(1, abs(x.numerator), x.denominator) if exact else max(1.0, abs(x))
         for x in lambdas
     ]
     bits = max_n1 * sum(2 * log2(h) + 2 * log2(q + 1) for h in heights)
@@ -102,7 +100,7 @@ class DomainFunction:
     """A scalar-valued function on a truncation of the fundamental domain.
 
     Vertices absent from `values` are undefined (the boundary marker after
-    operator application).  Values are Fractions or complex scalars (Python
+    operator application).  Values are Fractions or inexact scalars (Python
     complex, or mpmath numbers for high-precision runs).
     """
 
@@ -213,7 +211,7 @@ def commutator_check(graph: QuotientGraph, f: DomainFunction):
         raise InvalidInputError("truncation has no doubly-interior vertex")
     residual = None
     for u in sorted(common):
-        r = _abs_val(a12.values[u] - a21.values[u])
+        r = abs(a12.values[u] - a21.values[u])
         residual = r if residual is None else max(residual, r)
     return residual
 
@@ -237,7 +235,7 @@ def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
                     "where the other is nonzero"
                 )
             continue
-        term = Fraction(1, graph.nodes[u]) * fu * _conj(gu)
+        term = Fraction(1, graph.nodes[u]) * fu * gu.conjugate()
         total = term if total is None else total + term
     return 0 if total is None else total
 
@@ -267,9 +265,9 @@ def eigenvector_d3(params: HeckeParams, max_n1: int):
         raise InvalidInputError("the recursion needs max_n1 >= 2")
     q = params.q
     check_prime(q)
+    l1, l2 = _lift(params.lambda1), _lift(params.lambda2)
     # about six products per label, on (max_n1 + 1)(max_n1 + 2)/2 labels
-    _check_eigenvector_size((params.lambda1, params.lambda2), q, max_n1, 3 * (max_n1 + 1) ** 2)
-    l1, l2 = params.lambda1, params.lambda2
+    _check_eigenvector_size((l1, l2), q, max_n1, 3 * (max_n1 + 1) ** 2)
     t3, r = params.t3, params.r
     f: dict[Label, object] = {}
     residuals: list[tuple[Label, object]] = []
@@ -333,26 +331,52 @@ def eigenvector_d3(params: HeckeParams, max_n1: int):
 # ---------------------------------------------------------------------------
 
 
-def load_closed_forms() -> dict[str, dict]:
-    data = json.loads(
-        resources.files("btq").joinpath("closed_forms.json").read_text()
-    )
-    return data["entries"]
-
-
-def _eval_closed_form(expr: str, l1, l2, q):
-    if isinstance(l1, (Fraction, int)):
-        lift = Fraction
-    else:
-        lift = lambda n: l1 * 0 + n  # noqa: E731 - stay in the scalar type of l1
-    names = {
-        "l1": l1,
-        "l2": l2,
-        "q": lift(q),
-        "t": lift(q**2 + q + 1),
-        "r": lift(q + 1),
-    }
-    return eval(expr, {"__builtins__": {}}, names)  # data file is package-owned
+# Values of the d = 3 simultaneous eigenvector on the first six diagonals,
+# as polynomials in l1, l2, q with t = q^2 + q + 1 and r = q + 1.  Entries
+# 'flagged' carry an ambiguous or unusual coefficient (all of the fifth
+# diagonal; in 520 the (t + 3q) and (rt + q) factors look typo-prone, in 530
+# the fifth term has an ambiguously typeset exponent, read as q^3): the
+# regression reports their residuals instead of asserting them.
+CLOSED_FORMS = {
+    "000": ("asserted", lambda l1, l2, q, t, r: 1),
+    "100": ("asserted", lambda l1, l2, q, t, r: l1/t),
+    "110": ("asserted", lambda l1, l2, q, t, r: l2/t),
+    "200": ("asserted", lambda l1, l2, q, t, r: (l1**2 - q*r*l2)/t),
+    "210": ("asserted", lambda l1, l2, q, t, r: (l1*l2 - q**2*t)/(t*r)),
+    "220": ("asserted", lambda l1, l2, q, t, r: (l2**2 - q*r*l1)/t),
+    "300": ("asserted", lambda l1, l2, q, t, r: (l1**3 - q*(r+1)*l1*l2 + q**3*t)/t),
+    "310": ("asserted", lambda l1, l2, q, t, r: (l2*l1**2 - q*r*l2**2 - q**2*l1)/(r*t)),
+    "320": ("asserted", lambda l1, l2, q, t, r: (l1*l2**2 - q*r*l1**2 - l2*q**2)/(r*t)),
+    "330": ("asserted", lambda l1, l2, q, t, r: (l2**3 - q*l1*l2*(r+1) + q**3*t)/t),
+    "400": ("asserted", lambda l1, l2, q, t, r:
+            (l1**4 - q*l2*l1**2*(r+2) + q**2*r*l2**2 + q**3*l1*(t+1))/t),
+    "410": ("asserted", lambda l1, l2, q, t, r:
+            (l2*l1**3 - q*l1*l2**2*(r+1) + q**3*l2*(1+r**2) - q**2*l1**2)/(r*t)),
+    "420": ("asserted", lambda l1, l2, q, t, r:
+            (l1**2*l2**2 - q*r*(l1**3 + l2**3) + l1*l2*q**3*(r+2) - q**5*t)/(r*t)),
+    "430": ("asserted", lambda l1, l2, q, t, r:
+            (l1*l2**3 - q*l1**2*l2*(r+1) - l2**2*q**2 + l1*q**3*(t+r))/(r*t)),
+    "440": ("asserted", lambda l1, l2, q, t, r:
+            (l2**4 - q*l1*l2**2*(r+2) + l2*q**3*(t+1) + q**2*r*l1**2)/t),
+    "500": ("flagged", lambda l1, l2, q, t, r:
+            (l1**5 - q*l1**3*l2*(r+3) + l1*l2**2*q**2*(2*r+1) + l1**2*q**3*(t+2)
+             - q**4*l2*(r**2+1))/t),
+    "510": ("flagged", lambda l1, l2, q, t, r:
+            (l2*l1**4 - q*l1**2*l2**2*(r+2) + q**3*l1*l2*(t+r+2) - q**2*l1**3
+             + q**2*r*l2**3 - q**5*t)/(r*t)),
+    "520": ("flagged", lambda l1, l2, q, t, r:
+            (l1**3*l2**2 - q*l1*l2**3*(r+1) + q**2*l2*l1**2*(t+3*q) - q*r*l1**4
+             + q**3*l2**2*(r+1) - q**4*l1*(r*t+q))/(r*t)),
+    "530": ("flagged", lambda l1, l2, q, t, r:
+            (l1**2*l2**3 - l2*l1**3*q*(q+2) + q**2*l1*l2**2*(q**2+4*q+1) - q*r*l2**4
+             + q**3*l1**2*(q+2) - l2*q**4*(q**3+2*q**2+3*q+1))/(r*t)),
+    "540": ("flagged", lambda l1, l2, q, t, r:
+            (l1*l2**4 - l1**2*l2**2*q*(r+2) + l1*l2*q**3*(t+r+2) - q**2*l2**3
+             + q**2*r*l1**3 - q**5*t)/(r*t)),
+    "550": ("flagged", lambda l1, l2, q, t, r:
+            (l2**5 - q*l1*l2**3*(r+3) + q**2*l1**2*l2*(2*r+1) + l2**2*q**3*(t+2)
+             - l1*q**4*(t+r))/t),
+}
 
 
 def closed_form_regression(
@@ -368,13 +392,15 @@ def closed_form_regression(
     """
     if func is None or func.max_n1 < 6:
         func, _ = eigenvector_d3(params, max_n1=6)
+    l1, l2 = _lift(params.lambda1), _lift(params.lambda2)
+    zero = l1 * 0  # q, t and r enter in the scalar type of l1
     out = {}
-    for name, entry in load_closed_forms().items():
+    for name, (status, closed) in CLOSED_FORMS.items():
         label = tuple(int(c) for c in name)
-        expected = _eval_closed_form(entry["expr"], params.lambda1, params.lambda2, params.q)
+        expected = closed(l1, l2, zero + params.q, zero + params.t3, zero + params.r)
         actual = func[label]
         out[name] = {
-            "status": entry["status"],
+            "status": status,
             "match": scalars_close(actual, expected),
             "residual": actual - expected,
         }
@@ -391,23 +417,21 @@ def eigenvector_d2(lam, q: int, max_n: int) -> DomainFunction:
     f_{n+1} = lam f_n - q f_{n-1}.
 
     Every value is checked against `eigenvector_d2_closed_form`, exactly
-    for rational lam and within tolerance for complex lam; any
-    disagreement is an internal error.  A complex lam with lam^2 = 4q
-    (numerically coincident roots) routes to recursion-only mode.
+    for exact lam and within tolerance otherwise; any disagreement is an
+    internal error.  An inexact lam with lam^2 = 4q (numerically
+    coincident roots) routes to recursion-only mode.
     """
     check_prime(q)
     if max_n < 1:
         raise InvalidInputError("max_n must be >= 1")
+    lam = _lift(lam)
     # the closed form sums about n terms at every n <= max_n
     _check_eigenvector_size((lam,), q, max_n, (max_n + 1) ** 2 // 2)
-    complex_backend = isinstance(lam, complex)
-    if not complex_backend:
-        lam = Fraction(lam)
     vals: list[object] = [lam * 0 + 1, lam / (q + 1)]
     for _ in range(2, max_n + 1):
         vals.append(lam * vals[-1] - q * vals[-2])
 
-    if not (complex_backend and _degenerate_complex(lam, q)):
+    if not _degenerate_roots(lam, q):
         for n in range(max_n + 1):
             closed = eigenvector_d2_closed_form(lam, q, n)
             if not scalars_close(vals[n], closed):
@@ -418,29 +442,32 @@ def eigenvector_d2(lam, q: int, max_n: int) -> DomainFunction:
     return DomainFunction(2, q, max_n, values)
 
 
-def _degenerate_complex(lam: complex, q: int) -> bool:
+def _degenerate_roots(lam, q: int) -> bool:
+    # an exact lam never has lam^2 = 4q, since q is prime
+    if _exact(lam):
+        return False
     return abs(lam * lam - 4 * q) <= COMPLEX_TOLERANCE * max(1.0, abs(lam) ** 2)
 
 
 def eigenvector_d2_closed_form(lam, q: int, n: int):
     """f_n in closed form, independent of the recursion.
 
-    Rational lam, exactly: f_0 = 1 and f_n = lam/(q+1) U_n - q U_{n-1}
-    with U_m = sum_{k < (m+1)//2} C(m-1-k, k) lam^(m-1-2k) (-q)^k.
-    Complex lam, where that sum cancels: f_n = C r1^n + D r2^n with r_{1,2}
+    Exact lam: f_0 = 1 and f_n = lam/(q+1) U_n - q U_{n-1} with
+    U_m = sum_{k < (m+1)//2} C(m-1-k, k) lam^(m-1-2k) (-q)^k.
+    Inexact lam, where that sum cancels: f_n = C r1^n + D r2^n with r_{1,2}
     the roots of x^2 - lam x + q, C = (lam - (q+1) r2) / ((q+1) sqrt(lam^2
     - 4q)) and D = 1 - C.
     """
-    if isinstance(lam, complex):
-        if _degenerate_complex(lam, q):
+    lam = _lift(lam)
+    if not _exact(lam):
+        if _degenerate_roots(lam, q):
             raise InvalidInputError("lam^2 = 4q has no two-root closed form")
-        s = cmath.sqrt(lam * lam - 4 * q)
+        s = (lam * lam - 4 * q) ** 0.5
         r1 = (lam + s) / 2
         r2 = (lam - s) / 2
         c = (lam - (q + 1) * r2) / ((q + 1) * s)
         d = 1 - c
         return c * r1**n + d * r2**n
-    lam = Fraction(lam)
     if n == 0:
         return Fraction(1)
     return lam / (q + 1) * _lucas_u(lam, q, n) - q * _lucas_u(lam, q, n - 1)
@@ -467,7 +494,7 @@ def l2_partial_norm(f: DomainFunction):
     shells: list[object] = [Fraction(0)] * (f.max_n1 + 1)
     for u, val in f.values.items():
         weight = Fraction(1, domain.stabilizer_order(u, f.q))
-        shells[u[0]] = shells[u[0]] + _abs_sq(val) * weight
+        shells[u[0]] = shells[u[0]] + (val * val.conjugate()).real * weight
     total = sum(shells[1:], shells[0]) if shells else Fraction(0)
     return total, shells
 

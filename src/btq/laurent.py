@@ -34,8 +34,14 @@ from __future__ import annotations
 import random
 import re
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceBoundError
 from .gf import check_prime, inv_mod, left_null_vector
+
+# LaurentMatrix.from_literal refuses literals whose exponents, over all
+# entries, span more than this.  The normal form and reduction of a d = 4
+# literal grow about quadratically with the span; at 160, `btq reduce`
+# took up to 1.6 s (CPython 3.11, 2 shared Xeon cores)
+LITERAL_SPAN_BOUND = 160
 
 
 class LaurentPoly:
@@ -258,16 +264,19 @@ class LaurentPoly:
             if not m or (not first and m.group("sign") is None):
                 raise InvalidInputError(f"bad polynomial literal {text!r} at {s[pos:]!r}")
             sign = -1 if m.group("sign") == "-" else 1
-            if m.group("const") is not None:
-                c, e = int(m.group("const")), 0
-            elif m.group("coeff") is not None:
-                c, e = int(m.group("coeff")), int(m.group("exp1"))
-            elif m.group("coeff2") is not None:
-                c, e = int(m.group("coeff2")), 1
-            elif m.group("exp2") is not None:
-                c, e = 1, int(m.group("exp2"))
-            else:
-                c, e = 1, 1
+            try:
+                if m.group("const") is not None:
+                    c, e = int(m.group("const")), 0
+                elif m.group("coeff") is not None:
+                    c, e = int(m.group("coeff")), int(m.group("exp1"))
+                elif m.group("coeff2") is not None:
+                    c, e = int(m.group("coeff2")), 1
+                elif m.group("exp2") is not None:
+                    c, e = 1, int(m.group("exp2"))
+                else:
+                    c, e = 1, 1
+            except ValueError as exc:  # past Python's int-to-str digit limit
+                raise InvalidInputError("bad polynomial literal: a number is too long") from exc
             v = (out.get(e, 0) + sign * c) % q
             if v:
                 out[e] = v
@@ -485,7 +494,14 @@ class LaurentMatrix:
             and all(isinstance(x, str) for r in entries for x in r)
         ):
             raise InvalidInputError("matrix literal entries must be d lists of d strings")
-        return cls([[LaurentPoly.parse(s, q) for s in row] for row in entries], q)
+        rows = [[LaurentPoly.parse(s, q) for s in row] for row in entries]
+        exponents = [e for row in rows for x in row for e in x.coeffs]
+        if exponents and max(exponents) - min(exponents) > LITERAL_SPAN_BOUND:
+            raise ResourceBoundError(
+                f"the matrix literal spans {max(exponents) - min(exponents)} exponents, "
+                f"over the bound {LITERAL_SPAN_BOUND}"
+            )
+        return cls(rows, q)
 
 
 def _det_rows(rows: list[list[LaurentPoly]], q: int) -> LaurentPoly:

@@ -235,6 +235,6 @@ def check_export_size(d: int, q: int, max_n1: int, fmt: str) -> None:
     size = predicted_export_bytes(d, q, max_n1, fmt)
     if size > EXPORT_BYTE_BOUND:
         raise ResourceBoundError(
-            f"the {fmt} graph up to n_1 = {max_n1} would print about {size} bytes, "
+            f"the {fmt} export of the graph up to n_1 = {max_n1} would be about {size} bytes, "
             f"over the bound {EXPORT_BYTE_BOUND}"
         )

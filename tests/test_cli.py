@@ -224,10 +224,10 @@ def test_eigenvector_regression_exit_code(run, monkeypatch):
             "--max-n", "4", "--regression")
     for status, expected in (("flagged", 0), ("asserted", 4)):
         wrong = {
-            "000": {"expr": "1", "status": "asserted"},
-            "100": {"expr": "l1", "status": status},
+            "000": ("asserted", lambda l1, l2, q, t, r: 1),
+            "100": (status, lambda l1, l2, q, t, r: l1),
         }
-        monkeypatch.setattr(hecke, "load_closed_forms", lambda: wrong)
+        monkeypatch.setattr(hecke, "CLOSED_FORMS", wrong)
         code, out, err = run(*argv)
         assert code == expected
         assert json.loads(out)["regression"]["100"] == {
@@ -319,6 +319,9 @@ def test_exit_code_resource_bound(run):
         ("covolume", "--d", "100", "--max-n", "0"),
         # 23 MB of JSON, refused before the graph is built
         ("domain", "--d", "3", "--q", "2", "--max-n", "200", "--format", "json"),
+        # hecke-check builds the same graph, so the same prediction bounds it
+        ("hecke-check", "--d", "3", "--q", "2", "--max-n", "150"),
+        ("hecke-check", "--d", "1500", "--max-n", "0"),
         *EIGENVECTOR_OVER_BOUNDS,
     ):
         start = time.perf_counter()
@@ -371,6 +374,26 @@ def test_bad_matrix_file(run, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
     code, out, err = run("reduce", "--matrix", "-")
     assert code == 2 and not out and "entries" in err
+
+
+def test_matrix_literal_span_bound(run, tmp_path, monkeypatch):
+    from btq.laurent import LITERAL_SPAN_BOUND
+
+    top = f"t^{LITERAL_SPAN_BOUND}"
+    code, out, _ = run("reduce", "--matrix", matrix_file(tmp_path, [[top, "0"], ["0", "1"]]))
+    assert code == 0 and json.loads(out)["label"] == [LITERAL_SPAN_BOUND, 0]
+    # one more exponent is refused before the normal form, whatever the command
+    wide = matrix_file(tmp_path, [[top, "0"], ["0", "t^-1"]])
+    for argv in (("reduce", "--matrix", wide), ("neighbors", "--matrix", wide, "--degree", "1")):
+        start = time.perf_counter()
+        code, out, err = run(*argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 3 and not out and err.startswith("resource bound:"), argv
+    # an exponent past Python's int-to-str digit limit is invalid input
+    literal = json.dumps({"q": 2, "d": 2, "entries": [["t^" + "9" * 5000, "0"], ["0", "1"]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
+    code, out, err = run("reduce", "--matrix", "-")
+    assert code == 2 and not out and "number is too long" in err
 
 
 def test_failed_certificate_exit_code(run, tmp_path, monkeypatch):

@@ -59,6 +59,29 @@ def test_enumerate_domain():
         assert len(enumerate_domain(3, m)) == (m + 1) * (m + 2) // 2
 
 
+def enumerate_domain_recursive(d, max_n1):
+    # the label list built one coordinate at a time, d - 1 levels deep
+    labels = []
+
+    def build(prefix):
+        if len(prefix) == d - 1:
+            labels.append(tuple(prefix) + (0,))
+            return
+        for n in range((prefix[-1] if prefix else max_n1) + 1):
+            build(prefix + [n])
+
+    build([])
+    return sorted(labels)
+
+
+def test_enumerate_domain_matches_recursive_builder():
+    for d in range(2, 7):
+        for m in range(9):
+            assert enumerate_domain(d, m) == enumerate_domain_recursive(d, m), (d, m)
+    # no recursion, so a long label is no deeper than a short one
+    assert enumerate_domain(1500, 0) == [(0,) * 1500]
+
+
 def label_from_diffs(m_seq):
     """Inverse of diff_seq: n_i = sum_{j >= i} m_j, n_d = 0."""
     out = [0]
@@ -148,6 +171,27 @@ def test_pattern_order_result_size_bound():
         stabilizer_order((20000, 0), 2)
     with pytest.raises(ResourceBoundError):
         pattern_order((2000, 1000, 0), (2000, 0, 0), 7)
+
+
+def test_pattern_order_refuses_long_labels_before_the_pair_sum(monkeypatch):
+    # d^2 is checked before the d(d-1)/2 pairs are summed, so a label too
+    # long for any order is refused after one check of that lower bound
+    exponents = []
+    check = domain.check_result_size
+
+    def record(q_exponent, q, what):
+        exponents.append(q_exponent)
+        check(q_exponent, q, what)
+
+    monkeypatch.setattr(domain, "check_result_size", record)
+    d = 3000
+    with pytest.raises(ResourceBoundError):
+        stabilizer_order(tuple(range(d - 1, -1, -1)), 2)
+    assert exponents == [d * d]
+    # an accepted label passes the lower bound, then its exact exponent
+    exponents.clear()
+    assert stabilizer_order((5, 3, 0), 2) == 2**13
+    assert exponents == [9, 19]
 
 
 def test_pattern_order_validation():

@@ -10,6 +10,7 @@ from btq.domain import enumerate_domain, stabilizer_order
 from btq.errors import InvalidInputError, ResourceBoundError
 from btq.gf import gaussian_binomial, gl_order
 from btq.hecke import (
+    CLOSED_FORMS,
     COMPLEX_TOLERANCE,
     DomainFunction,
     HeckeParams,
@@ -23,7 +24,7 @@ from btq.hecke import (
     eigenvector_d2_closed_form,
     eigenvector_d3,
     l2_partial_norm,
-    load_closed_forms,
+    scalars_close,
     weighted_inner,
 )
 from btq.quotient import build_graph
@@ -166,8 +167,31 @@ def test_closed_form_regression_asserted_entries():
                 assert entry["residual"] == 0 or entry["status"] == "flagged"
 
 
+def test_integer_eigenvalues_stay_exact():
+    # ints (and floats) enter as Fractions, so the recursion, its residuals
+    # and the closed forms are exact
+    f, residuals = eigenvector_d3(HeckeParams(3, 2, 2), 6)
+    assert all(type(v) is Fraction for v in f.values.values())
+    assert residuals and all(res == 0 and type(res) is Fraction for _, res in residuals)
+    for name, entry in closed_form_regression(HeckeParams(3, 2, 2), f).items():
+        assert entry["match"] or entry["status"] == "flagged", name
+    assert closed_form_regression(HeckeParams(0.5, 3, 2))["210"]["residual"] == 0
+    g = eigenvector_d2(0.5, 3, 6)
+    assert all(type(v) is Fraction for v in g.values.values())
+    with pytest.raises(InvalidInputError):
+        eigenvector_d2(float("inf"), 3, 6)
+
+
+def test_scalars_close_forks_on_exactness():
+    tiny = Fraction(1, 10**12)
+    assert scalars_close(Fraction(1, 3), Fraction(1, 3)) and scalars_close(2, Fraction(2))
+    assert not scalars_close(Fraction(1, 3), Fraction(1, 3) + tiny)
+    assert scalars_close(1 / 3 + 0j, Fraction(1, 3) + tiny)
+    assert not scalars_close(1 + 0j, 1 + 1e-6j)
+
+
 def test_closed_form_table_covers_first_six_diagonals():
-    names = set(load_closed_forms())
+    names = set(CLOSED_FORMS)
     assert {f"{a}{b}0" for a in range(6) for b in range(a + 1)} == names
 
 
@@ -205,6 +229,37 @@ def test_root_of_unity_coloring_deep_high_precision():
         for (a, b, _), val in f.values.items():
             assert abs(complex(val) - complex(rho ** (a + b))) < 1e-9
         assert max(abs(complex(res)) for _, res in residuals) < 1e-9
+
+
+def test_mpmath_norm_commutator_and_regression():
+    import mpmath
+
+    with mpmath.workdps(30):
+        # the (rho t3, rho^2 t3) colouring, f = rho^(n_1 + n_2), so |f| = 1
+        rho = mpmath.exp(2j * mpmath.pi / 3)
+        params = HeckeParams(rho * 7, rho**2 * 7, 2)
+        f, _ = eigenvector_d3(params, 4)
+        graph = build_graph(3, 2, 4)
+        total, shells = l2_partial_norm(f)
+        partial = covolume_partial(3, 2, 4)
+        assert isinstance(total, mpmath.mpf) and all(isinstance(s, mpmath.mpf) for s in shells)
+        assert abs(total - mpmath.mpf(partial.numerator) / partial.denominator) < 1e-20
+        assert abs(weighted_inner(graph, f, f) - total) < 1e-20
+        assert commutator_check(graph, f) < 1e-20
+        report = closed_form_regression(params, f)
+        assert all(e["match"] for e in report.values() if e["status"] == "asserted")
+
+
+def test_eigenvector_d2_mpmath():
+    import mpmath
+
+    with mpmath.workdps(30):
+        lam = mpmath.mpc(1, 2)
+        f = eigenvector_d2(lam, 2, 5)  # the closed-form cross-check passes
+        for n in range(6):
+            closed = eigenvector_d2_closed_form(lam, 2, n)
+            assert abs(f[(n, 0)] - closed) < 1e-25 * max(1, abs(closed))
+        assert abs(f[(2, 0)] - (lam**2 / 3 - 2)) < 1e-25
 
 
 def test_eigenvector_d2_recursion_and_closed_form():
