@@ -30,6 +30,10 @@ from .gf import check_prime, gaussian_binomial, left_null_vector
 from .laurent import LaurentMatrix, LaurentPoly, series_inverse
 
 DEFAULT_ENUMERATION_BOUND = 100_000
+# `neighbors` refuses more predicted work than this, in the units of
+# `normal_form_work` (about a microsecond each, measured on a shared 2-core
+# x86-64 with Python 3.11)
+NEIGHBOR_WORK_BOUND = 5 * 10**6
 
 
 class BuildingVertex:
@@ -246,20 +250,43 @@ def subspace_bases(d: int, s: int, q: int):
             yield tuple(tuple(r) for r in rows)
 
 
+def normal_form_work(v: BuildingVertex) -> int:
+    """The predicted work of one normal form of a basis like v's, in the
+    units of NEIGHBOR_WORK_BOUND: d^2 (T + 40) + d s / 8, T the most terms
+    of one basis entry and s the exponent span of the basis.
+
+    The first term is the Hermite pass over entries about as dense as the
+    densest one; the second, its series inverses, which run to the
+    determinant's valuation even for a monomial basis.
+    """
+    exponents = [e for row in v.basis.rows for x in row for e in x.coeffs]
+    span = max(exponents) - min(exponents)
+    terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
+    return v.d * v.d * (terms + 40) + v.d * span // 8
+
+
 def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     """All degree-k neighbors of v: classes [L] with (1/t)L' < L < L', [L':L] = q^k.
 
     Enumerates codimension-k subspaces of the residue space L'/(1/t)L';
     returns exactly gaussian_binomial(d, k, q) pairwise-distinct vertices.
-    Above DEFAULT_ENUMERATION_BOUND residue vectors or subspaces this raises
-    ResourceBoundError before enumerating any.
+    Above DEFAULT_ENUMERATION_BOUND residue vectors or subspaces, or above
+    NEIGHBOR_WORK_BOUND predicted work, this raises ResourceBoundError
+    before enumerating any.
     """
     d, q = v.d, v.q
     if not 1 <= k <= d - 1:
         raise InvalidInputError(f"neighbor degree must be in [1, {d - 1}], got {k}")
     bound = DEFAULT_ENUMERATION_BOUND
-    if q**d > bound or gaussian_binomial(d, k, q) > bound:
+    if q**d > bound or (count := gaussian_binomial(d, k, q)) > bound:
         raise ResourceBoundError(f"residue enumeration for q^d = {q**d} exceeds bound {bound}")
+    # one normal form per neighbor
+    work = count * normal_form_work(v)
+    if work > NEIGHBOR_WORK_BOUND:
+        raise ResourceBoundError(
+            f"the degree-{k} neighbors predict {work} units of work, "
+            f"over the bound {NEIGHBOR_WORK_BOUND}"
+        )
     zero = LaurentPoly.zero(q)
     uniformizer = LaurentPoly.t_power(-1, q)
     out = []

@@ -46,13 +46,12 @@ def check_result_size(q_exponent: int, q: int, what: str) -> None:
 
 
 def validate_label(label) -> tuple[int, ...]:
-    label = tuple(int(n) for n in label)
-    d = len(label)
-    if d < 2:
+    label = tuple(map(int, label))
+    if len(label) < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     if label[-1] != 0:
         raise InvalidInputError(f"label must end in 0, got {label}")
-    if any(label[i] < label[i + 1] for i in range(d - 1)):
+    if list(label) != sorted(label, reverse=True):
         raise InvalidInputError(f"label must be weakly decreasing, got {label}")
     return label
 
@@ -138,21 +137,28 @@ def neighbors_in_domain(label, k: int) -> list[tuple[int, ...]]:
     """All domain labels adjacent to `label` by a degree-k edge.
 
     Each one lowers a suffix of every block of the label by one, the suffix
-    lengths summing to k, and is renormalized.  For k = 1 the count is
-    1 + |m|.  Alternating changes of the difference sequence give the same
-    set independently; the tests use them as the oracle.
+    lengths summing to k, and is renormalized: when the zero block drops,
+    every entry rises by one.  For k = 1 the count is 1 + |m|.  Distinct
+    drops give distinct labels, since 1 <= k <= d - 1.  Alternating changes
+    of the difference sequence give the same set independently; the tests
+    use them as the oracle.
     """
     label = validate_label(label)
     d = len(label)
     if not 1 <= k <= d - 1:
         raise InvalidInputError(f"degree must be in [1, {d - 1}], got {k}")
-    sizes, _ = block_seq(label)
-    found: set[tuple[int, ...]] = set()
-    for drops in product(*(range(min(size, k) + 1) for size in sizes)):
+    ends = [i for i in range(1, d) if label[i - 1] != label[i]] + [d]
+    blocks = [(label[end - 1], end - start) for start, end in zip([0] + ends, ends)]
+    out = []
+    for drops in product(*(range(min(size, k) + 1) for _, size in blocks)):
         if sum(drops) == k:
-            v = [x for size, s in zip(sizes, drops) for x in [0] * (size - s) + [-1] * s]
-            found.add(_normalize([n + x for n, x in zip(label, v)]))
-    return sorted(found)
+            lift = 1 if drops[-1] else 0
+            entries: list[int] = []
+            for (n, size), s in zip(blocks, drops):
+                entries += [n + lift] * (size - s) + [n + lift - 1] * s
+            out.append(tuple(entries))
+    out.sort()
+    return out
 
 
 def friends(label) -> dict[int, tuple[int, ...]]:

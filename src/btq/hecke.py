@@ -2,15 +2,17 @@
 
 One scalar rule covers every function here.  Exact input (int, float or
 Fraction) becomes a Fraction where it enters, and everything computed
-from it stays exact; the d = 2 closed form is then a binomial sum over Q.
-Any other scalar (Python complex, mpmath mpf/mpc for high-precision runs)
-goes through the number protocol only: `x.conjugate()`, `abs(x)`,
-`(x * x.conjugate()).real` and `** 0.5`, and is compared within
-COMPLEX_TOLERANCE relative to its size.  The tabulated d = 3 closed forms
-are the code in CLOSED_FORMS.  Operator application at a truncation
-boundary yields an explicit undefined marker (the vertex is simply absent
-from the result), never a silent zero: zero-padding would fabricate
-boundary conditions and corrupt the commutator and adjointness identities.
+from it stays exact; for lam = a/b the d = 2 closed form is an integer
+binomial sum over (q+1) b^n, and the commutator and adjointness checks
+run on the values scaled to integers.  Any other scalar (Python complex,
+mpmath mpf/mpc for high-precision runs) goes through the number protocol
+only: `x.conjugate()`, `abs(x)`, `(x * x.conjugate()).real` and `** 0.5`,
+and is compared within COMPLEX_TOLERANCE relative to its size.  The
+tabulated d = 3 closed forms are the code in CLOSED_FORMS.  Operator
+application at a truncation boundary yields an explicit undefined marker
+(the vertex is simply absent from the result), never a silent zero:
+zero-padding would fabricate boundary conditions and corrupt the
+commutator and adjointness identities.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log2
+from math import comb, lcm, log2
 
 from . import domain
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
@@ -196,14 +198,29 @@ def apply_hecke(graph: QuotientGraph, i: int, f: DomainFunction) -> DomainFuncti
     return DomainFunction(d, graph.q, graph.max_n1, out)
 
 
+def _integer_scaled(f: DomainFunction):
+    """(F, scale): F = scale * f with int values, scale the lcm of the value
+    denominators; None if some value of f is not exact."""
+    vals = f.values.values()
+    if not all(_exact(x) for x in vals):
+        return None
+    scale = lcm(*(x.denominator for x in vals))
+    scaled = {u: x.numerator * (scale // x.denominator) for u, x in f.values.items()}
+    return DomainFunction(f.d, f.q, f.max_n1, scaled), scale
+
+
 def commutator_check(graph: QuotientGraph, f: DomainFunction):
     """Max |(A_1 A_2 - A_2 A_1) f| over the doubly-interior vertices.
 
-    Exactly zero for exact scalars.  Raises if the truncation is too
-    small to contain any doubly-interior vertex.
+    Exactly zero for exact scalars, which run on f scaled to integers (the
+    ratios are integers) and give a Fraction.  Raises if the truncation is
+    too small to contain any doubly-interior vertex.
     """
     if graph.d != 3:
         raise InvalidInputError("the commutator check is for d = 3")
+    scaled = _integer_scaled(f)
+    if scaled is not None:
+        f, scale = scaled
     a12 = apply_hecke(graph, 1, apply_hecke(graph, 2, f))
     a21 = apply_hecke(graph, 2, apply_hecke(graph, 1, f))
     common = set(a12.values) & set(a21.values)
@@ -213,7 +230,7 @@ def commutator_check(graph: QuotientGraph, f: DomainFunction):
     for u in sorted(common):
         r = abs(a12.values[u] - a21.values[u])
         residual = r if residual is None else max(residual, r)
-    return residual
+    return residual if scaled is None else Fraction(residual, scale)
 
 
 def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
@@ -241,10 +258,17 @@ def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
 
 
 def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
-    """<A_1 f, g> - <f, A_{d-1} g>; exactly zero for compact supports."""
+    """<A_1 f, g> - <f, A_{d-1} g>; exactly zero for compact supports.
+
+    Exact f and g run scaled to integers and give a Fraction."""
+    scaled_f, scaled_g = _integer_scaled(f), _integer_scaled(g)
+    exact = scaled_f is not None and scaled_g is not None
+    if exact:
+        (f, scale_f), (g, scale_g) = scaled_f, scaled_g
     a1f = apply_hecke(graph, 1, f)
     a2g = apply_hecke(graph, graph.d - 1, g)
-    return weighted_inner(graph, a1f, g) - weighted_inner(graph, f, a2g)
+    residual = weighted_inner(graph, a1f, g) - weighted_inner(graph, f, a2g)
+    return Fraction(residual, scale_f * scale_g) if exact else residual
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +476,11 @@ def _degenerate_roots(lam, q: int) -> bool:
 def eigenvector_d2_closed_form(lam, q: int, n: int):
     """f_n in closed form, independent of the recursion.
 
-    Exact lam: f_0 = 1 and f_n = lam/(q+1) U_n - q U_{n-1} with
-    U_m = sum_{k < (m+1)//2} C(m-1-k, k) lam^(m-1-2k) (-q)^k.
+    Exact lam = a/b: f_0 = 1 and f_n = lam/(q+1) U_n - q U_{n-1} with the
+    Lucas sequence U_m = sum_{k < (m+1)//2} C(m-1-k, k) lam^(m-1-2k) (-q)^k
+    of x^2 - lam x + q.  S_m = b^(m-1) U_m = sum_k C(m-1-k, k) a^(m-1-2k)
+    (-q b^2)^k is an integer, so f_n = (a S_n - q(q+1) b^2 S_{n-1}) /
+    ((q+1) b^n) is one Fraction over an integer sum.
     Inexact lam, where that sum cancels: f_n = C r1^n + D r2^n with r_{1,2}
     the roots of x^2 - lam x + q, C = (lam - (q+1) r2) / ((q+1) sqrt(lam^2
     - 4q)) and D = 1 - C.
@@ -470,13 +497,15 @@ def eigenvector_d2_closed_form(lam, q: int, n: int):
         return c * r1**n + d * r2**n
     if n == 0:
         return Fraction(1)
-    return lam / (q + 1) * _lucas_u(lam, q, n) - q * _lucas_u(lam, q, n - 1)
+    a, b = lam.numerator, lam.denominator
+    c = -q * b * b
+    top = a * _lucas_s(a, c, n) + (q + 1) * c * _lucas_s(a, c, n - 1)
+    return Fraction(top, (q + 1) * b**n)
 
 
-def _lucas_u(lam: Fraction, q: int, m: int) -> Fraction:
-    # U_0 = 0, U_1 = 1, U_{m+1} = lam U_m - q U_{m-1}
-    terms = (comb(m - 1 - k, k) * lam ** (m - 1 - 2 * k) * (-q) ** k for k in range((m + 1) // 2))
-    return sum(terms, Fraction(0))
+def _lucas_s(a: int, c: int, m: int) -> int:
+    # b^(m-1) U_m for lam = a/b and c = -q b^2: an integer
+    return sum(comb(m - 1 - k, k) * a ** (m - 1 - 2 * k) * c**k for k in range((m + 1) // 2))
 
 
 # ---------------------------------------------------------------------------

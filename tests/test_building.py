@@ -290,6 +290,25 @@ def test_neighbor_guard(monkeypatch):
         neighbors(standard_vertex(3, 2), 1)
 
 
+def test_neighbor_work_bound(monkeypatch):
+    # a monomial basis costs by its exponent span: d^2 (1 + 40) + d * 800 / 8
+    assert building.normal_form_work(vertex_from_label((800, 0, 0), 5)) == 9 * 41 + 300
+    # a dense one by its terms, here more than 20 in one entry
+    dense = vertex_normal_form(random_gamma(3, 5, 40, 2) * LaurentMatrix.diagonal((2, 1, 0), 5))
+    work = 31 * building.normal_form_work(dense)  # 31 neighbors
+    assert work > 31 * 9 * (20 + 40)
+    monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", work)
+    assert len(neighbors(dense, 1)) == 31
+    monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", work - 1)
+    with pytest.raises(ResourceBoundError):
+        neighbors(dense, 1)
+    monkeypatch.undo()
+    # 89,000 neighbors at q = 17, and a monomial vertex a billion exponents wide
+    for v, k in ((standard_vertex(4, 17), 2), (vertex_from_label((10**9, 0, 0), 3), 1)):
+        with pytest.raises(ResourceBoundError):
+            neighbors(v, k)
+
+
 def test_subspace_bases_count():
     for q in (2, 3):
         for d in (2, 3, 4):

@@ -322,6 +322,10 @@ def test_exit_code_resource_bound(run):
         # hecke-check builds the same graph, so the same prediction bounds it
         ("hecke-check", "--d", "3", "--q", "2", "--max-n", "150"),
         ("hecke-check", "--d", "1500", "--max-n", "0"),
+        # refused by predicted work: about 89,000 normal forms, and a basis
+        # a billion exponents wide
+        ("neighbors", "--n", "0,0,0,0", "--q", "17", "--degree", "2"),
+        ("neighbors", "--n", "1000000000,0,0", "--q", "3", "--degree", "1"),
         *EIGENVECTOR_OVER_BOUNDS,
     ):
         start = time.perf_counter()

@@ -2,7 +2,9 @@
 
 import cmath
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -113,6 +115,69 @@ def test_adjointness_exact():
         f = DomainFunction(3, q, N, fv)
         h = DomainFunction(3, q, N, gv)
         assert adjointness_residual(g, f, h) == 0
+
+
+def one_wrong_ratio(d, q, max_n1):
+    """The graph with the ratio of one edge out of the zero label off by one."""
+    g = build_graph(d, q, max_n1)
+    edges = g.out_edges[(0,) * d]
+    edges[0] = replace(edges[0], ratio_from=edges[0].ratio_from + 1)
+    return g
+
+
+def direct_commutator(g, f):
+    """max |(A_1 A_2 - A_2 A_1) f|, the operators applied to f unscaled."""
+    a12 = apply_hecke(g, 1, apply_hecke(g, 2, f))
+    a21 = apply_hecke(g, 2, apply_hecke(g, 1, f))
+    return max(abs(a12.values[u] - a21.values[u]) for u in set(a12.values) & set(a21.values))
+
+
+def direct_adjointness(g, f, h):
+    """<A_1 f, h> - <f, A_{d-1} h>, the operators applied unscaled."""
+    a1f = apply_hecke(g, 1, f)
+    a2h = apply_hecke(g, g.d - 1, h)
+    return weighted_inner(g, a1f, h) - weighted_inner(g, f, a2h)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "mixed"])
+def test_integer_scaled_checks_match_direct_sums(kind):
+    q, N = 2, 8
+    g = one_wrong_ratio(3, q, N)
+    rng = random.Random(kind)
+    interior = {u for u in g.nodes if u[0] + 2 <= N}
+
+    def value(u):
+        if u not in interior:
+            return 0 if kind == "int" else Fraction(0)
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-50, 50)
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+
+    f = DomainFunction(3, q, N, {u: value(u) for u in g.nodes})
+    h = DomainFunction(3, q, N, {u: value(u) for u in g.nodes})
+    commutator = commutator_check(g, f)
+    adjointness = adjointness_residual(g, f, h)
+    assert type(commutator) is Fraction and commutator != 0
+    assert commutator == direct_commutator(g, f)
+    assert type(adjointness) is Fraction and adjointness != 0
+    assert adjointness == direct_adjointness(g, f, h)
+
+
+def test_integer_scaled_checks_leave_complex_input_generic():
+    q, N = 2, 6
+    g = one_wrong_ratio(3, q, N)
+    rng = random.Random(3)
+    interior = {u for u in g.nodes if u[0] + 2 <= N}
+    vals = {u: complex(rng.randint(-9, 9), rng.randint(-9, 9)) if u in interior else 0j
+            for u in g.nodes}
+    f = DomainFunction(3, q, N, vals)
+    # one complex value sends an otherwise exact function down the generic path
+    mixed = DomainFunction(3, q, N, {**f.values, (0, 0, 0): Fraction(1, 3)})
+    for func in (f, mixed):
+        commutator = commutator_check(g, func)
+        assert type(commutator) is float and commutator == direct_commutator(g, func)
+        adjointness = adjointness_residual(g, func, f)
+        assert type(adjointness) is complex and adjointness == direct_adjointness(g, func, f)
 
 
 def test_weighted_inner_rejects_lossy_pairing():
@@ -292,6 +357,29 @@ def test_eigenvector_d2_closed_form_values():
                 assert type(closed) is Fraction and closed == value, (q, lam, n)
     # lam = q+1 gives the all-ones vector; the same sum in floats is far off
     assert all(eigenvector_d2_closed_form(Fraction(6), 5, n) == 1 for n in range(40))
+
+
+def lucas_u(lam, q, m):
+    """U_m = sum_k C(m-1-k, k) lam^(m-1-2k) (-q)^k, summed as Fractions."""
+    terms = (comb(m - 1 - k, k) * lam ** (m - 1 - 2 * k) * (-q) ** k for k in range((m + 1) // 2))
+    return sum(terms, Fraction(0))
+
+
+def test_eigenvector_d2_closed_form_matches_binomial_sum():
+    # f_n = lam/(q+1) U_n - q U_{n-1}, the closed form as a sum over Q
+    grid = {Fraction(a, b) for a in range(-60, 61) for b in range(1, 16)}
+    for q in (2, 3, 5, 7, 11, 13):
+        for lam in sorted(grid | {Fraction(q + 1)}):
+            # every depth to 40 for q + 1 and on a sub-grid, the first and
+            # last ones elsewhere: the Fraction sums to depth 40 take about
+            # 5 ms per eigenvalue
+            every = lam == q + 1 or (lam.denominator in (1, 15) and abs(lam.numerator) <= 10)
+            depths = range(41) if every else (0, 1, 2, 40)
+            u = {m: lucas_u(lam, q, m) for n in depths for m in (n - 1, n) if m >= 0}
+            for n in depths:
+                closed = eigenvector_d2_closed_form(lam, q, n)
+                expected = Fraction(1) if n == 0 else lam / (q + 1) * u[n] - q * u[n - 1]
+                assert type(closed) is Fraction and closed == expected, (lam, q, n)
 
 
 def test_eigenvector_d2_complex_backend():
