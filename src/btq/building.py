@@ -29,10 +29,10 @@ from .errors import (
 from .gf import check_prime, gaussian_binomial, left_null_vector
 from .laurent import LaurentMatrix, LaurentPoly, series_inverse
 
-DEFAULT_ENUMERATION_BOUND = 100_000
-# `neighbors` refuses more predicted work than this, in the units of
-# `normal_form_work` (about a microsecond each, measured on a shared 2-core
-# x86-64 with Python 3.11)
+# The one bound on predicted work, about a microsecond per unit (measured on
+# a shared 2-core x86-64 with Python 3.11): `neighbors` costs one
+# `normal_form_work` per neighbor, and the CLI checks label commands and
+# matrix literals against it before it builds anything
 NEIGHBOR_WORK_BOUND = 5 * 10**6
 
 
@@ -177,12 +177,8 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
             piv = [zero] * r + [LaurentPoly.t_power(a, q)]
         # from here on, rows 0..r-1 are needed modulo the new u^modulus only
         modulus += a
-        unit = piv[r].shift(-a)
-        if unit.coeffs != {0: 1}:
-            inv = series_inverse(unit, modulus - 1)
-            head = [x.mul_above(inv, -modulus) for x in piv[:r]]
-        else:
-            head = [x.part_above(-modulus) for x in piv[:r]]
+        inv = series_inverse(piv[r].shift(-a), modulus - 1)
+        head = [x.mul_above(inv, -modulus) for x in piv[:r]]
         piv = head + [LaurentPoly.t_power(a, q)]
         for j, col in enumerate(cols):
             # the next row's truncation drops every term at or below -modulus
@@ -250,19 +246,68 @@ def subspace_bases(d: int, s: int, q: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def normal_form_work(v: BuildingVertex) -> int:
-    """The predicted work of one normal form of a basis like v's, in the
-    units of NEIGHBOR_WORK_BOUND: d^2 (T + 40) + d s / 8, T the most terms
-    of one basis entry and s the exponent span of the basis.
+def check_work(work: int, what: str) -> None:
+    """Raise ResourceBoundError when `what` predicts more than
+    NEIGHBOR_WORK_BOUND units of work."""
+    if work > NEIGHBOR_WORK_BOUND:
+        raise ResourceBoundError(
+            f"the predicted work of {what} is {work} units, over the bound {NEIGHBOR_WORK_BOUND}"
+        )
 
-    The first term is the Hermite pass over entries about as dense as the
-    densest one; the second, its series inverses, which run to the
-    determinant's valuation even for a monomial basis.
+
+def matrix_work(m: LaurentMatrix) -> int:
+    """The predicted work of the normal form and domain reduction of an
+    arbitrary matrix m, in the units of NEIGHBOR_WORK_BOUND.
+
+    With T the most terms of one entry of m and s its exponent span, the
+    intermediate entries hold up to w = d s + 1 terms.  Each polynomial
+    product costs 3 units plus 1/16 unit per coefficient product: the
+    determinant takes d 2^(d-1) products of an entry by a minor (T w
+    coefficient products each), and the Hermite pass, its certificate and
+    the domain reduction about d^3 / 4 products of entries that may fill
+    up (w^2 each).
     """
-    exponents = [e for row in v.basis.rows for x in row for e in x.coeffs]
-    span = max(exponents) - min(exponents)
-    terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
-    return v.d * v.d * (terms + 40) + v.d * span // 8
+    d = m.d
+    exponents = [e for row in m.rows for x in row for e in x.coeffs]
+    window = d * (max(exponents) - min(exponents) if exponents else 0) + 1
+    terms = max(len(x.coeffs) for row in m.rows for x in row)
+    return ((d << (d - 1)) * (48 + terms * window) + d**3 * (12 + window * window // 4)) // 16
+
+
+def relative_position_work(d: int) -> int:
+    """The predicted work of the relative position of two vertices of B_d
+    with monomial entries (label vertices), in the units of
+    NEIGHBOR_WORK_BOUND: d^3, one back-substitution and one elimination."""
+    return d**3
+
+
+def normal_form_work(d: int, terms: int) -> int:
+    """The predicted work of one normal form of a d x d basis whose entries
+    have at most `terms` terms, in the units of NEIGHBOR_WORK_BOUND:
+    d^2 (terms + 40), a Hermite pass over entries about as dense as the
+    densest one."""
+    return d * d * (terms + 40)
+
+
+def check_neighbor_work(d: int, k: int, q: int, terms: int = 1) -> None:
+    """Refuse the degree-k neighbors of a vertex of B_d over F_q, whose
+    basis entries have at most `terms` terms, when their predicted work,
+    one `normal_form_work` per neighbor, is above NEIGHBOR_WORK_BOUND.
+    Needs only the sizes, so the CLI runs it on a label before the d x d
+    basis exists."""
+    check_prime(q)
+    if not 1 <= k <= d - 1:
+        raise InvalidInputError(f"neighbor degree must be in [1, {d - 1}], got {k}")
+    # the count is at least q^(k(d-k)) >= 2^(k(d-k)), so a long label is
+    # refused before its Gaussian binomial is formed
+    if k * (d - k) < NEIGHBOR_WORK_BOUND.bit_length():
+        work = gaussian_binomial(d, k, q) * normal_form_work(d, terms)
+        if work <= NEIGHBOR_WORK_BOUND:
+            return
+    raise ResourceBoundError(
+        f"the predicted work of the degree-{k} neighbors at d = {d}, q = {q} "
+        f"is over the bound {NEIGHBOR_WORK_BOUND}"
+    )
 
 
 def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
@@ -270,23 +315,12 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
 
     Enumerates codimension-k subspaces of the residue space L'/(1/t)L';
     returns exactly gaussian_binomial(d, k, q) pairwise-distinct vertices.
-    Above DEFAULT_ENUMERATION_BOUND residue vectors or subspaces, or above
-    NEIGHBOR_WORK_BOUND predicted work, this raises ResourceBoundError
-    before enumerating any.
+    Above NEIGHBOR_WORK_BOUND predicted work (`check_neighbor_work`), this
+    raises ResourceBoundError before enumerating any.
     """
     d, q = v.d, v.q
-    if not 1 <= k <= d - 1:
-        raise InvalidInputError(f"neighbor degree must be in [1, {d - 1}], got {k}")
-    bound = DEFAULT_ENUMERATION_BOUND
-    if q**d > bound or (count := gaussian_binomial(d, k, q)) > bound:
-        raise ResourceBoundError(f"residue enumeration for q^d = {q**d} exceeds bound {bound}")
-    # one normal form per neighbor
-    work = count * normal_form_work(v)
-    if work > NEIGHBOR_WORK_BOUND:
-        raise ResourceBoundError(
-            f"the degree-{k} neighbors predict {work} units of work, "
-            f"over the bound {NEIGHBOR_WORK_BOUND}"
-        )
+    terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
+    check_neighbor_work(d, k, q, terms)
     zero = LaurentPoly.zero(q)
     uniformizer = LaurentPoly.t_power(-1, q)
     out = []
@@ -334,10 +368,8 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
         piv = rows.pop(r)
         a = -piv[c].degree()
         modulus -= a
-        unit = piv[c].shift(a)
-        if unit.coeffs != {0: 1}:
-            inv = series_inverse(unit, modulus - 1)
-            piv = [e * inv for e in piv]
+        inv = series_inverse(piv[c].shift(a), modulus - 1)
+        piv = [e * inv for e in piv]
         for i, row in enumerate(rows):
             f = row[c].shift(a)
             rows[i] = [

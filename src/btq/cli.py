@@ -57,7 +57,9 @@ def _load_matrix(path: str) -> LaurentMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"matrix file is not valid JSON: {exc}") from exc
-    return LaurentMatrix.from_literal(obj)
+    mat = LaurentMatrix.from_literal(obj)
+    building.check_work(building.matrix_work(mat), f"the d = {mat.d} matrix literal")
+    return mat
 
 
 def _emit(data: bytes | str):
@@ -85,12 +87,18 @@ def _cmd_neighbors(args) -> int:
     if args.n is not None:
         label = domain.parse_label(args.n)
         if args.in_domain:
+            work = domain.in_domain_work(label, args.degree)
+            building.check_work(work, f"the degree-{args.degree} in-domain neighbors")
             labels = domain.neighbors_in_domain(label, args.degree)
             _emit("\n".join(domain.format_label(l) for l in labels) + "\n")
             return 0
+        building.check_neighbor_work(len(label), args.degree, args.q)
         vertex = building.vertex_from_label(label, args.q)
     else:
-        vertex = building.vertex_normal_form(_load_matrix(args.matrix))
+        mat = _load_matrix(args.matrix)
+        # the count alone may refuse them, before the normal form
+        building.check_neighbor_work(mat.d, args.degree, mat.q)
+        vertex = building.vertex_normal_form(mat)
     nbrs = building.neighbors(vertex, args.degree)
     out = [v.to_literal() for v in nbrs]
     _emit(json.dumps(out, indent=2, sort_keys=True) + "\n")
@@ -103,7 +111,7 @@ def _cmd_stabilizer(args) -> int:
     if not args.enumerate:
         _emit(f"{order}\n")
         return 0
-    group = domain.stabilizer_enumerate(label, args.q, args.bound)
+    group = domain.stabilizer_enumerate(label, args.q)
     lines = [f"order {order}", f"enumerated {len(group)}"]
     for g in group:
         lines.append("; ".join(", ".join(str(x) for x in row) for row in g.rows))
@@ -248,6 +256,8 @@ def _scalar_str(x) -> str:
 def _cmd_distance(args) -> int:
     lab1 = domain.parse_label(args.n)
     lab2 = domain.parse_label(args.m)
+    d = max(len(lab1), len(lab2))
+    building.check_work(building.relative_position_work(d), f"a distance at d = {d}")
     v1 = building.vertex_from_label(lab1, args.q)
     v2 = building.vertex_from_label(lab2, args.q)
     bfs = building.bfs_distance(v1, v2, args.radius)
@@ -299,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", required=True)
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--enumerate", action="store_true")
-    sp.add_argument("--bound", type=int, default=domain.DEFAULT_GROUP_BOUND)
     sp.set_defaults(func=_cmd_stabilizer)
 
     sp = sub.add_parser("reduce", help="reduce a matrix's lattice class into the domain")

@@ -14,7 +14,7 @@ to its unique domain label together with a group-element witness.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
-from math import comb, log2
+from math import comb, log2, prod
 
 from .building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
 from .errors import (
@@ -26,6 +26,7 @@ from .errors import (
 from .gf import check_prime, left_null_vector
 from .laurent import LaurentMatrix, LaurentPoly
 
+# stabilizer_enumerate refuses groups of larger order than this
 DEFAULT_GROUP_BOUND = 10**6
 # enumerate_domain refuses to list more labels than this
 LABEL_COUNT_BOUND = 10**6
@@ -33,6 +34,9 @@ LABEL_COUNT_BOUND = 10**6
 # two such fractions and their difference print within Python's 4300-digit
 # int-to-str limit
 RESULT_BIT_BOUND = 7000
+# _gl_matrices refuses to scan more candidate matrices than this; the group
+# bound does not imply it (at q = 97 the stabilizer of (0, 0) has order
+# 912,576, but GL_2(F_97) has 97^4 candidates)
 _GL_CANDIDATE_BOUND = 2 * 10**6
 
 
@@ -133,6 +137,23 @@ def enumerate_domain(d: int, max_n1: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _blocks(label, k: int) -> list[tuple[int, int]]:
+    """The (value, size) blocks of a valid label, for a degree k in [1, d - 1]."""
+    sizes, values = block_seq(label)
+    d = sum(sizes)
+    if not 1 <= k <= d - 1:
+        raise InvalidInputError(f"degree must be in [1, {d - 1}], got {k}")
+    return list(zip(values, sizes))
+
+
+def in_domain_work(label, k: int) -> int:
+    """The predicted work of `neighbors_in_domain(label, k)` and of printing
+    its result, in the units of building.NEIGHBOR_WORK_BOUND: d / 4 for
+    each drop combination it tries, prod(min(size, k) + 1) over the blocks."""
+    blocks = _blocks(label, k)
+    return len(label) * prod(min(size, k) + 1 for _, size in blocks) // 4
+
+
 def neighbors_in_domain(label, k: int) -> list[tuple[int, ...]]:
     """All domain labels adjacent to `label` by a degree-k edge.
 
@@ -143,12 +164,7 @@ def neighbors_in_domain(label, k: int) -> list[tuple[int, ...]]:
     of the difference sequence give the same set independently; the tests
     use them as the oracle.
     """
-    label = validate_label(label)
-    d = len(label)
-    if not 1 <= k <= d - 1:
-        raise InvalidInputError(f"degree must be in [1, {d - 1}], got {k}")
-    ends = [i for i in range(1, d) if label[i - 1] != label[i]] + [d]
-    blocks = [(label[end - 1], end - start) for start, end in zip([0] + ends, ends)]
+    blocks = _blocks(label, k)
     out = []
     for drops in product(*(range(min(size, k) + 1) for _, size in blocks)):
         if sum(drops) == k:
@@ -272,10 +288,9 @@ def _gl_matrices(m: int, q: int):
     return _GL_CACHE[key]
 
 
-def stabilizer_enumerate(
-    label, q: int, bound: int = DEFAULT_GROUP_BOUND
-) -> list[LaurentMatrix]:
-    """Materialize the full vertex stabilizer modulo scalars.
+def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
+    """Materialize the full vertex stabilizer modulo scalars, or raise
+    ResourceBoundError when its order is above DEFAULT_GROUP_BOUND.
 
     Elements are block upper-triangular matrices over F_q[t]: diagonal
     blocks invertible over F_q, and each entry of an off-diagonal block
@@ -286,9 +301,9 @@ def stabilizer_enumerate(
     label = validate_label(label)
     check_prime(q)
     predicted = stabilizer_order(label, q)
-    if predicted > bound:
+    if predicted > DEFAULT_GROUP_BOUND:
         raise ResourceBoundError(
-            f"stabilizer of {label} has order {predicted}, over the bound {bound}"
+            f"stabilizer of {label} has order {predicted}, over the bound {DEFAULT_GROUP_BOUND}"
         )
     sizes, values = block_seq(label)
     r = len(sizes)
@@ -350,12 +365,10 @@ def stabilizer_degree_pattern_ok(gamma: LaurentMatrix, label) -> bool:
     )
 
 
-def edge_stabilizer_brute(
-    label1, label2, q: int, bound: int = DEFAULT_GROUP_BOUND
-) -> int:
+def edge_stabilizer_brute(label1, label2, q: int) -> int:
     """|Gamma_{label1} intersect Gamma_{label2}| by full enumeration plus
     the exact degree-pattern membership test."""
-    group = stabilizer_enumerate(label1, q, bound)
+    group = stabilizer_enumerate(label1, q)
     return sum(1 for g in group if stabilizer_degree_pattern_ok(g, label2))
 
 

@@ -18,7 +18,7 @@ class SingularMatrixError(InvalidInputError):
 
 
 class ResourceBoundError(BtqError):
-    """A configurable enumeration or size bound was exceeded."""
+    """An enumeration, size or predicted-work bound was exceeded."""
 
 
 class InternalInvariantError(BtqError):

@@ -6,6 +6,7 @@ off it.
 """
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -285,28 +286,44 @@ def test_neighbors_contain_diagonal_shapes():
 def test_neighbor_guard(monkeypatch):
     with pytest.raises(InvalidInputError):
         neighbors(standard_vertex(3, 2), 3)
-    monkeypatch.setattr(building, "DEFAULT_ENUMERATION_BOUND", 3)
+    # 7 neighbors, one normal form of 9 * 41 units each
+    monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", 7 * 9 * 41 - 1)
     with pytest.raises(ResourceBoundError):
         neighbors(standard_vertex(3, 2), 1)
+    monkeypatch.undo()
+    # the work bound is the only gate: q^d = 100,489 residue vectors are fine
+    assert len(neighbors(standard_vertex(2, 317), 1)) == 318
 
 
 def test_neighbor_work_bound(monkeypatch):
-    # a monomial basis costs by its exponent span: d^2 (1 + 40) + d * 800 / 8
-    assert building.normal_form_work(vertex_from_label((800, 0, 0), 5)) == 9 * 41 + 300
-    # a dense one by its terms, here more than 20 in one entry
+    # d^2 (T + 40) per normal form, whatever the exponent span
+    assert building.normal_form_work(3, 1) == 9 * 41
     dense = vertex_normal_form(random_gamma(3, 5, 40, 2) * LaurentMatrix.diagonal((2, 1, 0), 5))
-    work = 31 * building.normal_form_work(dense)  # 31 neighbors
-    assert work > 31 * 9 * (20 + 40)
+    terms = max(len(x.coeffs) for row in dense.basis.rows for x in row)
+    assert terms > 20
+    work = 31 * building.normal_form_work(3, terms)  # 31 neighbors
     monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", work)
     assert len(neighbors(dense, 1)) == 31
     monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", work - 1)
     with pytest.raises(ResourceBoundError):
         neighbors(dense, 1)
     monkeypatch.undo()
-    # 89,000 neighbors at q = 17, and a monomial vertex a billion exponents wide
-    for v, k in ((standard_vertex(4, 17), 2), (vertex_from_label((10**9, 0, 0), 3), 1)):
+    # monomial vertices far from the origin cost no more than the origin
+    for label in ((10**6, 0, 0), (10**9, 7, 0)):
+        start = time.perf_counter()
+        assert len(neighbors(vertex_from_label(label, 3), 1)) == 13
+        assert time.perf_counter() - start < 0.5, label
+    # 89,000 neighbors at q = 17
+    with pytest.raises(ResourceBoundError):
+        neighbors(standard_vertex(4, 17), 2)
+    # sizes alone decide, before any basis of a long label exists
+    start = time.perf_counter()
+    for d, k in ((12000, 1), (12000, 6000), (24, 12)):
         with pytest.raises(ResourceBoundError):
-            neighbors(v, k)
+            building.check_neighbor_work(d, k, 2)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(InvalidInputError):
+        building.check_neighbor_work(12000, 12000, 2)
 
 
 def test_subspace_bases_count():

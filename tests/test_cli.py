@@ -2,8 +2,10 @@
 
 import io
 import json
+import random
 import sys
 import time
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btq.cli import main
-from btq.laurent import LaurentMatrix, LaurentPoly
+from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma
 
 
 @pytest.fixture()
@@ -24,9 +26,9 @@ def run(capsys):
     return invoke
 
 
-def matrix_file(tmp_path, entries, q=2):
+def matrix_file(tmp_path, entries, q=2, name="matrix.json"):
     m = LaurentMatrix([[LaurentPoly.parse(s, q) for s in row] for row in entries], q)
-    path = tmp_path / "matrix.json"
+    path = tmp_path / name
     path.write_text(json.dumps(m.to_literal()))
     return str(path)
 
@@ -304,9 +306,24 @@ EIGENVECTOR_OVER_BOUNDS = [
 ]
 
 
+def _label(entries):
+    return ",".join(map(str, entries))
+
+
+# long labels, refused from their sizes before any d x d basis is built
+LONG_LABELS_OVER_BOUNDS = [
+    ("neighbors", "--n", _label([0] * 12000), "--degree", "1"),
+    ("neighbors", "--n", _label(range(23, -1, -1)), "--degree", "12", "--in-domain"),
+    ("distance", "--n", _label([0] * 200), "--m", _label([1] * 199 + [0])),
+    ("distance", "--n", _label([0] * 12000), "--m", "0,0"),
+]
+
+
 def test_exit_code_resource_bound(run):
-    code, _, err = run("stabilizer", "--n", "9,5,0", "--q", "3", "--enumerate", "--bound", "100")
-    assert code == 3 and "bound" in err
+    # the group order is the one bound of an enumeration; it has no override
+    with pytest.raises(SystemExit) as exc:
+        main(["stabilizer", "--n", "1,0", "--enumerate", "--bound", "100"])
+    assert exc.value.code == 2
     code, out, err = run("covolume", "--d", "22")
     assert code == 3 and not out and "labels" in err
     code, out, _ = run("covolume", "--d", "22", "--max-n", "2")
@@ -322,10 +339,11 @@ def test_exit_code_resource_bound(run):
         # hecke-check builds the same graph, so the same prediction bounds it
         ("hecke-check", "--d", "3", "--q", "2", "--max-n", "150"),
         ("hecke-check", "--d", "1500", "--max-n", "0"),
-        # refused by predicted work: about 89,000 normal forms, and a basis
-        # a billion exponents wide
+        # a group of order 242,121,642
+        ("stabilizer", "--n", "8,0", "--q", "7", "--enumerate"),
+        # refused by predicted work: about 89,000 normal forms
         ("neighbors", "--n", "0,0,0,0", "--q", "17", "--degree", "2"),
-        ("neighbors", "--n", "1000000000,0,0", "--q", "3", "--degree", "1"),
+        *LONG_LABELS_OVER_BOUNDS,
         *EIGENVECTOR_OVER_BOUNDS,
     ):
         start = time.perf_counter()
@@ -333,6 +351,16 @@ def test_exit_code_resource_bound(run):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 3 and not out and err.startswith("resource bound:"), argv
         assert len(err.splitlines()) == 1, argv
+    # the span of a basis costs nothing, and q^d residue vectors are never listed
+    for argv, count in (
+        (("--n", "1000000000,0,0", "--q", "3", "--degree", "1"), 13),
+        (("--n", "1000000,0,0", "--q", "3", "--degree", "1"), 13),
+        (("--n", "0,0", "--q", "317", "--degree", "1"), 318),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run("neighbors", *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 0 and len(json.loads(out)) == count, argv
     # distances are no longer searched, so no vertex bound applies
     code, out, _ = run("distance", "--n", "9,0,0", "--m", "0,0,0", "--q", "2")
     assert code == 0
@@ -380,19 +408,38 @@ def test_bad_matrix_file(run, tmp_path, monkeypatch):
     assert code == 2 and not out and "entries" in err
 
 
-def test_matrix_literal_span_bound(run, tmp_path, monkeypatch):
-    from btq.laurent import LITERAL_SPAN_BOUND
+def test_matrix_literal_work_bound(run, tmp_path, monkeypatch):
+    from btq import building
 
-    top = f"t^{LITERAL_SPAN_BOUND}"
-    code, out, _ = run("reduce", "--matrix", matrix_file(tmp_path, [[top, "0"], ["0", "1"]]))
-    assert code == 0 and json.loads(out)["label"] == [LITERAL_SPAN_BOUND, 0]
-    # one more exponent is refused before the normal form, whatever the command
-    wide = matrix_file(tmp_path, [[top, "0"], ["0", "t^-1"]])
-    for argv in (("reduce", "--matrix", wide), ("neighbors", "--matrix", wide, "--degree", "1")):
-        start = time.perf_counter()
-        code, out, err = run(*argv)
-        assert time.perf_counter() - start < 1.0, argv
-        assert code == 3 and not out and err.startswith("resource bound:"), argv
+    top = "t^160"
+    narrow = matrix_file(tmp_path, [[top, "0"], ["0", "1"]])
+    code, out, _ = run("reduce", "--matrix", narrow)
+    assert code == 0 and json.loads(out)["label"] == [160, 0]
+    # the literal's predicted work decides, before the normal form and
+    # whatever the command: a wide span, a large d, or sparse entries whose
+    # Hermite pass may fill in (one literal like this one ran for 98 s)
+    wide = matrix_file(tmp_path, [["t^1000000000", "0"], ["0", "t^-1"]], name="wide.json")
+    rng = random.Random(3)
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(random_gamma(16, 3, 3, rng).to_literal()))
+    sparse = [
+        [" + ".join(f"t^{e}" for e in sorted({rng.randint(0, 16000) for _ in range(3)})) for _ in range(5)]
+        for _ in range(5)
+    ]
+    sparse = matrix_file(tmp_path, sparse, q=5, name="sparse.json")
+    for path in (wide, str(dense), sparse):
+        for argv in (("reduce", "--matrix", path), ("neighbors", "--matrix", path, "--degree", "1")):
+            start = time.perf_counter()
+            code, out, err = run(*argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert code == 3 and not out and err.startswith("resource bound:"), argv
+    # the bound is inclusive
+    m = LaurentMatrix.from_literal(json.loads((tmp_path / "matrix.json").read_text()))
+    monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", building.matrix_work(m))
+    assert run("reduce", "--matrix", narrow)[0] == 0
+    monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", building.matrix_work(m) - 1)
+    assert run("reduce", "--matrix", narrow)[0] == 3
+    monkeypatch.undo()
     # an exponent past Python's int-to-str digit limit is invalid input
     literal = json.dumps({"q": 2, "d": 2, "entries": [["t^" + "9" * 5000, "0"], ["0", "1"]]})
     monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
@@ -457,6 +504,77 @@ def test_reduce_fuzz_literals(literal):
     assert code in (0, 2)
 
 
+_MALFORMED_ENTRIES = ["", "t^", "1 +", "x", "t^" + "9" * 5000, "2**t"]
+
+
+@st.composite
+def _sized_literals(draw):
+    """A literal with d in [2, 16], q small and a span up to and past what
+    the work bound admits: entries are sparse or dense sums of terms from a
+    seeded generator, and at most one entry is malformed."""
+    d = draw(st.integers(2, 16))
+    q = draw(st.sampled_from([2, 3, 5]))
+    span = draw(st.integers(0, 8) | st.integers(0, 600) | st.sampled_from([5000, 10**9]))
+    terms = draw(st.integers(1, 6))
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    low = rng.randint(-span, 0)
+
+    def entry():
+        if rng.random() > density:
+            return "0"
+        exps = {rng.randint(low, low + span) for _ in range(terms)}
+        return " + ".join(f"{rng.randrange(1, q)}*t^{e}" for e in sorted(exps))
+
+    entries = [[entry() for _ in range(d)] for _ in range(d)]
+    if draw(st.booleans()):
+        entries[rng.randrange(d)][rng.randrange(d)] = draw(st.sampled_from(_MALFORMED_ENTRIES))
+    return {"q": q, "d": d, "entries": entries}
+
+
+def _exit_code(argv, stdin_text=""):
+    stdin, stdout, stderr = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.StringIO(stdin_text)
+    sys.stdout = io.TextIOWrapper(io.BytesIO())
+    sys.stderr = io.StringIO()
+    try:
+        return main(argv)
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = stdin, stdout, stderr
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(literal=_sized_literals(), degree=st.integers(0, 3), neighbors=st.booleans())
+def test_literal_commands_fuzz(literal, degree, neighbors):
+    argv = ["neighbors", "--matrix", "-", f"--degree={degree}"] if neighbors else ["reduce", "--matrix", "-"]
+    assert _exit_code(argv, json.dumps(literal)) in (0, 2, 3)
+
+
+_LONG_LABEL = st.one_of(
+    st.integers(1, 400).map(lambda d: [0] * d),
+    st.integers(1, 400).map(lambda d: [1] * (d - 1) + [0]),
+    st.integers(1, 40).map(lambda d: list(range(d - 1, -1, -1))),
+    st.just([0] * 12000),
+).map(_label)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+@given(
+    n=_LONG_LABEL,
+    m=_LONG_LABEL,
+    degree=st.integers(0, 40),
+    flags=st.sampled_from([["distance"], ["neighbors"], ["neighbors", "--in-domain"]]),
+    q=st.sampled_from([2, 3, 5]),
+)
+def test_long_label_fuzz(n, m, degree, flags, q):
+    command, *rest = flags
+    if command == "distance":
+        argv = [command, f"--n={n}", f"--m={m}", f"--q={q}"]
+    else:
+        argv = [command, f"--n={n}", f"--degree={degree}", f"--q={q}", *rest]
+    assert _exit_code(argv) in (0, 2, 3), argv
+
+
 # weighted towards valid input: a repeated strategy is drawn more often
 _SMALL_PRIME = st.sampled_from([2, 3, 5])
 _Q = st.one_of(
@@ -488,7 +606,7 @@ def _cli_argv(draw):
     small = st.integers(-2, 4)
     common = {"q": _Q}
     flags = {
-        "stabilizer": {"n": _LABEL, "enumerate": None, "bound": st.integers(-1, 500), **common},
+        "stabilizer": {"n": _LABEL, "enumerate": None, **common},
         "covolume": {
             "d": st.integers(-1, 6) | st.sampled_from([100, 10**9]),
             "max-n": st.integers(-1, 8) | st.sampled_from([10**6, 10**9]),

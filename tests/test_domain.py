@@ -138,6 +138,17 @@ def test_neighbors_in_domain_examples():
     assert neighbors_in_domain((0, 0, 0), 2) == [(1, 0, 0)]
 
 
+def test_in_domain_work():
+    # d / 4 per drop combination: 2 * 2 * 2 for (2,1,0), 3 * 1 for (0,0,0,0) at k = 2
+    assert domain.in_domain_work((2, 1, 0), 1) == 3 * 8 // 4
+    assert domain.in_domain_work((0, 0, 0, 0), 2) == 4 * 3 // 4
+    assert domain.in_domain_work(tuple(range(23, -1, -1)), 12) == 24 * 2**24 // 4
+    with pytest.raises(InvalidInputError):
+        domain.in_domain_work((2, 1, 0), 3)
+    with pytest.raises(InvalidInputError):
+        domain.in_domain_work((1, 2, 0), 1)
+
+
 def test_neighbor_count_law():
     for d in (3, 4, 5):
         for lab in enumerate_domain(d, 8):
@@ -256,9 +267,17 @@ def test_stabilizer_enumerate_matches_order_small():
             assert len(group) == stabilizer_order(lab, q)
 
 
-def test_stabilizer_enumerate_bound():
+def test_stabilizer_enumerate_bound(monkeypatch):
+    monkeypatch.setattr(domain, "DEFAULT_GROUP_BOUND", stabilizer_order((1, 1, 0), 2))
+    assert len(stabilizer_enumerate((1, 1, 0), 2)) == domain.DEFAULT_GROUP_BOUND
     with pytest.raises(ResourceBoundError):
-        stabilizer_enumerate((9, 5, 0), 3, bound=10**4)
+        stabilizer_enumerate((9, 5, 0), 3)
+    with pytest.raises(ResourceBoundError):
+        domain.edge_stabilizer_brute((9, 5, 0), (9, 4, 0), 3)
+    monkeypatch.undo()
+    # order 242,121,642: refused before any element is built
+    with pytest.raises(ResourceBoundError):
+        stabilizer_enumerate((8, 0), 7)
 
 
 def test_stabilizer_elements_fix_vertex():

@@ -21,6 +21,25 @@ def P(s, q=2):
     return LaurentPoly.parse(s, q)
 
 
+def laplace_det(rows, q):
+    """The determinant by plain recursive Laplace expansion along the first
+    row (d! products): the oracle for the shared-minor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = LaurentPoly.zero(q)
+    for j, top in enumerate(rows[0]):
+        if top:
+            term = top * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]], q)
+            acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def random_poly(rng, q, low=-3, high=3, density=0.7):
+    if rng.random() > density:
+        return LaurentPoly.zero(q)
+    return LaurentPoly({e: rng.randrange(q) for e in range(low, rng.randint(low, high) + 1)}, q)
+
+
 def test_monomial_shift_example():
     assert P("t^2 + 1") * P("t^-1") == P("t + t^-1")
 
@@ -106,9 +125,29 @@ def test_det_multiplicative_random():
                 assert (a * b).det() == a.det() * b.det()
 
 
+def test_det_matches_laplace_oracle():
+    rng = random.Random(23)
+    for _ in range(150):
+        d = rng.randint(1, 7)
+        q = rng.choice([2, 3, 5, 7])
+        density = rng.choice([0.3, 0.7, 1.0])
+        rows = [[random_poly(rng, q, density=density) for _ in range(d)] for _ in range(d)]
+        m = LaurentMatrix(rows, q)
+        assert m.det() == laplace_det(rows, q)
+        if d > 1:
+            rows_idx = tuple(sorted(rng.sample(range(d), d - 1)))
+            cols_idx = tuple(sorted(rng.sample(range(d), d - 1)))
+            sub = [[rows[i][j] for j in cols_idx] for i in rows_idx]
+            assert m.minor(rows_idx, cols_idx) == laplace_det(sub, q)
+    # a singular matrix, and one whose first row vanishes
+    rows = [[P("t + 1"), P("1")], [P("t^2 + t"), P("t")]]
+    assert LaurentMatrix(rows, 2).det() == laplace_det(rows, 2) == LaurentPoly.zero(2)
+    assert LaurentMatrix([[P("0"), P("0")], [P("1"), P("t")]], 2).det().is_zero()
+
+
 def test_adjugate_identity():
     rng = random.Random(5)
-    for d in (2, 3):
+    for d in (2, 3, 4, 5):
         m = random_gamma(d, 3, 2, rng)
         prod = m.adjugate() * m
         det = m.det()
@@ -163,6 +202,19 @@ def test_series_inverse():
         assert all(e < -12 for e in prod.coeffs if e != 0)
     with pytest.raises(InvalidInputError):
         series_inverse(P("t"), 4)
+
+
+def test_series_inverse_of_a_constant():
+    # one term: the inverse is exact at every depth, and equals the general
+    # loop's result for a unit that agrees with it modulo (1/t)^(depth+1)
+    for q in (2, 5, 7):
+        for c in range(1, q):
+            f = LaurentPoly.constant(c, q)
+            for depth in (-1, 0, 1, 7, 1000):
+                g = series_inverse(f, depth)
+                assert (f * g).coeffs == {0: 1}
+                if depth >= 0:
+                    assert g == series_inverse(f + LaurentPoly.t_power(-depth - 1, q), depth)
 
 
 def test_matrix_literal_round_trip():
