@@ -8,8 +8,10 @@ iff their canonical bases are entrywise equal.
 
 Neighbor enumeration goes through subspaces of the residue space.  Edge
 colors and both distances are read off the relative position of two
-vertices, the Smith valuations of y^-1 x from one elimination over O;
-breadth-first search on the 1-skeleton is their oracle in the tests.  The
+vertices, the Smith valuations of y^-1 x from one elimination over O,
+or, for two label vertices, the sorted label differences
+(`label_relative_position`); breadth-first search on the 1-skeleton is
+their oracle in the tests.  The
 `bfs_*` names are kept from the search they replaced.  The closed-form
 label distances (`distance_formulas`) are the old label formulas the CLI
 has always printed next to them; they do not agree with the graph metric
@@ -27,7 +29,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gf import check_prime, gaussian_binomial, left_null_vector
-from .laurent import LaurentMatrix, LaurentPoly, series_inverse
+from .laurent import LaurentMatrix, LaurentPoly, _poly, dot, series_inverse
 
 # The one bound on predicted work, about a microsecond per unit (measured on
 # a shared 2-core x86-64 with Python 3.11): `neighbors` costs one
@@ -92,11 +94,12 @@ def standard_vertex(d: int, q: int) -> BuildingVertex:
 def _solve_canonical(canon: LaurentMatrix, m: LaurentMatrix) -> LaurentMatrix:
     """canon^-1 * m, exactly, for canon upper triangular with pivots t^(a_i).
 
-    Back-substitution from the last row; each division is by a monic
-    monomial, so it is an exponent shift.  Any other shape of canon is a
-    bug and raises InternalInvariantError.
+    Back-substitution from the last row, one `dot` per entry; each
+    division is by a monic monomial, so it is an exponent shift.  Any other
+    shape of canon is a bug and raises InternalInvariantError.
     """
-    d, rows = canon.d, canon.rows
+    d, q, rows = canon.d, canon.q, canon.rows
+    one = _poly({0: 1}, q)
     pivots = []
     for i in range(d):
         piv = rows[i][i].coeffs
@@ -108,12 +111,10 @@ def _solve_canonical(canon: LaurentMatrix, m: LaurentMatrix) -> LaurentMatrix:
     out = [[None] * d for _ in range(d)]
     for j in range(d):
         for i in range(d - 1, -1, -1):
-            acc = m.rows[i][j]
-            for k in range(i + 1, d):
-                if rows[i][k] and out[k][j]:
-                    acc = acc - rows[i][k] * out[k][j]
+            terms = [(-1, rows[i][k], out[k][j]) for k in range(i + 1, d) if rows[i][k]]
+            acc = dot([(1, m.rows[i][j], one), *terms], q) if terms else m.rows[i][j]
             out[i][j] = acc.shift(-pivots[i])
-    return LaurentMatrix(out, canon.q)
+    return LaurentMatrix(out, q)
 
 
 def _certify_same_lattice(canon: LaurentMatrix, original: LaurentMatrix) -> bool:
@@ -146,9 +147,14 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     becomes the pivot, or u^N e_r when the row vanishes modulo u^N.  Then
     N drops by the pivot's valuation, because the lattice left in the rows
     above has that much smaller a determinant.  m's determinant is the one
-    Laurent determinant computed.  The result is certified exactly:
-    canon^-1 * m, found by back-substitution, must lie in GL_d(O).  A
-    failed certificate is a bug and raises InternalInvariantError.
+    Laurent determinant computed.  Each product or sum of products is one
+    `laurent.dot`: the pivot head and the column updates form only the
+    terms above u^N (every other term is dropped by the truncation modulo
+    u^N), the final reduction above the pivots is exact, and each entry of
+    the certificate's back-substitution is one sum.  The result is
+    certified exactly: canon^-1 * m, found by back-substitution, must lie
+    in GL_d(O).  A failed certificate is a bug and raises
+    InternalInvariantError.
     """
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
@@ -160,7 +166,7 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     top = max(x.degree() for row in m.rows for x in row if x)
     scaled = m.shift(-top)
     modulus = d * top - det.degree()
-    zero = LaurentPoly.zero(q)
+    zero, one = _poly({}, q), _poly({0: 1}, q)
     cols = [scaled.column(j) for j in range(d)]
     work = [None] * d
     pivots = [0] * d
@@ -174,16 +180,17 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
             a = piv[r].degree()
         else:
             a = -modulus
-            piv = [zero] * r + [LaurentPoly.t_power(a, q)]
+            piv = [zero] * r + [_poly({a: 1}, q)]
         # from here on, rows 0..r-1 are needed modulo the new u^modulus only
         modulus += a
         inv = series_inverse(piv[r].shift(-a), modulus - 1)
-        head = [x.mul_above(inv, -modulus) for x in piv[:r]]
-        piv = head + [LaurentPoly.t_power(a, q)]
+        head = [dot(((1, x, inv),), q, -modulus) if x else x for x in piv[:r]]
+        piv = head + [_poly({a: 1}, q)]
         for j, col in enumerate(cols):
             # the next row's truncation drops every term at or below -modulus
             f = col[r].shift(-a)
-            cols[j] = [x - f.mul_above(y, -modulus) if f and y else x for x, y in zip(col, head)]
+            if f:
+                cols[j] = [dot(((1, x, one), (-1, f, y)), q, -modulus) for x, y in zip(col, head)]
         work[r] = piv + [zero] * (d - 1 - r)
         pivots[r] = a
     if modulus != 0:
@@ -198,8 +205,8 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
                 f = low.shift(-pivots[i])
                 col_i = work[i]
                 work[j] = [
-                    work[j][r] - f * col_i[r] if col_i[r] else work[j][r]
-                    for r in range(d)
+                    dot(((1, x, one), (-1, f, y)), q) if y else x
+                    for x, y in zip(work[j], col_i)
                 ]
     canon = LaurentMatrix([[work[j][i] for j in range(d)] for i in range(d)], q)
     if not _certify_same_lattice(canon, scaled):
@@ -272,13 +279,6 @@ def matrix_work(m: LaurentMatrix) -> int:
     window = d * (max(exponents) - min(exponents) if exponents else 0) + 1
     terms = max(len(x.coeffs) for row in m.rows for x in row)
     return ((d << (d - 1)) * (48 + terms * window) + d**3 * (12 + window * window // 4)) // 16
-
-
-def relative_position_work(d: int) -> int:
-    """The predicted work of the relative position of two vertices of B_d
-    with monomial entries (label vertices), in the units of
-    NEIGHBOR_WORK_BOUND: d^3, one back-substitution and one elimination."""
-    return d**3
 
 
 def normal_form_work(d: int, terms: int) -> int:
@@ -354,11 +354,13 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
     """
     if x.q != y.q or x.d != y.d:
         raise InvalidInputError("vertices live in different buildings")
+    q = x.q
     rel = _solve_canonical(y.basis, x.basis)
     top = max(e.degree() for row in rel.rows for e in row if e)
     det_val = x.d * top - sum(x.profile) + sum(y.profile)
     modulus = det_val + 1
     rows = [[e.shift(-top).part_above(-modulus) for e in row] for row in rel.rows]
+    one = _poly({0: 1}, q)
     vals = []
     while rows:
         live = [(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e]
@@ -369,11 +371,13 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
         a = -piv[c].degree()
         modulus -= a
         inv = series_inverse(piv[c].shift(a), modulus - 1)
-        piv = [e * inv for e in piv]
+        # every entry has valuation at least a, so each f below lies in O
+        # and f * p above u^modulus needs p above u^modulus only
+        piv = [dot(((1, e, inv),), q, -modulus) for e in piv]
         for i, row in enumerate(rows):
             f = row[c].shift(a)
             rows[i] = [
-                (e - f * p if f and p else e).part_above(-modulus)
+                dot(((1, e, one), (-1, f, p)), q, -modulus)
                 for j, (e, p) in enumerate(zip(row, piv))
                 if j != c
             ]
@@ -383,6 +387,15 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
             f"Smith valuations {vals} do not account for the determinant valuation {det_val}"
         )
     return tuple(a - top for a in vals)
+
+
+def label_relative_position(label1, label2) -> tuple[int, ...]:
+    """`relative_position` of the vertices of two labels, read off the
+    labels: y^-1 x = diag(t^(n_i - m_i)) is already diagonal, with
+    valuations m_i - n_i, so those are its Smith valuations, sorted."""
+    if len(label1) != len(label2):
+        raise InvalidInputError("vertices live in different buildings")
+    return tuple(sorted(b - a for a, b in zip(label1, label2)))
 
 
 def edge_color(x: BuildingVertex, y: BuildingVertex) -> int | None:
@@ -412,41 +425,46 @@ def _within_radius(dist: int, radius: int) -> int | None:
     return dist if dist <= radius else None
 
 
-def bfs_distance(x: BuildingVertex, y: BuildingVertex, radius: int) -> int | None:
-    """Edge count of a shortest 1-skeleton path, or None beyond the radius.
+def position_distances(s, radius: int) -> tuple[int | None, int | None]:
+    """The graph distance and the directed color-1 distance of two
+    vertices in relative position s (sorted), each None beyond the radius.
 
-    It is max s - min s for the relative position s: an edge changes s by
-    a 0/1 vector up to a common shift, so the spread drops by at most one
-    per edge, and lowering every largest entry at once attains that.
-    Breadth-first search over the 1-skeleton is the oracle in the tests.
+    The graph distance is max s - min s: an edge changes s by a 0/1 vector
+    up to a common shift, so the spread drops by at most one per edge, and
+    lowering every largest entry at once attains that.  A color-1 step from
+    v leads to the classes of its degree-(d-1) neighbors: those are exactly
+    the superlattices of index q.  The smallest representative of y
+    containing x's lattice has index q^(sum_i (s_i - min s)), and every
+    containment of that index is a chain of that many index-q steps.
     """
-    s = relative_position(x, y)
-    return _within_radius(s[-1] - s[0], radius)
+    return (
+        _within_radius(s[-1] - s[0], radius),
+        _within_radius(sum(e - s[0] for e in s), radius),
+    )
+
+
+def bfs_distance(x: BuildingVertex, y: BuildingVertex, radius: int) -> int | None:
+    """Edge count of a shortest 1-skeleton path, or None beyond the radius
+    (`position_distances`).  Breadth-first search over the 1-skeleton is
+    the oracle in the tests."""
+    return position_distances(relative_position(x, y), radius)[0]
 
 
 def bfs_color1_distance(x: BuildingVertex, y: BuildingVertex, radius: int) -> int | None:
     """Length of a shortest directed color-1 path from x to y, or None
-    beyond the radius.
-
-    A color-1 step from v leads to the classes of its degree-(d-1)
-    neighbors: those are exactly the superlattices of index q.  The
-    smallest representative of y containing x's lattice has index
-    q^(sum_i (s_i - min s)), and every containment of that index is a
-    chain of that many index-q steps.
-    """
-    s = relative_position(x, y)
-    return _within_radius(sum(e - s[0] for e in s), radius)
+    beyond the radius (`position_distances`)."""
+    return position_distances(relative_position(x, y), radius)[1]
 
 
 def distance_formulas(label1, label2) -> tuple[int, int]:
     """Closed-form label distances (graph metric and color-1 metric).
 
-    Evaluates min_j max_i |n_i - m_i - j| and min_j sum_i |n_i - m_i - j|.
-    Both are convex and piecewise linear in j: the first is least at the
-    midpoint of the differences and the second at one of them (a median),
-    so only those j are tried.  These are the old label formulas, kept
-    because the `distance` output pinned in bench/pins.json prints them;
-    correcting them is a change of pinned output.  The first disagrees
+    Evaluates min_j max_i |n_i - m_i - j| and min_j sum_i |n_i - m_i - j|
+    over integers j.  The first is least at the midpoint of the
+    differences, where it is half their spread rounded up; the second at
+    their median.  These are the old label formulas, kept because the
+    `distance` output pinned in bench/pins.json prints them; correcting
+    them is a change of pinned output.  The first disagrees
     with the 1-skeleton metric (`bfs_distance`) already on (2,1,0) vs
     (0,0,0), and for d = 2 it gives ceil(n/2) where the tree distance is
     n.  The CLI `distance` subcommand surfaces both values with a note.
@@ -455,9 +473,6 @@ def distance_formulas(label1, label2) -> tuple[int, int]:
     m = tuple(label2)
     if len(n) != len(m):
         raise InvalidInputError("labels must have the same length")
-    diffs = [a - b for a, b in zip(n, m)]
-    mid = min(diffs) + max(diffs)
-    candidates = set(diffs) | {mid // 2, (mid + 1) // 2}
-    best_max = min(max(abs(x - j) for x in diffs) for j in candidates)
-    best_sum = min(sum(abs(x - j) for x in diffs) for j in candidates)
-    return best_max, best_sum
+    diffs = sorted(a - b for a, b in zip(n, m))
+    median = diffs[len(diffs) // 2]
+    return (diffs[-1] - diffs[0] + 1) // 2, sum(abs(x - median) for x in diffs)

@@ -23,7 +23,7 @@ from .errors import (
     InvalidInputError,
     ResourceBoundError,
 )
-from .gf import gaussian_binomial
+from .gf import check_prime, gaussian_binomial
 from .laurent import LaurentMatrix
 
 
@@ -256,12 +256,10 @@ def _scalar_str(x) -> str:
 def _cmd_distance(args) -> int:
     lab1 = domain.parse_label(args.n)
     lab2 = domain.parse_label(args.m)
-    d = max(len(lab1), len(lab2))
-    building.check_work(building.relative_position_work(d), f"a distance at d = {d}")
-    v1 = building.vertex_from_label(lab1, args.q)
-    v2 = building.vertex_from_label(lab2, args.q)
-    bfs = building.bfs_distance(v1, v2, args.radius)
-    bfs1 = building.bfs_color1_distance(v1, v2, args.radius)
+    # q does not enter the distances of two labels, but it names the building
+    check_prime(args.q)
+    position = building.label_relative_position(lab1, lab2)
+    bfs, bfs1 = building.position_distances(position, args.radius)
     formula, formula1 = building.distance_formulas(lab1, lab2)
     lines = [
         f"bfs_distance {bfs if bfs is not None else 'unreachable-within-radius'}",

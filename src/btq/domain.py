@@ -24,7 +24,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gf import check_prime, left_null_vector
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, _poly, dot
 
 # stabilizer_enumerate refuses groups of larger order than this
 DEFAULT_GROUP_BOUND = 10**6
@@ -457,8 +457,10 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     Row reduction over F_q[t]: while the matrix of leading row
     coefficients is singular over F_q, a null combination cancels the top
     degree of one row, strictly decreasing the total row degree (which is
-    bounded below by deg det).  Once the leading matrix is invertible the
-    row degrees are the label exponents up to sorting and homothety.
+    bounded below by deg det).  Each entry of the new row and of the new
+    witness row is one `laurent.dot`.  Once the leading matrix is
+    invertible the row degrees are the label exponents up to sorting and
+    homothety.
     """
     if isinstance(v, LaurentMatrix):
         v = vertex_normal_form(v)
@@ -480,28 +482,19 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
             raise SingularMatrixError("zero row during domain reduction")
         return max(degs)
 
-    zero = LaurentPoly.zero(q)
     # only the pivot row changes in a step, so only its degree is recomputed
     degs = [row_degree(i) for i in range(d)]
     while True:
-        lead = [[rows[i][j].coeff(degs[i]) for j in range(d)] for i in range(d)]
+        lead = [[x.coeffs.get(degs[i], 0) for x in rows[i]] for i in range(d)]
         combo = left_null_vector(lead, q)
         if combo is None:
             break
-        pivot = max((i for i in range(d) if combo[i]), key=lambda i: (degs[i], i))
-        new_row = [zero] * d
-        new_acc = [zero] * d
-        for i in range(d):
-            if not combo[i]:
-                continue
-            mono = LaurentPoly.t_power(degs[pivot] - degs[i], q, combo[i])
-            for j in range(d):
-                if rows[i][j]:
-                    new_row[j] = new_row[j] + mono * rows[i][j]
-                if acc[i][j]:
-                    new_acc[j] = new_acc[j] + mono * acc[i][j]
-        rows[pivot] = new_row
-        acc[pivot] = new_acc
+        used = [i for i in range(d) if combo[i]]
+        pivot = max(used, key=lambda i: (degs[i], i))
+        # row i enters as combo[i] t^(deg pivot - deg i) times row i
+        monos = {i: _poly({degs[pivot] - degs[i]: 1}, q) for i in used}
+        rows[pivot] = [dot([(combo[i], monos[i], rows[i][j]) for i in used], q) for j in range(d)]
+        acc[pivot] = [dot([(combo[i], monos[i], acc[i][j]) for i in used], q) for j in range(d)]
         new_deg = row_degree(pivot)
         if new_deg >= degs[pivot]:
             raise InternalInvariantError(

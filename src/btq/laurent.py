@@ -10,14 +10,19 @@ polynomial is the empty map.  All ring operations are exact.
 q is validated once, where a value enters from outside: `LaurentPoly(...)`,
 `zero`, `constant`, `t_power`, `parse`, `LaurentMatrix(...)`,
 `from_literal` and the random samplers.  Arithmetic on those values
-(`+`, `-`, `*`, negation, `shift`, `part_*`, `mul_above` and
-`series_inverse`) builds its result through the private `_poly`, which
-neither re-checks q nor re-reduces coefficients; every binary operation
-still checks that its operands share q.  A product with a monomial factor
-is a shift and a scale.  `mul_above(other, cutoff)` equals
-`(self * other).part_above(cutoff)` and never forms the products at or
-below the cutoff: the lattice normal form, which works modulo a power of
-1/t, discards them anyway.
+builds its result through the private `_poly`, which neither re-checks q
+nor re-reduces coefficients: `+`, `-`, `*`, negation, `shift`, `part_*`,
+`series_inverse`, `dot` and the matrix product, determinant and adjugate.
+Every binary operation still checks that its operands share q.
+
+Every product and sum of products goes through one private kernel,
+`dot(terms, q, above=None)`: the sum of c * a * b over (c, a, b) triples,
+accumulated in one integer dict and reduced mod q once, so a matrix
+entry, a minor or a row update builds one polynomial rather than one per
+product and per partial sum.  With `above` it equals the sum's
+`part_above(above)` and never forms the products at or below the cutoff:
+the lattice normal form, which works modulo a power of 1/t, discards them
+anyway.
 
 A truncated inverse of an O-unit (`series_inverse`) is exact modulo a
 power of 1/t; its one consumer, the lattice normal form, works modulo a
@@ -148,51 +153,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         self._check_compat(other)
-        q = self.q
-        short, long = self.coeffs, other.coeffs
-        if len(short) > len(long):
-            short, long = long, short
-        if len(short) == 1:
-            ((e, c),) = short.items()
-            return _poly(_monomial_times(long, e, c, q), q)
-        out: dict[int, int] = {}
-        get = out.get
-        for e1, c1 in short.items():
-            for e2, c2 in long.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return _poly(_reduced(out, q), q)
-
-    def mul_above(self, other, cutoff: int) -> "LaurentPoly":
-        """(self * other).part_above(cutoff), without forming the products
-        at or below the cutoff."""
-        self._check_compat(other)
-        q = self.q
-        short, long = self.coeffs, other.coeffs
-        if len(short) > len(long):
-            short, long = long, short
-        if not short:
-            return _poly({}, q)
-        if len(short) == 1:
-            ((e, c),) = short.items()
-            kept = {k: v for k, v in long.items() if k + e > cutoff}
-            return _poly(_monomial_times(kept, e, c, q), q)
-        # both factors by falling exponent: once a pair lands at or below the
-        # cutoff, so does every later pair in that row, and every later row
-        inner = sorted(short.items(), reverse=True)
-        top = inner[0][0]
-        out: dict[int, int] = {}
-        get = out.get
-        for e1, c1 in sorted(long.items(), reverse=True):
-            cut = cutoff - e1
-            if top <= cut:
-                break
-            for e2, c2 in inner:
-                if e2 <= cut:
-                    break
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return _poly(_reduced(out, q), q)
+        return dot(((1, self, other),), self.q)
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by t^e."""
@@ -300,12 +261,51 @@ def _reduced(coeffs: dict[int, int], q: int) -> dict[int, int]:
     return {e: r for e, c in coeffs.items() if (r := c % q)}
 
 
-def _monomial_times(coeffs: dict[int, int], e: int, c: int, q: int) -> dict[int, int]:
-    # c * t^e times a clean polynomial; q is prime and c, every coefficient
-    # nonzero, so no product vanishes
-    if c == 1:
-        return {k + e: v for k, v in coeffs.items()}
-    return {k + e: v * c % q for k, v in coeffs.items()}
+def dot(terms, q: int, above: int | None = None) -> LaurentPoly:
+    """The sum of c * a * b over the (c, a, b) triples, c an int and a, b
+    LaurentPoly over q; with `above`, only its terms of exponent strictly
+    greater than `above`, and the coefficient products at or below it are
+    never formed.
+
+    Every coefficient product goes into one integer dict, reduced mod q
+    once at the end, so a sum of products builds one polynomial instead of
+    one per product and per partial sum.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    for c, a, b in terms:
+        if a.q != q or b.q != q:
+            raise InvalidInputError("mixed moduli in Laurent arithmetic")
+        short, long = a.coeffs, b.coeffs
+        if not (short and long):
+            continue
+        c %= q
+        if not c:
+            continue
+        if len(short) > len(long):
+            short, long = long, short
+        if above is None:
+            for e1, c1 in short.items():
+                c1 *= c
+                for e2, c2 in long.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+            continue
+        # both factors by falling exponent: once a pair lands at or below
+        # the cutoff, so does every later pair in that row, and every later row
+        inner = sorted(short.items(), reverse=True)
+        top = inner[0][0]
+        for e1, c1 in sorted(long.items(), reverse=True):
+            cut = above - e1
+            if top <= cut:
+                break
+            c1 *= c
+            for e2, c2 in inner:
+                if e2 <= cut:
+                    break
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    return _poly({e: r for e, v in out.items() if (r := v % q)}, q)
 
 
 def is_unit_in_O(f: LaurentPoly) -> bool:
@@ -414,21 +414,16 @@ class LaurentMatrix:
             raise InvalidInputError("matrix product requires matching moduli")
         if other.d != self.d:
             raise InvalidInputError("matrix product requires matching sizes")
-        d = self.d
-        zero = LaurentPoly.zero(self.q)
+        q = self.q
+        zero = _poly({}, q)
+        cols = list(zip(*other.rows))
         out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = zero
-                for k in range(d):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(out, self.q)
+        for row in self.rows:
+            out.append([])
+            for col in cols:
+                terms = [(1, a, b) for a, b in zip(row, col) if a.coeffs and b.coeffs]
+                out[-1].append(dot(terms, q) if terms else zero)
+        return LaurentMatrix(out, q)
 
     def shift(self, e: int) -> "LaurentMatrix":
         """Multiply every entry by t^e (a homothety of the column span)."""
@@ -498,26 +493,21 @@ class LaurentMatrix:
 def _det_rows(rows: list[list[LaurentPoly]], q: int) -> LaurentPoly:
     """Laplace expansion along each row in turn, from the bottom up, with
     every minor of the rows below computed once and keyed by the bitmask
-    of its columns: d 2^(d-1) products where the plain recursion takes d!.
-    Zero entries and zero minors are skipped."""
+    of its columns: d 2^(d-1) products where the plain recursion takes d!,
+    summed by one `dot` per minor.  Zero entries and zero minors are
+    skipped."""
     minors = {1 << j: x for j, x in enumerate(rows[-1]) if x}
     for row in reversed(rows[:-1]):
-        wider: dict[int, LaurentPoly] = {}
+        wider: dict[int, list] = {}
         for mask, m in minors.items():
             for j, x in enumerate(row):
                 bit = 1 << j
                 if not x or mask & bit:
                     continue
                 # j's position among the columns of mask | bit gives the sign
-                odd = (mask & (bit - 1)).bit_count() & 1
-                term = x * m
-                key = mask | bit
-                acc = wider.get(key)
-                if acc is None:
-                    wider[key] = -term if odd else term
-                else:
-                    wider[key] = acc - term if odd else acc + term
-        minors = {mask: m for mask, m in wider.items() if m}
+                sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+                wider.setdefault(mask | bit, []).append((sign, x, m))
+        minors = {mask: m for mask, terms in wider.items() if (m := dot(terms, q))}
     return minors.get((1 << len(rows)) - 1, LaurentPoly.zero(q))
 
 

@@ -17,7 +17,9 @@ from btq.building import (
     bfs_distance,
     distance_formulas,
     edge_color,
+    label_relative_position,
     neighbors,
+    position_distances,
     relative_position,
     standard_vertex,
     subspace_bases,
@@ -426,6 +428,25 @@ def test_relative_position_labels_and_checks():
         relative_position(vertex_from_label((1, 0), 2), standard_vertex(3, 2))
     with pytest.raises(InvalidInputError):
         edge_color(standard_vertex(2, 3), standard_vertex(2, 2))
+
+
+def test_label_relative_position_matches_elimination():
+    # the label path of `btq distance` against the elimination over O
+    rng = random.Random(12)
+    for _ in range(150):
+        d = rng.randint(2, 6)
+        q = rng.choice([2, 3, 5])
+        n, m = _random_label(rng, d, 9), _random_label(rng, d, 9)
+        x, y = vertex_from_label(n, q), vertex_from_label(m, q)
+        s = label_relative_position(n, m)
+        assert s == relative_position(x, y), (n, m)
+        for radius in (0, 3, 40):
+            assert position_distances(s, radius) == (
+                bfs_distance(x, y, radius),
+                bfs_color1_distance(x, y, radius),
+            )
+    with pytest.raises(InvalidInputError):
+        label_relative_position((1, 0), (0, 0, 0))
 
 
 def test_relative_position_wrong_determinant_is_internal():

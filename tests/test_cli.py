@@ -1,5 +1,6 @@
 """CLI surface: determinism, exit codes, and the documented outputs."""
 
+import hashlib
 import io
 import json
 import random
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btq.cli import main
-from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma
+from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
 
 
 @pytest.fixture()
@@ -105,6 +106,35 @@ def test_reduce_matrix(run, tmp_path):
     obj = json.loads(out)
     assert obj["label"] == [1, 0, 0]
     assert obj["witness"]["d"] == 3
+
+
+# sha256 of `btq reduce --matrix` stdout for the literal
+# random_gamma(d, q, 2, seed) * diag(label) * random_k(d, q, 2, seed), seed = 100 d + q
+REDUCE_LABELS = {3: (4, 1, 0), 4: (3, 2, 2, 0), 5: (5, 3, 1, 1, 0)}
+REDUCE_HASHES = {
+    (3, 2): "9cd5425f290ccd158396b0e7aa990fcdd7e350d7f5a95f90e607fa7fded78f74",
+    (3, 3): "1224af2de98ff23f83beeaf3ac3c82b497930b6ba0998c8bdf5ca30533ac2c82",
+    (3, 5): "ce565fc1a95e316a3c47dc9af46a18e4a0940cbbeb0c0dfb5f8b683f6624ce18",
+    (4, 2): "46e440d73f2f7ba94c1d2f9e4da2960a267d0f0ec401cbe0658653df7d67da96",
+    (4, 3): "94ef3620ac8799f9a750ffdee83f7e54e4e453922520d3092b74cc6e9a290bba",
+    (4, 5): "6ccff6d26d71b59602b138e0117d4d7ac1d7ef6c4846a8e97e3f80cd4c897efa",
+    (5, 2): "ec97ff49b41f67b015bbae9972d5869eba062a1e99f801983967e32eb500a91a",
+    (5, 3): "04f486bbcc0645a97572ea2ed0a9ed6f5c322deec9056a103978be6ef31d94c7",
+    (5, 5): "2aa4b5d0fbecd493429f5f7017490d8c540bb82c3cb9fe937f367d5a4e862e7d",
+}
+
+
+@pytest.mark.parametrize("d, q", sorted(REDUCE_HASHES))
+def test_reduce_output_pinned(d, q, tmp_path, capsysbinary):
+    label = REDUCE_LABELS[d]
+    seed = 100 * d + q
+    m = random_gamma(d, q, 2, seed) * LaurentMatrix.diagonal(label, q) * random_k(d, q, 2, seed)
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(m.to_literal()))
+    code = main(["reduce", "--matrix", str(path)])
+    out = capsysbinary.readouterr().out
+    assert code == 0 and json.loads(out)["label"] == list(label)
+    assert hashlib.sha256(out).hexdigest() == REDUCE_HASHES[d, q]
 
 
 def test_eigenvector_text_and_l2(run):
@@ -314,9 +344,31 @@ def _label(entries):
 LONG_LABELS_OVER_BOUNDS = [
     ("neighbors", "--n", _label([0] * 12000), "--degree", "1"),
     ("neighbors", "--n", _label(range(23, -1, -1)), "--degree", "12", "--in-domain"),
-    ("distance", "--n", _label([0] * 200), "--m", _label([1] * 199 + [0])),
-    ("distance", "--n", _label([0] * 12000), "--m", "0,0"),
 ]
+
+
+def test_distance_long_labels(run):
+    # the distances of two labels are read off the labels, so no length is
+    # refused; only labels of different lengths are invalid
+    for argv, lines in (
+        (("--n", _label([0] * 200), "--m", _label([1] * 199 + [0])),
+         ["bfs_distance 1", "bfs_color1_distance unreachable-within-radius",
+          "formula_distance 1", "formula_color1_distance 1"]),
+        (("--n", _label([0] * 12000), "--m", _label([1] * 11999 + [0]), "--radius", "20000"),
+         ["bfs_distance 1", "bfs_color1_distance 11999",
+          "formula_distance 1", "formula_color1_distance 1"]),
+        (("--n", _label(range(11999, -1, -1)), "--m", _label([0] * 12000), "--q", "3"),
+         ["bfs_distance unreachable-within-radius", "bfs_color1_distance unreachable-within-radius",
+          "formula_distance 6000", "formula_color1_distance 36000000"]),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run("distance", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out.splitlines() == lines
+    code, out, err = run("distance", "--n", _label([0] * 12000), "--m", "0,0")
+    assert code == 2 and not out and "different buildings" in err
+    code, out, err = run("distance", "--n", "1,0", "--m", "0,0", "--q", "4")
+    assert code == 2 and not out and "prime" in err
 
 
 def test_exit_code_resource_bound(run):

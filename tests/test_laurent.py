@@ -3,13 +3,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from btq.errors import InvalidInputError
 from btq.laurent import (
     LaurentMatrix,
     LaurentPoly,
+    dot,
     is_unit_in_O,
     random_gamma,
     random_k,
@@ -240,9 +241,9 @@ def test_oprecision_validation():
 # -- the kernel against a reference -----------------------------------------
 #
 # The reference is the plain dict double loop, reducing modulo q at every
-# step, on raw coefficient maps: the kernel's fast paths (monomial factors,
-# one reduction per product, truncated products, no re-validation of q) must
-# agree with it everywhere.
+# step, on raw coefficient maps: the kernel's fast paths (one reduction per
+# sum of products, truncated products, no re-validation of q) must agree
+# with it everywhere.
 
 
 def _ref_clean(coeffs, q):
@@ -314,10 +315,67 @@ def test_kernel_matches_reference(operands):
     product = _ref_mul(ra, rb, q)
     # exponent sums lie in [-16, 16]; the cutoffs cover every split of it
     for cutoff in range(-18, 19):
-        above = a.mul_above(b, cutoff)
+        above = dot(((1, a, b),), q, cutoff)
         assert above == (a * b).part_above(cutoff)
         assert above.coeffs == {e: c for e, c in product.items() if e > cutoff}
         assert _clean_invariant(above, q)
+
+
+def _dot_oracle(terms, q, above):
+    # the sum of c * (a * b) from the ring operators, then the cutoff
+    total = LaurentPoly.zero(q)
+    for c, a, b in terms:
+        term = LaurentPoly.constant(abs(c), q) * (a * b)
+        total = total + term if c >= 0 else total - term
+    return total if above is None else total.part_above(above)
+
+
+@st.composite
+def _dot_terms(draw):
+    q = draw(st.sampled_from([2, 3, 5, 1000003]))
+    poly = st.one_of(
+        st.dictionaries(st.integers(-8, 8), st.integers(0, 3 * q), max_size=6),
+        st.dictionaries(st.integers(-8, 8), st.integers(1, 3 * q), min_size=1, max_size=1),
+        st.just({}),
+    ).map(lambda coeffs: LaurentPoly(coeffs, q))
+    # negative, zero and multiples of q among the scalars
+    scalar = st.integers(-3 * q, 3 * q) | st.sampled_from([0, q, -q, 2 * q, -1])
+    terms = draw(st.lists(st.tuples(scalar, poly, poly), max_size=5))
+    if terms and draw(st.booleans()):
+        # a term and its negation, factors swapped: they cancel
+        c, a, b = draw(st.sampled_from(terms))
+        terms.append((-c, b, a))
+    above = draw(st.none() | st.integers(-18, 18))
+    return q, terms, above
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dot_terms())
+@example((2, [], None))
+@example((3, [], -1))
+@example((5, [(2, P("t + 1", 5), P("t - 1", 5)), (-2, P("t^2 - 1", 5), P("1", 5))], None))
+@example((3, [(3, P("t + 1", 3), P("t", 3)), (-4, P("t", 3), P("0", 3))], 0))
+def test_dot_matches_operators(operands):
+    q, terms, above = operands
+    got = dot(terms, q, above)
+    assert got == _dot_oracle(terms, q, above)
+    assert _clean_invariant(got, q)
+    # and the plain dict reference, free of the operators
+    expected = {}
+    for c, a, b in terms:
+        scaled = {e: v * c for e, v in _ref_mul(a.coeffs, b.coeffs, q).items()}
+        expected = _ref_add(expected, _ref_clean(scaled, q), q)
+    if above is not None:
+        expected = {e: v for e, v in expected.items() if e > above}
+    assert got.coeffs == expected
+
+
+def test_dot_cancels_to_zero():
+    a, b = P("t^3 + 2*t + 4", 5), P("3*t^-2 + 1", 5)
+    for above in (None, -5, 0, 10):
+        assert dot([(1, a, b), (-1, b, a)], 5, above) == LaurentPoly.zero(5)
+        assert dot([(2, a, b), (3, a, b)], 5, above) == LaurentPoly.zero(5)
+    assert dot((), 7) == LaurentPoly.zero(7)
 
 
 def test_public_constructors_validate_q():
@@ -343,8 +401,10 @@ def test_mixed_moduli_rejected():
         lambda: a + b,
         lambda: a - b,
         lambda: a * b,
-        lambda: a.mul_above(b, 0),
-        lambda: P("t", 2) * P("2", 3),  # the monomial path checks too
+        lambda: P("t", 2) * P("2", 3),
+        lambda: dot(((1, a, b),), 2),
+        lambda: dot(((1, a, a),), 3, 0),
+        lambda: dot(((1, a, a), (1, b, b)), 2),
         lambda: a + 1,
     ):
         with pytest.raises(InvalidInputError):
