@@ -29,7 +29,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gf import check_prime, gaussian_binomial, left_null_vector
-from .laurent import LaurentMatrix, LaurentPoly, _poly, dot, series_inverse
+from .laurent import LaurentMatrix, _matrix, _poly, dot, series_inverse
 
 # The one bound on predicted work, about a microsecond per unit (measured on
 # a shared 2-core x86-64 with Python 3.11): `neighbors` costs one
@@ -114,7 +114,7 @@ def _solve_canonical(canon: LaurentMatrix, m: LaurentMatrix) -> LaurentMatrix:
             terms = [(-1, rows[i][k], out[k][j]) for k in range(i + 1, d) if rows[i][k]]
             acc = dot([(1, m.rows[i][j], one), *terms], q) if terms else m.rows[i][j]
             out[i][j] = acc.shift(-pivots[i])
-    return LaurentMatrix(out, q)
+    return _matrix(out, q)
 
 
 def _certify_same_lattice(canon: LaurentMatrix, original: LaurentMatrix) -> bool:
@@ -208,7 +208,7 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
                     dot(((1, x, one), (-1, f, y)), q) if y else x
                     for x, y in zip(work[j], col_i)
                 ]
-    canon = LaurentMatrix([[work[j][i] for j in range(d)] for i in range(d)], q)
+    canon = _matrix([[work[j][i] for j in range(d)] for i in range(d)], q)
     if not _certify_same_lattice(canon, scaled):
         raise InternalInvariantError("lattice normal form failed its exact certificate")
 
@@ -321,18 +321,18 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     d, q = v.d, v.q
     terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
     check_neighbor_work(d, k, q, terms)
-    zero = LaurentPoly.zero(q)
-    uniformizer = LaurentPoly.t_power(-1, q)
+    zero = _poly({}, q)
+    uniformizer = _poly({-1: 1}, q)
     out = []
     for rows in subspace_bases(d, d - k, q):
         pivs = {next(j for j in range(d) if r[j]) for r in rows}
         ncols = []
         for r in rows:
-            ncols.append([LaurentPoly.constant(c, q) if c else zero for c in r])
+            ncols.append([_poly({0: c}, q) if c else zero for c in r])
         for j in range(d):
             if j not in pivs:
                 ncols.append([uniformizer if i == j else zero for i in range(d)])
-        n = LaurentMatrix([[ncols[j][i] for j in range(d)] for i in range(d)], q)
+        n = _matrix([[ncols[j][i] for j in range(d)] for i in range(d)], q)
         out.append(vertex_normal_form(v.basis * n))
     return out
 

@@ -24,7 +24,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gf import check_prime, left_null_vector
-from .laurent import LaurentMatrix, LaurentPoly, _poly, dot
+from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _poly, dot
 
 # stabilizer_enumerate refuses groups of larger order than this
 DEFAULT_GROUP_BOUND = 10**6
@@ -319,12 +319,12 @@ def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
                     poly_slots.append((i, j, cap))
     choices_by_cap = {
         cap: [
-            LaurentPoly(dict(enumerate(coeffs)), q)
+            _poly({e: c for e, c in enumerate(coeffs) if c}, q)
             for coeffs in product(range(q), repeat=cap + 1)
         ]
         for cap in {cap for _, _, cap in poly_slots}
     }
-    zero = LaurentPoly.zero(q)
+    zero = _poly({}, q)
 
     out: list[LaurentMatrix] = []
     for diag_blocks in product(*(_gl_matrices(sizes[l], q) for l in range(r))):
@@ -334,7 +334,7 @@ def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
             for i in range(sizes[l]):
                 for j in range(sizes[l]):
                     if blk[i][j]:
-                        base[s + i][s + j] = LaurentPoly.constant(blk[i][j], q)
+                        base[s + i][s + j] = _poly({0: blk[i][j]}, q)
         for combo in product(*(choices_by_cap[cap] for _, _, cap in poly_slots)):
             rows = [row[:] for row in base]
             for (i, j, _), p in zip(poly_slots, combo):
@@ -342,7 +342,7 @@ def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
             lead = next(x for row in rows for x in row if x)
             if lead.coeffs[min(lead.coeffs)] != 1:
                 continue
-            out.append(LaurentMatrix(rows, q))
+            out.append(_matrix(rows, q))
     if len(out) != predicted:
         raise InternalInvariantError(
             f"stabilizer enumeration for {label}, q={q}: got {len(out)}, "
@@ -393,14 +393,13 @@ def _residue_action_generators(label, q: int) -> list[LaurentMatrix]:
     # diagonal matrices fix.  q is prime, so the powers of
     # I + t^(n_i - n_j) E_ij give every multiple c.
     d = len(label)
-    one, zero = LaurentPoly.constant(1, q), LaurentPoly.zero(q)
     gens = []
     for i in range(d):
         for j in range(d):
             if i != j and label[i] >= label[j]:
-                rows = [[one if r == c else zero for c in range(d)] for r in range(d)]
-                rows[i][j] = LaurentPoly.t_power(label[i] - label[j], q)
-                gens.append(LaurentMatrix(rows, q))
+                rows = _diagonal_rows((0,) * d, q)
+                rows[i][j] = _poly({label[i] - label[j]: 1}, q)
+                gens.append(_matrix(rows, q))
     return gens
 
 
@@ -472,7 +471,7 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     low = min((x.low_exponent() for row in basis.rows for x in row if x), default=0)
     low = min(low, 0)
     rows = [[x.shift(-low) if x else x for x in row] for row in basis.rows]
-    acc = [list(r) for r in LaurentMatrix.identity(d, q).rows]
+    acc = _diagonal_rows((0,) * d, q)
     # the canonical basis is triangular with pivots t^profile_i
     det_deg = sum(v.profile) - low * d
 
@@ -509,6 +508,6 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     order = sorted(range(d), key=lambda i: (-degs[i], i))
     base_deg = min(degs)
     label = tuple(degs[i] - base_deg for i in order)
-    witness = LaurentMatrix([acc[i] for i in order], q)
+    witness = _matrix([acc[i] for i in order], q)
     return label, witness
 

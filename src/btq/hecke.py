@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, log2
 
-from . import domain
+from . import building, domain
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from .gf import check_prime, gl_order
 from .quotient import QuotientGraph
@@ -210,25 +210,25 @@ def _integer_scaled(f: DomainFunction):
 
 
 def commutator_check(graph: QuotientGraph, f: DomainFunction):
-    """Max |(A_1 A_2 - A_2 A_1) f| over the doubly-interior vertices.
+    """Max |(A_1 A_{d-1} - A_{d-1} A_1) f| over the doubly-interior vertices,
+    for the two operators stored at every d.
 
     Exactly zero for exact scalars, which run on f scaled to integers (the
     ratios are integers) and give a Fraction.  Raises if the truncation is
     too small to contain any doubly-interior vertex.
     """
-    if graph.d != 3:
-        raise InvalidInputError("the commutator check is for d = 3")
     scaled = _integer_scaled(f)
     if scaled is not None:
         f, scale = scaled
-    a12 = apply_hecke(graph, 1, apply_hecke(graph, 2, f))
-    a21 = apply_hecke(graph, 2, apply_hecke(graph, 1, f))
-    common = set(a12.values) & set(a21.values)
+    top = graph.d - 1
+    left = apply_hecke(graph, 1, apply_hecke(graph, top, f))
+    right = apply_hecke(graph, top, apply_hecke(graph, 1, f))
+    common = set(left.values) & set(right.values)
     if not common:
         raise InvalidInputError("truncation has no doubly-interior vertex")
     residual = None
     for u in sorted(common):
-        r = abs(a12.values[u] - a21.values[u])
+        r = abs(left.values[u] - right.values[u])
         residual = r if residual is None else max(residual, r)
     return residual if scaled is None else Fraction(residual, scale)
 
@@ -310,12 +310,8 @@ def eigenvector_d3(params: HeckeParams, max_n1: int):
                 val = l1 * F(0, 0) / t3
             elif (a, b) == (1, 1):
                 val = l2 * F(0, 0) / t3
-            elif (a, b) == (2, 0):
-                val = l1 * F(1, 0) - r * q * F(1, 1)
             elif (a, b) == (2, 1):
                 val = (l2 * F(1, 0) - q**2 * F(0, 0)) / r
-            elif (a, b) == (2, 2):
-                val = l2 * F(1, 1) - q * r * F(1, 0)
             elif b == 0:
                 val = l1 * F(a - 1, 0) - r * q * F(a - 1, 1)
             elif b == a:
@@ -558,8 +554,13 @@ def covolume(d: int, q: int, normalization: str = "pgl") -> Fraction:
 
 
 def covolume_partial(d: int, q: int, max_n1: int, normalization: str = "pgl") -> Fraction:
-    """Sum of 1/|Gamma_label| over the truncated domain; below covolume."""
+    """Sum of 1/|Gamma_label| over the truncated domain; below covolume.
+
+    Refused before the loop when its predicted work, 16 + 5 d units per
+    label (one stabilizer order and one Fraction sum), is over
+    building.NEIGHBOR_WORK_BOUND."""
     check_prime(q)
+    building.check_work(domain.label_count(d, max_n1) * (16 + 5 * d), "the partial covolume")
     total = Fraction(0)
     for lab in domain.enumerate_domain(d, max_n1):
         total += Fraction(1, domain.stabilizer_order(lab, q))

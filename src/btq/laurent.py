@@ -8,21 +8,20 @@ Polynomials are stored sparsely as {exponent: nonzero residue}; the zero
 polynomial is the empty map.  All ring operations are exact.
 
 q is validated once, where a value enters from outside: `LaurentPoly(...)`,
-`zero`, `constant`, `t_power`, `parse`, `LaurentMatrix(...)`,
-`from_literal` and the random samplers.  Arithmetic on those values
-builds its result through the private `_poly`, which neither re-checks q
-nor re-reduces coefficients: `+`, `-`, `*`, negation, `shift`, `part_*`,
-`series_inverse`, `dot` and the matrix product, determinant and adjugate.
+`zero`, `constant`, `t_power`, `parse`, `LaurentMatrix(...)`, `identity`,
+`diagonal`, `from_literal` and the random samplers.  Every result of
+arithmetic on those values is built through the private `_poly` or, for
+a matrix, `_matrix`, which neither re-check q nor re-reduce coefficients.
 Every binary operation still checks that its operands share q.
 
-Every product and sum of products goes through one private kernel,
+Every ring operation goes through one private kernel,
 `dot(terms, q, above=None)`: the sum of c * a * b over (c, a, b) triples,
 accumulated in one integer dict and reduced mod q once, so a matrix
 entry, a minor or a row update builds one polynomial rather than one per
-product and per partial sum.  With `above` it equals the sum's
-`part_above(above)` and never forms the products at or below the cutoff:
-the lattice normal form, which works modulo a power of 1/t, discards them
-anyway.
+product and per partial sum; `+`, `-` and negation are terms against the
+constant 1.  With `above` it equals the sum's `part_above(above)` and
+never forms the products at or below the cutoff: the lattice normal
+form, which works modulo a power of 1/t, discards them anyway.
 
 A truncated inverse of an O-unit (`series_inverse`) is exact modulo a
 power of 1/t; its one consumer, the lattice normal form, works modulo a
@@ -126,30 +125,17 @@ class LaurentPoly:
             raise InvalidInputError("mixed moduli in Laurent arithmetic")
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        self._check_compat(other)
+        one = _poly({0: 1}, self.q)
+        return dot(((1, self, one), (1, other, one)), self.q)
 
     def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def _plus(self, other, sign: int) -> "LaurentPoly":
-        """self + sign * other, for sign = 1 or -1."""
         self._check_compat(other)
-        if not other.coeffs:
-            return self
-        q = self.q
-        out = dict(self.coeffs)
-        get = out.get
-        for e, c in other.coeffs.items():
-            s = (get(e, 0) + sign * c) % q
-            if s:
-                out[e] = s
-            else:  # c is nonzero, so e was present
-                del out[e]
-        return _poly(out, q)
+        one = _poly({0: 1}, self.q)
+        return dot(((1, self, one), (-1, other, one)), self.q)
 
     def __neg__(self):
-        q = self.q
-        return _poly({e: q - c for e, c in self.coeffs.items()}, q)
+        return dot(((-1, self, _poly({0: 1}, self.q)),), self.q)
 
     def __mul__(self, other):
         self._check_compat(other)
@@ -305,7 +291,7 @@ def dot(terms, q: int, above: int | None = None) -> LaurentPoly:
                     break
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-    return _poly({e: r for e, v in out.items() if (r := v % q)}, q)
+    return _poly(_reduced(out, q), q)
 
 
 def is_unit_in_O(f: LaurentPoly) -> bool:
@@ -370,24 +356,15 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls, d: int, q: int) -> "LaurentMatrix":
-        one = LaurentPoly.constant(1, q)
-        zero = LaurentPoly.zero(q)
-        return cls(
-            [[one if i == j else zero for j in range(d)] for i in range(d)], q
-        )
+        return cls.diagonal((0,) * d, q)
 
     @classmethod
     def diagonal(cls, exps, q: int) -> "LaurentMatrix":
         """diag(t^e for e in exps)."""
-        zero = LaurentPoly.zero(q)
-        d = len(exps)
-        return cls(
-            [
-                [LaurentPoly.t_power(exps[i], q) if i == j else zero for j in range(d)]
-                for i in range(d)
-            ],
-            q,
-        )
+        check_prime(q)
+        if not exps:
+            raise InvalidInputError("matrix must be square and nonempty")
+        return _matrix(_diagonal_rows(exps, q), q)
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.rows[i][j]
@@ -407,9 +384,7 @@ class LaurentMatrix:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            return LaurentMatrix(
-                [[x * other for x in row] for row in self.rows], self.q
-            )
+            return _matrix([[x * other for x in row] for row in self.rows], self.q)
         if not isinstance(other, LaurentMatrix) or other.q != self.q:
             raise InvalidInputError("matrix product requires matching moduli")
         if other.d != self.d:
@@ -423,13 +398,11 @@ class LaurentMatrix:
             for col in cols:
                 terms = [(1, a, b) for a, b in zip(row, col) if a.coeffs and b.coeffs]
                 out[-1].append(dot(terms, q) if terms else zero)
-        return LaurentMatrix(out, q)
+        return _matrix(out, q)
 
     def shift(self, e: int) -> "LaurentMatrix":
         """Multiply every entry by t^e (a homothety of the column span)."""
-        return LaurentMatrix(
-            [[x.shift(e) for x in row] for row in self.rows], self.q
-        )
+        return _matrix([[x.shift(e) for x in row] for row in self.rows], self.q)
 
     def minor(self, rows_idx, cols_idx) -> LaurentPoly:
         """Determinant of the submatrix on the given index tuples."""
@@ -444,7 +417,7 @@ class LaurentMatrix:
         """Adjugate matrix: adj(M) * M = det(M) * I, exactly."""
         d = self.d
         if d == 1:
-            return LaurentMatrix([[LaurentPoly.constant(1, self.q)]], self.q)
+            return _matrix([[_poly({0: 1}, self.q)]], self.q)
         idx = tuple(range(d))
         out = [[None] * d for _ in range(d)]
         for i in range(d):
@@ -455,7 +428,7 @@ class LaurentMatrix:
                 if (i + j) % 2:
                     cof = -cof
                 out[j][i] = cof
-        return LaurentMatrix(out, self.q)
+        return _matrix(out, self.q)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
@@ -490,6 +463,28 @@ class LaurentMatrix:
         return cls(rows, q)
 
 
+_set_rows = LaurentMatrix.rows.__set__
+_set_d = LaurentMatrix.d.__set__
+_set_matrix_q = LaurentMatrix.q.__set__
+
+
+def _matrix(rows, q: int) -> LaurentMatrix:
+    """The constructor of matrix results: `_poly` for matrices.  rows is a
+    square list of rows of LaurentPoly over q, q validated on entry."""
+    m = _new(LaurentMatrix)
+    _set_rows(m, tuple(map(tuple, rows)))
+    _set_d(m, len(rows))
+    _set_matrix_q(m, q)
+    return m
+
+
+def _diagonal_rows(exps, q: int) -> list[list[LaurentPoly]]:
+    """The rows of diag(t^e for e in exps), built without checks."""
+    zero = _poly({}, q)
+    d = len(exps)
+    return [[_poly({e: 1}, q) if i == j else zero for j in range(d)] for i, e in enumerate(exps)]
+
+
 def _det_rows(rows: list[list[LaurentPoly]], q: int) -> LaurentPoly:
     """Laplace expansion along each row in turn, from the bottom up, with
     every minor of the rows below computed once and keyed by the bitmask
@@ -508,7 +503,7 @@ def _det_rows(rows: list[list[LaurentPoly]], q: int) -> LaurentPoly:
                 sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
                 wider.setdefault(mask | bit, []).append((sign, x, m))
         minors = {mask: m for mask, terms in wider.items() if (m := dot(terms, q))}
-    return minors.get((1 << len(rows)) - 1, LaurentPoly.zero(q))
+    return minors.get((1 << len(rows)) - 1) or _poly({}, q)
 
 
 def _as_rng(seed) -> random.Random:
@@ -517,33 +512,32 @@ def _as_rng(seed) -> random.Random:
     return random.Random(seed)
 
 
+def _random_poly(exponents, q, rng) -> LaurentPoly:
+    """One uniform residue drawn per exponent, in order; zeros dropped."""
+    return _poly({e: c for e in exponents if (c := rng.randrange(q))}, q)
+
+
 def _random_unitriangular(d, q, bound, upper, rng) -> LaurentMatrix:
-    one = LaurentPoly.constant(1, q)
-    zero = LaurentPoly.zero(q)
-    rows = [[zero] * d for _ in range(d)]
+    rows = _diagonal_rows((0,) * d, q)
     for i in range(d):
-        rows[i][i] = one
         js = range(i + 1, d) if upper else range(i)
         for j in js:
-            rows[i][j] = LaurentPoly({e: rng.randrange(q) for e in range(bound + 1)}, q)
-    return LaurentMatrix(rows, q)
+            rows[i][j] = _random_poly(range(bound + 1), q, rng)
+    return _matrix(rows, q)
 
 
 def _random_permutation(d, q, rng) -> LaurentMatrix:
     perm = list(range(d))
     rng.shuffle(perm)
-    one = LaurentPoly.constant(1, q)
-    zero = LaurentPoly.zero(q)
-    return LaurentMatrix(
-        [[one if j == perm[i] else zero for j in range(d)] for i in range(d)], q
-    )
+    rows = _diagonal_rows((0,) * d, q)
+    return _matrix([rows[p] for p in perm], q)
 
 
 def _random_constant_invertible(d, q, rng) -> LaurentMatrix:
     while True:
         rows = [[rng.randrange(q) for _ in range(d)] for _ in range(d)]
         if left_null_vector(rows, q) is None:
-            return LaurentMatrix([[LaurentPoly.constant(c, q) for c in row] for row in rows], q)
+            return _matrix([[_poly({0: c} if c else {}, q) for c in row] for row in rows], q)
 
 
 def random_gamma(d: int, q: int, deg_bound: int, seed) -> LaurentMatrix:
@@ -580,14 +574,7 @@ def random_k(d: int, q: int, depth: int, seed) -> LaurentMatrix:
         raise InvalidInputError(f"depth must be an int >= 0, got {depth!r}")
     rng = _as_rng(seed)
     while True:
-        rows = [
-            [
-                LaurentPoly(
-                    {-e: rng.randrange(q) for e in range(depth + 1)}, q
-                )
-                for _ in range(d)
-            ]
-            for _ in range(d)
-        ]
+        exponents = range(0, -depth - 1, -1)
+        rows = [[_random_poly(exponents, q, rng) for _ in range(d)] for _ in range(d)]
         if left_null_vector([[x.coeff(0) for x in row] for row in rows], q) is None:
-            return LaurentMatrix(rows, q)
+            return _matrix(rows, q)

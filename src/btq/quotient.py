@@ -192,20 +192,30 @@ def export(graph: QuotientGraph, fmt: str) -> bytes:
     return _writer(fmt)(graph)
 
 
+def graph_counts(d: int, max_n1: int) -> tuple[int, int]:
+    """The node and edge counts of build_graph(d, q, max_n1), exactly, for
+    every q, found without building the graph.
+
+    With N = max_n1 there are L = C(N+d-1, d-1) labels; L' = C(N+d-2, d-2)
+    of them have n_i = n_(i+1), for any one i, and L' have n_1 = N.  A
+    label has one degree-1 in-domain neighbor per block, so
+    1 + #{i : n_i > n_(i+1)} of them, and the one that lowers the zero
+    block leaves the truncation exactly when n_1 = N: there are
+    L + (d-1)(L - L') - L' edges.
+    """
+    n_labels = domain.label_count(d, max_n1)
+    n_flat = comb(max_n1 + d - 2, d - 2)
+    return n_labels, n_labels + (d - 1) * (n_labels - n_flat) - n_flat
+
+
 def predicted_export_bytes(d: int, q: int, max_n1: int, fmt: str) -> int:
     """An upper estimate of len(export(build_graph(d, q, max_n1), fmt)),
-    found without building the graph.
+    found from the exact `graph_counts` without building the graph.
 
-    Both counts are exact.  With N = max_n1 there are L = C(N+d-1, d-1)
-    labels; L' = C(N+d-2, d-2) of them have n_i = n_(i+1), for any one i,
-    and L' have n_1 = N.  A label has one degree-1 in-domain neighbor per
-    block, so 1 + #{i : n_i > n_(i+1)} of them, and the one that lowers
-    the zero block leaves the truncation exactly when n_1 = N: there are
-    L + (d-1)(L - L') - L' edges.  Each node and edge is costed at its
-    widest: label entries as wide as N, orders below
-    q^(floor(d^2/4) N + d^2), the bound on every |Gamma_u| (capped at
-    domain.RESULT_BIT_BOUND bits, where the orders themselves are refused),
-    and ratios up to [d choose 1]_q, their row sum.
+    Each node and edge is costed at its widest: label entries as wide as
+    N = max_n1, orders below q^(floor(d^2/4) N + d^2), the bound on every
+    |Gamma_u| (capped at domain.RESULT_BIT_BOUND bits, where the orders
+    themselves are refused), and ratios up to [d choose 1]_q, their row sum.
     """
     check_prime(q)
     if d < 2 or max_n1 < 0:
@@ -213,9 +223,7 @@ def predicted_export_bytes(d: int, q: int, max_n1: int, fmt: str) -> int:
     # every stabilizer order checks a q-exponent of at least d^2 first, so
     # above this no graph can be built, whatever its size
     domain.check_result_size(d * d, q, "every stabilizer order")
-    n_labels = domain.label_count(d, max_n1)
-    n_flat = comb(max_n1 + d - 2, d - 2)
-    n_edges = n_labels + (d - 1) * (n_labels - n_flat) - n_flat
+    n_labels, n_edges = graph_counts(d, max_n1)
     exponent = d * d // 4 * max_n1 + d * d
     order = 2 ** min(ceil(exponent * log2(q)), domain.RESULT_BIT_BOUND)
     ratio = gaussian_binomial(d, 1, q)

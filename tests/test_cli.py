@@ -211,10 +211,18 @@ def test_hecke_check(run):
     assert lines[0] == "row_sums ok (expected 7)"
     assert lines[1].startswith("commutator_max_residual 0 ")
     assert lines[2] == "adjointness_residual 0"
-    code, out, _ = run("hecke-check", "--d", "2", "--q", "3", "--max-n", "8")
-    assert code == 0 and out.splitlines()[0] == "row_sums ok (expected 4)"
-    code, out, _ = run("hecke-check", "--d", "4", "--q", "2", "--max-n", "3")
-    assert code == 0 and out.splitlines()[0] == "row_sums ok (expected 15)"
+    # the commutator of A_1 and A_(d-1) is checked at every d
+    for d, q, max_n, sums in (("2", "3", "8", 4), ("4", "2", "3", 15), ("5", "2", "3", 31)):
+        code, out, _ = run("hecke-check", "--d", d, "--q", q, "--max-n", max_n)
+        assert code == 0 and out.splitlines() == [
+            f"row_sums ok (expected {sums})",
+            "commutator_max_residual 0 over 5 random functions",
+            "adjointness_residual 0",
+        ]
+    # a truncation with no doubly-interior vertex is invalid at every d
+    for d, max_n in (("3", "1"), ("4", "1"), ("2", "0")):
+        code, out, err = run("hecke-check", "--d", d, "--max-n", max_n)
+        assert code == 2 and not out and "doubly-interior" in err
 
 
 def test_hecke_check_fail_exit_code(run, monkeypatch):
@@ -323,6 +331,9 @@ def test_exit_code_invalid_input(run):
     for literal in ("nan+1i", "1e400+1i"):
         code, out, err = run("eigenvector", "--d", "2", "--q", "2", "--lambda1", literal)
         assert code == 2 and not out and "not finite" in err
+    for trials in ("0", "-3"):
+        code, out, err = run("hecke-check", "--max-n", "4", "--trials", trials)
+        assert code == 2 and not out and "--trials" in err
 
 
 # three over the value-size bound, one over the work bound only (all ones,
@@ -391,6 +402,13 @@ def test_exit_code_resource_bound(run):
         # hecke-check builds the same graph, so the same prediction bounds it
         ("hecke-check", "--d", "3", "--q", "2", "--max-n", "150"),
         ("hecke-check", "--d", "1500", "--max-n", "0"),
+        # the commutator trials are bounded by their predicted work
+        ("hecke-check", "--max-n", "4", "--trials", "1000000000"),
+        ("hecke-check", "--d", "3", "--q", "2", "--max-n", "4", "--trials", "100000"),
+        # and so is the partial covolume sum, by its label count
+        ("covolume", "--d", "3", "--q", "2", "--max-n", "800"),
+        ("covolume", "--d", "3", "--q", "2", "--max-n", "1400"),
+        ("covolume", "--d", "4", "--q", "2", "--max-n", "170"),
         # a group of order 242,121,642
         ("stabilizer", "--n", "8,0", "--q", "7", "--enumerate"),
         # refused by predicted work: about 89,000 normal forms
@@ -710,6 +728,8 @@ def _cli_argv(draw):
 @example(argv=["stabilizer", "--n=20000,0", "--q=2"])
 @example(argv=["covolume", "--d=100", "--max-n=0"])
 @example(argv=["covolume", "--d=22", "--max-n=2"])
+@example(argv=["covolume", "--d=3", "--max-n=1400"])
+@example(argv=["hecke-check", "--max-n=4", "--trials=1000000000"])
 @example(argv=["distance", "--n=100000000,0", "--m=0,0", "--radius=2"])
 @example(argv=["distance", "--n=1000000000,7,0", "--m=0,0,0"])
 @example(argv=["distance", "--n=0,0", "--m=0,0,0"])

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from btq import domain
 from btq.domain import enumerate_domain, stabilizer_order
 from btq.errors import InvalidInputError, ResourceBoundError
 from btq.gf import gaussian_binomial, gl_order
@@ -94,13 +95,23 @@ def test_commutator_vanishes_random():
         for seed in range(8):
             f = DomainFunction.random_rational(3, q, 9, seed=seed)
             assert commutator_check(g, f) == 0
+    # A_1 and A_(d-1) commute at every d; at d = 2 they are one operator
+    for d, q, max_n in ((4, 2, 4), (4, 3, 3), (4, 2, 6), (5, 2, 3), (6, 2, 3), (2, 2, 6)):
+        g = build_graph(d, q, max_n)
+        for seed in range(3):
+            f = DomainFunction.random_rational(d, q, max_n, seed=seed)
+            assert commutator_check(g, f) == 0, (d, q, max_n, seed)
+    # the check sees a wrong edge at d != 3 too
+    g = one_wrong_ratio(4, 2, 4)
+    assert commutator_check(g, DomainFunction.random_rational(4, 2, 4, seed=0)) != 0
 
 
 def test_commutator_needs_interior():
-    g = build_graph(3, 2, 1)
-    f = DomainFunction.constant(3, 2, 1, Fraction(1))
-    with pytest.raises(InvalidInputError):
-        commutator_check(g, f)
+    for d, max_n in ((3, 1), (4, 1), (2, 0)):
+        g = build_graph(d, 2, max_n)
+        f = DomainFunction.constant(d, 2, max_n, Fraction(1))
+        with pytest.raises(InvalidInputError):
+            commutator_check(g, f)
 
 
 def test_adjointness_exact():
@@ -479,6 +490,16 @@ def test_covolume_result_size_bound():
     # the stabilizer orders in the sum are bounded, and so is its denominator
     for d, q, max_n in ((2, 2, 7100), (100, 2, 0)):
         with pytest.raises(ResourceBoundError):
+            covolume_partial(d, q, max_n)
+
+
+def test_covolume_partial_work_bound(monkeypatch):
+    for d, q, max_n in ((3, 3, 40), (12, 2, 4), (22, 2, 2)):
+        assert 0 < covolume_partial(d, q, max_n) < covolume(d, q)
+    # refused from the label count, before one stabilizer order is formed
+    monkeypatch.setattr(domain, "stabilizer_order", None)
+    for d, q, max_n in ((3, 2, 800), (3, 2, 1400), (4, 2, 170)):
+        with pytest.raises(ResourceBoundError, match="partial covolume"):
             covolume_partial(d, q, max_n)
 
 

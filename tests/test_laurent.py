@@ -1,11 +1,14 @@
 """Laurent arithmetic, parsing, matrices and the random samplers."""
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from btq import building, domain, gf, laurent
 from btq.errors import InvalidInputError
 from btq.laurent import (
     LaurentMatrix,
@@ -322,11 +325,16 @@ def test_kernel_matches_reference(operands):
 
 
 def _dot_oracle(terms, q, above):
-    # the sum of c * (a * b) from the ring operators, then the cutoff
+    # the sum of c * (a * b) from the ring operators, then the cutoff; the
+    # operators are themselves terms of dot, so the plain dict reference in
+    # the test keeps the check independent
     total = LaurentPoly.zero(q)
     for c, a, b in terms:
         term = LaurentPoly.constant(abs(c), q) * (a * b)
-        total = total + term if c >= 0 else total - term
+        if c >= 0:
+            total = total + term
+        else:  # binary minus, or unary minus and a difference
+            total = total - term if c % 2 else -(term - total)
     return total if above is None else total.part_above(above)
 
 
@@ -393,6 +401,65 @@ def test_public_constructors_validate_q():
         ):
             with pytest.raises(InvalidInputError):
                 build()
+
+
+def test_matrix_constructors_validate_entries():
+    one2, one3 = P("1", 2), P("1", 3)
+    for build in (
+        lambda: LaurentMatrix([[one2, one2]]),
+        lambda: LaurentMatrix([[one2, one2], [one2]], 2),
+        lambda: LaurentMatrix([], 2),
+        lambda: LaurentMatrix([[one2, 1], [one2, one2]], 2),
+        lambda: LaurentMatrix([[one2, "t"], [one2, one2]], 2),
+        lambda: LaurentMatrix([[one2, one3], [one2, one2]]),
+        lambda: LaurentMatrix([[one2]], 3),
+        lambda: LaurentMatrix([[one2]], 4),
+        lambda: LaurentMatrix.identity(0, 2),
+        lambda: LaurentMatrix.identity(2, 4),
+        lambda: LaurentMatrix.diagonal((), 3),
+        lambda: LaurentMatrix.diagonal((1, 0), 6),
+    ):
+        with pytest.raises(InvalidInputError):
+            build()
+    zero, one = P("0", 3), P("1", 3)
+    assert LaurentMatrix.identity(2, 3) == LaurentMatrix([[one, zero], [zero, one]])
+    assert LaurentMatrix.diagonal((2, 0), 2) == LaurentMatrix.from_literal(
+        {"q": 2, "d": 2, "entries": [["t^2", "0"], ["0", "1"]]}
+    )
+
+
+def test_results_skip_the_entry_checks(monkeypatch):
+    """q is checked where a value enters, never again in the arithmetic:
+    one normal form and domain reduction of a seeded matrix make no
+    check_prime call."""
+    m = random_gamma(4, 3, 3, 7) * random_k(4, 3, 2, 7)
+    calls = []
+    real = gf.check_prime
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    for module in (gf, laurent, building, domain):
+        if getattr(module, "check_prime", None) is real:
+            monkeypatch.setattr(module, "check_prime", counted)
+    label, witness = domain.reduce_to_domain(building.vertex_normal_form(m))
+    assert calls == []
+    assert witness.d == 4 and label[-1] == 0
+    LaurentMatrix(m.rows, 3)  # the counter sees the entry point
+    assert calls == [3]
+
+
+def test_samplers_draw_fixed_matrices():
+    # the benchmark's seeded inputs come from these draws: a change in how
+    # the samplers consume the random stream changes this hash
+    h = hashlib.sha256()
+    for d in (2, 3, 4):
+        for q in (2, 3, 5):
+            for seed in range(10):
+                for m in (random_gamma(d, q, 3, seed), random_k(d, q, 2, seed)):
+                    h.update(json.dumps(m.to_literal()).encode())
+    assert h.hexdigest() == "b9bd1ef5fe86e63d4da789a59b611528e461f6855436dbb68e977af759914866"
 
 
 def test_mixed_moduli_rejected():
