@@ -6,13 +6,16 @@ entry above a pivot in row i is supported on exponents strictly greater
 than a_i, and min(a_i) = 0 fixes the homothety.  Two vertices are equal
 iff their canonical bases are entrywise equal.
 
-Neighbor enumeration goes through subspaces of the residue space.  Edge
-colors and both distances are read off the relative position of two
-vertices, the Smith valuations of y^-1 x from one elimination over O,
-or, for two label vertices, the sorted label differences
+Neighbor enumeration goes through subspaces of the residue space.  One
+row reduction by leading row coefficients (`_reduce_rows`) serves both
+lattice invariants: over F_q[t] it reduces a vertex into the fundamental
+domain (`domain.reduce_to_domain`), and over O it gives the relative
+position of two vertices, the Smith valuations of y^-1 x.  Edge colors
+and both distances are read off the relative position, or, for two
+label vertices, off the sorted label differences
 (`label_relative_position`); breadth-first search on the 1-skeleton is
-their oracle in the tests.  The
-`bfs_*` names are kept from the search they replaced.  The closed-form
+their oracle in the tests.  The `bfs_*` names are kept from the search
+they replaced.  The closed-form
 label distances (`distance_formulas`) are the old label formulas the CLI
 has always printed next to them; they do not agree with the graph metric
 everywhere, and the CLI reports both.
@@ -337,6 +340,61 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     return out
 
 
+def _reduce_rows(rows, det_deg: int, q: int, over_O: bool, witness=None) -> list[int]:
+    """Row reduction of a nonsingular matrix by leading row coefficients, in
+    place, over F_q[t] or, with `over_O`, over O = F_q[[1/t]]; returns the
+    final row degrees.
+
+    While the matrix of leading row coefficients is singular over F_q, a
+    null combination cancels the top degree of one used row, the pivot:
+    every used row i enters it as its coefficient times t^(deg p - deg i).
+    Over F_q[t] the pivot is the used row of largest degree, over O the one
+    of least degree, so every multiplier lies in the ring and each step is
+    left multiplication by an element of GL_d of that ring; `witness`, a
+    list of rows, if given, takes the same steps.  Each step strictly lowers
+    the total row degree, which is bounded below by det_deg = deg det, the
+    degree every step keeps.  Once the leading matrix is invertible the rows
+    are diag(t^deg) A with A in GL_d(O), and the degrees sum to exactly
+    det_deg.  A zero row means a singular matrix (SingularMatrixError); any
+    other broken invariant is a bug and raises InternalInvariantError.
+    """
+    d = len(rows)
+    sign = -1 if over_O else 1
+
+    def row_degree(i: int) -> int:
+        degs = [x.degree() for x in rows[i] if x]
+        if not degs:
+            raise SingularMatrixError("zero row during row reduction")
+        return max(degs)
+
+    # only the pivot row changes in a step, so only its degree is recomputed
+    degs = [row_degree(i) for i in range(d)]
+    while True:
+        lead = [[x.coeffs.get(degs[i], 0) for x in rows[i]] for i in range(d)]
+        combo = left_null_vector(lead, q)
+        if combo is None:
+            break
+        used = [i for i in range(d) if combo[i]]
+        pivot = max(used, key=lambda i: (sign * degs[i], i))
+        monos = {i: _poly({degs[pivot] - degs[i]: 1}, q) for i in used}
+        rows[pivot] = [dot([(combo[i], monos[i], rows[i][j]) for i in used], q) for j in range(d)]
+        if witness is not None:
+            witness[pivot] = [
+                dot([(combo[i], monos[i], witness[i][j]) for i in used], q) for j in range(d)
+            ]
+        new_deg = row_degree(pivot)
+        if new_deg >= degs[pivot]:
+            raise InternalInvariantError("row degree did not decrease during row reduction")
+        degs[pivot] = new_deg
+        if sum(degs) < det_deg:
+            raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
+    if sum(degs) != det_deg:
+        raise InternalInvariantError(
+            f"row degrees {degs} do not account for the determinant degree {det_deg}"
+        )
+    return degs
+
+
 def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
     """Smith valuations s_1 <= ... <= s_d of y^-1 x over O = F_q[[1/t]].
 
@@ -344,49 +402,18 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
     (1/t)^(s_i) e_i where y's is spanned by the e_i; the tuple is the
     relative position of the two vertices up to a common shift (Garrett,
     Buildings and Classical Groups, 1997).  y^-1 x comes from one
-    back-substitution.  Scaled by t^-top into O, it has determinant
-    valuation N = d top - sum profile(x) + sum profile(y), read off the
-    monomial determinants of the canonical bases.  With u = 1/t, each
-    valuation is at most N, so one elimination modulo u^(N+1) is exact: each
-    step takes the entry of least valuation a, clears its row and column,
-    records a, and leaves the rest needed modulo u^(N+1-a) only.  The
-    recorded valuations must sum to N, else InternalInvariantError.
+    back-substitution, and the row reduction over O (`_reduce_rows`)
+    brings it to diag(t^deg) A with A in GL_d(O), so the valuations are
+    the negated row degrees.  Its determinant has degree
+    sum profile(x) - sum profile(y), read off the monomial determinants of
+    the canonical bases; row degrees that do not sum to it raise
+    InternalInvariantError.
     """
     if x.q != y.q or x.d != y.d:
         raise InvalidInputError("vertices live in different buildings")
-    q = x.q
-    rel = _solve_canonical(y.basis, x.basis)
-    top = max(e.degree() for row in rel.rows for e in row if e)
-    det_val = x.d * top - sum(x.profile) + sum(y.profile)
-    modulus = det_val + 1
-    rows = [[e.shift(-top).part_above(-modulus) for e in row] for row in rel.rows]
-    one = _poly({0: 1}, q)
-    vals = []
-    while rows:
-        live = [(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e]
-        if not live:
-            break
-        r, c = max(live, key=lambda ij: rows[ij[0]][ij[1]].degree())
-        piv = rows.pop(r)
-        a = -piv[c].degree()
-        modulus -= a
-        inv = series_inverse(piv[c].shift(a), modulus - 1)
-        # every entry has valuation at least a, so each f below lies in O
-        # and f * p above u^modulus needs p above u^modulus only
-        piv = [dot(((1, e, inv),), q, -modulus) for e in piv]
-        for i, row in enumerate(rows):
-            f = row[c].shift(a)
-            rows[i] = [
-                dot(((1, e, one), (-1, f, p)), q, -modulus)
-                for j, (e, p) in enumerate(zip(row, piv))
-                if j != c
-            ]
-        vals.append(a)
-    if len(vals) != x.d or sum(vals) != det_val:
-        raise InternalInvariantError(
-            f"Smith valuations {vals} do not account for the determinant valuation {det_val}"
-        )
-    return tuple(a - top for a in vals)
+    rows = list(_solve_canonical(y.basis, x.basis).rows)
+    degs = _reduce_rows(rows, sum(x.profile) - sum(y.profile), x.q, over_O=True)
+    return tuple(sorted(-e for e in degs))
 
 
 def label_relative_position(label1, label2) -> tuple[int, ...]:

@@ -16,15 +16,16 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 from math import comb, log2, prod
 
-from .building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
-from .errors import (
-    InternalInvariantError,
-    InvalidInputError,
-    ResourceBoundError,
-    SingularMatrixError,
+from .building import (
+    BuildingVertex,
+    _reduce_rows,
+    neighbors,
+    vertex_from_label,
+    vertex_normal_form,
 )
+from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from .gf import check_prime, left_null_vector
-from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _poly, dot
+from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _poly
 
 # stabilizer_enumerate refuses groups of larger order than this
 DEFAULT_GROUP_BOUND = 10**6
@@ -453,61 +454,23 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     """The unique domain label of a building vertex's orbit, plus a witness
     w over F_q[t] with unit determinant and [w * basis] = [label diagonal].
 
-    Row reduction over F_q[t]: while the matrix of leading row
-    coefficients is singular over F_q, a null combination cancels the top
-    degree of one row, strictly decreasing the total row degree (which is
-    bounded below by deg det).  Each entry of the new row and of the new
-    witness row is one `laurent.dot`.  Once the leading matrix is
-    invertible the row degrees are the label exponents up to sorting and
-    homothety.
+    The basis goes through the row reduction over F_q[t]
+    (`building._reduce_rows`), and the witness takes the same steps.  The
+    result is diag(t^deg) A with A in GL_d(O), whose lattice class is the
+    diagonal one of the sorted row degrees: they are the label exponents up
+    to homothety.  The canonical basis is triangular with pivots
+    t^profile_i, so its determinant has degree sum(profile), and row
+    degrees summing to anything else raise InternalInvariantError.
     """
     if isinstance(v, LaurentMatrix):
         v = vertex_normal_form(v)
     elif not isinstance(v, BuildingVertex):
         raise InvalidInputError("expected a BuildingVertex or LaurentMatrix")
-    basis = v.basis
-    d, q = basis.d, basis.q
-
-    low = min((x.low_exponent() for row in basis.rows for x in row if x), default=0)
-    low = min(low, 0)
-    rows = [[x.shift(-low) if x else x for x in row] for row in basis.rows]
+    d, q = v.d, v.q
     acc = _diagonal_rows((0,) * d, q)
-    # the canonical basis is triangular with pivots t^profile_i
-    det_deg = sum(v.profile) - low * d
-
-    def row_degree(i: int) -> int:
-        degs = [x.degree() for x in rows[i] if x]
-        if not degs:
-            raise SingularMatrixError("zero row during domain reduction")
-        return max(degs)
-
-    # only the pivot row changes in a step, so only its degree is recomputed
-    degs = [row_degree(i) for i in range(d)]
-    while True:
-        lead = [[x.coeffs.get(degs[i], 0) for x in rows[i]] for i in range(d)]
-        combo = left_null_vector(lead, q)
-        if combo is None:
-            break
-        used = [i for i in range(d) if combo[i]]
-        pivot = max(used, key=lambda i: (degs[i], i))
-        # row i enters as combo[i] t^(deg pivot - deg i) times row i
-        monos = {i: _poly({degs[pivot] - degs[i]: 1}, q) for i in used}
-        rows[pivot] = [dot([(combo[i], monos[i], rows[i][j]) for i in used], q) for j in range(d)]
-        acc[pivot] = [dot([(combo[i], monos[i], acc[i][j]) for i in used], q) for j in range(d)]
-        new_deg = row_degree(pivot)
-        if new_deg >= degs[pivot]:
-            raise InternalInvariantError(
-                "row degree did not decrease during domain reduction"
-            )
-        degs[pivot] = new_deg
-        if sum(degs) < det_deg:
-            raise InternalInvariantError(
-                "total row degree fell below deg(det) during domain reduction"
-            )
-
+    degs = _reduce_rows(list(v.basis.rows), sum(v.profile), q, over_O=False, witness=acc)
     order = sorted(range(d), key=lambda i: (-degs[i], i))
     base_deg = min(degs)
     label = tuple(degs[i] - base_deg for i in order)
     witness = _matrix([acc[i] for i in order], q)
     return label, witness
-

@@ -21,7 +21,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, log2
+from math import ceil, comb, lcm, log2
 
 from . import building, domain
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
@@ -31,9 +31,6 @@ from .quotient import QuotientGraph
 Label = tuple[int, ...]
 
 COMPLEX_TOLERANCE = 1e-9
-# the eigenvector recursions refuse more predicted work than this, counted
-# as arithmetic operations times predicted operand bits
-EIGENVECTOR_WORK_BOUND = 2 * 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +64,7 @@ def _check_eigenvector_size(lambdas, q: int, max_n1: int, operations: int) -> No
     """Raise ResourceBoundError if eigenvector values to depth max_n1 are
     predicted above RESULT_BIT_BOUND bits (for inexact scalars, beyond the
     float exponent range), or `operations` times that size above
-    EIGENVECTOR_WORK_BOUND.
+    building.NEIGHBOR_WORK_BOUND, at 40 operand bits per unit.
 
     A unit of n_1 multiplies by an eigenvalue and powers of q and divides by
     q + 1 or q^2 + q + 1: about 2 log2 H + 2 log2(q + 1) bits per eigenvalue,
@@ -86,11 +83,7 @@ def _check_eigenvector_size(lambdas, q: int, max_n1: int, operations: int) -> No
             f"eigenvector values to n_1 = {max_n1} would have about {bits:.0f} bits, "
             f"over the bound {limit}"
         )
-    if operations * bits > EIGENVECTOR_WORK_BOUND:
-        raise ResourceBoundError(
-            f"the eigenvector to n_1 = {max_n1} predicts {operations * bits:.3g} units of "
-            f"work, over the bound {EIGENVECTOR_WORK_BOUND}"
-        )
+    building.check_work(ceil(operations * bits / 40), f"the eigenvector to n_1 = {max_n1}")
 
 
 # ---------------------------------------------------------------------------

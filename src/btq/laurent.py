@@ -20,15 +20,19 @@ accumulated in one integer dict and reduced mod q once, so a matrix
 entry, a minor or a row update builds one polynomial rather than one per
 product and per partial sum; `+`, `-` and negation are terms against the
 constant 1.  With `above` it equals the sum's `part_above(above)` and
-never forms the products at or below the cutoff: the lattice normal
-form, which works modulo a power of 1/t, discards them anyway.
+never forms the products at or below the cutoff: its one user, the
+lattice normal form (`building.vertex_normal_form`), works modulo a
+power of 1/t and discards them anyway.
 
 A truncated inverse of an O-unit (`series_inverse`) is exact modulo a
-power of 1/t; its one consumer, the lattice normal form, works modulo a
-power of 1/t that the lattice contains, so its result is exact.  The
-normal form still certifies it without series arithmetic: the triangular
-canonical basis has monic monomial pivots, so its inverse times the input
-comes from an exact back-substitution, and must lie in GL_d(O).
+power of 1/t.  Its one consumer is also the lattice normal form, which
+works modulo a power of 1/t that the lattice contains, so its result is
+exact; the relative position and the domain reduction need neither,
+because their row reduction multiplies rows by monomials only.  The
+normal form still certifies its result without series arithmetic: the
+triangular canonical basis has monic monomial pivots, so its inverse
+times the input comes from an exact back-substitution, and must lie in
+GL_d(O).
 `LaurentMatrix.det`, `minor` and `adjugate` are exact Laplace expansions
 that compute each minor once: d 2^(d-1) products, not d!.  Matrix
 literals are read as they are; the CLI bounds the work they predict.

@@ -96,15 +96,6 @@ def classify_edge_d3(label1, label2) -> int:
     return 9 if b == 1 else 10
 
 
-def edge_stabilizer_order(label1, label2, q: int) -> int:
-    """|Gamma(u, v)| for a color-1 edge u -> v of the domain."""
-    u = domain.validate_label(label1)
-    v = domain.validate_label(label2)
-    if u not in domain.neighbors_in_domain(v, 1):
-        raise InvalidInputError(f"{u} -> {v} is not a color-1 edge of the domain")
-    return domain.pattern_order(u, v, q)
-
-
 def build_graph(d: int, q: int, max_n1: int) -> QuotientGraph:
     """Assemble the truncated quotient graph with all exact edge data.
 

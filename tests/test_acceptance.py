@@ -79,13 +79,13 @@ def test_criterion_2_edge_table():
     for u, v, etype, stab_form, ratios in EDGE_TABLE:
         assert quotient.classify_edge_d3(u, v) == etype
         for q in (2, 3, 5):
-            stab = quotient.edge_stabilizer_order(u, v, q)
+            stab = domain.pattern_order(u, v, q)
             assert stab == stab_form(q, u[0]), (etype, q)
             rf, rt = ratios(q)
             assert domain.stabilizer_order(u, q) == rf * stab, (etype, q)
             assert domain.stabilizer_order(v, q) == rt * stab, (etype, q)
         # brute-force oracle at q = 2
-        assert quotient.edge_stabilizer_order(u, v, 2) == domain.edge_stabilizer_brute(u, v, 2)
+        assert domain.pattern_order(u, v, 2) == domain.edge_stabilizer_brute(u, v, 2)
     _report("criterion 2 (d=3 edge table, 12 types, q in {2,3,5} + brute force)",
             time.time() - t0, 120)
 

@@ -1,8 +1,10 @@
 """Normal forms, neighbors, colors and distances against brute-force oracles.
 
 Breadth-first search over the 1-skeleton and the Smith valuations from
-minors live here as oracles for `relative_position` and the distances read
-off it.
+minors live here as oracles for `relative_position`, the row reduction over
+O that also reduces vertices into the domain over F_q[t], and for the
+distances read off it.  The minors check it up to d = 6 and on a label of
+span 10^4.
 """
 
 import random
@@ -411,13 +413,28 @@ def test_relative_position_matches_minors():
     rng = random.Random(61)
     checked = 0
     for q in (2, 3):
-        for d in (2, 3, 4):
-            for _ in range(40):
+        for d, pairs in ((2, 40), (3, 40), (4, 40), (5, 6), (6, 4)):
+            for _ in range(pairs):
                 x = vertex_normal_form(random_invertible(d, q, rng))
                 y = vertex_normal_form(random_invertible(d, q, rng))
                 assert relative_position(x, y) == smith_by_minors(x, y), (x, y)
                 checked += 1
-    assert checked >= 200
+    assert checked >= 250
+
+
+def test_relative_position_wide_label():
+    # a label vertex of span 10^4 against a dense vertex: the reduction over
+    # O cancels leading terms, so its cost does not grow with the span
+    x = vertex_from_label((10**4, 9, 2, 1, 0), 2)
+    m = random_gamma(5, 2, 3, 5) * LaurentMatrix.diagonal((4, 3, 1, 1, 0), 2)
+    y = vertex_normal_form(m)
+    assert max(len(e.coeffs) for row in y.basis.rows for e in row) > 1
+    for a, b in ((x, y), (y, x)):
+        start = time.perf_counter()
+        s = relative_position(a, b)
+        assert time.perf_counter() - start < 0.25
+        assert s == smith_by_minors(a, b)
+    assert relative_position(x, y) == tuple(sorted(-e for e in relative_position(y, x)))
 
 
 def test_relative_position_labels_and_checks():
@@ -431,7 +448,7 @@ def test_relative_position_labels_and_checks():
 
 
 def test_label_relative_position_matches_elimination():
-    # the label path of `btq distance` against the elimination over O
+    # the label path of `btq distance` against the row reduction over O
     rng = random.Random(12)
     for _ in range(150):
         d = rng.randint(2, 6)

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from btq import domain
-from btq.building import neighbors, vertex_from_label, vertex_normal_form
+from btq.building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
 from btq.domain import (
     block_seq,
     diff_seq,
@@ -442,3 +442,11 @@ def test_reduce_disjointness():
         g = random_gamma(3, q, 2, rng)
         v = vertex_normal_form(g * vertex_from_label(lab, q).basis)
         assert reduce_to_domain(v)[0] == lab
+
+
+def test_reduce_wrong_determinant_is_internal():
+    # a profile that misstates the determinant leaves row degrees unaccounted
+    v = vertex_from_label((2, 1, 0), 2)
+    for profile in ((3, 1, 0), (1, 1, 0)):
+        with pytest.raises(InternalInvariantError):
+            reduce_to_domain(BuildingVertex(v.basis, profile))

