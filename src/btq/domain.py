@@ -3,19 +3,26 @@
 Domain vertices are labels: weakly decreasing nonnegative integer tuples
 with last entry 0.  This module owns the label combinatorics (difference
 and block sequences), the in-domain neighbor enumeration (block-suffix
-drops; alternating changes of the difference sequence are its oracle in
-the tests), friends, stabilizer orders and brute-force stabilizer groups,
-the orbit decomposition of neighbors (each orbit the closure of one
-neighbor under a generating set; enumerating the whole group is its
-oracle in the tests), and the reduction of an arbitrary building vertex
-to its unique domain label together with a group-element witness.
+drops, made directly as the compositions of the degree and memoized as
+difference vectors per block-size sequence; alternating changes of the
+difference sequence and the product of all drop combinations are its
+oracles in the tests), friends, stabilizer orders (one closed-form
+exponent, O(d) for a vertex; the pair sum is its oracle in the tests) and
+brute-force stabilizer groups, the orbit decomposition of neighbors (each
+orbit the closure of one neighbor under a generating set; enumerating the
+whole group is its oracle in the tests), and the reduction of an
+arbitrary building vertex to its unique domain label together with a
+group-element witness.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
-from math import comb, log2, prod
+from functools import lru_cache
+from itertools import accumulate, combinations, combinations_with_replacement, product
+from math import comb, log2
+from operator import add, mul, sub
 
+from . import building
 from .building import (
     BuildingVertex,
     _reduce_rows,
@@ -138,21 +145,90 @@ def enumerate_domain(d: int, max_n1: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(label, k: int) -> list[tuple[int, int]]:
-    """The (value, size) blocks of a valid label, for a degree k in [1, d - 1]."""
-    sizes, values = block_seq(label)
-    d = sum(sizes)
-    if not 1 <= k <= d - 1:
-        raise InvalidInputError(f"degree must be in [1, {d - 1}], got {k}")
-    return list(zip(values, sizes))
+def _label_sizes(label, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The validated label and its block sizes, read in one pass, for a
+    degree k in [1, d - 1]."""
+    label = tuple(map(int, label))
+    if len(label) < 2:
+        raise InvalidInputError("d = 1 is rejected: the building is a point")
+    if label[-1] != 0:
+        raise InvalidInputError(f"label must end in 0, got {label}")
+    sizes = [1]
+    for prev, n in zip(label, label[1:]):
+        if n == prev:
+            sizes[-1] += 1
+        elif n < prev:
+            sizes.append(1)
+        else:
+            raise InvalidInputError(f"label must be weakly decreasing, got {label}")
+    if not 1 <= k <= len(label) - 1:
+        raise InvalidInputError(f"degree must be in [1, {len(label) - 1}], got {k}")
+    return label, tuple(sizes)
 
 
 def in_domain_work(label, k: int) -> int:
     """The predicted work of `neighbors_in_domain(label, k)` and of printing
     its result, in the units of building.NEIGHBOR_WORK_BOUND: d / 4 for
-    each drop combination it tries, prod(min(size, k) + 1) over the blocks."""
-    blocks = _blocks(label, k)
-    return len(label) * prod(min(size, k) + 1 for _, size in blocks) // 4
+    each neighbor, the compositions of k with part b at most min(d_b, k).
+
+    Exact while it is within the bound.  The count runs block by block
+    over the partial sums that can still reach k; each of them extends to
+    at least one neighbor, so it stops, returning a value over the bound,
+    as soon as they alone are too many.  A long label is thus refused
+    after a few blocks, never after the product of the per-block choices.
+    """
+    label, sizes = _label_sizes(label, k)
+    d = len(label)
+    caps = [min(size, k) for size in sizes]
+    # room[b]: the most that blocks b, b + 1, ... can still drop
+    room = list(accumulate(reversed(caps), initial=0))[::-1]
+    lo, ways = 0, [1]  # ways[j]: the partial drop vectors summing to lo + j
+    for b, cap in enumerate(caps):
+        new_lo = max(0, k - room[b + 1])
+        new_hi = min(k, lo + len(ways) - 1 + cap)
+        sums = list(accumulate(ways, initial=0))
+        ways = [
+            sums[min(j - lo, len(ways) - 1) + 1] - sums[max(j - cap - lo, 0)]
+            for j in range(new_lo, new_hi + 1)
+        ]
+        lo = new_lo
+        work = d * sum(ways) // 4
+        if work > building.NEIGHBOR_WORK_BOUND:
+            return work
+    return work
+
+
+# 128 entries hold the deltas of every (block sizes, k) with d <= 5 at
+# once (98 of them).  One large CLI call fills one entry, as large as the
+# list of neighbors it prints.
+@lru_cache(maxsize=128)
+def _drop_deltas(sizes: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    # The differences neighbor - label of the degree-k in-domain neighbors
+    # of any label with these block sizes, in lexicographic order, which
+    # adding the label keeps.  The compositions of k with part
+    # b in [0, min(d_b, k)] are built from the last block back, keeping
+    # only partial sums the earlier blocks can still complete; the block
+    # segments are linked, not copied, until the whole delta is joined.
+    caps = [min(size, k) for size in sizes]
+    room = list(accumulate(caps, initial=0))  # room[b]: what blocks < b can drop
+    partial = [(k, None)]
+    for b in range(len(sizes) - 1, -1, -1):
+        size = sizes[b]
+        partial = [
+            (left - s, ((0,) * (size - s) + (-1,) * s, tail))
+            for left, tail in partial
+            for s in range(max(0, left - room[b]), min(caps[b], left) + 1)
+        ]
+    out = []
+    for _, node in partial:
+        delta: list[int] = []
+        while node:
+            segment, node = node
+            delta += segment
+        # when the zero block drops, every entry rises by one
+        out.append(tuple(x + 1 for x in delta) if delta[-1] else tuple(delta))
+    out.sort()
+    return tuple(out)
 
 
 def neighbors_in_domain(label, k: int) -> list[tuple[int, ...]]:
@@ -161,21 +237,19 @@ def neighbors_in_domain(label, k: int) -> list[tuple[int, ...]]:
     Each one lowers a suffix of every block of the label by one, the suffix
     lengths summing to k, and is renormalized: when the zero block drops,
     every entry rises by one.  For k = 1 the count is 1 + |m|.  Distinct
-    drops give distinct labels, since 1 <= k <= d - 1.  Alternating changes
-    of the difference sequence give the same set independently; the tests
-    use them as the oracle.
+    drops give distinct labels, since 1 <= k <= d - 1.
+
+    The drops are the compositions of k with part b at most the size of
+    block b, made directly, so the work follows the output.  They depend
+    only on the block sizes and k, so their difference vectors, lift
+    included, are kept in a bounded LRU cache; a call validates the label,
+    reading its block sizes in the same pass, and adds each vector to it.
+    Alternating changes of the difference sequence, and trying every drop
+    combination, give the same list independently; the tests use both as
+    oracles.
     """
-    blocks = _blocks(label, k)
-    out = []
-    for drops in product(*(range(min(size, k) + 1) for _, size in blocks)):
-        if sum(drops) == k:
-            lift = 1 if drops[-1] else 0
-            entries: list[int] = []
-            for (n, size), s in zip(blocks, drops):
-                entries += [n + lift] * (size - s) + [n + lift - 1] * s
-            out.append(tuple(entries))
-    out.sort()
-    return out
+    label, sizes = _label_sizes(label, k)
+    return [tuple(map(add, label, delta)) for delta in _drop_deltas(sizes, k)]
 
 
 def friends(label) -> dict[int, tuple[int, ...]]:
@@ -209,7 +283,9 @@ def friends(label) -> dict[int, tuple[int, ...]]:
 
 def stabilizer_order(label, q: int) -> int:
     """|Gamma_label|: the degree-pattern order of the label with itself."""
-    return pattern_order(label, label, q)
+    label = validate_label(label)
+    check_prime(q)
+    return _pattern_order(label, label, q)
 
 
 def pattern_order(label1, label2, q: int) -> int:
@@ -236,18 +312,28 @@ def _pattern_order(u, v, q: int) -> int:
     # prod_{r=1}^{s} (q^r - 1), and c_ij = 0 inside a block, so the powers
     # of q from all pairs i < j sum to one exponent, and the position r of
     # each index within its block contributes the factor q^r - 1.
+    # With w = u - v, min(u_i - u_j, v_i - v_j) = v_i - v_j +
+    # min(w_i - w_j, 0), and the v-differences of all pairs sum to
+    # sum_i (d - 1 - 2i) v_i, so the exponent is C(d, 2) plus that plus the
+    # pair sum of min(w_i - w_j, 0), which vanishes when u = v: a
+    # stabilizer order takes O(d) steps.
     # The order is below q^(exp + d(d+1)/2), which is checked before the
     # product.  Each of the d(d-1)/2 pairs adds at least 1 to exp, so d^2
     # bounds that exponent from below; checking it before the pair sum
     # refuses a long label without the quadratic work.
     d = len(u)
     check_result_size(d * d, q, "the stabilizer order")
-    exp = sum(min(u[i] - u[j], v[i] - v[j]) + 1 for i in range(d) for j in range(i + 1, d))
+    exp = d * (d - 1) // 2 + sum(map(mul, range(d - 1, -d, -2), v))
+    same = u == v
+    if not same:
+        exp += sum(min(a - b, 0) for a, b in combinations(map(sub, u, v), 2))
     check_result_size(exp + d * (d + 1) // 2, q, "the stabilizer order")
     order = 1
     r = 0
-    for i in range(d):
-        r = r + 1 if i and u[i] == u[i - 1] and v[i] == v[i - 1] else 1
+    previous = None
+    for key in u if same else zip(u, v):
+        r = r + 1 if key == previous else 1
+        previous = key
         order *= q**r - 1
     return order * q**exp // (q - 1)
 

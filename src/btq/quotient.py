@@ -108,7 +108,8 @@ def build_graph(d: int, q: int, max_n1: int) -> QuotientGraph:
         raise InvalidInputError("max_n1 must be >= 0")
     labels = domain.enumerate_domain(d, max_n1)
     inside = set(labels)
-    nodes = {lab: domain.stabilizer_order(lab, q) for lab in labels}
+    # the enumerated labels are valid and q is checked above
+    nodes = {lab: domain._pattern_order(lab, lab, q) for lab in labels}
     edges = []
     for v in labels:
         for u in domain.neighbors_in_domain(v, 1):
@@ -132,30 +133,39 @@ def build_graph(d: int, q: int, max_n1: int) -> QuotientGraph:
 # ---------------------------------------------------------------------------
 
 
+def _json_list(items: list[str]) -> str:
+    # a list of objects one level below the top, as json.dumps(indent=2) writes it
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def export_json(graph: QuotientGraph) -> bytes:
-    """Serialize per the documented schema; big integers as decimal strings."""
-    obj = {
-        "d": graph.d,
-        "q": graph.q,
-        "max_n1": graph.max_n1,
-        "nodes": [
-            {"label": list(lab), "stab_order": str(graph.nodes[lab])}
-            for lab in graph.labels()
-        ],
-        "edges": [
-            {
-                "from": list(e.src),
-                "to": list(e.dst),
-                "color": e.color,
-                "type": e.edge_type,
-                "edge_stab_order": str(e.edge_stab_order),
-                "ratio_from": str(e.ratio_from),
-                "ratio_to": str(e.ratio_to),
-            }
-            for e in graph.edges
-        ],
-    }
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    """Serialize per the documented schema; big integers as decimal strings.
+
+    The bytes are exactly those of json.dumps(obj, indent=2, sort_keys=True)
+    plus a newline, for obj the dict of the schema (keys d, edges, max_n1,
+    nodes, q; each label a list of ints).  Each node and edge is written
+    from one template instead: every label is formatted once, integers
+    print as str(int), the strings are decimal digits that need no
+    escaping, and an edge type prints as json.dumps does (an int for
+    d = 3, "generic" otherwise).  The tests keep json.dumps as the oracle.
+    """
+    labels = {lab: "[\n        " + ",\n        ".join(map(str, lab)) + "\n      ]" for lab in graph.nodes}
+    types = {t: json.dumps(t) for t in {e.edge_type for e in graph.edges}}
+    nodes = [
+        f'    {{\n      "label": {labels[lab]},\n      "stab_order": "{graph.nodes[lab]}"\n    }}'
+        for lab in graph.labels()
+    ]
+    edges = [
+        f'    {{\n      "color": {e.color},\n      "edge_stab_order": "{e.edge_stab_order}",\n'
+        f'      "from": {labels[e.src]},\n      "ratio_from": "{e.ratio_from}",\n'
+        f'      "ratio_to": "{e.ratio_to}",\n      "to": {labels[e.dst]},\n'
+        f'      "type": {types[e.edge_type]}\n    }}'
+        for e in graph.edges
+    ]
+    return (
+        f'{{\n  "d": {graph.d},\n  "edges": {_json_list(edges)},\n  "max_n1": {graph.max_n1},\n'
+        f'  "nodes": {_json_list(nodes)},\n  "q": {graph.q}\n}}\n'
+    ).encode()
 
 
 def export_dot(graph: QuotientGraph) -> bytes:

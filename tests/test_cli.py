@@ -431,6 +431,13 @@ def test_exit_code_resource_bound(run):
         code, out, _ = run("neighbors", *argv)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 0 and len(json.loads(out)) == count, argv
+    # in-domain neighbors cost their count, not every drop combination:
+    # 1140 of them for 19,...,0 at degree 3, from 2^20 combinations
+    start = time.perf_counter()
+    code, out, _ = run("neighbors", "--in-domain", "--n", _label(range(19, -1, -1)), "--q", "2",
+                       "--degree", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and len(out.splitlines()) == 1140
     # distances are no longer searched, so no vertex bound applies
     code, out, _ = run("distance", "--n", "9,0,0", "--m", "0,0,0", "--q", "2")
     assert code == 0

@@ -1,11 +1,13 @@
 """Label combinatorics, stabilizers, orbits and the domain reduction."""
 
 import random
+import time
 from itertools import product
+from math import comb
 
 import pytest
 
-from btq import domain
+from btq import building, domain
 from btq.building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
 from btq.domain import (
     block_seq,
@@ -26,7 +28,7 @@ from btq.domain import (
     validate_label,
 )
 from btq.errors import InternalInvariantError, InvalidInputError, ResourceBoundError
-from btq.gf import gaussian_binomial, pgl_order
+from btq.gf import gaussian_binomial, gl_order, pgl_order
 from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
 
 
@@ -129,6 +131,31 @@ def test_neighbors_in_domain_matches_chains():
     assert cases == 1155
 
 
+def neighbors_by_drop_products(label, k):
+    """Degree-k in-domain neighbors by trying every drop combination,
+    prod(min(size, k) + 1) over the blocks, and keeping those summing to k."""
+    sizes, values = block_seq(label)
+    out = []
+    for drops in product(*(range(min(size, k) + 1) for size in sizes)):
+        if sum(drops) == k:
+            lift = 1 if drops[-1] else 0
+            entries = []
+            for n, size, s in zip(values, sizes, drops):
+                entries += [n + lift] * (size - s) + [n + lift - 1] * s
+            out.append(tuple(entries))
+    return sorted(out)
+
+
+def test_neighbors_in_domain_matches_drop_products():
+    cases = 0
+    for d in range(2, 8):
+        for lab in enumerate_domain(d, 4):
+            for k in range(1, d):
+                assert neighbors_in_domain(lab, k) == neighbors_by_drop_products(lab, k), (lab, k)
+                cases += 1
+    assert cases == 2310
+
+
 def test_neighbors_in_domain_examples():
     assert neighbors_in_domain((2, 1, 0), 1) == [(1, 1, 0), (2, 0, 0), (3, 2, 0)]
     assert neighbors_in_domain((2, 1, 0), 2) == [(1, 0, 0), (2, 2, 0), (3, 1, 0)]
@@ -138,15 +165,39 @@ def test_neighbors_in_domain_examples():
     assert neighbors_in_domain((0, 0, 0), 2) == [(1, 0, 0)]
 
 
-def test_in_domain_work():
-    # d / 4 per drop combination: 2 * 2 * 2 for (2,1,0), 3 * 1 for (0,0,0,0) at k = 2
-    assert domain.in_domain_work((2, 1, 0), 1) == 3 * 8 // 4
-    assert domain.in_domain_work((0, 0, 0, 0), 2) == 4 * 3 // 4
-    assert domain.in_domain_work(tuple(range(23, -1, -1)), 12) == 24 * 2**24 // 4
+def test_in_domain_work(monkeypatch):
+    # d / 4 per neighbor: 3 for (2,1,0) at k = 1, 1 for (0,0,0,0) at k = 2
+    assert domain.in_domain_work((2, 1, 0), 1) == 3 * 3 // 4
+    assert domain.in_domain_work((0, 0, 0, 0), 2) == 4 * 1 // 4
+    assert domain.in_domain_work(tuple(range(19, -1, -1)), 3) == 20 * comb(20, 3) // 4
+    for d in range(2, 7):
+        for lab in enumerate_domain(d, 4):
+            for k in range(1, d):
+                assert domain.in_domain_work(lab, k) == d * len(neighbors_in_domain(lab, k)) // 4
+    # over the bound the count stops early, at a value that is still over it
+    long = tuple(range(23, -1, -1))
+    assert building.NEIGHBOR_WORK_BOUND < domain.in_domain_work(long, 12) < 24 * comb(24, 12) // 4
+    monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", 24 * comb(24, 12) // 4)
+    assert domain.in_domain_work(long, 12) == 24 * comb(24, 12) // 4
     with pytest.raises(InvalidInputError):
         domain.in_domain_work((2, 1, 0), 3)
     with pytest.raises(InvalidInputError):
         domain.in_domain_work((1, 2, 0), 1)
+
+
+def test_in_domain_work_long_labels_are_fast():
+    # neither the product of the per-block choices nor k^2 steps: 2^12000
+    # drop combinations, and a degree of 6000
+    for label, k in (
+        (tuple(range(11999, -1, -1)), 6000),
+        ((1,) * 6000 + (0,) * 6000, 5999),
+        (tuple(range(3999, -1, -1)), 1),
+    ):
+        start = time.perf_counter()
+        work = domain.in_domain_work(label, k)
+        assert time.perf_counter() - start < 0.5
+        assert (work > building.NEIGHBOR_WORK_BOUND) == (k != 1)
+    assert domain.in_domain_work(tuple(range(3999, -1, -1)), 1) == 4000 * 4000 // 4
 
 
 def test_neighbor_count_law():
@@ -174,6 +225,45 @@ def test_pattern_order_row_sum_law_every_color():
                     assert total == gaussian_binomial(d, k, q), (v, k, q)
                     cases += 1
     assert cases == 2296
+
+
+def pattern_order_by_pairs(u, v, q):
+    """|Gamma_u cap Gamma_v| from the block form of the docstring: one
+    |GL_s(F_q)| per run of equal (u_i, v_i), times q^(c_ij + 1) for every
+    pair i < j in different runs, over q - 1."""
+    d = len(u)
+    run = [0] * d
+    for i in range(1, d):
+        run[i] = run[i - 1] + ((u[i], v[i]) != (u[i - 1], v[i - 1]))
+    order = 1
+    for r in set(run):
+        order *= gl_order(run.count(r), q)
+    exp = sum(
+        min(u[i] - u[j], v[i] - v[j]) + 1
+        for i in range(d)
+        for j in range(i + 1, d)
+        if run[i] != run[j]
+    )
+    return order * q**exp // (q - 1)
+
+
+def test_pattern_order_matches_pair_sum():
+    rng = random.Random(7)
+    pairs = 0
+    for d in range(2, 9):
+        for _ in range(500):
+            u, v = (tuple(sorted(rng.choices(range(7), k=d - 1), reverse=True)) + (0,) for _ in "uv")
+            q = rng.choice((2, 3, 5))
+            assert pattern_order(u, v, q) == pattern_order_by_pairs(u, v, q), (u, v, q)
+            pairs += 1
+    assert pairs == 3500
+    orders = 0
+    for d in range(2, 9):
+        for lab in enumerate_domain(d, 3):
+            for q in (2, 3):
+                assert stabilizer_order(lab, q) == pattern_order_by_pairs(lab, lab, q), (lab, q)
+                orders += 1
+    assert orders == 2 * sum(comb(d + 2, 3) for d in range(2, 9))
 
 
 def test_pattern_order_result_size_bound():

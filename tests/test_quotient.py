@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from btq import domain
+from btq import domain, quotient
 from btq.domain import (
     edge_stabilizer_brute,
     enumerate_domain,
@@ -247,6 +247,68 @@ def test_export_json_round_trip():
     for edge in obj["edges"]:
         assert edge["color"] == 1
         assert 1 <= edge["type"] <= 12
+
+
+def export_json_by_dumps(graph):
+    """The documented schema through json.dumps, the template's oracle."""
+    obj = {
+        "d": graph.d,
+        "q": graph.q,
+        "max_n1": graph.max_n1,
+        "nodes": [
+            {"label": list(lab), "stab_order": str(graph.nodes[lab])} for lab in graph.labels()
+        ],
+        "edges": [
+            {
+                "from": list(e.src),
+                "to": list(e.dst),
+                "color": e.color,
+                "type": e.edge_type,
+                "edge_stab_order": str(e.edge_stab_order),
+                "ratio_from": str(e.ratio_from),
+                "ratio_to": str(e.ratio_to),
+            }
+            for e in graph.edges
+        ],
+    }
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_export_json_matches_json_dumps():
+    cases = 0
+    for d, qs, max_ns in (
+        (2, (2, 3, 5, 7), (0, 1, 2, 5, 8)),
+        (3, (2, 3, 5, 7), (0, 1, 2, 5, 8)),
+        (4, (2, 3, 5), (0, 1, 2, 5, 8)),
+        (5, (2, 3), (0, 1, 2, 5, 8)),
+    ):
+        for q in qs:
+            for max_n1 in max_ns:
+                graph = build_graph(d, q, max_n1)
+                assert bool(graph.edges) == (max_n1 > 0)
+                assert {type(e.edge_type) for e in graph.edges} <= ({int} if d == 3 else {str})
+                assert export_json(graph) == export_json_by_dumps(graph), (d, q, max_n1)
+                cases += 1
+    assert cases == 65
+
+
+def test_predicted_export_bytes_matches_json_dumps(monkeypatch):
+    # the prediction writes three synthetic graphs: no nodes, one node, and
+    # one node with a self-edge of the widest values
+    written = []
+
+    def checked(graph):
+        blob = export_json(graph)
+        assert blob == export_json_by_dumps(graph)
+        written.append(blob)
+        return blob
+
+    monkeypatch.setattr(quotient, "export_json", checked)
+    grid = [(d, q, max_n1) for d in (2, 3, 4, 5) for q in (2, 3, 7) for max_n1 in (0, 1, 8, 40)]
+    for d, q, max_n1 in grid:
+        predicted_export_bytes(d, q, max_n1, "json")
+    assert len(written) == 3 * len(grid)
+    assert sum(b'"nodes": []' in blob for blob in written) == len(grid)
 
 
 def test_export_dot_arrow_pattern():
