@@ -10,8 +10,8 @@ Neighbor enumeration goes through subspaces of the residue space.  One
 row reduction by leading row coefficients (`_reduce_rows`) serves both
 lattice invariants: over F_q[t] it reduces a vertex into the fundamental
 domain (`domain.reduce_to_domain`), and over O it gives the relative
-position of two vertices, the Smith valuations of y^-1 x.  Edge colors
-and both distances are read off the relative position, or, for two
+position of two vertices, the Smith valuations of y^-1 x.  Both
+distances are read off the relative position, or, for two
 label vertices, off the sorted label differences
 (`label_relative_position`); breadth-first search on the 1-skeleton is
 their oracle in the tests.  The `bfs_*` names are kept from the search
@@ -82,11 +82,6 @@ def vertex_from_label(label, q: int) -> BuildingVertex:
     if any(n < 0 for n in label) or label[-1] != 0 or list(label) != sorted(label, reverse=True):
         raise InvalidInputError(f"not a domain label: {label}")
     return BuildingVertex(LaurentMatrix.diagonal(label, q), label)
-
-
-def standard_vertex(d: int, q: int) -> BuildingVertex:
-    """The class of the standard lattice O^d."""
-    return vertex_from_label((0,) * d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +214,6 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     canon = canon.shift(-shift)
     profile = tuple(a - shift for a in pivots)
     return BuildingVertex(canon, profile)
-
-
-def vertex_color(v: BuildingVertex) -> int:
-    """Vertex color: (-v(det basis)) mod d = sum of the profile mod d."""
-    return sum(v.profile) % v.d
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +413,6 @@ def label_relative_position(label1, label2) -> tuple[int, ...]:
     if len(label1) != len(label2):
         raise InvalidInputError("vertices live in different buildings")
     return tuple(sorted(b - a for a, b in zip(label1, label2)))
-
-
-def edge_color(x: BuildingVertex, y: BuildingVertex) -> int | None:
-    """Color of the edge between x and y, or None if not adjacent.
-
-    Returns i when representatives exist with (1/t)L' < L < L' where
-    L' represents x, L represents y and [L' : L] = q^i: the relative
-    position, shifted to s_1 = 0, is d - i zeros and i ones.  Satisfies
-    edge_color(x, y) + edge_color(y, x) = 0 mod d.
-    """
-    s = relative_position(x, y)
-    shat = [e - s[0] for e in s]
-    colength = sum(shat)
-    if colength == 0 or shat[-1] > 1:
-        return None
-    return x.d - colength
 
 
 # ---------------------------------------------------------------------------

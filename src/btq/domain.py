@@ -1,10 +1,10 @@
 """The fundamental domain of the building under PGL_d(F_q[t]).
 
 Domain vertices are labels: weakly decreasing nonnegative integer tuples
-with last entry 0.  This module owns the label combinatorics (difference
-and block sequences), the in-domain neighbor enumeration (block-suffix
-drops, made directly as the compositions of the degree and memoized as
-difference vectors per block-size sequence; alternating changes of the
+with last entry 0.  This module owns the label combinatorics (block
+sequences), the in-domain neighbor enumeration (block-suffix drops, made
+directly as the compositions of the degree and memoized as difference
+vectors per block-size sequence; alternating changes of the
 difference sequence and the product of all drop combinations are its
 oracles in the tests), friends, stabilizer orders (one closed-form
 exponent, O(d) for a vertex; the pair sum is its oracle in the tests) and
@@ -34,18 +34,12 @@ from .errors import InternalInvariantError, InvalidInputError, ResourceBoundErro
 from .gf import check_prime, left_null_vector
 from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _poly
 
-# stabilizer_enumerate refuses groups of larger order than this
-DEFAULT_GROUP_BOUND = 10**6
 # enumerate_domain refuses to list more labels than this
 LABEL_COUNT_BOUND = 10**6
 # exact results predicted above this many bits are refused before the work;
 # two such fractions and their difference print within Python's 4300-digit
 # int-to-str limit
 RESULT_BIT_BOUND = 7000
-# _gl_matrices refuses to scan more candidate matrices than this; the group
-# bound does not imply it (at q = 97 the stabilizer of (0, 0) has order
-# 912,576, but GL_2(F_97) has 97^4 candidates)
-_GL_CANDIDATE_BOUND = 2 * 10**6
 
 
 def check_result_size(q_exponent: int, q: int, what: str) -> None:
@@ -57,15 +51,31 @@ def check_result_size(q_exponent: int, q: int, what: str) -> None:
         )
 
 
-def validate_label(label) -> tuple[int, ...]:
+def _read_label(label) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The validated label and its block sizes, read in one pass."""
     label = tuple(map(int, label))
     if len(label) < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     if label[-1] != 0:
         raise InvalidInputError(f"label must end in 0, got {label}")
-    if list(label) != sorted(label, reverse=True):
-        raise InvalidInputError(f"label must be weakly decreasing, got {label}")
-    return label
+    sizes = []
+    run = 1
+    prev = label[0]
+    for n in label[1:]:
+        if n == prev:
+            run += 1
+        elif n < prev:
+            sizes.append(run)
+            run = 1
+            prev = n
+        else:
+            raise InvalidInputError(f"label must be weakly decreasing, got {label}")
+    sizes.append(run)
+    return label, tuple(sizes)
+
+
+def validate_label(label) -> tuple[int, ...]:
+    return _read_label(label)[0]
 
 
 def parse_label(text: str) -> tuple[int, ...]:
@@ -81,29 +91,10 @@ def format_label(label) -> str:
     return ",".join(str(n) for n in label)
 
 
-def diff_seq(label) -> tuple[int, ...]:
-    """Consecutive differences (m_1, ..., m_{d-1}), m_i = n_i - n_{i+1}."""
-    label = validate_label(label)
-    return tuple(label[i] - label[i + 1] for i in range(len(label) - 1))
-
-
-def support_size(m_seq) -> int:
-    """|m|: the number of nonzero entries of a difference sequence."""
-    return sum(1 for m in m_seq if m)
-
-
 def block_seq(label) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Run lengths and values of the label: ((d_1,...,d_r), (g_1 > ... > g_r))."""
-    label = validate_label(label)
-    sizes: list[int] = []
-    values: list[int] = []
-    for n in label:
-        if values and values[-1] == n:
-            sizes[-1] += 1
-        else:
-            values.append(n)
-            sizes.append(1)
-    return tuple(sizes), tuple(values)
+    label, sizes = _read_label(label)
+    return sizes, tuple(dict.fromkeys(label))
 
 
 def _normalize(entries) -> tuple[int, ...]:
@@ -145,25 +136,9 @@ def enumerate_domain(d: int, max_n1: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _label_sizes(label, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The validated label and its block sizes, read in one pass, for a
-    degree k in [1, d - 1]."""
-    label = tuple(map(int, label))
-    if len(label) < 2:
-        raise InvalidInputError("d = 1 is rejected: the building is a point")
-    if label[-1] != 0:
-        raise InvalidInputError(f"label must end in 0, got {label}")
-    sizes = [1]
-    for prev, n in zip(label, label[1:]):
-        if n == prev:
-            sizes[-1] += 1
-        elif n < prev:
-            sizes.append(1)
-        else:
-            raise InvalidInputError(f"label must be weakly decreasing, got {label}")
-    if not 1 <= k <= len(label) - 1:
-        raise InvalidInputError(f"degree must be in [1, {len(label) - 1}], got {k}")
-    return label, tuple(sizes)
+def _check_degree(k: int, d: int) -> None:
+    if not 1 <= k <= d - 1:
+        raise InvalidInputError(f"degree must be in [1, {d - 1}], got {k}")
 
 
 def in_domain_work(label, k: int) -> int:
@@ -177,8 +152,9 @@ def in_domain_work(label, k: int) -> int:
     as soon as they alone are too many.  A long label is thus refused
     after a few blocks, never after the product of the per-block choices.
     """
-    label, sizes = _label_sizes(label, k)
+    label, sizes = _read_label(label)
     d = len(label)
+    _check_degree(k, d)
     caps = [min(size, k) for size in sizes]
     # room[b]: the most that blocks b, b + 1, ... can still drop
     room = list(accumulate(reversed(caps), initial=0))[::-1]
@@ -248,7 +224,8 @@ def neighbors_in_domain(label, k: int) -> list[tuple[int, ...]]:
     combination, give the same list independently; the tests use both as
     oracles.
     """
-    label, sizes = _label_sizes(label, k)
+    label, sizes = _read_label(label)
+    _check_degree(k, len(label))
     return [tuple(map(add, label, delta)) for delta in _drop_deltas(sizes, k)]
 
 
@@ -260,9 +237,8 @@ def friends(label) -> dict[int, tuple[int, ...]]:
     it is the label with those k coordinates lowered by one, renormalized.
     The zero label has no friends.
     """
-    label = validate_label(label)
+    label, sizes = _read_label(label)
     d = len(label)
-    sizes, _ = block_seq(label)
     out: dict[int, tuple[int, ...]] = {}
     k = 0
     for size in reversed(sizes):
@@ -338,35 +314,14 @@ def _pattern_order(u, v, q: int) -> int:
     return order * q**exp // (q - 1)
 
 
-def stabilizer_contains(label1, label2) -> bool:
-    """Whether Gamma_{label1} is a subgroup of Gamma_{label2}.
-
-    Holds iff the labels have the same block-size sequence and the
-    difference sequences satisfy m^1 <= m^2 pointwise, which nests the
-    entrywise degree bounds of the two matrix patterns.
-    """
-    label1 = validate_label(label1)
-    label2 = validate_label(label2)
-    if len(label1) != len(label2):
-        raise InvalidInputError("labels must have the same length")
-    sizes1, _ = block_seq(label1)
-    sizes2, _ = block_seq(label2)
-    if sizes1 != sizes2:
-        return False
-    return all(a <= b for a, b in zip(diff_seq(label1), diff_seq(label2)))
-
-
 _GL_CACHE: dict[tuple[int, int], list] = {}
 
 
 def _gl_matrices(m: int, q: int):
-    """All invertible m x m matrices over F_q (cached; m stays tiny here)."""
+    """All invertible m x m matrices over F_q, kept from the q^(m^2)
+    candidates in lexicographic order (cached; m stays tiny here)."""
     key = (m, q)
     if key not in _GL_CACHE:
-        if q ** (m * m) > _GL_CANDIDATE_BOUND:
-            raise ResourceBoundError(
-                f"GL_{m}(F_{q}) needs {q**(m*m)} candidate matrices, over the bound"
-            )
         mats = (
             tuple(flat[i * m : (i + 1) * m] for i in range(m))
             for flat in product(range(q), repeat=m * m)
@@ -376,26 +331,31 @@ def _gl_matrices(m: int, q: int):
 
 
 def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
-    """Materialize the full vertex stabilizer modulo scalars, or raise
-    ResourceBoundError when its order is above DEFAULT_GROUP_BOUND.
+    """Materialize the full vertex stabilizer modulo scalars.
 
     Elements are block upper-triangular matrices over F_q[t]: diagonal
     blocks invertible over F_q, and each entry of an off-diagonal block
     (l, m) a polynomial of degree at most g_l - g_m.  One representative
-    per scalar class: the first nonzero entry in row-major order has its
-    lowest-exponent coefficient normalized to 1.
+    per scalar class: the first nonzero entry in row-major order, which
+    lies in the first row of the first diagonal block, is 1.  So only the
+    first blocks whose first row leads with 1 are combined, and every
+    element built is kept.
+
+    Raises ResourceBoundError, before any element is built, when the
+    predicted work is above building.NEIGHBOR_WORK_BOUND: s^2 + 8 units
+    per s x s matrix, for each of the q^(m^2) candidates scanned for
+    GL_m(F_q), m a block size, and for each d x d element, printing
+    included.  The order formula refuses a long label first, so q^(m^2)
+    is never formed for a large m.
     """
     label = validate_label(label)
-    check_prime(q)
     predicted = stabilizer_order(label, q)
-    if predicted > DEFAULT_GROUP_BOUND:
-        raise ResourceBoundError(
-            f"stabilizer of {label} has order {predicted}, over the bound {DEFAULT_GROUP_BOUND}"
-        )
     sizes, values = block_seq(label)
+    d = len(label)
+    work = predicted * (d * d + 8) + sum(q ** (m * m) * (m * m + 8) for m in set(sizes))
+    building.check_work(work, f"the stabilizer of {format_label(label)} over F_{q}")
     r = len(sizes)
     starts = [sum(sizes[:i]) for i in range(r)]
-    d = len(label)
 
     poly_slots = []  # (row, col, degree cap) for the free polynomial entries
     for l in range(r):
@@ -412,9 +372,11 @@ def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
         for cap in {cap for _, _, cap in poly_slots}
     }
     zero = _poly({}, q)
+    blocks = [[blk for blk in _gl_matrices(sizes[0], q) if next(x for x in blk[0] if x) == 1]]
+    blocks += [_gl_matrices(size, q) for size in sizes[1:]]
 
     out: list[LaurentMatrix] = []
-    for diag_blocks in product(*(_gl_matrices(sizes[l], q) for l in range(r))):
+    for diag_blocks in product(*blocks):
         base = [[zero] * d for _ in range(d)]
         for l, blk in enumerate(diag_blocks):
             s = starts[l]
@@ -426,9 +388,6 @@ def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
             rows = [row[:] for row in base]
             for (i, j, _), p in zip(poly_slots, combo):
                 rows[i][j] = p
-            lead = next(x for row in rows for x in row if x)
-            if lead.coeffs[min(lead.coeffs)] != 1:
-                continue
             out.append(_matrix(rows, q))
     if len(out) != predicted:
         raise InternalInvariantError(

@@ -88,20 +88,12 @@ class LaurentPoly:
             raise InvalidInputError("the zero polynomial has no degree")
         return max(self.coeffs)
 
-    def low_exponent(self) -> int:
-        if not self.coeffs:
-            raise InvalidInputError("the zero polynomial has no low exponent")
-        return min(self.coeffs)
-
     def valuation(self) -> int:
         """v(f) = -deg(f) for the uniformizer 1/t."""
         return -self.degree()
 
     def coeff(self, e: int) -> int:
         return self.coeffs.get(e, 0)
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
 
     def in_O(self) -> bool:
         """True iff the element lies in the valuation ring F_q[[1/t]]."""
@@ -296,16 +288,6 @@ def dot(terms, q: int, above: int | None = None) -> LaurentPoly:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
     return _poly(_reduced(out, q), q)
-
-
-def is_unit_in_O(f: LaurentPoly) -> bool:
-    """True iff f is an invertible element of O = F_q[[1/t]].
-
-    Equivalent to v(f) = 0 with all exponents <= 0, i.e. deg(f) = 0.
-    """
-    if f.is_zero():
-        raise InvalidInputError("zero is not in O^x and has no valuation")
-    return f.degree() == 0
 
 
 def series_inverse(f: LaurentPoly, depth: int) -> LaurentPoly:

@@ -59,9 +59,6 @@ class QuotientGraph:
     def labels(self):
         return sorted(self.nodes)
 
-    def stab_order(self, label) -> int:
-        return self.nodes[tuple(label)]
-
 
 def classify_edge_d3(label1, label2) -> int:
     """The row 1..12 of the d = 3 color-1 edge table matching (u, v).

@@ -18,14 +18,11 @@ from btq.building import (
     bfs_color1_distance,
     bfs_distance,
     distance_formulas,
-    edge_color,
     label_relative_position,
     neighbors,
     position_distances,
     relative_position,
-    standard_vertex,
     subspace_bases,
-    vertex_color,
     vertex_from_label,
     vertex_normal_form,
 )
@@ -69,6 +66,21 @@ def random_invertible(d, q, rng):
 
 # breadth-first searches stop with ResourceBoundError past this many vertices
 ORACLE_VERTEX_BOUND = 2000
+
+
+def standard_vertex(d, q):
+    """The class of the standard lattice O^d."""
+    return vertex_from_label((0,) * d, q)
+
+
+def edge_color(x, y):
+    """The color i of the edge from x to y, or None if not adjacent: the
+    relative position, shifted to start at 0, is d - i zeros and i ones."""
+    s = relative_position(x, y)
+    colength = sum(e - s[0] for e in s)
+    if colength == 0 or s[-1] - s[0] > 1:
+        return None
+    return x.d - colength
 
 
 def adjacent_vertices(v):
@@ -264,12 +276,6 @@ def test_normal_form_rejects_singular():
         vertex_normal_form(LaurentMatrix([[one]], 2))
 
 
-def test_vertex_color():
-    assert vertex_color(standard_vertex(3, 2)) == 0
-    assert vertex_color(vertex_from_label((1, 0, 0), 2)) == 1
-    assert vertex_color(vertex_from_label((1, 1, 0), 2)) == 2
-
-
 def test_neighbor_counts_origin():
     v = standard_vertex(3, 2)
     assert len(neighbors(v, 1)) == 7
@@ -402,7 +408,7 @@ def test_chamber_color_additivity():
                 chain = [top, mid, base]  # upward: smallest lattice first
                 for small, big in zip(chain, chain[1:]):
                     assert edge_color(big, small) == 1
-                colors = [vertex_color(v) for v in chain]
+                colors = [sum(v.profile) % d for v in chain]
                 assert colors[1] == (colors[0] + 1) % d
                 assert colors[2] == (colors[1] + 1) % d
                 assert len(set(colors)) == d

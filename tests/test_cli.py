@@ -211,17 +211,22 @@ def test_hecke_check(run):
     assert lines[0] == "row_sums ok (expected 7)"
     assert lines[1].startswith("commutator_max_residual 0 ")
     assert lines[2] == "adjointness_residual 0"
-    # the commutator of A_1 and A_(d-1) is checked at every d
-    for d, q, max_n, sums in (("2", "3", "8", 4), ("4", "2", "3", 15), ("5", "2", "3", 31)):
+    # the commutator of A_1 and A_(d-1) is checked at every d >= 3
+    for d, q, max_n, sums in (("4", "2", "3", 15), ("5", "2", "3", 31)):
         code, out, _ = run("hecke-check", "--d", d, "--q", q, "--max-n", max_n)
         assert code == 0 and out.splitlines() == [
             f"row_sums ok (expected {sums})",
             "commutator_max_residual 0 over 5 random functions",
             "adjointness_residual 0",
         ]
-    # a truncation with no doubly-interior vertex is invalid at every d
-    for d, max_n in (("3", "1"), ("4", "1"), ("2", "0")):
-        code, out, err = run("hecke-check", "--d", d, "--max-n", max_n)
+    # at d = 2, A_1 = A_(d-1): there is no commutator to check, so no
+    # doubly-interior vertex is needed
+    for max_n in ("8", "0"):
+        code, out, _ = run("hecke-check", "--d", "2", "--q", "3", "--max-n", max_n)
+        assert code == 0 and out.splitlines() == ["row_sums ok (expected 4)", "adjointness_residual 0"]
+    # a truncation with no doubly-interior vertex is invalid at d >= 3
+    for d in ("3", "4"):
+        code, out, err = run("hecke-check", "--d", d, "--max-n", "1")
         assert code == 2 and not out and "doubly-interior" in err
 
 
@@ -383,7 +388,7 @@ def test_distance_long_labels(run):
 
 
 def test_exit_code_resource_bound(run):
-    # the group order is the one bound of an enumeration; it has no override
+    # the predicted work is the one bound of an enumeration; it has no override
     with pytest.raises(SystemExit) as exc:
         main(["stabilizer", "--n", "1,0", "--enumerate", "--bound", "100"])
     assert exc.value.code == 2
@@ -411,6 +416,9 @@ def test_exit_code_resource_bound(run):
         ("covolume", "--d", "4", "--q", "2", "--max-n", "170"),
         # a group of order 242,121,642
         ("stabilizer", "--n", "8,0", "--q", "7", "--enumerate"),
+        # the 5^9 candidates of GL_3(F_5), and 893,730 elements of GL_2 size
+        ("stabilizer", "--n", "0,0,0", "--q", "5", "--enumerate"),
+        ("stabilizer", "--n", "2,0", "--q", "31", "--enumerate"),
         # refused by predicted work: about 89,000 normal forms
         ("neighbors", "--n", "0,0,0,0", "--q", "17", "--degree", "2"),
         *LONG_LABELS_OVER_BOUNDS,
@@ -421,6 +429,8 @@ def test_exit_code_resource_bound(run):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 3 and not out and err.startswith("resource bound:"), argv
         assert len(err.splitlines()) == 1, argv
+    code, out, _ = run("stabilizer", "--n", "1,0", "--q", "31", "--enumerate")
+    assert code == 0 and out.splitlines()[:2] == ["order 28830", "enumerated 28830"]
     # the span of a basis costs nothing, and q^d residue vectors are never listed
     for argv, count in (
         (("--n", "1000000000,0,0", "--q", "3", "--degree", "1"), 13),

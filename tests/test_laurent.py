@@ -14,7 +14,6 @@ from btq.laurent import (
     LaurentMatrix,
     LaurentPoly,
     dot,
-    is_unit_in_O,
     random_gamma,
     random_k,
     series_inverse,
@@ -54,14 +53,6 @@ def test_char2_square():
 
 def test_valuation_example():
     assert P("t^3 + t").valuation() == -3
-
-
-def test_is_unit_in_O():
-    assert is_unit_in_O(P("1 + t^-1"))
-    assert not is_unit_in_O(P("t"))
-    assert not is_unit_in_O(P("t^-2"))
-    with pytest.raises(InvalidInputError):
-        is_unit_in_O(LaurentPoly.zero(2))
 
 
 def test_parse_round_trip():
@@ -165,10 +156,10 @@ def test_random_gamma_contract():
     for seed in range(20):
         g = random_gamma(3, 2, 2, seed)
         det = g.det()
-        assert det.is_monomial() and det.degree() == 0
+        assert set(det.coeffs) == {0}
         for row in g.rows:
             for x in row:
-                assert x.is_zero() or (0 <= x.low_exponent() and x.degree() <= 2)
+                assert x.is_zero() or (0 <= min(x.coeffs) and x.degree() <= 2)
 
 
 def test_random_gamma_deg_zero_is_constant():
@@ -185,16 +176,16 @@ def test_random_gamma_product_degree():
     prod = a * b
     assert all(x.is_zero() or x.degree() <= 5 for row in prod.rows for x in row)
     det = prod.det()
-    assert det.is_monomial() and det.degree() == 0
+    assert set(det.coeffs) == {0}
 
 
 def test_random_k_contract():
     for seed in range(20):
         k = random_k(3, 2, 8, seed)
-        assert is_unit_in_O(k.det())
+        assert k.det().degree() == 0
         for row in k.rows:
             for x in row:
-                assert x.is_zero() or (-8 <= x.low_exponent() and x.degree() <= 0)
+                assert x.is_zero() or (-8 <= min(x.coeffs) and x.degree() <= 0)
 
 
 def test_series_inverse():
