@@ -243,7 +243,7 @@ def _cmd_eigenvector(args) -> int:
         {"label": list(u), "value": _scalar_str(func[u])} for u in sorted(func.values)
     ]
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(_eigenvector_json(payload))
     else:
         lines = [f"{'label':>10}  value"]
         for row in payload["values"]:
@@ -254,6 +254,45 @@ def _cmd_eigenvector(args) -> int:
             f"{len(failed)} eigenvector checks fail, first the {failed[0]}"
         )
     return 0
+
+
+def _eigenvector_json(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) plus a newline, for the
+    payload of `_cmd_eigenvector`, written from templates.
+
+    Keys come in sorted order: d, l2_partial, q, regression, residuals and
+    values, the optional ones as present.  Every scalar string is
+    str(Fraction) or the repr of two floats around '+' and 'i', which need
+    no escaping.  The tests keep json.dumps as the oracle.
+    """
+
+    def rows(key: str, entries: list[dict]) -> str:
+        return quotient._json_list([
+            '    {\n      "label": [\n        '
+            + ",\n        ".join(map(str, e["label"]))
+            + f'\n      ],\n      "{key}": "{e[key]}"\n    }}'
+            for e in entries
+        ])
+
+    parts = [f'"d": {payload["d"]}']
+    if "l2_partial" in payload:
+        shells = ",\n".join(f'      "{s}"' for s in payload["l2_partial"]["shells"])
+        parts.append(
+            f'"l2_partial": {{\n    "shells": [\n{shells}\n    ],\n'
+            f'    "total": "{payload["l2_partial"]["total"]}"\n  }}'
+        )
+    parts.append(f'"q": {payload["q"]}')
+    if "regression" in payload:
+        entries = [
+            f'    "{name}": {{\n      "match": {"true" if e["match"] else "false"},\n'
+            f'      "residual": "{e["residual"]}",\n      "status": "{e["status"]}"\n    }}'
+            for name, e in sorted(payload["regression"].items())
+        ]
+        parts.append('"regression": {\n' + ",\n".join(entries) + "\n  }")
+    if "residuals" in payload:
+        parts.append(f'"residuals": {rows("residual", payload["residuals"])}')
+    parts.append(f'"values": {rows("value", payload["values"])}')
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
 def _scalar_str(x) -> str:

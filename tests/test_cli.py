@@ -262,6 +262,33 @@ def test_hecke_check_residual_exit_code(run, monkeypatch, name, failing, d):
     assert err == f"internal invariant violation: hecke-check fails: {failing}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--d", "3", "--q", "2", "--lambda1", "3/7", "--lambda2=-1/2", "--max-n", "12",
+         "--l2", "--regression"),
+        ("--d", "3", "--q", "3", "--lambda1", "5", "--lambda2=-2/9", "--max-n", "6"),
+        ("--d", "3", "--q", "2", "--lambda1", "3/7", "--lambda2=-1/2", "--max-n", "2", "--l2"),
+        ("--d", "3", "--q", "3", "--lambda1=0", "--lambda2=1+2i", "--max-n", "14", "--l2",
+         "--regression"),
+        ("--d", "3", "--q", "3", "--lambda1=0.5-1i", "--lambda2=1", "--max-n", "5"),
+        ("--d", "2", "--q", "2", "--lambda1", "3", "--max-n", "30"),
+        ("--d", "2", "--q", "5", "--lambda1=-7/3", "--max-n", "9", "--l2"),
+        ("--d", "2", "--q", "3", "--lambda1=1+2i", "--max-n", "20", "--l2"),
+    ],
+)
+def test_eigenvector_json_matches_json_dumps(run, argv):
+    # the template writer gives the bytes of json.dumps(indent=2, sort_keys=True)
+    code, out, _ = run("eigenvector", *argv, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert ("l2_partial" in obj) == ("--l2" in argv)
+    assert ("regression" in obj) == ("--regression" in argv)
+    if argv[argv.index("--max-n") + 1] == "2":
+        assert obj["residuals"] == [] and '"residuals": [],' in out
+
+
 def test_eigenvector_regression_exit_code(run, monkeypatch):
     from btq import hecke
 

@@ -26,7 +26,7 @@ from btq.domain import (
     validate_label,
 )
 from btq.errors import InternalInvariantError, InvalidInputError, ResourceBoundError
-from btq.gf import gaussian_binomial, gl_order, pgl_order
+from btq.gf import gaussian_binomial, gl_order, left_null_vector, pgl_order
 from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
 
 
@@ -383,10 +383,25 @@ def test_stabilizer_enumerate_matches_order_small():
             assert len(group) == stabilizer_order(lab, q)
 
 
+def test_gl_matrices_match_full_scan():
+    # the row-by-row construction lists what the scan of all q^(m^2)
+    # matrices keeps, in the same order
+    for m, q in ((1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
+        scan = [
+            tuple(flat[i * m : (i + 1) * m] for i in range(m))
+            for flat in product(range(q), repeat=m * m)
+        ]
+        invertible = [mat for mat in scan if left_null_vector(mat, q) is None]
+        assert domain._gl_matrices(m, q) == invertible, (m, q)
+        assert len(invertible) == gl_order(m, q)
+        leading_one = [mat for mat in invertible if next(x for x in mat[0] if x) == 1]
+        assert domain._gl_matrices(m, q, leading_one=True) == leading_one, (m, q)
+
+
 def test_stabilizer_enumerate_bound(monkeypatch):
-    # (1, 1, 0) over F_2: 96 elements of 3^2 + 8 units, and the 2 and 16
-    # candidates of GL_1(F_2) and GL_2(F_2), of 1 + 8 and 2^2 + 8 units
-    work = 96 * 17 + 2 * 9 + 16 * 12
+    # (1, 1, 0) over F_2: 96 elements of 3^2 + 8 units; the diagonal
+    # blocks are built row by row and not counted
+    work = 96 * 17
     monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", work)
     assert len(stabilizer_enumerate((1, 1, 0), 2)) == stabilizer_order((1, 1, 0), 2)
     monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", work - 1)

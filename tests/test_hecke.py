@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from btq import domain
+from btq import domain, hecke
 from btq.domain import enumerate_domain, stabilizer_order
 from btq.errors import InvalidInputError, ResourceBoundError
 from btq.gf import gaussian_binomial, gl_order
@@ -227,6 +227,72 @@ def test_eigenvector_d3_is_simultaneous_eigenvector():
         assert val == p.lambda2 * f[u]
 
 
+def hand_recursion_d3(l1, l2, q, max_n1):
+    """The d = 3 recursion written out case by case, independently of the
+    table that eigenvector_d3 reads: (values, residuals)."""
+    t3, r = q * q + q + 1, q + 1
+    f, residuals = {}, []
+
+    def F(a, b):
+        return f[(a, b, 0)]
+
+    for s in range(2 * max_n1 + 1):
+        for b in range(s // 2, -1, -1):
+            a = s - b
+            if a > max_n1:
+                continue
+            if (a, b) == (0, 0):
+                val = l1 * 0 + 1
+            elif (a, b) == (1, 0):
+                val = l1 * F(0, 0) / t3
+            elif (a, b) == (1, 1):
+                val = l2 * F(0, 0) / t3
+            elif (a, b) == (2, 1):
+                val = (l2 * F(1, 0) - q**2 * F(0, 0)) / r
+            elif b == 0:
+                val = l1 * F(a - 1, 0) - r * q * F(a - 1, 1)
+            elif b == a:
+                val = l2 * F(a - 1, a - 1) - q * r * F(a - 1, a - 2)
+            elif b == 1:
+                val = (l2 * F(a - 1, 0) - q**2 * F(a - 2, 0)) / r
+                second = l1 * F(a - 1, 1) - q * F(a - 1, 2) - q**2 * F(a - 2, 0)
+                residuals.append(((a, b, 0), val - second))
+            elif b == a - 1:
+                val = (l1 * F(a - 1, a - 1) - q**2 * F(a - 2, a - 2)) / r
+                second = l2 * F(a - 1, a - 2) - q * F(a - 1, a - 3) - q**2 * F(a - 2, a - 2)
+                residuals.append(((a, b, 0), val - second))
+            else:
+                val = l2 * F(a - 1, b - 1) - q * F(a - 1, b - 2) - q**2 * F(a - 2, b - 1)
+                second = l1 * F(a - 1, b) - q * F(a - 1, b + 1) - q**2 * F(a - 2, b - 1)
+                residuals.append(((a, b, 0), val - second))
+            f[(a, b, 0)] = val
+    return f, residuals
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_eigenvector_d3_integer_recursion_matches_number_protocol(q):
+    rng = random.Random(q)
+    for _ in range(8):
+        l1 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        l2 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        max_n = rng.randint(2, 12)
+        cases, steps = hecke._recursion_steps(q, max_n)
+        exact = hecke._eigenvector_d3_exact(l1, l2, q, cases, steps)
+        generic = hecke._eigenvector_d3_generic(l1, l2, cases, steps)
+        assert exact == generic == hand_recursion_d3(l1, l2, q, max_n), (l1, l2, max_n)
+        func, residuals = eigenvector_d3(HeckeParams(l1, l2, q), max_n)
+        assert (func.values, residuals) == exact
+        assert all(type(v) is Fraction for v in func.values.values())
+        assert all(type(res) is Fraction and res == 0 for _, res in residuals)
+
+
+def test_eigenvector_d3_complex_matches_hand_recursion():
+    # the number protocol keeps the order of every operation, so the floats agree exactly
+    for l1, l2, q in ((1 + 2j, 0.5 - 1j, 3), (0j, 1 + 2j, 3), (3.5j, -2 + 0j, 2)):
+        func, residuals = eigenvector_d3(HeckeParams(l1, l2, q), 14)
+        assert (func.values, residuals) == hand_recursion_d3(l1, l2, q, 14)
+
+
 def test_eigenvector_d3_requires_depth():
     with pytest.raises(InvalidInputError):
         eigenvector_d3(rational_params(1), 1)
@@ -393,6 +459,19 @@ def test_eigenvector_d2_closed_form_matches_binomial_sum():
                 assert type(closed) is Fraction and closed == expected, (lam, q, n)
 
 
+def test_eigenvector_d2_batched_closed_forms_match_single_n():
+    rng = random.Random(17)
+    for _ in range(25):
+        q = rng.choice([2, 3, 5, 7, 11])
+        lam = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        max_n = rng.randint(1, 40)
+        a, b = lam.numerator, lam.denominator
+        batched = hecke._d2_closed_numerators(a, b, q, max_n)
+        assert len(batched) == max_n + 1
+        for n, top in enumerate(batched):
+            assert Fraction(top, (q + 1) * b**n) == eigenvector_d2_closed_form(lam, q, n), (lam, q, n)
+
+
 def test_eigenvector_d2_complex_backend():
     lam = 1.25 + 0.5j
     q = 2
@@ -497,7 +576,7 @@ def test_covolume_partial_work_bound(monkeypatch):
     for d, q, max_n in ((3, 3, 40), (12, 2, 4), (22, 2, 2)):
         assert 0 < covolume_partial(d, q, max_n) < covolume(d, q)
     # refused from the label count, before one stabilizer order is formed
-    monkeypatch.setattr(domain, "stabilizer_order", None)
+    monkeypatch.setattr(domain, "_pattern_order", None)
     for d, q, max_n in ((3, 2, 800), (3, 2, 1400), (4, 2, 170)):
         with pytest.raises(ResourceBoundError, match="partial covolume"):
             covolume_partial(d, q, max_n)
@@ -552,3 +631,40 @@ def test_covolume_partial_matches_direct_sum():
                 Fraction(1, stabilizer_order(lab, q)) for lab in enumerate_domain(d, m)
             )
             assert covolume_partial(d, q, m) == direct
+
+
+# -- integer sums against Fraction sums --------------------------------------
+
+
+def test_l2_partial_norm_integer_shells_match_fraction_sums():
+    for q, params in ((2, rational_params(4)), (3, rational_params(5, q=3))):
+        f, _ = eigenvector_d3(params, 9)
+        total, shells = l2_partial_norm(f)
+        direct = [Fraction(0)] * 10
+        for u, val in f.values.items():
+            direct[u[0]] += val * val / stabilizer_order(u, q)
+        assert shells == direct and total == sum(direct)
+        assert type(total) is Fraction and all(type(s) is Fraction for s in shells)
+    g = eigenvector_d2(Fraction(5, 3), 2, 12)
+    total, shells = l2_partial_norm(g)
+    assert shells == [g[(n, 0)] ** 2 / stabilizer_order((n, 0), 2) for n in range(13)]
+
+
+def test_weighted_inner_integer_sum_matches_fraction_sum():
+    rng = random.Random(9)
+    for q in (2, 3):
+        graph = build_graph(3, q, 8)
+        f = DomainFunction(3, q, 8, {u: rng.randint(-50, 50) for u in graph.nodes})
+        g = DomainFunction(3, q, 8, {u: rng.randint(-50, 50) for u in graph.nodes})
+        inner = weighted_inner(graph, f, g)
+        direct = sum(Fraction(f[u] * g[u], stabilizer_order(u, q)) for u in graph.nodes)
+        assert type(inner) is Fraction and inner == direct
+        as_fractions = DomainFunction(3, q, 8, {u: Fraction(x) for u, x in f.values.items()})
+        assert weighted_inner(graph, as_fractions, g) == inner
+
+
+def test_covolume_partial_integer_sum_matches_fraction_sum():
+    for d, q, m in ((3, 3, 12), (4, 2, 6), (12, 2, 2)):
+        direct = sum(Fraction(1, stabilizer_order(lab, q)) for lab in enumerate_domain(d, m))
+        partial = covolume_partial(d, q, m)
+        assert type(partial) is Fraction and partial == direct
