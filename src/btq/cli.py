@@ -165,20 +165,22 @@ def _cmd_hecke_check(args) -> int:
         sum(e.ratio_from for e in graph.out_edges[u]) == gb for u in interior
     )
     lines.append(f"row_sums {'ok' if row_ok else 'FAIL'} (expected {gb})")
+    # the random functions are drawn as ints over one common denominator
+    scale = hecke.RANDOM_DENOMINATOR
     worst = Fraction(0)
     if two_operators:
         for seed in range(args.trials):
-            f = hecke.DomainFunction.random_rational(args.d, args.q, args.max_n, args.seed + seed)
-            worst = max(worst, hecke.commutator_check(graph, f))
+            f = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + seed)
+            worst = max(worst, hecke.commutator_check(graph, f, scale))
         lines.append(f"commutator_max_residual {worst} over {args.trials} random functions")
-    rng_f = hecke.DomainFunction.random_rational(args.d, args.q, args.max_n, args.seed + 104729)
-    rng_g = hecke.DomainFunction.random_rational(args.d, args.q, args.max_n, args.seed + 1299709)
+    rng_f = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + 104729)
+    rng_g = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + 1299709)
     interior2 = {u for u in graph.nodes if u[0] + 2 <= graph.max_n1}
-    fvals = {u: (rng_f.values[u] if u in interior2 else Fraction(0)) for u in graph.nodes}
-    gvals = {u: (rng_g.values[u] if u in interior2 else Fraction(0)) for u in graph.nodes}
+    fvals = {u: (rng_f.values[u] if u in interior2 else 0) for u in graph.nodes}
+    gvals = {u: (rng_g.values[u] if u in interior2 else 0) for u in graph.nodes}
     f = hecke.DomainFunction(args.d, args.q, args.max_n, fvals)
     g = hecke.DomainFunction(args.d, args.q, args.max_n, gvals)
-    adjointness = hecke.adjointness_residual(graph, f, g)
+    adjointness = hecke.adjointness_residual(graph, f, g, scale)
     lines.append(f"adjointness_residual {adjointness}")
     _emit("\n".join(lines) + "\n")
     checks = {"row sums": row_ok, "commutator": worst == 0, "adjointness": adjointness == 0}

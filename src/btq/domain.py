@@ -6,7 +6,9 @@ sequences), the in-domain neighbor enumeration (block-suffix drops, made
 directly as the compositions of the degree and memoized as difference
 vectors per block-size sequence; alternating changes of the
 difference sequence and the product of all drop combinations are its
-oracles in the tests), friends, stabilizer orders (one closed-form
+oracles in the tests), the edge ratios |Gamma_v| / |Gamma_u cap Gamma_v|
+memoized per drop in the same way (pattern orders are their oracle in the
+tests), friends, stabilizer orders (one closed-form
 exponent, O(d) for a vertex; the pair sum is its oracle in the tests) and
 brute-force stabilizer groups, the orbit decomposition of neighbors (each
 orbit the closure of one neighbor under a generating set; enumerating the
@@ -204,6 +206,32 @@ def _drop_deltas(sizes: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
         # when the zero block drops, every entry rises by one
         out.append(tuple(x + 1 for x in delta) if delta[-1] else tuple(delta))
     out.sort()
+    return tuple(out)
+
+
+# one entry per (block sizes, k, q), each no longer than its _drop_deltas entry
+@lru_cache(maxsize=128)
+def _drop_ratios(sizes: tuple[int, ...], k: int, q: int) -> tuple[int, ...]:
+    # |Gamma_v| / |Gamma_u cap Gamma_v| for the degree-k in-domain neighbors
+    # u of any label v with these block sizes, in the order of
+    # _drop_deltas(sizes, k); q is checked by the caller.  In the exponent
+    # of _pattern_order the part linear in v cancels, which leaves the pair
+    # sum over w = u - v, the drop's delta; and the runs of zip(u, v) are
+    # the blocks of v cut where the delta changes.  So the ratio depends on
+    # the sizes and the drop only, and is read off the label with these
+    # sizes and gaps 1.  Its exponent is at most that of every label with
+    # these sizes, so this fill passes every size check their orders pass.
+    r = len(sizes)
+    v = tuple(n for b, size in enumerate(sizes) for n in (r - 1 - b,) * size)
+    order = _pattern_order(v, v, q)
+    out = []
+    for delta in _drop_deltas(sizes, k):
+        ratio, rem = divmod(order, _pattern_order(tuple(map(add, v, delta)), v, q))
+        if rem:
+            raise InternalInvariantError(
+                f"an edge order does not divide |Gamma_v| for v = {v}, drop {delta}, q={q}"
+            )
+        out.append(ratio)
     return tuple(out)
 
 

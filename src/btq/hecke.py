@@ -7,7 +7,8 @@ denominator known in advance, and each returned value becomes one
 Fraction at the end (fraction-free, as in Bareiss elimination): the
 d = 3 recursion over g^(n_1 + n_2), the d = 2 recursion and its closed
 form over (q+1) b^n for lam = a/b, the commutator and adjointness checks
-over the lcm of the value denominators, and the norm and covolume sums
+over the lcm of the value denominators (or over RANDOM_DENOMINATOR, for
+functions drawn as ints over it), and the norm and covolume sums
 over the lcm of the stabilizer orders.  Any other scalar (Python complex,
 mpmath mpf/mpc for high-precision runs) goes through the number protocol
 only: `x.conjugate()`, `abs(x)`, `(x * x.conjugate()).real` and `** 0.5`,
@@ -35,6 +36,9 @@ from .quotient import QuotientGraph
 Label = tuple[int, ...]
 
 COMPLEX_TOLERANCE = 1e-9
+# lcm(1, ..., 20): every value of DomainFunction.random_integer is an int
+# over this denominator
+RANDOM_DENOMINATOR = lcm(*range(1, 21))
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +119,18 @@ class DomainFunction:
         return cls(d, q, max_n1, {lab: value for lab in labels})
 
     @classmethod
-    def random_rational(cls, d: int, q: int, max_n1: int, seed) -> "DomainFunction":
+    def random_integer(cls, d: int, q: int, max_n1: int, seed) -> "DomainFunction":
+        """A random function times RANDOM_DENOMINATOR, with int values.
+
+        At each label, in lexicographic order, a in [-50, 50] and then b in
+        [1, 20] are drawn uniformly; the value a / b is held as the int
+        a * (RANDOM_DENOMINATOR // b).  The checks take such a function
+        with its scale as is.
+        """
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
         labels = domain.enumerate_domain(d, max_n1)
-        vals = {
-            lab: Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for lab in labels
-        }
-        return cls(d, q, max_n1, vals)
+        per_b = [0] + [RANDOM_DENOMINATOR // b for b in range(1, 21)]
+        return cls(d, q, max_n1, {lab: rng.randint(-50, 50) * per_b[rng.randint(1, 20)] for lab in labels})
 
     def defined(self, label) -> bool:
         return tuple(label) in self.values
@@ -206,17 +215,20 @@ def _integer_scaled(f: DomainFunction):
     return DomainFunction(f.d, f.q, f.max_n1, scaled), scale
 
 
-def commutator_check(graph: QuotientGraph, f: DomainFunction):
+def commutator_check(graph: QuotientGraph, f: DomainFunction, scale: int | None = None):
     """Max |(A_1 A_{d-1} - A_{d-1} A_1) f| over the doubly-interior vertices,
     for the two operators stored at every d.
 
     Exactly zero for exact scalars, which run on f scaled to integers (the
-    ratios are integers) and give a Fraction.  Raises if the truncation is
-    too small to contain any doubly-interior vertex.
+    ratios are integers) and give a Fraction.  With `scale`, f holds int
+    values over that common denominator, as `DomainFunction.random_integer`
+    draws them, and runs as is.  Raises if the truncation is too small to
+    contain any doubly-interior vertex.
     """
-    scaled = _integer_scaled(f)
-    if scaled is not None:
-        f, scale = scaled
+    if scale is None:
+        scaled = _integer_scaled(f)
+        if scaled is not None:
+            f, scale = scaled
     top = graph.d - 1
     left = apply_hecke(graph, 1, apply_hecke(graph, top, f))
     right = apply_hecke(graph, top, apply_hecke(graph, 1, f))
@@ -227,7 +239,7 @@ def commutator_check(graph: QuotientGraph, f: DomainFunction):
     for u in sorted(common):
         r = abs(left.values[u] - right.values[u])
         residual = r if residual is None else max(residual, r)
-    return residual if scaled is None else Fraction(residual, scale)
+    return residual if scale is None else Fraction(residual, scale)
 
 
 def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
@@ -263,18 +275,24 @@ def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
     return total
 
 
-def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
+def adjointness_residual(
+    graph: QuotientGraph, f: DomainFunction, g: DomainFunction, scale: int | None = None
+):
     """<A_1 f, g> - <f, A_{d-1} g>; exactly zero for compact supports.
 
-    Exact f and g run scaled to integers and give a Fraction."""
-    scaled_f, scaled_g = _integer_scaled(f), _integer_scaled(g)
-    exact = scaled_f is not None and scaled_g is not None
-    if exact:
-        (f, scale_f), (g, scale_g) = scaled_f, scaled_g
+    Exact f and g run scaled to integers and give a Fraction.  With
+    `scale`, f and g hold int values over that common denominator and run
+    as is."""
+    denominator = None if scale is None else scale * scale
+    if scale is None:
+        scaled_f, scaled_g = _integer_scaled(f), _integer_scaled(g)
+        if scaled_f is not None and scaled_g is not None:
+            (f, scale_f), (g, scale_g) = scaled_f, scaled_g
+            denominator = scale_f * scale_g
     a1f = apply_hecke(graph, 1, f)
     a2g = apply_hecke(graph, graph.d - 1, g)
     residual = weighted_inner(graph, a1f, g) - weighted_inner(graph, f, a2g)
-    return Fraction(residual, scale_f * scale_g) if exact else residual
+    return residual if denominator is None else Fraction(residual, denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,21 @@ in-domain neighbor of v); the color-(d-1) operators read them in reverse.
 Every edge carries the exact edge-stabilizer order and the two weight
 ratios, which are subgroup indices and therefore positive integers.
 
-Edge-stabilizer orders come from one degree-pattern formula for every d
-(`domain.pattern_order`).  For d = 3 each edge is also labeled with one of
-the twelve shape types of the domain's edge table; other d label every
-edge "generic".
+Orders come from one degree-pattern formula for every d
+(`domain.pattern_order`), computed once per node.  An edge's ratio
+|Gamma_v| / |Gamma_u cap Gamma_v| depends only on the block sizes of v
+and the drop that makes u, so it is read from a cache next to the drops
+themselves (`domain._drop_ratios`), and the edge order and the other ratio
+follow by exact division: the work per edge is constant at every d.  For
+d = 3 each edge is also labeled with one of the twelve shape types of the
+domain's edge table; other d label every edge "generic".
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import ceil, comb, log2
+from typing import NamedTuple
 
 from . import domain
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
@@ -27,8 +31,7 @@ Label = tuple[int, ...]
 EXPORT_BYTE_BOUND = 10**7
 
 
-@dataclass(frozen=True)
-class QuotientEdge:
+class QuotientEdge(NamedTuple):
     src: Label
     dst: Label
     color: int
@@ -66,9 +69,11 @@ def classify_edge_d3(label1, label2) -> int:
     u must be a degree-1 in-domain neighbor of v; anything else is
     rejected.  The shapes split by the walls of the domain: the corner,
     the equal-pair wall (n,n,0), the bottom wall (n,0,0), and the interior.
+    The labels are read once: listing the neighbors of v validates v, and
+    the list holds only valid labels, so finding u in it validates u.
     """
-    u = domain.validate_label(label1)
-    v = domain.validate_label(label2)
+    u = tuple(label1)
+    v = tuple(label2)
     if len(u) != 3 or len(v) != 3:
         raise InvalidInputError("edge classification is only defined for d = 3")
     if u not in domain.neighbors_in_domain(v, 1):
@@ -99,6 +104,13 @@ def build_graph(d: int, q: int, max_n1: int) -> QuotientGraph:
     Edges are the color-1 pairs with both endpoints inside the truncation;
     vertices with n_1 = max_n1 are therefore missing their outward edges
     and operator application treats them as boundary.
+
+    One pattern order per node: |Gamma_v|.  Per edge u -> v the ratio
+    |Gamma_v| / |Gamma_u cap Gamma_v| comes from the drop cache
+    (`domain._drop_ratios`, filled once per block sizes and q), the edge
+    order is |Gamma_v| over it and the other ratio |Gamma_u| over the
+    edge order.  A division that leaves a remainder raises
+    InternalInvariantError.
     """
     check_prime(q)
     if max_n1 < 0:
@@ -109,19 +121,21 @@ def build_graph(d: int, q: int, max_n1: int) -> QuotientGraph:
     nodes = {lab: domain._pattern_order(lab, lab, q) for lab in labels}
     edges = []
     for v in labels:
-        for u in domain.neighbors_in_domain(v, 1):
+        order_v = nodes[v]
+        ratios = domain._drop_ratios(domain._read_label(v)[1], 1, q)
+        for u, rt in zip(domain.neighbors_in_domain(v, 1), ratios):
             if u not in inside:
                 continue
             etype = classify_edge_d3(u, v) if d == 3 else "generic"
-            stab = domain._pattern_order(u, v, q)
+            stab, rem_t = divmod(order_v, rt)
             rf, rem_f = divmod(nodes[u], stab)
-            rt, rem_t = divmod(nodes[v], stab)
             if rem_f or rem_t:
                 raise InternalInvariantError(
                     f"edge stabilizer does not divide endpoint orders on {u}->{v}"
                 )
             edges.append(QuotientEdge(u, v, 1, etype, stab, rf, rt))
-    edges.sort(key=lambda e: (e.src, e.dst))
+    # the (src, dst) pairs are distinct, so this is the order by (src, dst)
+    edges.sort()
     return QuotientGraph(d, q, max_n1, nodes, edges)
 
 

@@ -181,8 +181,8 @@ def test_criterion_6_hecke_identities():
             out = hecke.apply_hecke(graph, i, ones)
             assert out.values and all(v == t3 for v in out.values.values())
         for seed in range(25):
-            f = hecke.DomainFunction.random_rational(3, q, 12, seed)
-            assert hecke.commutator_check(graph, f) == 0
+            f = hecke.DomainFunction.random_integer(3, q, 12, seed)
+            assert hecke.commutator_check(graph, f, hecke.RANDOM_DENOMINATOR) == 0
         rng = random.Random(q)
         interior = {u for u in graph.nodes if u[0] + 2 <= graph.max_n1}
         for _ in range(5):

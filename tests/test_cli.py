@@ -231,8 +231,6 @@ def test_hecke_check(run):
 
 
 def test_hecke_check_fail_exit_code(run, monkeypatch):
-    from dataclasses import replace
-
     from btq import quotient
 
     exact = quotient.build_graph
@@ -240,7 +238,7 @@ def test_hecke_check_fail_exit_code(run, monkeypatch):
     def one_wrong_ratio(*args):
         graph = exact(*args)
         edges = graph.out_edges[(0, 0, 0)]
-        edges[0] = replace(edges[0], ratio_from=edges[0].ratio_from + 1)
+        edges[0] = edges[0]._replace(ratio_from=edges[0].ratio_from + 1)
         return graph
 
     monkeypatch.setattr(quotient, "build_graph", one_wrong_ratio)

@@ -162,6 +162,26 @@ def test_neighbors_in_domain_matches_drop_products():
     assert cases == 2310
 
 
+def test_drop_ratios_match_pattern_orders():
+    # each cached |Gamma_v| / |Gamma_u cap Gamma_v| against the two pattern
+    # orders of the actual neighbor u, for every label, degree and q
+    cases = 0
+    for d in range(2, 7):
+        for lab in enumerate_domain(d, 4 if d < 5 else 2):
+            sizes = block_seq(lab)[0]
+            for k in range(1, d):
+                nbrs = neighbors_in_domain(lab, k)
+                for q in (2, 3, 5):
+                    ratios = domain._drop_ratios(sizes, k, q)
+                    assert len(ratios) == len(nbrs)
+                    order = pattern_order(lab, lab, q)
+                    for u, ratio in zip(nbrs, ratios):
+                        edge = pattern_order(u, lab, q)
+                        assert order % edge == 0 and order // edge == ratio, (lab, k, q, u)
+                        cases += 1
+    assert cases == 2688
+
+
 def test_neighbors_in_domain_examples():
     assert neighbors_in_domain((2, 1, 0), 1) == [(1, 1, 0), (2, 0, 0), (3, 2, 0)]
     assert neighbors_in_domain((2, 1, 0), 2) == [(1, 0, 0), (2, 2, 0), (3, 1, 0)]

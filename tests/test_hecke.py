@@ -2,7 +2,6 @@
 
 import cmath
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -15,6 +14,7 @@ from btq.gf import gaussian_binomial, gl_order
 from btq.hecke import (
     CLOSED_FORMS,
     COMPLEX_TOLERANCE,
+    RANDOM_DENOMINATOR,
     DomainFunction,
     HeckeParams,
     adjointness_residual,
@@ -47,7 +47,7 @@ def test_apply_hecke_reference_values():
     q = 2
     t3 = q * q + q + 1
     g = build_graph(3, q, 6)
-    f = DomainFunction.random_rational(3, q, 6, seed=5)
+    f = DomainFunction.random_integer(3, q, 6, seed=5)
     a1 = apply_hecke(g, 1, f)
     a2 = apply_hecke(g, 2, f)
     F = f.values
@@ -62,7 +62,7 @@ def test_apply_hecke_reference_values():
 def test_apply_hecke_d2():
     q = 3
     g = build_graph(2, q, 8)
-    f = DomainFunction.random_rational(2, q, 8, seed=6)
+    f = DomainFunction.random_integer(2, q, 8, seed=6)
     a1 = apply_hecke(g, 1, f)
     assert a1.values[(0, 0)] == (q + 1) * f.values[(1, 0)]
     for n in range(1, 8):
@@ -93,17 +93,18 @@ def test_commutator_vanishes_random():
     for q in (2, 3):
         g = build_graph(3, q, 9)
         for seed in range(8):
-            f = DomainFunction.random_rational(3, q, 9, seed=seed)
-            assert commutator_check(g, f) == 0
+            f = DomainFunction.random_integer(3, q, 9, seed=seed)
+            assert commutator_check(g, f, RANDOM_DENOMINATOR) == 0
     # A_1 and A_(d-1) commute at every d; at d = 2 they are one operator
     for d, q, max_n in ((4, 2, 4), (4, 3, 3), (4, 2, 6), (5, 2, 3), (6, 2, 3), (2, 2, 6)):
         g = build_graph(d, q, max_n)
         for seed in range(3):
-            f = DomainFunction.random_rational(d, q, max_n, seed=seed)
-            assert commutator_check(g, f) == 0, (d, q, max_n, seed)
+            f = DomainFunction.random_integer(d, q, max_n, seed=seed)
+            assert commutator_check(g, f, RANDOM_DENOMINATOR) == 0, (d, q, max_n, seed)
     # the check sees a wrong edge at d != 3 too
     g = one_wrong_ratio(4, 2, 4)
-    assert commutator_check(g, DomainFunction.random_rational(4, 2, 4, seed=0)) != 0
+    f = DomainFunction.random_integer(4, 2, 4, seed=0)
+    assert commutator_check(g, f, RANDOM_DENOMINATOR) != 0
 
 
 def test_commutator_needs_interior():
@@ -132,7 +133,7 @@ def one_wrong_ratio(d, q, max_n1):
     """The graph with the ratio of one edge out of the zero label off by one."""
     g = build_graph(d, q, max_n1)
     edges = g.out_edges[(0,) * d]
-    edges[0] = replace(edges[0], ratio_from=edges[0].ratio_from + 1)
+    edges[0] = edges[0]._replace(ratio_from=edges[0].ratio_from + 1)
     return g
 
 
@@ -172,6 +173,33 @@ def test_integer_scaled_checks_match_direct_sums(kind):
     assert commutator == direct_commutator(g, f)
     assert type(adjointness) is Fraction and adjointness != 0
     assert adjointness == direct_adjointness(g, f, h)
+
+
+def test_drawn_integer_functions_check_as_their_rationals():
+    # random_integer draws a / b as the Fractions of one randint pair per
+    # label would; the checks take its ints over RANDOM_DENOMINATOR as they
+    # are, and give what the Fractions they stand for give
+    q, N = 2, 8
+    g = one_wrong_ratio(3, q, N)
+    interior = {u for u in g.nodes if u[0] + 2 <= N}
+    drawn, rational = [], []
+    for seed in (1, 2):
+        f = DomainFunction.random_integer(3, q, N, seed)
+        rng = random.Random(seed)
+        assert all(type(x) is int for x in f.values.values())
+        assert {u: Fraction(x, RANDOM_DENOMINATOR) for u, x in f.values.items()} == {
+            u: Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for u in enumerate_domain(3, N)
+        }
+        drawn.append(DomainFunction(3, q, N, {u: f[u] if u in interior else 0 for u in g.nodes}))
+        rational.append(DomainFunction(3, q, N, {
+            u: Fraction(x, RANDOM_DENOMINATOR) for u, x in drawn[-1].values.items()
+        }))
+    commutator = commutator_check(g, drawn[0], RANDOM_DENOMINATOR)
+    assert type(commutator) is Fraction and commutator != 0
+    assert commutator == direct_commutator(g, rational[0])
+    adjointness = adjointness_residual(g, *drawn, RANDOM_DENOMINATOR)
+    assert type(adjointness) is Fraction and adjointness != 0
+    assert adjointness == direct_adjointness(g, *rational)
 
 
 def test_integer_scaled_checks_leave_complex_input_generic():

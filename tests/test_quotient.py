@@ -137,11 +137,31 @@ def test_d4_q3_graph_has_every_ratio():
 
 
 def test_non_dividing_edge_order_is_an_invariant_violation(monkeypatch):
-    # vertex orders stay exact; every edge order becomes 5, which divides none
+    # vertex orders stay exact, and the drop cache is filled from wrong edge
+    # orders: 5 divides no vertex order, and |Gamma_v| makes every cached
+    # ratio 1, so that |Gamma_v| becomes the edge order, which does not
+    # divide every |Gamma_u|
     exact = domain._pattern_order
-    monkeypatch.setattr(domain, "_pattern_order", lambda u, v, q: exact(u, v, q) if u == v else 5)
-    with pytest.raises(InternalInvariantError):
-        build_graph(3, 2, 2)
+    for wrong in (lambda u, v, q: 5, lambda u, v, q: exact(v, v, q)):
+        monkeypatch.setattr(
+            domain, "_pattern_order", lambda u, v, q: exact(u, v, q) if u == v else wrong(u, v, q)
+        )
+        domain._drop_ratios.cache_clear()
+        try:
+            with pytest.raises(InternalInvariantError):
+                build_graph(3, 2, 2)
+        finally:
+            domain._drop_ratios.cache_clear()
+
+
+@pytest.mark.parametrize("d, q, max_n1", [(3, 2, 12), (3, 5, 6), (4, 2, 6), (4, 3, 4), (5, 2, 4), (5, 3, 3)])
+def test_edge_orders_from_the_drop_cache_match_pattern_orders(d, q, max_n1):
+    g = build_graph(d, q, max_n1)
+    assert len(g.edges) == quotient.graph_counts(d, max_n1)[1]
+    for e in g.edges:
+        assert e.edge_stab_order == pattern_order(e.src, e.dst, q), (e.src, e.dst)
+        assert e.ratio_from * e.edge_stab_order == g.nodes[e.src] == stabilizer_order(e.src, q)
+        assert e.ratio_to * e.edge_stab_order == g.nodes[e.dst] == stabilizer_order(e.dst, q)
 
 
 def test_edge_stabilizer_brute_force_agreement():
