@@ -111,11 +111,19 @@ def _cmd_stabilizer(args) -> int:
     if not args.enumerate:
         _emit(f"{order}\n")
         return 0
+    # the elements are written in chunks as they come; a count that differs
+    # from the order raises after the last one, which is written first
     group = domain.stabilizer_enumerate(label, args.q)
-    lines = [f"order {order}", f"enumerated {len(group)}"]
-    for g in group:
-        lines.append("; ".join(", ".join(str(x) for x in row) for row in g.rows))
-    _emit("\n".join(lines) + "\n")
+    _emit(f"order {order}\nenumerated {order}\n")
+    lines = []
+    try:
+        for g in group:
+            lines.append("; ".join(", ".join(map(str, row)) for row in g.rows) + "\n")
+            if len(lines) == 4096:
+                _emit("".join(lines))
+                lines = []
+    finally:
+        _emit("".join(lines))
     return 0
 
 
@@ -165,13 +173,16 @@ def _cmd_hecke_check(args) -> int:
         sum(e.ratio_from for e in graph.out_edges[u]) == gb for u in interior
     )
     lines.append(f"row_sums {'ok' if row_ok else 'FAIL'} (expected {gb})")
-    # the random functions are drawn as ints over one common denominator
+    # the random functions are ints over RANDOM_DENOMINATOR, which the
+    # checks run on as they are, so their residuals are divided by it here:
+    # once for the commutator, and twice for the adjointness pairing
     scale = hecke.RANDOM_DENOMINATOR
     worst = Fraction(0)
     if two_operators:
         for seed in range(args.trials):
             f = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + seed)
-            worst = max(worst, hecke.commutator_check(graph, f, scale))
+            worst = max(worst, hecke.commutator_check(graph, f))
+        worst /= scale
         lines.append(f"commutator_max_residual {worst} over {args.trials} random functions")
     rng_f = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + 104729)
     rng_g = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + 1299709)
@@ -180,7 +191,7 @@ def _cmd_hecke_check(args) -> int:
     gvals = {u: (rng_g.values[u] if u in interior2 else 0) for u in graph.nodes}
     f = hecke.DomainFunction(args.d, args.q, args.max_n, fvals)
     g = hecke.DomainFunction(args.d, args.q, args.max_n, gvals)
-    adjointness = hecke.adjointness_residual(graph, f, g, scale)
+    adjointness = hecke.adjointness_residual(graph, f, g) / (scale * scale)
     lines.append(f"adjointness_residual {adjointness}")
     _emit("\n".join(lines) + "\n")
     checks = {"row sums": row_ok, "commutator": worst == 0, "adjointness": adjointness == 0}
@@ -209,8 +220,7 @@ def _cmd_eigenvector(args) -> int:
                 l1, l2 = complex(l1), complex(l2)
             except OverflowError as exc:
                 raise ResourceBoundError("an eigenvalue is outside the float range") from exc
-        params = hecke.HeckeParams(l1, l2, args.q)
-        func, residuals = hecke.eigenvector_d3(params, args.max_n)
+        func, residuals = hecke.eigenvector_d3(l1, l2, args.q, args.max_n)
         payload["residuals"] = [
             {"label": list(u), "residual": _scalar_str(r)} for u, r in residuals
         ]
@@ -221,7 +231,7 @@ def _cmd_eigenvector(args) -> int:
             if not hecke.scalars_close(func[u], func[u] - r)
         ]
         if args.regression:
-            reg = hecke.closed_form_regression(params, func)
+            reg = hecke.closed_form_regression(l1, l2, args.q, func)
             payload["regression"] = {
                 name: {
                     "status": entry["status"],

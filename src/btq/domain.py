@@ -19,6 +19,7 @@ group-element witness.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb, log2
@@ -374,8 +375,8 @@ def _gl_matrices(m: int, q: int, leading_one: bool = False):
     return _GL_CACHE[key]
 
 
-def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
-    """Materialize the full vertex stabilizer modulo scalars.
+def stabilizer_enumerate(label, q: int) -> Iterator[LaurentMatrix]:
+    """The full vertex stabilizer modulo scalars, one element at a time.
 
     Elements are block upper-triangular matrices over F_q[t]: diagonal
     blocks invertible over F_q, and each entry of an off-diagonal block
@@ -385,12 +386,15 @@ def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
     first blocks whose first row leads with 1 are combined, and every
     element built is kept.
 
-    Raises ResourceBoundError, before any element is built, when the
-    predicted work is above building.NEIGHBOR_WORK_BOUND: d^2 + 8 units
-    for each d x d element, printing included.  The diagonal blocks are
-    built row by row, and none of their lists is longer than the group:
-    the first holds |GL_(d_1)(F_q)| / (q - 1) matrices, and the group
-    order is that times the other |GL_(d_i)(F_q)| and a power of q.
+    Raises ResourceBoundError when called, before any element is built,
+    if the predicted work is above building.NEIGHBOR_WORK_BOUND: d^2 + 8
+    units for each d x d element, printing included.  The returned
+    iterator builds each element as it is asked for, and raises
+    InternalInvariantError after the last one if their count is not the
+    predicted order.  The diagonal blocks are built row by row, and none
+    of their lists is longer than the group: the first holds
+    |GL_(d_1)(F_q)| / (q - 1) matrices, and the group order is that times
+    the other |GL_(d_i)(F_q)| and a power of q.
     """
     label = validate_label(label)
     predicted = stabilizer_order(label, q)
@@ -418,26 +422,29 @@ def stabilizer_enumerate(label, q: int) -> list[LaurentMatrix]:
     blocks = [_gl_matrices(sizes[0], q, leading_one=True)]
     blocks += [_gl_matrices(size, q) for size in sizes[1:]]
 
-    out: list[LaurentMatrix] = []
-    for diag_blocks in product(*blocks):
-        base = [[zero] * d for _ in range(d)]
-        for l, blk in enumerate(diag_blocks):
-            s = starts[l]
-            for i in range(sizes[l]):
-                for j in range(sizes[l]):
-                    if blk[i][j]:
-                        base[s + i][s + j] = _poly({0: blk[i][j]}, q)
-        for combo in product(*(choices_by_cap[cap] for _, _, cap in poly_slots)):
-            rows = [row[:] for row in base]
-            for (i, j, _), p in zip(poly_slots, combo):
-                rows[i][j] = p
-            out.append(_matrix(rows, q))
-    if len(out) != predicted:
-        raise InternalInvariantError(
-            f"stabilizer enumeration for {label}, q={q}: got {len(out)}, "
-            f"formula predicts {predicted}"
-        )
-    return out
+    def elements():
+        count = 0
+        for diag_blocks in product(*blocks):
+            base = [[zero] * d for _ in range(d)]
+            for l, blk in enumerate(diag_blocks):
+                s = starts[l]
+                for i in range(sizes[l]):
+                    for j in range(sizes[l]):
+                        if blk[i][j]:
+                            base[s + i][s + j] = _poly({0: blk[i][j]}, q)
+            for combo in product(*(choices_by_cap[cap] for _, _, cap in poly_slots)):
+                rows = [row[:] for row in base]
+                for (i, j, _), p in zip(poly_slots, combo):
+                    rows[i][j] = p
+                count += 1
+                yield _matrix(rows, q)
+        if count != predicted:
+            raise InternalInvariantError(
+                f"stabilizer enumeration for {label}, q={q}: got {count}, "
+                f"formula predicts {predicted}"
+            )
+
+    return elements()
 
 
 def stabilizer_degree_pattern_ok(gamma: LaurentMatrix, label) -> bool:

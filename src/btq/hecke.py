@@ -5,28 +5,30 @@ Fraction) becomes a Fraction where it enters, and everything computed
 from it stays exact.  The exact work runs on Python ints over a common
 denominator known in advance, and each returned value becomes one
 Fraction at the end (fraction-free, as in Bareiss elimination): the
-d = 3 recursion over g^(n_1 + n_2), the d = 2 recursion and its closed
-form over (q+1) b^n for lam = a/b, the commutator and adjointness checks
-over the lcm of the value denominators (or over RANDOM_DENOMINATOR, for
-functions drawn as ints over it), and the norm and covolume sums
-over the lcm of the stabilizer orders.  Any other scalar (Python complex,
-mpmath mpf/mpc for high-precision runs) goes through the number protocol
-only: `x.conjugate()`, `abs(x)`, `(x * x.conjugate()).real` and `** 0.5`,
-and is compared within COMPLEX_TOLERANCE relative to its size.  The
-tabulated d = 3 closed forms are the code in CLOSED_FORMS.  Operator
-application at a truncation boundary yields an explicit undefined marker
-(the vertex is simply absent from the result), never a silent zero:
-zero-padding would fabricate boundary conditions and corrupt the
-commutator and adjointness identities.
+d = 3 recursion over g^(n_1 + n_2), the d = 2 recursion over (q+1) b^n
+for lam = a/b, the commutator and adjointness checks over the lcm of the
+value denominators (1 for int values: a caller that holds a function as
+ints over its own denominator divides the result by it), and the norm
+and covolume sums over the lcm of the stabilizer orders.  An exact d = 2
+value is computed once, since exact arithmetic cannot drift; an inexact
+one is also checked against the two-root closed form.  Any other scalar
+(Python complex, mpmath mpf/mpc for high-precision runs) goes through
+the number protocol only: `x.conjugate()`, `abs(x)`,
+`(x * x.conjugate()).real` and `** 0.5`, and is compared within
+COMPLEX_TOLERANCE relative to its size.  The tabulated d = 3 closed
+forms are the code in CLOSED_FORMS.  Operator application at a
+truncation boundary yields an explicit undefined marker (the vertex is
+simply absent from the result), never a silent zero: zero-padding would
+fabricate boundary conditions and corrupt the commutator and adjointness
+identities.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, lcm, log2
+from math import ceil, lcm, log2
 
 from . import building, domain
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
@@ -124,8 +126,10 @@ class DomainFunction:
 
         At each label, in lexicographic order, a in [-50, 50] and then b in
         [1, 20] are drawn uniformly; the value a / b is held as the int
-        a * (RANDOM_DENOMINATOR // b).  The checks take such a function
-        with its scale as is.
+        a * (RANDOM_DENOMINATOR // b).  The checks run on such ints as
+        they are: the commutator residual comes out RANDOM_DENOMINATOR
+        times that of the rationals a / b, and the adjointness residual
+        of two such functions its square times.
         """
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
         labels = domain.enumerate_domain(d, max_n1)
@@ -143,27 +147,6 @@ class DomainFunction:
 
     def get(self, label, default=None):
         return self.values.get(tuple(label), default)
-
-
-@dataclass(frozen=True)
-class HeckeParams:
-    """Eigenvalue pair for d = 3, with the recurring constants.
-
-    t3 = q^2 + q + 1 is the color-degree (the constant-function eigenvalue)
-    and r = q + 1.
-    """
-
-    lambda1: object
-    lambda2: object
-    q: int
-
-    @property
-    def t3(self):
-        return self.q**2 + self.q + 1
-
-    @property
-    def r(self):
-        return self.q + 1
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +198,18 @@ def _integer_scaled(f: DomainFunction):
     return DomainFunction(f.d, f.q, f.max_n1, scaled), scale
 
 
-def commutator_check(graph: QuotientGraph, f: DomainFunction, scale: int | None = None):
+def commutator_check(graph: QuotientGraph, f: DomainFunction):
     """Max |(A_1 A_{d-1} - A_{d-1} A_1) f| over the doubly-interior vertices,
     for the two operators stored at every d.
 
     Exactly zero for exact scalars, which run on f scaled to integers (the
-    ratios are integers) and give a Fraction.  With `scale`, f holds int
-    values over that common denominator, as `DomainFunction.random_integer`
-    draws them, and runs as is.  Raises if the truncation is too small to
-    contain any doubly-interior vertex.
+    ratios are integers) and give a Fraction.  Raises if the truncation is
+    too small to contain any doubly-interior vertex.
     """
-    if scale is None:
-        scaled = _integer_scaled(f)
-        if scaled is not None:
-            f, scale = scaled
+    scaled = _integer_scaled(f)
+    scale = None
+    if scaled is not None:
+        f, scale = scaled
     top = graph.d - 1
     left = apply_hecke(graph, 1, apply_hecke(graph, top, f))
     right = apply_hecke(graph, top, apply_hecke(graph, 1, f))
@@ -275,20 +256,15 @@ def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
     return total
 
 
-def adjointness_residual(
-    graph: QuotientGraph, f: DomainFunction, g: DomainFunction, scale: int | None = None
-):
+def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
     """<A_1 f, g> - <f, A_{d-1} g>; exactly zero for compact supports.
 
-    Exact f and g run scaled to integers and give a Fraction.  With
-    `scale`, f and g hold int values over that common denominator and run
-    as is."""
-    denominator = None if scale is None else scale * scale
-    if scale is None:
-        scaled_f, scaled_g = _integer_scaled(f), _integer_scaled(g)
-        if scaled_f is not None and scaled_g is not None:
-            (f, scale_f), (g, scale_g) = scaled_f, scaled_g
-            denominator = scale_f * scale_g
+    Exact f and g run scaled to integers and give a Fraction."""
+    scaled_f, scaled_g = _integer_scaled(f), _integer_scaled(g)
+    denominator = None
+    if scaled_f is not None and scaled_g is not None:
+        (f, scale_f), (g, scale_g) = scaled_f, scaled_g
+        denominator = scale_f * scale_g
     a1f = apply_hecke(graph, 1, f)
     a2g = apply_hecke(graph, graph.d - 1, g)
     residual = weighted_inner(graph, a1f, g) - weighted_inner(graph, f, a2g)
@@ -352,7 +328,7 @@ def _recursion_steps(q: int, max_n1: int):
     return cases, steps
 
 
-def eigenvector_d3(params: HeckeParams, max_n1: int):
+def eigenvector_d3(lambda1, lambda2, q: int, max_n1: int):
     """Simultaneous eigenvector values on the truncation, plus residuals.
 
     Walks the diagonals n_1 + n_2 in increasing order (larger n_2 first
@@ -369,9 +345,8 @@ def eigenvector_d3(params: HeckeParams, max_n1: int):
     """
     if max_n1 < 2:
         raise InvalidInputError("the recursion needs max_n1 >= 2")
-    q = params.q
     check_prime(q)
-    l1, l2 = _lift(params.lambda1), _lift(params.lambda2)
+    l1, l2 = _lift(lambda1), _lift(lambda2)
     # about six products per label, on (max_n1 + 1)(max_n1 + 2)/2 labels
     _check_eigenvector_size((l1, l2), q, max_n1, 3 * (max_n1 + 1) ** 2)
     cases, steps = _recursion_steps(q, max_n1)
@@ -501,24 +476,24 @@ CLOSED_FORMS = {
 
 
 def closed_form_regression(
-    params: HeckeParams, func: DomainFunction | None = None
+    lambda1, lambda2, q: int, func: DomainFunction | None = None
 ) -> dict[str, dict]:
     """Compare the recursion against every tabulated closed form.
 
-    func, the values of `eigenvector_d3(params, n)`, is reused when
-    n >= 6, which covers every tabulated label; otherwise the recursion
-    runs to n = 6 here.  Returns, per label, the tabulated status
+    func, the values of `eigenvector_d3(lambda1, lambda2, q, n)`, is reused
+    when n >= 6, which covers every tabulated label; otherwise the
+    recursion runs to n = 6 here.  Returns, per label, the tabulated status
     ('asserted' or 'flagged'), whether the two values agree, and their
     difference.  Flagged entries are reported, never asserted by callers.
     """
     if func is None or func.max_n1 < 6:
-        func, _ = eigenvector_d3(params, max_n1=6)
-    l1, l2 = _lift(params.lambda1), _lift(params.lambda2)
+        func, _ = eigenvector_d3(lambda1, lambda2, q, 6)
+    l1, l2 = _lift(lambda1), _lift(lambda2)
     zero = l1 * 0  # q, t and r enter in the scalar type of l1
     out = {}
     for name, (status, closed) in CLOSED_FORMS.items():
         label = tuple(int(c) for c in name)
-        expected = closed(l1, l2, zero + params.q, zero + params.t3, zero + params.r)
+        expected = closed(l1, l2, zero + q, zero + q * q + q + 1, zero + q + 1)
         actual = func[label]
         out[name] = {
             "status": status,
@@ -537,105 +512,60 @@ def eigenvector_d2(lam, q: int, max_n: int) -> DomainFunction:
     """Eigenvector on the half-line: f_0 = 1, f_1 = lam/(q+1),
     f_{n+1} = lam f_n - q f_{n-1}.
 
-    Every value is checked against the closed form of
-    `eigenvector_d2_closed_form`, exactly for exact lam and within
-    tolerance otherwise; any disagreement is an internal error.  Exact
-    lam = a/b runs on the integers V_n = (q+1) b^n f_n, V_0 = q + 1,
-    V_1 = a, V_(n+1) = a V_n - q b^2 V_(n-1), which the closed form gives
-    for all n at once (`_d2_closed_numerators`); each value is one
-    Fraction.  An inexact lam with lam^2 = 4q (numerically coincident
-    roots) routes to recursion-only mode.
+    Exact lam = a/b runs on the integers V_n = (q+1) b^n f_n, V_0 = q + 1,
+    V_1 = a, V_(n+1) = a V_n - q b^2 V_(n-1), and each value is one
+    Fraction.  Any other lam runs through the number protocol, and since
+    rounding can drift, every value is checked within tolerance against
+    `eigenvector_d2_closed_form`; a disagreement is an internal error.
+    An inexact lam with lam^2 = 4q (numerically coincident roots) has no
+    two-root closed form and is returned unchecked.
     """
     check_prime(q)
     if max_n < 1:
         raise InvalidInputError("max_n must be >= 1")
     lam = _lift(lam)
-    # the closed form sums about n terms at every n <= max_n
+    # (max_n + 1)^2 / 2 operations is an upper estimate, since the recursion
+    # takes a few products per n; revising it would change which inputs
+    # exit 3
     _check_eigenvector_size((lam,), q, max_n, (max_n + 1) ** 2 // 2)
     if _exact(lam):
         a, b = lam.numerator, lam.denominator
         tops = [q + 1, a]
         for _ in range(2, max_n + 1):
             tops.append(a * tops[-1] - q * b * b * tops[-2])
-        checks = zip(tops, _d2_closed_numerators(a, b, q, max_n))
         vals = [Fraction(top, (q + 1) * b**n) for n, top in enumerate(tops)]
     else:
         vals = [lam * 0 + 1, lam / (q + 1)]
         for _ in range(2, max_n + 1):
             vals.append(lam * vals[-1] - q * vals[-2])
-        checks = [] if _degenerate_roots(lam, q) else (
-            (val, eigenvector_d2_closed_form(lam, q, n)) for n, val in enumerate(vals)
-        )
-    for n, (got, closed) in enumerate(checks):
-        if not scalars_close(got, closed):
-            raise InternalInvariantError(f"d=2 recursion and closed form disagree at n={n}")
-    values = {(n, 0): vals[n] for n in range(max_n + 1)}
-    return DomainFunction(2, q, max_n, values)
+        if not _degenerate_roots(lam, q):
+            for n, val in enumerate(vals):
+                if not scalars_close(val, eigenvector_d2_closed_form(lam, q, n)):
+                    raise InternalInvariantError(f"d=2 recursion and closed form disagree at n={n}")
+    return DomainFunction(2, q, max_n, {(n, 0): val for n, val in enumerate(vals)})
 
 
 def _degenerate_roots(lam, q: int) -> bool:
-    # an exact lam never has lam^2 = 4q, since q is prime
-    if _exact(lam):
-        return False
     return abs(lam * lam - 4 * q) <= COMPLEX_TOLERANCE * max(1.0, abs(lam) ** 2)
 
 
 def eigenvector_d2_closed_form(lam, q: int, n: int):
-    """f_n in closed form, independent of the recursion.
+    """f_n in closed form, independent of the recursion: f_n = C r1^n +
+    D r2^n with r_{1,2} the roots of x^2 - lam x + q, C = (lam - (q+1) r2)
+    / ((q+1) sqrt(lam^2 - 4q)) and D = 1 - C.
 
-    Exact lam = a/b: f_0 = 1 and f_n = lam/(q+1) U_n - q U_{n-1} with the
-    Lucas sequence U_m = sum_{k < (m+1)//2} C(m-1-k, k) lam^(m-1-2k) (-q)^k
-    of x^2 - lam x + q.  S_m = b^(m-1) U_m = sum_k C(m-1-k, k) a^(m-1-2k)
-    (-q b^2)^k is an integer, so f_n = (a S_n - q(q+1) b^2 S_{n-1}) /
-    ((q+1) b^n) is one Fraction over an integer sum.
-    Inexact lam, where that sum cancels: f_n = C r1^n + D r2^n with r_{1,2}
-    the roots of x^2 - lam x + q, C = (lam - (q+1) r2) / ((q+1) sqrt(lam^2
-    - 4q)) and D = 1 - C.
+    The square root makes the value inexact (float, complex or mpmath)
+    for every lam, so it checks inexact runs only.
     """
     lam = _lift(lam)
-    if not _exact(lam):
-        if _degenerate_roots(lam, q):
-            raise InvalidInputError("lam^2 = 4q has no two-root closed form")
-        s = (lam * lam - 4 * q) ** 0.5
-        r1 = (lam + s) / 2
-        r2 = (lam - s) / 2
-        c = (lam - (q + 1) * r2) / ((q + 1) * s)
-        d = 1 - c
-        return c * r1**n + d * r2**n
-    if n == 0:
-        return Fraction(1)
-    a, b = lam.numerator, lam.denominator
-    c = -q * b * b
-    top = a * _lucas_s(a, c, n) + (q + 1) * c * _lucas_s(a, c, n - 1)
-    return Fraction(top, (q + 1) * b**n)
-
-
-def _lucas_s(a: int, c: int, m: int) -> int:
-    # b^(m-1) U_m for lam = a/b and c = -q b^2: an integer
-    return sum(comb(m - 1 - k, k) * a ** (m - 1 - 2 * k) * c**k for k in range((m + 1) // 2))
-
-
-def _d2_closed_numerators(a: int, b: int, q: int, max_n: int) -> list[int]:
-    """(q+1) b^n f_n for lam = a/b and every n <= max_n, by the binomial
-    sums of `eigenvector_d2_closed_form`: a S_n + (q+1) c S_(n-1) for
-    n >= 1.  All the sums share one table of powers of a and of c, and
-    each walks C(m-1-k, k) from k to k + 1 by its ratio."""
-    c = -q * b * b
-    apow, cpow = [1], [1]
-    for _ in range(max_n):
-        apow.append(apow[-1] * a)
-    for _ in range(max_n // 2):
-        cpow.append(cpow[-1] * c)
-    lucas = [0]  # S_0
-    for m in range(1, max_n + 1):
-        top, binom, total = m - 1, 1, 0
-        for k in range((m + 1) // 2):
-            if k:
-                # C(top-k, k) = C(top-k+1, k-1) (top-2k+2)(top-2k+1) / (k (top-k+1))
-                binom = binom * (top - 2 * k + 2) * (top - 2 * k + 1) // (k * (top - k + 1))
-            total += binom * apow[top - 2 * k] * cpow[k]
-        lucas.append(total)
-    return [q + 1] + [a * lucas[n] + (q + 1) * c * lucas[n - 1] for n in range(1, max_n + 1)]
+    if _degenerate_roots(lam, q):
+        raise InvalidInputError("lam^2 = 4q has no two-root closed form")
+    s = (lam * lam - 4 * q) ** 0.5
+    r1 = (lam + s) / 2
+    r2 = (lam - s) / 2
+    c = (lam - (q + 1) * r2) / ((q + 1) * s)
+    d = 1 - c
+    return c * r1**n + d * r2**n
 
 
 # ---------------------------------------------------------------------------

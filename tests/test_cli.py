@@ -59,7 +59,21 @@ def test_stabilizer_order(run):
     code, out, _ = run("stabilizer", "--n", "2,1,0", "--q", "2", "--enumerate")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "order 128" and lines[1] == "enumerated 128"
+    assert lines[0] == "order 128" and lines[1] == "enumerated 128" and len(lines) == 130
+
+
+def test_stabilizer_enumerate_count_check_exits_after_output(run, monkeypatch):
+    # the elements stream out after the predicted order; a count that
+    # differs from it is an invariant violation, found after the last one
+    from btq import domain
+
+    _, expected, _ = run("stabilizer", "--n", "1,1,0", "--q", "2", "--enumerate")
+    exact = domain.stabilizer_order
+    monkeypatch.setattr(domain, "stabilizer_order", lambda label, q: exact(label, q) + 1)
+    code, out, err = run("stabilizer", "--n", "1,1,0", "--q", "2", "--enumerate")
+    assert code == 4 and "got 96, formula predicts 97" in err
+    assert out.splitlines()[:2] == ["order 97", "enumerated 97"]
+    assert out.splitlines()[2:] == expected.splitlines()[2:] and len(out.splitlines()) == 98
 
 
 def test_domain_json_nodes(run):
@@ -183,9 +197,9 @@ def test_eigenvector_regression_reuses_values(run, monkeypatch, max_n, runs):
     calls = []
     recursion = hecke.eigenvector_d3
 
-    def counted(params, max_n1):
+    def counted(lambda1, lambda2, q, max_n1):
         calls.append(max_n1)
-        return recursion(params, max_n1)
+        return recursion(lambda1, lambda2, q, max_n1)
 
     monkeypatch.setattr(hecke, "eigenvector_d3", counted)
     code, out, _ = run("eigenvector", "--d", "3", "--q", "2", "--lambda1", "3/7",
@@ -230,20 +244,63 @@ def test_hecke_check(run):
         assert code == 2 and not out and "doubly-interior" in err
 
 
-def test_hecke_check_fail_exit_code(run, monkeypatch):
+def _one_wrong_ratio(monkeypatch):
+    """Make quotient.build_graph change the ratio of one edge out of the
+    zero label by one."""
     from btq import quotient
 
     exact = quotient.build_graph
 
     def one_wrong_ratio(*args):
         graph = exact(*args)
-        edges = graph.out_edges[(0, 0, 0)]
+        edges = graph.out_edges[(0,) * graph.d]
         edges[0] = edges[0]._replace(ratio_from=edges[0].ratio_from + 1)
         return graph
 
     monkeypatch.setattr(quotient, "build_graph", one_wrong_ratio)
+
+
+def test_hecke_check_fail_exit_code(run, monkeypatch):
+    _one_wrong_ratio(monkeypatch)
     code, out, _ = run("hecke-check", "--d", "3", "--q", "2", "--max-n", "4", "--trials", "1")
     assert code == 4 and out.splitlines()[0] == "row_sums FAIL (expected 7)"
+
+
+@pytest.mark.parametrize("d, max_n, seed", [(3, 6, 0), (4, 4, 3)])
+def test_hecke_check_prints_residuals_of_the_rationals(run, monkeypatch, d, max_n, seed):
+    # the CLI draws ints over RANDOM_DENOMINATOR; the residuals it prints are
+    # those of the rationals they stand for, summed here directly as Fractions
+    from btq import hecke, quotient
+
+    _one_wrong_ratio(monkeypatch)
+    graph = quotient.build_graph(d, 2, max_n)
+    top = d - 1
+
+    def rational(draw_seed):
+        f = hecke.DomainFunction.random_integer(d, 2, max_n, draw_seed)
+        return {u: Fraction(x, hecke.RANDOM_DENOMINATOR) for u, x in f.values.items()}
+
+    def apply(i, values):
+        return hecke.apply_hecke(graph, i, hecke.DomainFunction(d, 2, max_n, values)).values
+
+    commutator = Fraction(0)
+    for trial in range(2):
+        f = rational(seed + trial)
+        left, right = apply(1, apply(top, f)), apply(top, apply(1, f))
+        commutator = max(commutator, *(abs(left[u] - right[u]) for u in set(left) & set(right)))
+    interior = {u for u in graph.nodes if u[0] + 2 <= max_n}
+    f, g = ({u: x if u in interior else 0 for u, x in rational(seed + s).items()}
+            for s in (104729, 1299709))
+    a1f, atg = apply(1, f), apply(top, g)
+    adjointness = sum(Fraction(a1f[u] * g[u], order) for u, order in graph.nodes.items() if u in a1f)
+    adjointness -= sum(Fraction(f[u] * atg[u], order) for u, order in graph.nodes.items() if u in atg)
+    assert commutator != 0 and adjointness != 0
+    code, out, _ = run("hecke-check", "--d", str(d), "--q", "2", "--max-n", str(max_n),
+                       "--trials", "2", "--seed", str(seed))
+    assert code == 4 and out.splitlines()[1:] == [
+        f"commutator_max_residual {commutator} over 2 random functions",
+        f"adjointness_residual {adjointness}",
+    ]
 
 
 @pytest.mark.parametrize("name, failing, d", [
@@ -253,7 +310,8 @@ def test_hecke_check_fail_exit_code(run, monkeypatch):
 def test_hecke_check_residual_exit_code(run, monkeypatch, name, failing, d):
     from btq import hecke
 
-    monkeypatch.setattr(hecke, name, lambda *args: Fraction(1, 3))
+    # the library's units: the drawn functions are ints over RANDOM_DENOMINATOR
+    monkeypatch.setattr(hecke, name, lambda *args: Fraction(hecke.RANDOM_DENOMINATOR**2, 3))
     code, out, err = run("hecke-check", "--d", d, "--q", "2", "--max-n", "4", "--trials", "1")
     assert code == 4 and out.splitlines()[0].startswith("row_sums ok")
     assert out.splitlines()[-1] == "adjointness_residual " + ("1/3" if d == "4" else "0")
@@ -326,8 +384,8 @@ def test_eigenvector_residual_exit_code(run, monkeypatch, lambdas):
         assert worst["label"] == [14, 10, 0] and abs(_complex(worst["residual"])) > 1
     exact = hecke.eigenvector_d3
 
-    def one_wrong_residual(params, max_n1):
-        func, residuals = exact(params, max_n1)
+    def one_wrong_residual(*args):
+        func, residuals = exact(*args)
         u, r = residuals[-1]
         residuals[-1] = (u, r + func[u] / 10**6)
         return func, residuals

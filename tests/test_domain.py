@@ -399,7 +399,7 @@ def test_stabilizer_origin_is_pgl():
 def test_stabilizer_enumerate_matches_order_small():
     for q in (2, 3):
         for lab in ((0, 0), (1, 0), (0, 0, 0), (1, 1, 0)):
-            group = stabilizer_enumerate(lab, q)
+            group = list(stabilizer_enumerate(lab, q))
             assert len(group) == stabilizer_order(lab, q)
 
 
@@ -423,7 +423,7 @@ def test_stabilizer_enumerate_bound(monkeypatch):
     # blocks are built row by row and not counted
     work = 96 * 17
     monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", work)
-    assert len(stabilizer_enumerate((1, 1, 0), 2)) == stabilizer_order((1, 1, 0), 2)
+    assert len(list(stabilizer_enumerate((1, 1, 0), 2))) == stabilizer_order((1, 1, 0), 2)
     monkeypatch.setattr(building, "NEIGHBOR_WORK_BOUND", work - 1)
     with pytest.raises(ResourceBoundError):
         stabilizer_enumerate((1, 1, 0), 2)
@@ -439,7 +439,7 @@ def test_stabilizer_elements_fix_vertex():
     q = 2
     lab = (2, 1, 0)
     base = vertex_from_label(lab, q)
-    group = stabilizer_enumerate(lab, q)
+    group = list(stabilizer_enumerate(lab, q))
     rng = random.Random(1)
     for g in rng.sample(group, 12):
         assert vertex_normal_form(g * base.basis) == base
@@ -450,7 +450,7 @@ def test_stabilizer_elements_fix_vertex():
 def test_stabilizer_closure_spot_check():
     q = 2
     lab = (1, 1, 0)
-    group = stabilizer_enumerate(lab, q)
+    group = list(stabilizer_enumerate(lab, q))
     keys = set()
     for g in group:
         keys.add(tuple(tuple(sorted(x.coeffs.items())) for row in g.rows for x in row))
@@ -478,7 +478,7 @@ def _matrix_sort_key(mat):
 def orbits_by_enumeration(label, q, k):
     """Oracle: apply every enumerated stabilizer element to each orbit
     representative, in the deterministic order of orbit_decomposition."""
-    group = stabilizer_enumerate(label, q)
+    group = list(stabilizer_enumerate(label, q))
     remaining = {v.key(): v for v in neighbors(vertex_from_label(label, q), k)}
     orbits = []
     while remaining:

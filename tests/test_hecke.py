@@ -9,14 +9,13 @@ import pytest
 
 from btq import domain, hecke
 from btq.domain import enumerate_domain, stabilizer_order
-from btq.errors import InvalidInputError, ResourceBoundError
+from btq.errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from btq.gf import gaussian_binomial, gl_order
 from btq.hecke import (
     CLOSED_FORMS,
     COMPLEX_TOLERANCE,
     RANDOM_DENOMINATOR,
     DomainFunction,
-    HeckeParams,
     adjointness_residual,
     apply_hecke,
     closed_form_regression,
@@ -34,10 +33,11 @@ from btq.quotient import build_graph
 
 
 def rational_params(seed, q=2):
+    """(lambda1, lambda2, q) with random rational eigenvalues."""
     rng = random.Random(seed)
     l1 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
     l2 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-    return HeckeParams(l1, l2, q)
+    return l1, l2, q
 
 
 # -- operators ----------------------------------------------------------------
@@ -94,17 +94,17 @@ def test_commutator_vanishes_random():
         g = build_graph(3, q, 9)
         for seed in range(8):
             f = DomainFunction.random_integer(3, q, 9, seed=seed)
-            assert commutator_check(g, f, RANDOM_DENOMINATOR) == 0
+            assert commutator_check(g, f) == 0
     # A_1 and A_(d-1) commute at every d; at d = 2 they are one operator
     for d, q, max_n in ((4, 2, 4), (4, 3, 3), (4, 2, 6), (5, 2, 3), (6, 2, 3), (2, 2, 6)):
         g = build_graph(d, q, max_n)
         for seed in range(3):
             f = DomainFunction.random_integer(d, q, max_n, seed=seed)
-            assert commutator_check(g, f, RANDOM_DENOMINATOR) == 0, (d, q, max_n, seed)
+            assert commutator_check(g, f) == 0, (d, q, max_n, seed)
     # the check sees a wrong edge at d != 3 too
     g = one_wrong_ratio(4, 2, 4)
     f = DomainFunction.random_integer(4, 2, 4, seed=0)
-    assert commutator_check(g, f, RANDOM_DENOMINATOR) != 0
+    assert commutator_check(g, f) != 0
 
 
 def test_commutator_needs_interior():
@@ -177,8 +177,9 @@ def test_integer_scaled_checks_match_direct_sums(kind):
 
 def test_drawn_integer_functions_check_as_their_rationals():
     # random_integer draws a / b as the Fractions of one randint pair per
-    # label would; the checks take its ints over RANDOM_DENOMINATOR as they
-    # are, and give what the Fractions they stand for give
+    # label would; the checks run on its ints as they are, and give what
+    # the Fractions they stand for give times RANDOM_DENOMINATOR (squared
+    # for the adjointness pairing)
     q, N = 2, 8
     g = one_wrong_ratio(3, q, N)
     interior = {u for u in g.nodes if u[0] + 2 <= N}
@@ -194,12 +195,12 @@ def test_drawn_integer_functions_check_as_their_rationals():
         rational.append(DomainFunction(3, q, N, {
             u: Fraction(x, RANDOM_DENOMINATOR) for u, x in drawn[-1].values.items()
         }))
-    commutator = commutator_check(g, drawn[0], RANDOM_DENOMINATOR)
+    commutator = commutator_check(g, drawn[0])
     assert type(commutator) is Fraction and commutator != 0
-    assert commutator == direct_commutator(g, rational[0])
-    adjointness = adjointness_residual(g, *drawn, RANDOM_DENOMINATOR)
+    assert commutator == direct_commutator(g, rational[0]) * RANDOM_DENOMINATOR
+    adjointness = adjointness_residual(g, *drawn)
     assert type(adjointness) is Fraction and adjointness != 0
-    assert adjointness == direct_adjointness(g, *rational)
+    assert adjointness == direct_adjointness(g, *rational) * RANDOM_DENOMINATOR**2
 
 
 def test_integer_scaled_checks_leave_complex_input_generic():
@@ -231,10 +232,9 @@ def test_weighted_inner_rejects_lossy_pairing():
 
 
 def test_eigenvector_d3_first_values():
-    p = rational_params(3)
-    t3, r, q = Fraction(p.t3), Fraction(p.r), p.q
-    f, residuals = eigenvector_d3(p, 6)
-    l1, l2 = p.lambda1, p.lambda2
+    l1, l2, q = rational_params(3)
+    t3, r = Fraction(q * q + q + 1), Fraction(q + 1)
+    f, residuals = eigenvector_d3(l1, l2, q, 6)
     assert f[(0, 0, 0)] == 1
     assert f[(1, 0, 0)] == l1 / t3
     assert f[(1, 1, 0)] == l2 / t3
@@ -244,15 +244,15 @@ def test_eigenvector_d3_first_values():
 
 
 def test_eigenvector_d3_is_simultaneous_eigenvector():
-    p = rational_params(8, q=3)
-    f, _ = eigenvector_d3(p, 7)
-    g = build_graph(3, 3, 7)
+    l1, l2, q = rational_params(8, q=3)
+    f, _ = eigenvector_d3(l1, l2, q, 7)
+    g = build_graph(3, q, 7)
     a1 = apply_hecke(g, 1, f)
     a2 = apply_hecke(g, 2, f)
     for u, val in a1.values.items():
-        assert val == p.lambda1 * f[u]
+        assert val == l1 * f[u]
     for u, val in a2.values.items():
-        assert val == p.lambda2 * f[u]
+        assert val == l2 * f[u]
 
 
 def hand_recursion_d3(l1, l2, q, max_n1):
@@ -308,7 +308,7 @@ def test_eigenvector_d3_integer_recursion_matches_number_protocol(q):
         exact = hecke._eigenvector_d3_exact(l1, l2, q, cases, steps)
         generic = hecke._eigenvector_d3_generic(l1, l2, cases, steps)
         assert exact == generic == hand_recursion_d3(l1, l2, q, max_n), (l1, l2, max_n)
-        func, residuals = eigenvector_d3(HeckeParams(l1, l2, q), max_n)
+        func, residuals = eigenvector_d3(l1, l2, q, max_n)
         assert (func.values, residuals) == exact
         assert all(type(v) is Fraction for v in func.values.values())
         assert all(type(res) is Fraction and res == 0 for _, res in residuals)
@@ -317,20 +317,19 @@ def test_eigenvector_d3_integer_recursion_matches_number_protocol(q):
 def test_eigenvector_d3_complex_matches_hand_recursion():
     # the number protocol keeps the order of every operation, so the floats agree exactly
     for l1, l2, q in ((1 + 2j, 0.5 - 1j, 3), (0j, 1 + 2j, 3), (3.5j, -2 + 0j, 2)):
-        func, residuals = eigenvector_d3(HeckeParams(l1, l2, q), 14)
+        func, residuals = eigenvector_d3(l1, l2, q, 14)
         assert (func.values, residuals) == hand_recursion_d3(l1, l2, q, 14)
 
 
 def test_eigenvector_d3_requires_depth():
     with pytest.raises(InvalidInputError):
-        eigenvector_d3(rational_params(1), 1)
+        eigenvector_d3(*rational_params(1), 1)
 
 
 def test_closed_form_regression_asserted_entries():
     for seed in range(6):
         for q in (2, 3, 5):
-            p = rational_params(10 + seed, q=q)
-            report = closed_form_regression(p)
+            report = closed_form_regression(*rational_params(10 + seed, q=q))
             for name, entry in report.items():
                 if entry["status"] == "asserted":
                     assert entry["match"], (name, q, entry["residual"])
@@ -340,12 +339,12 @@ def test_closed_form_regression_asserted_entries():
 def test_integer_eigenvalues_stay_exact():
     # ints (and floats) enter as Fractions, so the recursion, its residuals
     # and the closed forms are exact
-    f, residuals = eigenvector_d3(HeckeParams(3, 2, 2), 6)
+    f, residuals = eigenvector_d3(3, 2, 2, 6)
     assert all(type(v) is Fraction for v in f.values.values())
     assert residuals and all(res == 0 and type(res) is Fraction for _, res in residuals)
-    for name, entry in closed_form_regression(HeckeParams(3, 2, 2), f).items():
+    for name, entry in closed_form_regression(3, 2, 2, f).items():
         assert entry["match"] or entry["status"] == "flagged", name
-    assert closed_form_regression(HeckeParams(0.5, 3, 2))["210"]["residual"] == 0
+    assert closed_form_regression(0.5, 3, 2)["210"]["residual"] == 0
     g = eigenvector_d2(0.5, 3, 6)
     assert all(type(v) is Fraction for v in g.values.values())
     with pytest.raises(InvalidInputError):
@@ -368,8 +367,7 @@ def test_closed_form_table_covers_first_six_diagonals():
 def test_constant_choice_gives_all_ones():
     q = 2
     t3 = q * q + q + 1
-    p = HeckeParams(Fraction(t3), Fraction(t3), q)
-    f, _ = eigenvector_d3(p, 8)
+    f, _ = eigenvector_d3(Fraction(t3), Fraction(t3), q, 8)
     assert all(v == 1 for v in f.values.values())
 
 
@@ -377,8 +375,7 @@ def test_root_of_unity_coloring():
     q = 2
     t3 = q * q + q + 1
     rho = cmath.exp(2j * cmath.pi / 3)
-    p = HeckeParams(rho * t3, rho**2 * t3, q)
-    f, residuals = eigenvector_d3(p, 8)
+    f, residuals = eigenvector_d3(rho * t3, rho**2 * t3, q, 8)
     for (a, b, _), val in f.values.items():
         assert abs(val - rho ** (a + b)) < 1e-9
     for _, res in residuals:
@@ -394,8 +391,7 @@ def test_root_of_unity_coloring_deep_high_precision():
         q = 2
         t3 = q * q + q + 1
         rho = mpmath.exp(2j * mpmath.pi / 3)
-        p = HeckeParams(rho * t3, rho**2 * t3, q)
-        f, residuals = eigenvector_d3(p, 20)
+        f, residuals = eigenvector_d3(rho * t3, rho**2 * t3, q, 20)
         for (a, b, _), val in f.values.items():
             assert abs(complex(val) - complex(rho ** (a + b))) < 1e-9
         assert max(abs(complex(res)) for _, res in residuals) < 1e-9
@@ -407,8 +403,8 @@ def test_mpmath_norm_commutator_and_regression():
     with mpmath.workdps(30):
         # the (rho t3, rho^2 t3) colouring, f = rho^(n_1 + n_2), so |f| = 1
         rho = mpmath.exp(2j * mpmath.pi / 3)
-        params = HeckeParams(rho * 7, rho**2 * 7, 2)
-        f, _ = eigenvector_d3(params, 4)
+        params = (rho * 7, rho**2 * 7, 2)
+        f, _ = eigenvector_d3(*params, 4)
         graph = build_graph(3, 2, 4)
         total, shells = l2_partial_norm(f)
         partial = covolume_partial(3, 2, 4)
@@ -416,7 +412,7 @@ def test_mpmath_norm_commutator_and_regression():
         assert abs(total - mpmath.mpf(partial.numerator) / partial.denominator) < 1e-20
         assert abs(weighted_inner(graph, f, f) - total) < 1e-20
         assert commutator_check(graph, f) < 1e-20
-        report = closed_form_regression(params, f)
+        report = closed_form_regression(*params, f)
         assert all(e["match"] for e in report.values() if e["status"] == "asserted")
 
 
@@ -439,7 +435,7 @@ def test_eigenvector_d2_recursion_and_closed_form():
             lam = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
             if lam * lam == 4 * q:
                 continue
-            f = eigenvector_d2(lam, q, 30)  # internal cross-check is exact
+            f = eigenvector_d2(lam, q, 30)
             assert f[(0, 0)] == 1
             assert f[(1, 0)] == lam / (q + 1)
             for n in range(2, 31):
@@ -457,11 +453,11 @@ def test_eigenvector_d2_closed_form_values():
                 lam**3 / r - q * lam - q * lam / r,
                 lam**4 / r - q * lam**2 * (1 + 2 / Fraction(r)) + q**2,
             ]
+            f = eigenvector_d2(lam, q, 4)
             for n, value in enumerate(expected):
-                closed = eigenvector_d2_closed_form(lam, q, n)
-                assert type(closed) is Fraction and closed == value, (q, lam, n)
-    # lam = q+1 gives the all-ones vector; the same sum in floats is far off
-    assert all(eigenvector_d2_closed_form(Fraction(6), 5, n) == 1 for n in range(40))
+                assert type(f[(n, 0)]) is Fraction and f[(n, 0)] == value, (q, lam, n)
+    # lam = q+1 gives the all-ones vector
+    assert all(v == 1 for v in eigenvector_d2(Fraction(6), 5, 39).values.values())
 
 
 def lucas_u(lam, q, m):
@@ -470,8 +466,10 @@ def lucas_u(lam, q, m):
     return sum(terms, Fraction(0))
 
 
-def test_eigenvector_d2_closed_form_matches_binomial_sum():
-    # f_n = lam/(q+1) U_n - q U_{n-1}, the closed form as a sum over Q
+def test_eigenvector_d2_matches_binomial_sum():
+    # f_n = lam/(q+1) U_n - q U_{n-1} with the Lucas sequence U of
+    # x^2 - lam x + q: the closed form as a sum over Q, independent of the
+    # recursion
     grid = {Fraction(a, b) for a in range(-60, 61) for b in range(1, 16)}
     for q in (2, 3, 5, 7, 11, 13):
         for lam in sorted(grid | {Fraction(q + 1)}):
@@ -481,23 +479,10 @@ def test_eigenvector_d2_closed_form_matches_binomial_sum():
             every = lam == q + 1 or (lam.denominator in (1, 15) and abs(lam.numerator) <= 10)
             depths = range(41) if every else (0, 1, 2, 40)
             u = {m: lucas_u(lam, q, m) for n in depths for m in (n - 1, n) if m >= 0}
+            f = eigenvector_d2(lam, q, 40)
             for n in depths:
-                closed = eigenvector_d2_closed_form(lam, q, n)
                 expected = Fraction(1) if n == 0 else lam / (q + 1) * u[n] - q * u[n - 1]
-                assert type(closed) is Fraction and closed == expected, (lam, q, n)
-
-
-def test_eigenvector_d2_batched_closed_forms_match_single_n():
-    rng = random.Random(17)
-    for _ in range(25):
-        q = rng.choice([2, 3, 5, 7, 11])
-        lam = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-        max_n = rng.randint(1, 40)
-        a, b = lam.numerator, lam.denominator
-        batched = hecke._d2_closed_numerators(a, b, q, max_n)
-        assert len(batched) == max_n + 1
-        for n, top in enumerate(batched):
-            assert Fraction(top, (q + 1) * b**n) == eigenvector_d2_closed_form(lam, q, n), (lam, q, n)
+                assert type(f[(n, 0)]) is Fraction and f[(n, 0)] == expected, (lam, q, n)
 
 
 def test_eigenvector_d2_complex_backend():
@@ -516,6 +501,18 @@ def test_eigenvector_d2_degenerate_root_recursion_only():
     assert f.defined((10, 0))
     with pytest.raises(InvalidInputError):
         eigenvector_d2_closed_form(lam, q, 3)
+
+
+def test_eigenvector_d2_checks_inexact_values_only(monkeypatch):
+    # exact values cannot drift and are computed once; inexact ones are
+    # checked at every n against the two-root closed form
+    exact = eigenvector_d2(Fraction(5, 3), 2, 12).values
+    closed = eigenvector_d2_closed_form
+    monkeypatch.setattr(hecke, "eigenvector_d2_closed_form", lambda lam, q, n: closed(lam, q, n) + (n == 7))
+    assert eigenvector_d2(Fraction(5, 3), 2, 12).values == exact
+    assert eigenvector_d2(1.25 + 0.5j, 2, 6).defined((6, 0))
+    with pytest.raises(InternalInvariantError, match="n=7"):
+        eigenvector_d2(1.25 + 0.5j, 2, 12)
 
 
 def test_eigenvalue_q_plus_one_case():
@@ -544,7 +541,7 @@ def test_l2_partial_norm_rho_coloring_matches_ones():
     q = 2
     t3 = q * q + q + 1
     rho = cmath.exp(2j * cmath.pi / 3)
-    f, _ = eigenvector_d3(HeckeParams(rho * t3, rho**2 * t3, q), 8)
+    f, _ = eigenvector_d3(rho * t3, rho**2 * t3, q, 8)
     total, shells = l2_partial_norm(f)
     assert len(shells) == 9
     assert abs(total - float(covolume_partial(3, q, 8))) < 1e-9
@@ -666,7 +663,7 @@ def test_covolume_partial_matches_direct_sum():
 
 def test_l2_partial_norm_integer_shells_match_fraction_sums():
     for q, params in ((2, rational_params(4)), (3, rational_params(5, q=3))):
-        f, _ = eigenvector_d3(params, 9)
+        f, _ = eigenvector_d3(*params, 9)
         total, shells = l2_partial_norm(f)
         direct = [Fraction(0)] * 10
         for u, val in f.values.items():
