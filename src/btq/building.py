@@ -330,7 +330,7 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     return out
 
 
-def _reduce_rows(rows, det_deg: int, q: int, over_O: bool, witness=None) -> list[int]:
+def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     """Row reduction of a nonsingular matrix by leading row coefficients, in
     place, over F_q[t] or, with `over_O`, over O = F_q[[1/t]]; returns the
     final row degrees.
@@ -340,13 +340,13 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool, witness=None) -> list
     every used row i enters it as its coefficient times t^(deg p - deg i).
     Over F_q[t] the pivot is the used row of largest degree, over O the one
     of least degree, so every multiplier lies in the ring and each step is
-    left multiplication by an element of GL_d of that ring; `witness`, a
-    list of rows, if given, takes the same steps.  Each step strictly lowers
-    the total row degree, which is bounded below by det_deg = deg det, the
-    degree every step keeps.  Once the leading matrix is invertible the rows
-    are diag(t^deg) A with A in GL_d(O), and the degrees sum to exactly
-    det_deg.  A zero row means a singular matrix (SingularMatrixError); any
-    other broken invariant is a bug and raises InternalInvariantError.
+    left multiplication by an element of GL_d of that ring.  Each step
+    strictly lowers the total row degree, which is bounded below by
+    det_deg = deg det, the degree every step keeps.  Once the leading
+    matrix is invertible the rows are diag(t^deg) A with A in GL_d(O), and
+    the degrees sum to exactly det_deg.  A zero row means a singular matrix
+    (SingularMatrixError); any other broken invariant is a bug and raises
+    InternalInvariantError.
     """
     d = len(rows)
     sign = -1 if over_O else 1
@@ -357,25 +357,23 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool, witness=None) -> list
             raise SingularMatrixError("zero row during row reduction")
         return max(degs)
 
-    # only the pivot row changes in a step, so only its degree is recomputed
+    def leading(i: int) -> list[int]:
+        return [x.coeffs.get(degs[i], 0) for x in rows[i]]
+
+    # only the pivot row changes in a step, so only its degree and leading
+    # coefficients are recomputed
     degs = [row_degree(i) for i in range(d)]
-    while True:
-        lead = [[x.coeffs.get(degs[i], 0) for x in rows[i]] for i in range(d)]
-        combo = left_null_vector(lead, q)
-        if combo is None:
-            break
+    lead = [leading(i) for i in range(d)]
+    while (combo := left_null_vector(lead, q)) is not None:
         used = [i for i in range(d) if combo[i]]
         pivot = max(used, key=lambda i: (sign * degs[i], i))
         monos = {i: _poly({degs[pivot] - degs[i]: 1}, q) for i in used}
         rows[pivot] = [dot([(combo[i], monos[i], rows[i][j]) for i in used], q) for j in range(d)]
-        if witness is not None:
-            witness[pivot] = [
-                dot([(combo[i], monos[i], witness[i][j]) for i in used], q) for j in range(d)
-            ]
         new_deg = row_degree(pivot)
         if new_deg >= degs[pivot]:
             raise InternalInvariantError("row degree did not decrease during row reduction")
         degs[pivot] = new_deg
+        lead[pivot] = leading(pivot)
         if sum(degs) < det_deg:
             raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
     if sum(degs) != det_deg:

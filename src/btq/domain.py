@@ -35,7 +35,7 @@ from .building import (
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from .gf import check_prime
-from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _poly
+from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _poly, dot
 
 # enumerate_domain refuses to list more labels than this
 LABEL_COUNT_BOUND = 10**6
@@ -179,7 +179,8 @@ def in_domain_work(label, k: int) -> int:
 
 # 128 entries hold the deltas of every (block sizes, k) with d <= 5 at
 # once (98 of them).  One large CLI call fills one entry, as large as the
-# list of neighbors it prints.
+# list of neighbors it prints, and quotient.build_graph walks its labels
+# grouped by block sizes, so it fills each of its keys once at every d.
 @lru_cache(maxsize=128)
 def _drop_deltas(sizes: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
     # The differences neighbor - label of the degree-k in-domain neighbors
@@ -549,23 +550,37 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     """The unique domain label of a building vertex's orbit, plus a witness
     w over F_q[t] with unit determinant and [w * basis] = [label diagonal].
 
-    The basis goes through the row reduction over F_q[t]
-    (`building._reduce_rows`), and the witness takes the same steps.  The
-    result is diag(t^deg) A with A in GL_d(O), whose lattice class is the
-    diagonal one of the sorted row degrees: they are the label exponents up
-    to homothety.  The canonical basis is triangular with pivots
-    t^profile_i, so its determinant has degree sum(profile), and row
-    degrees summing to anything else raise InternalInvariantError.
+    The basis B goes through the row reduction over F_q[t]
+    (`building._reduce_rows`) to R = W B.  R is diag(t^deg) A with A in
+    GL_d(O), whose lattice class is the diagonal one of the sorted row
+    degrees: they are the label exponents up to homothety.  The canonical
+    basis is triangular with pivots t^profile_i, so its determinant has
+    degree sum(profile), and row degrees summing to anything else raise
+    InternalInvariantError.  The witness is not tracked through the steps
+    but solved once afterwards: W = R B^-1, one forward substitution per
+    row, in which every division by a monic monomial pivot is an exponent
+    shift.
     """
     if isinstance(v, LaurentMatrix):
         v = vertex_normal_form(v)
     elif not isinstance(v, BuildingVertex):
         raise InvalidInputError("expected a BuildingVertex or LaurentMatrix")
     d, q = v.d, v.q
-    acc = _diagonal_rows((0,) * d, q)
-    degs = _reduce_rows(list(v.basis.rows), sum(v.profile), q, over_O=False, witness=acc)
+    basis = v.basis.rows
+    rows = list(basis)
+    degs = _reduce_rows(rows, sum(v.profile), q, over_O=False)
     order = sorted(range(d), key=lambda i: (-degs[i], i))
     base_deg = min(degs)
     label = tuple(degs[i] - base_deg for i in order)
-    witness = _matrix([acc[i] for i in order], q)
-    return label, witness
+    # w B = r for each row r of R, B upper triangular with B[j][j] = t^profile_j:
+    # w_j = (r_j - sum_{k<j} w_k B[k][j]) / t^profile_j
+    one = _poly({0: 1}, q)
+    witness = []
+    for i in order:
+        w: list = []
+        for j, r in enumerate(rows[i]):
+            terms = [(-1, w[k], basis[k][j]) for k in range(j) if w[k] and basis[k][j]]
+            acc = dot([(1, r, one), *terms], q) if terms else r
+            w.append(acc.shift(-v.profile[j]))
+        witness.append(w)
+    return label, _matrix(witness, q)

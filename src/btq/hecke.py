@@ -16,11 +16,18 @@ one is also checked against the two-root closed form.  Any other scalar
 the number protocol only: `x.conjugate()`, `abs(x)`,
 `(x * x.conjugate()).real` and `** 0.5`, and is compared within
 COMPLEX_TOLERANCE relative to its size.  The tabulated d = 3 closed
-forms are the code in CLOSED_FORMS.  Operator application at a
-truncation boundary yields an explicit undefined marker (the vertex is
-simply absent from the result), never a silent zero: zero-padding would
-fabricate boundary conditions and corrupt the commutator and adjointness
-identities.
+forms are the code in CLOSED_FORMS.
+
+The operators run on the quotient graph's node ids: each call reads a
+label-keyed DomainFunction into a list indexed by node id once, applies
+A_1 on the forward rows and A_(d-1) on the backward rows of
+(id, ratio) pairs, and gives its results label-keyed again; the
+commutator and adjointness checks apply all their operators to such
+lists, and a function with int values enters them as it is.  Operator
+application at a truncation boundary yields an explicit undefined marker
+(None in a list, and the vertex absent from a DomainFunction), never a
+silent zero: zero-padding would fabricate boundary conditions and corrupt
+the commutator and adjointness identities.
 """
 
 from __future__ import annotations
@@ -154,14 +161,9 @@ class DomainFunction:
 # ---------------------------------------------------------------------------
 
 
-def apply_hecke(graph: QuotientGraph, i: int, f: DomainFunction) -> DomainFunction:
-    """Weighted color-i neighbor sum: (A_i f)(u) = sum ratio * f(v).
-
-    Color 1 walks the stored edges forward with ratio_from; color d-1
-    walks them backward with ratio_to.  A vertex whose required neighbors
-    leave the truncation (n_1 = max_n1) or hit an undefined value of f is
-    left undefined in the result.
-    """
+def _rows(graph: QuotientGraph, i: int) -> list:
+    """The id rows of the color-i operator: the forward rows for color 1,
+    the backward rows for color d-1."""
     d = graph.d
     if d == 2 and i != 1:
         raise InvalidInputError("d = 2 has a single operator, i = 1")
@@ -169,33 +171,56 @@ def apply_hecke(graph: QuotientGraph, i: int, f: DomainFunction) -> DomainFuncti
         raise InvalidInputError(
             f"only colors 1 and {d - 1} are realized on the stored graph, got {i}"
         )
-    forward = i == 1
-    out: dict[Label, object] = {}
-    for u in graph.nodes:
-        if u[0] >= graph.max_n1:
-            continue  # outward edges leave the truncation: boundary vertex
+    return graph.forward if i == 1 else graph.backward
+
+
+def _on_ids(graph: QuotientGraph, f: DomainFunction) -> list:
+    """The values of f by node id, None where f is undefined."""
+    get = f.values.get
+    return [get(lab) for lab in graph.labels]
+
+
+def _apply_rows(rows: list, values: list) -> list:
+    """sum ratio * values[v] over each row, by node id; None where the row
+    is None (a boundary node) or reaches a None value."""
+    out = []
+    for row in rows:
         acc = None
-        for e in graph.out_edges[u] if forward else graph.in_edges[u]:
-            other, ratio = (e.dst, e.ratio_from) if forward else (e.src, e.ratio_to)
-            if other not in f.values:
-                break
-            term = ratio * f.values[other]
-            acc = term if acc is None else acc + term
-        else:
-            if acc is not None:
-                out[u] = acc
-    return DomainFunction(d, graph.q, graph.max_n1, out)
+        if row:
+            for v, ratio in row:
+                x = values[v]
+                if x is None:
+                    acc = None
+                    break
+                term = ratio * x
+                acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
 
 
-def _integer_scaled(f: DomainFunction):
-    """(F, scale): F = scale * f with int values, scale the lcm of the value
-    denominators; None if some value of f is not exact."""
-    vals = f.values.values()
-    if not all(_exact(x) for x in vals):
+def apply_hecke(graph: QuotientGraph, i: int, f: DomainFunction) -> DomainFunction:
+    """Weighted color-i neighbor sum: (A_i f)(u) = sum ratio * f(v).
+
+    Color 1 runs on the forward rows (ratio_from), color d-1 on the
+    backward rows (ratio_to).  A vertex whose required neighbors leave the
+    truncation (n_1 = max_n1) or hit an undefined value of f is left
+    undefined in the result.
+    """
+    out = _apply_rows(_rows(graph, i), _on_ids(graph, f))
+    values = {lab: x for lab, x in zip(graph.labels, out) if x is not None}
+    return DomainFunction(graph.d, graph.q, graph.max_n1, values)
+
+
+def _integer_scaled(values: list):
+    """(ints, scale): ints = scale * values with int entries (None entries
+    kept), scale the lcm of the value denominators; `values` itself with
+    scale 1 if every value is an int, and None if some value is not exact."""
+    if all(type(x) is int or x is None for x in values):
+        return values, 1
+    if not all(x is None or _exact(x) for x in values):
         return None
-    scale = lcm(*(x.denominator for x in vals))
-    scaled = {u: x.numerator * (scale // x.denominator) for u, x in f.values.items()}
-    return DomainFunction(f.d, f.q, f.max_n1, scaled), scale
+    scale = lcm(*(x.denominator for x in values if x is not None))
+    return [None if x is None else x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def commutator_check(graph: QuotientGraph, f: DomainFunction):
@@ -206,21 +231,18 @@ def commutator_check(graph: QuotientGraph, f: DomainFunction):
     ratios are integers) and give a Fraction.  Raises if the truncation is
     too small to contain any doubly-interior vertex.
     """
-    scaled = _integer_scaled(f)
-    scale = None
+    values = _on_ids(graph, f)
+    scaled = _integer_scaled(values)
     if scaled is not None:
-        f, scale = scaled
-    top = graph.d - 1
-    left = apply_hecke(graph, 1, apply_hecke(graph, top, f))
-    right = apply_hecke(graph, top, apply_hecke(graph, 1, f))
-    common = set(left.values) & set(right.values)
-    if not common:
+        values, scale = scaled
+    one, top = _rows(graph, 1), _rows(graph, graph.d - 1)
+    left = _apply_rows(one, _apply_rows(top, values))
+    right = _apply_rows(top, _apply_rows(one, values))
+    residuals = [abs(a - b) for a, b in zip(left, right) if a is not None and b is not None]
+    if not residuals:
         raise InvalidInputError("truncation has no doubly-interior vertex")
-    residual = None
-    for u in sorted(common):
-        r = abs(left.values[u] - right.values[u])
-        residual = r if residual is None else max(residual, r)
-    return residual if scale is None else Fraction(residual, scale)
+    residual = max(residuals)
+    return residual if scaled is None else Fraction(residual, scale)
 
 
 def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
@@ -231,27 +253,30 @@ def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
     would be meaningless and an error is raised.  Int values, which
     `adjointness_residual` passes, sum as ints over the lcm of the orders.
     """
+    return _inner(graph, _on_ids(graph, f), _on_ids(graph, g))
+
+
+def _inner(graph: QuotientGraph, x: list, y: list):
+    # weighted_inner on values by node id
     pairs = []
-    for u, order in graph.nodes.items():
-        fu = f.values.get(u)
-        gu = g.values.get(u)
-        if fu is None or gu is None:
-            present = fu if gu is None else gu
+    for lab, xu, yu in zip(graph.labels, x, y):
+        if xu is None or yu is None:
+            present = xu if yu is None else yu
             if present is not None and present != 0:
                 raise InvalidInputError(
-                    f"inner product undefined: one factor missing at {u} "
+                    f"inner product undefined: one factor missing at {lab} "
                     "where the other is nonzero"
                 )
             continue
-        pairs.append((order, fu, gu))
+        pairs.append((graph.nodes[lab], xu, yu))
     if not pairs:
         return 0
-    if all(type(fu) is int and type(gu) is int for _, fu, gu in pairs):
+    if all(type(xu) is int and type(yu) is int for _, xu, yu in pairs):
         common = lcm(*(order for order, _, _ in pairs))
-        return Fraction(sum(fu * gu * (common // order) for order, fu, gu in pairs), common)
+        return Fraction(sum(xu * yu * (common // order) for order, xu, yu in pairs), common)
     total = None
-    for order, fu, gu in pairs:
-        term = Fraction(1, order) * fu * gu.conjugate()
+    for order, xu, yu in pairs:
+        term = Fraction(1, order) * xu * yu.conjugate()
         total = term if total is None else total + term
     return total
 
@@ -260,14 +285,15 @@ def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunct
     """<A_1 f, g> - <f, A_{d-1} g>; exactly zero for compact supports.
 
     Exact f and g run scaled to integers and give a Fraction."""
-    scaled_f, scaled_g = _integer_scaled(f), _integer_scaled(g)
+    x, y = _on_ids(graph, f), _on_ids(graph, g)
+    scaled_x, scaled_y = _integer_scaled(x), _integer_scaled(y)
     denominator = None
-    if scaled_f is not None and scaled_g is not None:
-        (f, scale_f), (g, scale_g) = scaled_f, scaled_g
-        denominator = scale_f * scale_g
-    a1f = apply_hecke(graph, 1, f)
-    a2g = apply_hecke(graph, graph.d - 1, g)
-    residual = weighted_inner(graph, a1f, g) - weighted_inner(graph, f, a2g)
+    if scaled_x is not None and scaled_y is not None:
+        (x, scale_x), (y, scale_y) = scaled_x, scaled_y
+        denominator = scale_x * scale_y
+    a1x = _apply_rows(_rows(graph, 1), x)
+    aty = _apply_rows(_rows(graph, graph.d - 1), y)
+    residual = _inner(graph, a1x, y) - _inner(graph, x, aty)
     return residual if denominator is None else Fraction(residual, denominator)
 
 
@@ -584,7 +610,7 @@ def l2_partial_norm(f: DomainFunction):
     one Fraction each.
     """
     q = check_prime(f.q)
-    scaled = _integer_scaled(f)
+    scaled = _integer_scaled(list(f.values.values()))
     if scaled is None:
         shells: list[object] = [Fraction(0)] * (f.max_n1 + 1)
         for u, val in f.values.items():
@@ -594,7 +620,7 @@ def l2_partial_norm(f: DomainFunction):
         return total, shells
     values, scale = scaled
     members: list[list[tuple[int, int]]] = [[] for _ in range(f.max_n1 + 1)]
-    for u, x in values.values.items():
+    for u, x in zip(f.values, values):
         members[u[0]].append((x * x, domain._pattern_order(u, u, q)))
     sums = []  # (numerator, denominator / scale^2) of each shell
     for shell in members:

@@ -5,6 +5,12 @@ in-domain neighbor of v); the color-(d-1) operators read them in reverse.
 Every edge carries the exact edge-stabilizer order and the two weight
 ratios, which are subgroup indices and therefore positive integers.
 
+The graph numbers its nodes once, in label order, and keeps its
+adjacency on these ids: per node a forward row of (dst id, ratio_from)
+over the edges out of it and a backward row of (src id, ratio_to) over
+the edges into it, None at a boundary node (n_1 = max_n1), whose outward
+edges leave the truncation.  The Hecke operators run on these rows.
+
 Orders come from one degree-pattern formula for every d
 (`domain.pattern_order`), computed once per node.  An edge's ratio
 |Gamma_v| / |Gamma_u cap Gamma_v| depends only on the block sizes of v
@@ -42,7 +48,14 @@ class QuotientEdge(NamedTuple):
 
 
 class QuotientGraph:
-    """Finite truncation of the quotient 1-skeleton with exact weights."""
+    """Finite truncation of the quotient 1-skeleton with exact weights.
+
+    Node i is the label `labels[i]`, in sorted order, and `index` maps a
+    label to its id.  `forward[i]` lists (dst id, ratio_from) over the
+    edges out of node i and `backward[i]` (src id, ratio_to) over the edges
+    into it, both in the order of `edges`; both are None at a boundary
+    node (n_1 = max_n1).
+    """
 
     # every edge has a closed form; the benchmark's traced run reads this
     missing_closed_forms: tuple = ()
@@ -53,14 +66,20 @@ class QuotientGraph:
         self.max_n1 = max_n1
         self.nodes = nodes  # dict label -> stabilizer order
         self.edges = edges  # list[QuotientEdge], color-1 only
-        self.out_edges: dict[Label, list[QuotientEdge]] = {u: [] for u in nodes}
-        self.in_edges: dict[Label, list[QuotientEdge]] = {u: [] for u in nodes}
-        for e in edges:
-            self.out_edges[e.src].append(e)
-            self.in_edges[e.dst].append(e)
-
-    def labels(self):
-        return sorted(self.nodes)
+        self.labels: list[Label] = sorted(nodes)
+        self.index: dict[Label, int] = {lab: i for i, lab in enumerate(self.labels)}
+        boundary = [lab[0] >= max_n1 for lab in self.labels]
+        forward: list[list[tuple[int, int]] | None] = [None if b else [] for b in boundary]
+        backward: list[list[tuple[int, int]] | None] = [None if b else [] for b in boundary]
+        index = self.index
+        for src, dst, _, _, _, ratio_from, ratio_to in edges:
+            i, j = index[src], index[dst]
+            if forward[i] is not None:
+                forward[i].append((j, ratio_from))
+            if backward[j] is not None:
+                backward[j].append((i, ratio_to))
+        self.forward = forward
+        self.backward = backward
 
 
 def classify_edge_d3(label1, label2) -> int:
@@ -110,30 +129,35 @@ def build_graph(d: int, q: int, max_n1: int) -> QuotientGraph:
     (`domain._drop_ratios`, filled once per block sizes and q), the edge
     order is |Gamma_v| over it and the other ratio |Gamma_u| over the
     edge order.  A division that leaves a remainder raises
-    InternalInvariantError.
+    InternalInvariantError.  The walk takes the labels grouped by their
+    block sizes, the key of both drop caches, so each key is filled once
+    however many of them the graph meets (2^(d-1) at most).
     """
     check_prime(q)
     if max_n1 < 0:
         raise InvalidInputError("max_n1 must be >= 0")
     labels = domain.enumerate_domain(d, max_n1)
-    inside = set(labels)
     # the enumerated labels are valid and q is checked above
     nodes = {lab: domain._pattern_order(lab, lab, q) for lab in labels}
-    edges = []
+    groups: dict[tuple[int, ...], list[Label]] = {}
     for v in labels:
-        order_v = nodes[v]
-        ratios = domain._drop_ratios(domain._read_label(v)[1], 1, q)
-        for u, rt in zip(domain.neighbors_in_domain(v, 1), ratios):
-            if u not in inside:
-                continue
-            etype = classify_edge_d3(u, v) if d == 3 else "generic"
-            stab, rem_t = divmod(order_v, rt)
-            rf, rem_f = divmod(nodes[u], stab)
-            if rem_f or rem_t:
-                raise InternalInvariantError(
-                    f"edge stabilizer does not divide endpoint orders on {u}->{v}"
-                )
-            edges.append(QuotientEdge(u, v, 1, etype, stab, rf, rt))
+        groups.setdefault(domain._read_label(v)[1], []).append(v)
+    edges = []
+    for sizes, members in groups.items():
+        ratios = domain._drop_ratios(sizes, 1, q)
+        for v in members:
+            order_v = nodes[v]
+            for u, rt in zip(domain.neighbors_in_domain(v, 1), ratios):
+                if u not in nodes:
+                    continue
+                etype = classify_edge_d3(u, v) if d == 3 else "generic"
+                stab, rem_t = divmod(order_v, rt)
+                rf, rem_f = divmod(nodes[u], stab)
+                if rem_f or rem_t:
+                    raise InternalInvariantError(
+                        f"edge stabilizer does not divide endpoint orders on {u}->{v}"
+                    )
+                edges.append(QuotientEdge(u, v, 1, etype, stab, rf, rt))
     # the (src, dst) pairs are distinct, so this is the order by (src, dst)
     edges.sort()
     return QuotientGraph(d, q, max_n1, nodes, edges)
@@ -164,7 +188,7 @@ def export_json(graph: QuotientGraph) -> bytes:
     types = {t: json.dumps(t) for t in {e.edge_type for e in graph.edges}}
     nodes = [
         f'    {{\n      "label": {labels[lab]},\n      "stab_order": "{graph.nodes[lab]}"\n    }}'
-        for lab in graph.labels()
+        for lab in graph.labels
     ]
     edges = [
         f'    {{\n      "color": {e.color},\n      "edge_stab_order": "{e.edge_stab_order}",\n'
@@ -182,7 +206,7 @@ def export_json(graph: QuotientGraph) -> bytes:
 def export_dot(graph: QuotientGraph) -> bytes:
     """Graphviz rendering: one arrow per color-1 edge, labeled type/ratio."""
     lines = ["digraph domain {"]
-    for lab in graph.labels():
+    for lab in graph.labels:
         name = "".join(map(str, lab))
         lines.append(f'  "{name}" [label="{name}"];')
     for e in graph.edges:

@@ -176,7 +176,7 @@ def test_criterion_6_hecke_identities():
         t3 = q * q + q + 1
         for u in graph.nodes:
             if u[0] < graph.max_n1:
-                assert sum(e.ratio_from for e in graph.out_edges[u]) == t3
+                assert sum(r for _, r in graph.forward[graph.index[u]]) == t3
         ones = hecke.DomainFunction.constant(3, q, 12, Fraction(1))
         for i in (1, 2):
             out = hecke.apply_hecke(graph, i, ones)

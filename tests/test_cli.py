@@ -245,16 +245,16 @@ def test_hecke_check(run):
 
 
 def _one_wrong_ratio(monkeypatch):
-    """Make quotient.build_graph change the ratio of one edge out of the
-    zero label by one."""
+    """Make quotient.build_graph add one to the first ratio of the zero
+    label's forward row."""
     from btq import quotient
 
     exact = quotient.build_graph
 
     def one_wrong_ratio(*args):
         graph = exact(*args)
-        edges = graph.out_edges[(0,) * graph.d]
-        edges[0] = edges[0]._replace(ratio_from=edges[0].ratio_from + 1)
+        row = graph.forward[graph.index[(0,) * graph.d]]
+        row[0] = (row[0][0], row[0][1] + 1)
         return graph
 
     monkeypatch.setattr(quotient, "build_graph", one_wrong_ratio)

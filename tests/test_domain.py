@@ -574,6 +574,51 @@ def test_reduce_orbit_invariance():
         assert set(det.coeffs) == {0}
 
 
+def step_tracked_reduction(v):
+    """reduce_to_domain's label and witness, the witness taking every step of
+    the row reduction over F_q[t] along with the basis rows."""
+    d, q = v.d, v.q
+    rows = [list(row) for row in v.basis.rows]
+    witness = [[LaurentPoly.constant(int(i == j), q) for j in range(d)] for i in range(d)]
+
+    def degree(row):
+        return max(x.degree() for x in row if x)
+
+    degs = [degree(row) for row in rows]
+    while (combo := left_null_vector([[x.coeff(degs[i]) for x in rows[i]] for i in range(d)], q)):
+        used = [i for i in range(d) if combo[i]]
+        pivot = max(used, key=lambda i: (degs[i], i))
+
+        def step(m):
+            out = []
+            for j in range(d):
+                acc = LaurentPoly.zero(q)
+                for i in used:
+                    acc = acc + LaurentPoly.t_power(degs[pivot] - degs[i], q, combo[i]) * m[i][j]
+                out.append(acc)
+            return out
+
+        rows[pivot], witness[pivot] = step(rows), step(witness)
+        degs[pivot] = degree(rows[pivot])
+    order = sorted(range(d), key=lambda i: (-degs[i], i))
+    label = tuple(degs[i] - min(degs) for i in order)
+    return label, LaurentMatrix([witness[i] for i in order], q)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_solved_witness_matches_step_tracked_witness(d):
+    rng = random.Random(500 + d)
+    for _ in range(6):
+        q = rng.choice((2, 3))
+        n1 = rng.randint(0, 6)
+        label = [n1] + sorted((rng.randint(0, n1) for _ in range(d - 2)), reverse=True) + [0]
+        m = random_gamma(d, q, 3, rng) * LaurentMatrix.diagonal(label, q) * random_k(d, q, 3, rng)
+        v = vertex_normal_form(m)
+        got = reduce_to_domain(v)
+        assert got[0] == tuple(label)
+        assert got == step_tracked_reduction(v)
+
+
 def test_reduce_disjointness():
     # an orbit meets the domain in exactly one label: pushing a domain
     # vertex around by the group never changes its reduction

@@ -29,7 +29,7 @@ from btq.hecke import (
     scalars_close,
     weighted_inner,
 )
-from btq.quotient import build_graph
+from btq.quotient import QuotientGraph, build_graph
 
 
 def rational_params(seed, q=2):
@@ -130,11 +130,104 @@ def test_adjointness_exact():
 
 
 def one_wrong_ratio(d, q, max_n1):
-    """The graph with the ratio of one edge out of the zero label off by one."""
+    """The graph with the first ratio of the zero label's forward row off by one."""
     g = build_graph(d, q, max_n1)
-    edges = g.out_edges[(0,) * d]
-    edges[0] = edges[0]._replace(ratio_from=edges[0].ratio_from + 1)
+    row = g.forward[g.index[(0,) * d]]
+    row[0] = (row[0][0], row[0][1] + 1)
     return g
+
+
+def wrong_edge_graph(d, q, max_n1):
+    """The graph rebuilt from its edges with the ratio_from of the first edge
+    out of the zero label off by one: `one_wrong_ratio` read off the edges."""
+    g = build_graph(d, q, max_n1)
+    edges = list(g.edges)
+    k = next(k for k, e in enumerate(edges) if e.src == (0,) * d)
+    edges[k] = edges[k]._replace(ratio_from=edges[k].ratio_from + 1)
+    return QuotientGraph(d, q, max_n1, g.nodes, edges)
+
+
+def label_keyed_hecke(g, i, values):
+    """(A_i f) on a label-keyed dict, read off the edges and independent of
+    the id rows: color 1 sums ratio_from * f(dst) over the edges out of u,
+    color d-1 ratio_to * f(src) over the edges into u.  Boundary vertices
+    (n_1 = max_n1) and those reaching an undefined value are left out."""
+    adjacent = {u: [] for u in g.nodes}
+    for e in g.edges:
+        if i == 1:
+            adjacent[e.src].append((e.dst, e.ratio_from))
+        else:
+            adjacent[e.dst].append((e.src, e.ratio_to))
+    out = {}
+    for u in g.nodes:
+        if u[0] >= g.max_n1:
+            continue
+        acc = None
+        for other, ratio in adjacent[u]:
+            if other not in values:
+                break
+            term = ratio * values[other]
+            acc = term if acc is None else acc + term
+        else:
+            if acc is not None:
+                out[u] = acc
+    return out
+
+
+def label_keyed_commutator(g, values):
+    top = g.d - 1
+    left = label_keyed_hecke(g, 1, label_keyed_hecke(g, top, values))
+    right = label_keyed_hecke(g, top, label_keyed_hecke(g, 1, values))
+    return max(abs(left[u] - right[u]) for u in sorted(left.keys() & right.keys()))
+
+
+def label_keyed_adjointness(g, f, h):
+    """<A_1 f, h> - <f, A_{d-1} h> summed in label order, for f and h that
+    vanish wherever the operators leave their images undefined."""
+
+    def pairing(x, y):
+        total = 0
+        for u in sorted(x.keys() & y.keys()):
+            total = total + Fraction(1, g.nodes[u]) * x[u] * y[u].conjugate()
+        return total
+
+    return pairing(label_keyed_hecke(g, 1, f), h) - pairing(f, label_keyed_hecke(g, g.d - 1, h))
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+@pytest.mark.parametrize(
+    "d, q, max_n1",
+    [(2, 2, 8), (2, 3, 8), (3, 2, 7), (3, 3, 6), (4, 2, 5), (4, 3, 4), (5, 2, 4), (5, 3, 3)],
+)
+def test_id_rows_match_the_label_keyed_oracle(d, q, max_n1, wrong):
+    g = wrong_edge_graph(d, q, max_n1) if wrong else build_graph(d, q, max_n1)
+    if wrong:
+        assert g.forward == one_wrong_ratio(d, q, max_n1).forward
+    rng = random.Random(f"{d} {q} {max_n1}")
+    interior = {u for u in g.nodes if u[0] + 2 <= max_n1}
+    draws = {
+        "int": lambda: rng.randint(-50, 50),
+        "fraction": lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 20)),
+        "complex": lambda: complex(rng.randint(-9, 9), rng.randint(-9, 9)),
+    }
+    for kind, draw in draws.items():
+        f = DomainFunction(d, q, max_n1, {u: draw() for u in g.nodes})
+        # a function with holes: every vertex that reaches one is undefined
+        holes = DomainFunction(d, q, max_n1, {u: x for u, x in f.values.items() if rng.random() < 0.9})
+        for func in (f, holes):
+            for i in {1, d - 1}:
+                out = apply_hecke(g, i, func)
+                assert out.values == label_keyed_hecke(g, i, func.values), (kind, i)
+                assert list(out.values) == sorted(out.values)
+        zero = 0 * draw()
+        pair = [{u: draw() if u in interior else zero for u in g.nodes} for _ in range(2)]
+        commutator = commutator_check(g, f)
+        adjointness = adjointness_residual(g, *(DomainFunction(d, q, max_n1, v) for v in pair))
+        assert commutator == label_keyed_commutator(g, f.values), kind
+        assert adjointness == label_keyed_adjointness(g, *pair), kind
+        if kind != "complex":  # complex residuals of the exact graph are rounding
+            assert (commutator != 0) == (wrong and d > 2)
+            assert (adjointness != 0) == wrong
 
 
 def direct_commutator(g, f):

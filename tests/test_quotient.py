@@ -130,10 +130,10 @@ def test_d4_q3_graph_has_every_ratio():
     for e in g.edges:
         assert e.ratio_from * e.edge_stab_order == g.nodes[e.src]
         assert e.ratio_to * e.edge_stab_order == g.nodes[e.dst]
-    for u in g.nodes:
+    for u, forward, backward in zip(g.labels, g.forward, g.backward):
         if u[0] < g.max_n1:
-            assert sum(e.ratio_from for e in g.out_edges[u]) == expected
-            assert sum(e.ratio_to for e in g.in_edges[u]) == expected
+            assert sum(r for _, r in forward) == expected
+            assert sum(r for _, r in backward) == expected
 
 
 def test_non_dividing_edge_order_is_an_invariant_violation(monkeypatch):
@@ -190,10 +190,37 @@ def test_row_sum_law():
     for q in (2, 3, 5):
         g = build_graph(3, q, 20)
         expected = gaussian_binomial(3, 1, q)
-        for u in g.nodes:
+        for u, forward, backward in zip(g.labels, g.forward, g.backward):
             if u[0] < g.max_n1:
-                assert sum(e.ratio_from for e in g.out_edges[u]) == expected
-                assert sum(e.ratio_to for e in g.in_edges[u]) == expected
+                assert sum(r for _, r in forward) == expected
+                assert sum(r for _, r in backward) == expected
+
+
+@pytest.mark.parametrize("d, q, max_n1", [(2, 3, 6), (3, 2, 8), (4, 3, 3), (5, 2, 3)])
+def test_id_rows_follow_the_edges(d, q, max_n1):
+    g = build_graph(d, q, max_n1)
+    assert g.labels == sorted(g.nodes)
+    assert all(g.index[lab] == i for i, lab in enumerate(g.labels))
+    for i, lab in enumerate(g.labels):
+        if lab[0] == max_n1:
+            assert g.forward[i] is None and g.backward[i] is None
+            continue
+        assert g.forward[i] == [(g.index[e.dst], e.ratio_from) for e in g.edges if e.src == lab]
+        assert g.backward[i] == [(g.index[e.src], e.ratio_to) for e in g.edges if e.dst == lab]
+
+
+@pytest.mark.parametrize("d, max_n1", [(10, 5), (9, 6), (3, 12)])
+def test_drop_caches_fill_each_key_once(d, max_n1):
+    # at d >= 9 there are more block-size sequences than cache entries, and
+    # the graph still fills each of them once
+    keys = {domain._read_label(lab)[1] for lab in enumerate_domain(d, max_n1)}
+    if d >= 9:
+        assert len(keys) > domain._drop_ratios.cache_info().maxsize
+    domain._drop_deltas.cache_clear()
+    domain._drop_ratios.cache_clear()
+    build_graph(d, 2, max_n1)
+    assert domain._drop_ratios.cache_info().misses == len(keys)
+    assert domain._drop_deltas.cache_info().misses == len(keys)
 
 
 def test_build_graph_examples():
@@ -201,7 +228,7 @@ def test_build_graph_examples():
     assert g.nodes[(0, 0, 0)] == 168
     for u in g.nodes:
         if u[0] < g.max_n1:
-            assert len(g.out_edges[u]) == 1 + sum(a != b for a, b in zip(u, u[1:]))
+            assert len(g.forward[g.index[u]]) == 1 + sum(a != b for a, b in zip(u, u[1:]))
     for e in g.edges:
         if e.src == (2, 1, 0) and e.dst == (1, 0, 0):
             assert e.ratio_from == 4  # q^2 on the inward diagonal
@@ -227,7 +254,7 @@ def test_d2_graph_matches_tree_recursion():
         for u in g.nodes:
             if u[0] >= g.max_n1:
                 continue
-            ratios = sorted(e.ratio_from for e in g.out_edges[u])
+            ratios = sorted(r for _, r in g.forward[g.index[u]])
             if u == (0, 0):
                 assert ratios == [q + 1]
             else:
@@ -247,7 +274,7 @@ def test_d4_brute_force_spot_check():
     assert not g.missing_closed_forms
     expected = gaussian_binomial(4, 1, 2)
     origin = (0, 0, 0, 0)
-    assert sum(e.ratio_from for e in g.out_edges[origin]) == expected
+    assert sum(r for _, r in g.forward[g.index[origin]]) == expected
     for e in g.edges:
         assert e.edge_type == "generic"
         assert e.ratio_from * e.edge_stab_order == g.nodes[e.src]
@@ -274,7 +301,7 @@ def export_json_by_dumps(graph):
         "q": graph.q,
         "max_n1": graph.max_n1,
         "nodes": [
-            {"label": list(lab), "stab_order": str(graph.nodes[lab])} for lab in graph.labels()
+            {"label": list(lab), "stab_order": str(graph.nodes[lab])} for lab in graph.labels
         ],
         "edges": [
             {
