@@ -2,21 +2,22 @@
 
 One scalar rule covers every function here.  Exact input (int, float or
 Fraction) becomes a Fraction where it enters, and everything computed
-from it stays exact.  The exact work runs on Python ints over a common
-denominator known in advance, and each returned value becomes one
+from it stays exact.  Exact eigenvalues run the recursions on Python ints
+over a denominator known in advance, and each returned value becomes one
 Fraction at the end (fraction-free, as in Bareiss elimination): the
 d = 3 recursion over g^(n_1 + n_2), the d = 2 recursion over (q+1) b^n
-for lam = a/b, the commutator and adjointness checks over the lcm of the
-value denominators (1 for int values: a caller that holds a function as
-ints over its own denominator divides the result by it), and the norm
-and covolume sums over the lcm of the stabilizer orders.  An exact d = 2
-value is computed once, since exact arithmetic cannot drift; an inexact
-one is also checked against the two-root closed form.  Any other scalar
-(Python complex, mpmath mpf/mpc for high-precision runs) goes through
-the number protocol only: `x.conjugate()`, `abs(x)`,
-`(x * x.conjugate()).real` and `** 0.5`, and is compared within
-COMPLEX_TOLERANCE relative to its size.  The tabulated d = 3 closed
-forms are the code in CLOSED_FORMS.
+for lam = a/b.  The sums weighted by 1/|Gamma_u| (the pairing, the norm
+and the covolume) add int numerators over the lcm of their orders.  The
+commutator and adjointness checks run int values as ints (a caller that
+holds a function as ints over its own denominator divides the result by
+it) and return a Fraction; Fraction values go through the number
+protocol, which is exact for them.  An exact d = 2 value is computed
+once, since exact arithmetic cannot drift; an inexact one is also
+checked against the two-root closed form.  Any other scalar (Python
+complex, mpmath mpf/mpc for high-precision runs) goes through the number
+protocol only: `x.conjugate()`, `abs(x)`, `(x * x.conjugate()).real` and
+`** 0.5`, and is compared within COMPLEX_TOLERANCE relative to its size.
+The tabulated d = 3 closed forms are the code in CLOSED_FORMS.
 
 The operators run on the quotient graph's node ids: each call reads a
 label-keyed DomainFunction into a list indexed by node id once, applies
@@ -75,6 +76,13 @@ def scalars_close(x, y) -> bool:
     if _exact(x) and _exact(y):
         return x == y
     return abs(x - y) <= COMPLEX_TOLERANCE * max(1.0, abs(x), abs(y))
+
+
+def _over_orders(pairs: list) -> Fraction:
+    """sum x / order over int pairs (x, order), as ints over the lcm of the
+    orders and one Fraction at the end; 0 for no pairs."""
+    common = lcm(*(order for _, order in pairs))
+    return Fraction(sum(x * (common // order) for x, order in pairs), common)
 
 
 def _check_eigenvector_size(lambdas, q: int, max_n1: int, operations: int) -> None:
@@ -152,9 +160,6 @@ class DomainFunction:
             raise InvalidInputError(f"function is undefined at {label}")
         return self.values[label]
 
-    def get(self, label, default=None):
-        return self.values.get(tuple(label), default)
-
 
 # ---------------------------------------------------------------------------
 # operators
@@ -211,30 +216,16 @@ def apply_hecke(graph: QuotientGraph, i: int, f: DomainFunction) -> DomainFuncti
     return DomainFunction(graph.d, graph.q, graph.max_n1, values)
 
 
-def _integer_scaled(values: list):
-    """(ints, scale): ints = scale * values with int entries (None entries
-    kept), scale the lcm of the value denominators; `values` itself with
-    scale 1 if every value is an int, and None if some value is not exact."""
-    if all(type(x) is int or x is None for x in values):
-        return values, 1
-    if not all(x is None or _exact(x) for x in values):
-        return None
-    scale = lcm(*(x.denominator for x in values if x is not None))
-    return [None if x is None else x.numerator * (scale // x.denominator) for x in values], scale
-
-
 def commutator_check(graph: QuotientGraph, f: DomainFunction):
     """Max |(A_1 A_{d-1} - A_{d-1} A_1) f| over the doubly-interior vertices,
     for the two operators stored at every d.
 
-    Exactly zero for exact scalars, which run on f scaled to integers (the
-    ratios are integers) and give a Fraction.  Raises if the truncation is
-    too small to contain any doubly-interior vertex.
+    Exactly zero for exact scalars: int values run as ints (the ratios are
+    ints), Fraction values through the number protocol, and both give a
+    Fraction.  Raises if the truncation is too small to contain any
+    doubly-interior vertex.
     """
     values = _on_ids(graph, f)
-    scaled = _integer_scaled(values)
-    if scaled is not None:
-        values, scale = scaled
     one, top = _rows(graph, 1), _rows(graph, graph.d - 1)
     left = _apply_rows(one, _apply_rows(top, values))
     right = _apply_rows(top, _apply_rows(one, values))
@@ -242,7 +233,7 @@ def commutator_check(graph: QuotientGraph, f: DomainFunction):
     if not residuals:
         raise InvalidInputError("truncation has no doubly-interior vertex")
     residual = max(residuals)
-    return residual if scaled is None else Fraction(residual, scale)
+    return Fraction(residual) if type(residual) is int else residual
 
 
 def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
@@ -251,7 +242,8 @@ def weighted_inner(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
     Summed over the vertices where both are defined; wherever exactly one
     is undefined the other must vanish, otherwise the truncated pairing
     would be meaningless and an error is raised.  Int values, which
-    `adjointness_residual` passes, sum as ints over the lcm of the orders.
+    `adjointness_residual` passes, sum as ints over the lcm of the orders
+    (so no pairs at all give Fraction(0)).
     """
     return _inner(graph, _on_ids(graph, f), _on_ids(graph, g))
 
@@ -269,11 +261,8 @@ def _inner(graph: QuotientGraph, x: list, y: list):
                 )
             continue
         pairs.append((graph.nodes[lab], xu, yu))
-    if not pairs:
-        return 0
     if all(type(xu) is int and type(yu) is int for _, xu, yu in pairs):
-        common = lcm(*(order for order, _, _ in pairs))
-        return Fraction(sum(xu * yu * (common // order) for order, xu, yu in pairs), common)
+        return _over_orders([(xu * yu, order) for order, xu, yu in pairs])
     total = None
     for order, xu, yu in pairs:
         term = Fraction(1, order) * xu * yu.conjugate()
@@ -284,17 +273,12 @@ def _inner(graph: QuotientGraph, x: list, y: list):
 def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunction):
     """<A_1 f, g> - <f, A_{d-1} g>; exactly zero for compact supports.
 
-    Exact f and g run scaled to integers and give a Fraction."""
+    Int f and g run as ints, Fraction values through the number protocol,
+    and both give a Fraction."""
     x, y = _on_ids(graph, f), _on_ids(graph, g)
-    scaled_x, scaled_y = _integer_scaled(x), _integer_scaled(y)
-    denominator = None
-    if scaled_x is not None and scaled_y is not None:
-        (x, scale_x), (y, scale_y) = scaled_x, scaled_y
-        denominator = scale_x * scale_y
     a1x = _apply_rows(_rows(graph, 1), x)
     aty = _apply_rows(_rows(graph, graph.d - 1), y)
-    residual = _inner(graph, a1x, y) - _inner(graph, x, aty)
-    return residual if denominator is None else Fraction(residual, denominator)
+    return _inner(graph, a1x, y) - _inner(graph, x, aty)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +287,7 @@ def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunct
 
 
 def _recursion_steps(q: int, max_n1: int):
-    """The d = 3 recursion as one table, read by both of its loops.
+    """The d = 3 recursion as one table.
 
     Returns (cases, steps).  `steps` lists (a, b, case) in evaluation
     order: the diagonals a + b in increasing order, larger b first within
@@ -363,11 +347,12 @@ def eigenvector_d3(lambda1, lambda2, q: int, max_n1: int):
     two is recorded as a residual.  With exact scalars every residual is
     identically zero; that is the commutation of the two operators.
 
-    Exact eigenvalues run on integers: N(a, b) = f(a, b) g^(a+b) with
-    g = lcm(den l1, den l2) (q^2 + q + 1)(q + 1), so every coefficient of
-    the recursion, divisor included, is an integer, and each value and
-    residual becomes one Fraction at the end.  Any other scalar runs the
-    same table of terms through the number protocol.
+    One loop runs the table of `_recursion_steps` for every scalar.  Exact
+    eigenvalues run it on integers: N(a, b) = f(a, b) g^(a+b) with
+    g = lcm(den l1, den l2) (q^2 + q + 1)(q + 1), so every coefficient
+    times g to the diagonals it steps back, divided by its divisor, is an
+    int, and each value and residual becomes one Fraction at the end.  Any
+    other scalar keeps the divisors and runs through the number protocol.
     """
     if max_n1 < 2:
         raise InvalidInputError("the recursion needs max_n1 >= 2")
@@ -376,76 +361,58 @@ def eigenvector_d3(lambda1, lambda2, q: int, max_n1: int):
     # about six products per label, on (max_n1 + 1)(max_n1 + 2)/2 labels
     _check_eigenvector_size((l1, l2), q, max_n1, 3 * (max_n1 + 1) ** 2)
     cases, steps = _recursion_steps(q, max_n1)
-    if _exact(l1) and _exact(l2):
-        f, residuals = _eigenvector_d3_exact(l1, l2, q, cases, steps)
+    exact = _exact(l1) and _exact(l2)
+    if exact:
+        g = lcm(l1.denominator, l2.denominator) * (q * q + q + 1) * (q + 1)
+        # an l1 term steps back one diagonal and an l2 term two, so den
+        # divides g and g^2; the divisor t3 or r divides g, and a term of
+        # an int coefficient that is divided steps back three
+        coef = {"l1": l1.numerator * (g // l1.denominator), "l2": l2.numerator * (g * g // l2.denominator)}
+        one = 1
     else:
-        f, residuals = _eigenvector_d3_generic(l1, l2, cases, steps)
-    return DomainFunction(3, q, max_n1, f), residuals
+        coef = {"l1": l1, "l2": l2}
+        one = l1 * 0 + 1  # one in the scalar type of l1
 
-
-def _eigenvector_d3_exact(l1: Fraction, l2: Fraction, q: int, cases, steps):
-    den = lcm(l1.denominator, l2.denominator)
-    g = den * (q * q + q + 1) * (q + 1)
-    # coef * g^(da + db) as an int: an l1 term steps back one diagonal and
-    # an l2 term two, so den divides g and g^2; the divisor t3 or r divides
-    # g, and a term of an int coefficient that is divided steps back three
-    scaled = {"l1": l1.numerator * (g // l1.denominator), "l2": l2.numerator * (g * g // l2.denominator)}
-
-    def integer_terms(terms, divisor):
+    def row(terms, divisor):
+        if not exact:
+            return [(sign, coef.get(c, c), da, db) for sign, c, da, db in terms]
         return [
-            (sign * (scaled[c] if c in scaled else c * g ** (da + db)) // divisor, da, db)
+            (sign, (coef[c] if c in coef else c * g ** (da + db)) // divisor, da, db)
             for sign, c, da, db in terms
         ]
 
     table = {
-        case: (integer_terms(terms, divisor), second and integer_terms(second, 1))
+        case: (1 if exact else divisor, row(terms, divisor), second and row(second, 1))
         for case, (divisor, terms, second) in cases.items()
     }
-    n: dict[tuple[int, int], int] = {}
-    f: dict[Label, object] = {}
-    residuals: list[tuple[Label, object]] = []
-    power = [1]
-    for a, b, case in steps:
-        s = a + b
-        if s == len(power):
-            power.append(power[-1] * g)
-        if case is None:
-            val = 1
-        else:
-            terms, second = table[case]
-            val = sum(m * n[a - da, b - db] for m, da, db in terms)
-            if second:
-                other = sum(m * n[a - da, b - db] for m, da, db in second)
-                residuals.append(((a, b, 0), Fraction(val - other, power[s])))
-        n[a, b] = val
-        f[(a, b, 0)] = Fraction(val, power[s])
-    return f, residuals
-
-
-def _eigenvector_d3_generic(l1, l2, cases, steps):
-    coef = {"l1": l1, "l2": l2}
 
     def combine(terms, a, b):
         acc = None
-        for sign, c, da, db in terms:
-            x = coef.get(c, c) * f[(a - da, b - db, 0)]
+        for sign, m, da, db in terms:
+            x = m * f[(a - da, b - db, 0)]
             acc = x if acc is None else acc + x if sign > 0 else acc - x
         return acc
 
-    f: dict[Label, object] = {}
+    f: dict[Label, object] = {}  # N(a, b) for exact eigenvalues, until the end
     residuals: list[tuple[Label, object]] = []
     for a, b, case in steps:
         if case is None:
-            val = l1 * 0 + 1  # one in the scalar type of l1
+            val = one
         else:
-            divisor, terms, second = cases[case]
+            divisor, terms, second = table[case]
             val = combine(terms, a, b)
             if divisor != 1:
                 val = val / divisor
             if second:
                 residuals.append(((a, b, 0), val - combine(second, a, b)))
         f[(a, b, 0)] = val
-    return f, residuals
+    if exact:
+        power = [1]
+        for _ in range(2 * max_n1):
+            power.append(power[-1] * g)
+        f = {u: Fraction(x, power[u[0] + u[1]]) for u, x in f.items()}
+        residuals = [(u, Fraction(x, power[u[0] + u[1]])) for u, x in residuals]
+    return DomainFunction(3, q, max_n1, f), residuals
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +517,8 @@ def eigenvector_d2(lam, q: int, max_n: int) -> DomainFunction:
     if max_n < 1:
         raise InvalidInputError("max_n must be >= 1")
     lam = _lift(lam)
-    # (max_n + 1)^2 / 2 operations is an upper estimate, since the recursion
-    # takes a few products per n; revising it would change which inputs
-    # exit 3
-    _check_eigenvector_size((lam,), q, max_n, (max_n + 1) ** 2 // 2)
+    # three products per n
+    _check_eigenvector_size((lam,), q, max_n, 3 * (max_n + 1))
     if _exact(lam):
         a, b = lam.numerator, lam.denominator
         tops = [q + 1, a]
@@ -605,31 +570,25 @@ def l2_partial_norm(f: DomainFunction):
     Returns (total, shells) where shells[n] is the contribution of the
     vertices with n_1 = n <= f.max_n1; the total is monotone in the
     truncation.  The labels of f are domain labels, as every constructor
-    of a DomainFunction makes them.  Exact f runs scaled to integers: each
-    shell sums ints over the lcm of its orders, and it and the total are
-    one Fraction each.
+    of a DomainFunction makes them.  Exact f sums each shell from the int
+    pairs (numerator^2, denominator^2 |Gamma_u|) over the lcm of its
+    second entries, and the total from the shells the same way: one
+    Fraction each.
     """
     q = check_prime(f.q)
-    scaled = _integer_scaled(list(f.values.values()))
-    if scaled is None:
-        shells: list[object] = [Fraction(0)] * (f.max_n1 + 1)
-        for u, val in f.values.items():
-            weight = Fraction(1, domain._pattern_order(u, u, q))
-            shells[u[0]] = shells[u[0]] + (val * val.conjugate()).real * weight
-        total = sum(shells[1:], shells[0]) if shells else Fraction(0)
-        return total, shells
-    values, scale = scaled
-    members: list[list[tuple[int, int]]] = [[] for _ in range(f.max_n1 + 1)]
-    for u, x in zip(f.values, values):
-        members[u[0]].append((x * x, domain._pattern_order(u, u, q)))
-    sums = []  # (numerator, denominator / scale^2) of each shell
-    for shell in members:
-        common = lcm(*(order for _, order in shell))
-        sums.append((sum(x2 * (common // order) for x2, order in shell), common))
-    common = lcm(*(den for _, den in sums))
-    square = scale * scale
-    total = Fraction(sum(num * (common // den) for num, den in sums), common * square)
-    return total, [Fraction(num, den * square) for num, den in sums]
+    if all(_exact(x) for x in f.values.values()):
+        members: list[list[tuple[int, int]]] = [[] for _ in range(f.max_n1 + 1)]
+        for u, x in f.values.items():
+            order = domain._pattern_order(u, u, q)
+            members[u[0]].append((x.numerator**2, x.denominator**2 * order))
+        shells = [_over_orders(shell) for shell in members]
+        return _over_orders([(s.numerator, s.denominator) for s in shells]), shells
+    shells = [Fraction(0)] * (f.max_n1 + 1)
+    for u, val in f.values.items():
+        weight = Fraction(1, domain._pattern_order(u, u, q))
+        shells[u[0]] = shells[u[0]] + (val * val.conjugate()).real * weight
+    total = sum(shells[1:], shells[0]) if shells else Fraction(0)
+    return total, shells
 
 
 def covolume(d: int, q: int, normalization: str = "pgl") -> Fraction:
@@ -673,9 +632,8 @@ def covolume_partial(d: int, q: int, max_n1: int, normalization: str = "pgl") ->
     check_prime(q)
     building.check_work(domain.label_count(d, max_n1) * (16 + 5 * d), "the partial covolume")
     # the enumerated labels are valid and q is checked above
-    orders = [domain._pattern_order(lab, lab, q) for lab in domain.enumerate_domain(d, max_n1)]
-    common = lcm(*orders)
-    total = Fraction(sum(common // order for order in orders), common)
+    labels = domain.enumerate_domain(d, max_n1)
+    total = _over_orders([(1, domain._pattern_order(lab, lab, q)) for lab in labels])
     return _apply_normalization(total, q, normalization)
 
 

@@ -24,6 +24,7 @@ domain's edge table; other d label every edge "generic".
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from math import ceil, comb, log2
 from typing import NamedTuple
 
@@ -54,7 +55,7 @@ class QuotientGraph:
     label to its id.  `forward[i]` lists (dst id, ratio_from) over the
     edges out of node i and `backward[i]` (src id, ratio_to) over the edges
     into it, both in the order of `edges`; both are None at a boundary
-    node (n_1 = max_n1).
+    node (n_1 = max_n1).  The index and the rows are built on first use.
     """
 
     # every edge has a closed form; the benchmark's traced run reads this
@@ -67,19 +68,33 @@ class QuotientGraph:
         self.nodes = nodes  # dict label -> stabilizer order
         self.edges = edges  # list[QuotientEdge], color-1 only
         self.labels: list[Label] = sorted(nodes)
-        self.index: dict[Label, int] = {lab: i for i, lab in enumerate(self.labels)}
-        boundary = [lab[0] >= max_n1 for lab in self.labels]
+
+    @cached_property
+    def index(self) -> dict[Label, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    @property
+    def forward(self) -> list:
+        return self._id_rows[0]
+
+    @property
+    def backward(self) -> list:
+        return self._id_rows[1]
+
+    @cached_property
+    def _id_rows(self) -> tuple[list, list]:
+        # (forward, backward), built on first use: an export reads neither
+        boundary = [lab[0] >= self.max_n1 for lab in self.labels]
         forward: list[list[tuple[int, int]] | None] = [None if b else [] for b in boundary]
         backward: list[list[tuple[int, int]] | None] = [None if b else [] for b in boundary]
         index = self.index
-        for src, dst, _, _, _, ratio_from, ratio_to in edges:
+        for src, dst, _, _, _, ratio_from, ratio_to in self.edges:
             i, j = index[src], index[dst]
             if forward[i] is not None:
                 forward[i].append((j, ratio_from))
             if backward[j] is not None:
                 backward[j].append((i, ratio_to))
-        self.forward = forward
-        self.backward = backward
+        return forward, backward
 
 
 def classify_edge_d3(label1, label2) -> int:

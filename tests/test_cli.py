@@ -87,6 +87,25 @@ def test_domain_dot(run):
     assert code == 0 and out.startswith("digraph") and '"000" -> "100"' in out
 
 
+def test_domain_export_builds_no_id_rows(run, monkeypatch):
+    # an export reads the labels and edges only; hecke-check reads the rows
+    from btq import quotient
+
+    graphs = []
+    exact = quotient.build_graph
+
+    def recorded(*args):
+        graphs.append(exact(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(quotient, "build_graph", recorded)
+    for fmt in ("json", "dot"):
+        code, _, _ = run("domain", "--d", "3", "--q", "2", "--max-n", "6", "--format", fmt)
+        assert code == 0 and "_id_rows" not in vars(graphs[-1]), fmt
+    code, _, _ = run("hecke-check", "--d", "3", "--q", "2", "--max-n", "6", "--trials", "1")
+    assert code == 0 and "_id_rows" in vars(graphs[-1])
+
+
 def test_determinism(run):
     a = run("domain", "--d", "3", "--max-n", "6", "--format", "json")
     b = run("domain", "--d", "3", "--max-n", "6", "--format", "json")
@@ -424,13 +443,15 @@ def test_exit_code_invalid_input(run):
         assert code == 2 and not out and "--trials" in err
 
 
-# three over the value-size bound, one over the work bound only (all ones,
-# but a closed form of n^3 work) and one outside the float range
+# four over the value-size bound (the last one just over: 7608 bits over
+# 7000, while --max-n=1000 runs) and one outside the float range; a d = 2
+# recursion takes a few products per n, so no d = 2 input is over the work
+# bound alone
 EIGENVECTOR_OVER_BOUNDS = [
     ("eigenvector", "--d=2", "--q=2", "--lambda1=1e1000", "--max-n=5"),
     ("eigenvector", "--d=2", "--q=2", "--lambda1=3", "--max-n=3000"),
     ("eigenvector", "--d=3", "--q=2", "--lambda1=3", "--lambda2=2", "--max-n=2000"),
-    ("eigenvector", "--d=2", "--q=2", "--lambda1=3", "--max-n=1000"),
+    ("eigenvector", "--d=2", "--q=2", "--lambda1=3", "--max-n=1200"),
     ("eigenvector", "--d=3", "--q=2", "--lambda1=1e1000", "--lambda2=1+2i"),
 ]
 
@@ -514,6 +535,8 @@ def test_exit_code_resource_bound(run):
         assert len(err.splitlines()) == 1, argv
     code, out, _ = run("stabilizer", "--n", "1,0", "--q", "31", "--enumerate")
     assert code == 0 and out.splitlines()[:2] == ["order 28830", "enumerated 28830"]
+    code, out, _ = run("eigenvector", "--d=2", "--q=2", "--lambda1=3", "--max-n=1000")
+    assert code == 0 and len(json.loads(out)["values"]) == 1001
     # the span of a basis costs nothing, and q^d residue vectors are never listed
     for argv, count in (
         (("--n", "1000000000,0,0", "--q", "3", "--degree", "1"), 13),
