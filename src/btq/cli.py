@@ -205,7 +205,7 @@ def _cmd_eigenvector(args) -> int:
     if args.d == 2 and (args.regression or args.lambda2 is not None):
         raise InvalidInputError("--regression and --lambda2 apply to d = 3 only")
     failed: list[str] = []  # the residuals and asserted closed forms that fail
-    payload: dict = {"d": args.d, "q": args.q}
+    residuals = regression = norm = None
     if args.d == 2:
         func = hecke.eigenvector_d2(_parse_scalar(args.lambda1), args.q, args.max_n)
     else:
@@ -219,9 +219,6 @@ def _cmd_eigenvector(args) -> int:
             except OverflowError as exc:
                 raise ResourceBoundError("an eigenvalue is outside the float range") from exc
         func, residuals = hecke.eigenvector_d3(l1, l2, args.q, args.max_n)
-        payload["residuals"] = [
-            {"label": list(u), "residual": _scalar_str(r)} for u, r in residuals
-        ]
         # exact residuals must vanish; complex ones must be small next to the value
         failed += [
             f"residual at {domain.format_label(u)}"
@@ -229,35 +226,20 @@ def _cmd_eigenvector(args) -> int:
             if (r != 0 if isinstance(r, Fraction) else not hecke.scalars_close(func[u], func[u] - r))
         ]
         if args.regression:
-            reg = hecke.closed_form_regression(l1, l2, args.q, func)
-            payload["regression"] = {
-                name: {
-                    "status": entry["status"],
-                    "match": entry["match"],
-                    "residual": _scalar_str(entry["residual"]),
-                }
-                for name, entry in reg.items()
-            }
+            regression = hecke.closed_form_regression(l1, l2, args.q, func)
             failed += [
                 f"closed form {name}"
-                for name, entry in reg.items()
+                for name, entry in regression.items()
                 if entry["status"] == "asserted" and not entry["match"]
             ]
     if args.l2:
-        total, shells = hecke.l2_partial_norm(func)
-        payload["l2_partial"] = {
-            "total": _scalar_str(total),
-            "shells": [_scalar_str(s) for s in shells],
-        }
-    payload["values"] = [
-        {"label": list(u), "value": _scalar_str(func[u])} for u in sorted(func.values)
-    ]
+        norm = hecke.l2_partial_norm(func)
+    values = [(u, _scalar_str(x)) for u, x in sorted(func.values.items())]
     if args.format == "json":
-        _emit(_eigenvector_json(payload))
+        _emit(_eigenvector_json(args.d, args.q, values, residuals, regression, norm))
     else:
         lines = [f"{'label':>10}  value"]
-        for row in payload["values"]:
-            lines.append(f"{','.join(map(str, row['label'])):>10}  {row['value']}")
+        lines += [f"{domain.format_label(u):>10}  {value}" for u, value in values]
         _emit("\n".join(lines) + "\n")
     if failed:
         raise InternalInvariantError(
@@ -266,42 +248,45 @@ def _cmd_eigenvector(args) -> int:
     return 0
 
 
-def _eigenvector_json(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) plus a newline, for the
-    payload of `_cmd_eigenvector`, written from templates.
+def _eigenvector_json(d: int, q: int, values: list, residuals, regression, norm) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline for the
+    `eigenvector` output, written from templates: values from the
+    (label, value string) rows, and residuals, regression and l2_partial,
+    each unless None, from the results of `hecke.eigenvector_d3`,
+    `closed_form_regression` and `l2_partial_norm` as they come.
 
-    Keys come in sorted order: d, l2_partial, q, regression, residuals and
-    values, the optional ones as present.  Every scalar string is
-    str(Fraction) or the repr of two floats around '+' and 'i', which need
-    no escaping.  The tests keep json.dumps as the oracle.
+    Every scalar string is str(Fraction) or the repr of two floats around
+    '+' and 'i', which need no escaping.  The tests keep json.dumps as the
+    oracle.
     """
 
-    def rows(key: str, entries: list[dict]) -> str:
+    def rows(key: str, entries: list) -> str:
         return quotient._json_list([
             '    {\n      "label": [\n        '
-            + ",\n        ".join(map(str, e["label"]))
-            + f'\n      ],\n      "{key}": "{e[key]}"\n    }}'
-            for e in entries
+            + ",\n        ".join(map(str, u))
+            + f'\n      ],\n      "{key}": "{text}"\n    }}'
+            for u, text in entries
         ])
 
-    parts = [f'"d": {payload["d"]}']
-    if "l2_partial" in payload:
-        shells = ",\n".join(f'      "{s}"' for s in payload["l2_partial"]["shells"])
+    parts = [f'"d": {d}']
+    if norm is not None:
+        total, shells = norm
+        lines = ",\n".join(f'      "{_scalar_str(s)}"' for s in shells)
         parts.append(
-            f'"l2_partial": {{\n    "shells": [\n{shells}\n    ],\n'
-            f'    "total": "{payload["l2_partial"]["total"]}"\n  }}'
+            f'"l2_partial": {{\n    "shells": [\n{lines}\n    ],\n'
+            f'    "total": "{_scalar_str(total)}"\n  }}'
         )
-    parts.append(f'"q": {payload["q"]}')
-    if "regression" in payload:
+    parts.append(f'"q": {q}')
+    if regression is not None:
         entries = [
             f'    "{name}": {{\n      "match": {"true" if e["match"] else "false"},\n'
-            f'      "residual": "{e["residual"]}",\n      "status": "{e["status"]}"\n    }}'
-            for name, e in sorted(payload["regression"].items())
+            f'      "residual": "{_scalar_str(e["residual"])}",\n      "status": "{e["status"]}"\n    }}'
+            for name, e in sorted(regression.items())
         ]
         parts.append('"regression": {\n' + ",\n".join(entries) + "\n  }")
-    if "residuals" in payload:
-        parts.append(f'"residuals": {rows("residual", payload["residuals"])}')
-    parts.append(f'"values": {rows("value", payload["values"])}')
+    if residuals is not None:
+        parts.append(f'"residuals": {rows("residual", [(u, _scalar_str(r)) for u, r in residuals])}')
+    parts.append(f'"values": {rows("value", values)}')
     return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 

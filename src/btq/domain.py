@@ -20,7 +20,7 @@ group-element witness.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb, log2
 from operator import add, mul, sub
@@ -344,9 +344,7 @@ def _pattern_order(u, v, q: int) -> int:
     return order * q**exp // (q - 1)
 
 
-_GL_CACHE: dict[tuple[int, int, bool], list] = {}
-
-
+@cache
 def _gl_matrices(m: int, q: int, leading_one: bool = False):
     """The invertible m x m matrices over F_q in lexicographic order, as
     tuples of rows; with leading_one, only those whose first row leads
@@ -356,24 +354,21 @@ def _gl_matrices(m: int, q: int, leading_one: bool = False):
     the rows above, in lexicographic order, so no singular candidate is
     ever formed.  Scanning all q^(m^2) matrices is the oracle in the tests.
     """
-    key = (m, q, leading_one)
-    if key not in _GL_CACHE:
-        vectors = list(product(range(q), repeat=m))
-        mats = [(v,) for v in vectors[1:] if not leading_one or next(x for x in v if x) == 1]
-        for _ in range(m - 1):
-            grown = []
-            for mat in mats:
-                span = {(0,) * m}
-                for row in mat:
-                    span = {
-                        tuple((x + c * y) % q for x, y in zip(v, row))
-                        for v in span
-                        for c in range(q)
-                    }
-                grown += [mat + (v,) for v in vectors if v not in span]
-            mats = grown
-        _GL_CACHE[key] = mats
-    return _GL_CACHE[key]
+    vectors = list(product(range(q), repeat=m))
+    mats = [(v,) for v in vectors[1:] if not leading_one or next(x for x in v if x) == 1]
+    for _ in range(m - 1):
+        grown = []
+        for mat in mats:
+            span = {(0,) * m}
+            for row in mat:
+                span = {
+                    tuple((x + c * y) % q for x, y in zip(v, row))
+                    for v in span
+                    for c in range(q)
+                }
+            grown += [mat + (v,) for v in vectors if v not in span]
+        mats = grown
+    return mats
 
 
 def stabilizer_enumerate(label, q: int) -> Iterator[LaurentMatrix]:

@@ -3,9 +3,9 @@
 `left_null_vector` is the library's one elimination over F_q: it decides
 invertibility and returns a null combination when there is one.
 
-Counting functions (`gl_order`, `pgl_order`, `gaussian_binomial`) return
-Python ints, so they are arbitrary precision by construction.  Extension
-fields are intentionally not supported: q must be prime.
+Counting functions (`gl_order`, `gaussian_binomial`) return Python ints,
+so they are arbitrary precision by construction.  Extension fields are
+intentionally not supported: q must be prime.
 """
 
 from __future__ import annotations
@@ -95,13 +95,6 @@ def gl_order(m: int, q: int) -> int:
     for i in range(m):
         order *= qm - q**i
     return order
-
-
-def pgl_order(d: int, q: int) -> int:
-    """Order of PGL_d(F_q) = |GL_d(F_q)| / (q - 1)."""
-    if not isinstance(d, int) or d < 2:
-        raise InvalidInputError(f"d must be an integer >= 2, got {d!r}")
-    return gl_order(d, q) // (q - 1)
 
 
 def gaussian_binomial(d: int, k: int, q: int) -> int:

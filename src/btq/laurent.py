@@ -7,12 +7,14 @@ ring O = F_q[[1/t]] consists of the elements with no positive exponents.
 Polynomials are stored sparsely as {exponent: nonzero residue}; the zero
 polynomial is the empty map.  All ring operations are exact.
 
-q is validated once, where a value enters from outside: `LaurentPoly(...)`,
-`zero`, `constant`, `t_power`, `parse`, `LaurentMatrix(...)`, `identity`,
-`diagonal`, `from_literal` and the random samplers.  Every result of
-arithmetic on those values is built through the private `_poly` or, for
-a matrix, `_matrix`, which neither re-check q nor re-reduce coefficients.
-Every binary operation still checks that its operands share q.
+q is validated once, where a value enters from outside: `LaurentPoly(...)`
+(the zero polynomial is `LaurentPoly({}, q)`, the monomial c t^e is
+`LaurentPoly({e: c}, q)`), `parse`, `LaurentMatrix(...)`, `diagonal` (the
+identity is `diagonal((0,) * d, q)`), `from_literal` and the random
+samplers.  Every result of arithmetic on those values is built through
+the private `_poly` or, for a matrix, `_matrix`, which neither re-check q
+nor re-reduce coefficients.  Every binary operation still checks that its
+operands share q.
 
 Every ring operation goes through one private kernel,
 `dot(terms, q, above=None)`: the sum of c * a * b over (c, a, b) triples,
@@ -63,20 +65,6 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, q: int) -> "LaurentPoly":
-        return cls({}, q)
-
-    @classmethod
-    def constant(cls, c: int, q: int) -> "LaurentPoly":
-        return cls({0: c}, q)
-
-    @classmethod
-    def t_power(cls, e: int, q: int, c: int = 1) -> "LaurentPoly":
-        return cls({e: c}, q)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -87,10 +75,6 @@ class LaurentPoly:
         if not self.coeffs:
             raise InvalidInputError("the zero polynomial has no degree")
         return max(self.coeffs)
-
-    def valuation(self) -> int:
-        """v(f) = -deg(f) for the uniformizer 1/t."""
-        return -self.degree()
 
     def coeff(self, e: int) -> int:
         return self.coeffs.get(e, 0)
@@ -341,19 +325,12 @@ class LaurentMatrix:
         raise AttributeError("LaurentMatrix is immutable")
 
     @classmethod
-    def identity(cls, d: int, q: int) -> "LaurentMatrix":
-        return cls.diagonal((0,) * d, q)
-
-    @classmethod
     def diagonal(cls, exps, q: int) -> "LaurentMatrix":
         """diag(t^e for e in exps)."""
         check_prime(q)
         if not exps:
             raise InvalidInputError("matrix must be square and nonempty")
         return _matrix(_diagonal_rows(exps, q), q)
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.rows[i][j]
 
     def column(self, j: int) -> list[LaurentPoly]:
         return [self.rows[i][j] for i in range(self.d)]

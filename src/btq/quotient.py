@@ -219,15 +219,20 @@ def export_json(graph: QuotientGraph) -> bytes:
 
 
 def export_dot(graph: QuotientGraph) -> bytes:
-    """Graphviz rendering: one arrow per color-1 edge, labeled type/ratio."""
+    """Graphviz rendering: one arrow per color-1 edge, labeled type/ratio.
+
+    A node is named by its label's entries, concatenated while every entry
+    is below 100: the entries decrease, so the two-digit ones lead and the
+    name's length fixes how many there are, and no two labels share a
+    name.  From max_n1 = 100 on, (10, 10, 0) and (101, 0, 0) would both be
+    "10100", so the entries are joined with commas instead.
+    """
+    sep = "," if graph.max_n1 >= 100 else ""
+    names = {lab: sep.join(map(str, lab)) for lab in graph.labels}
     lines = ["digraph domain {"]
-    for lab in graph.labels:
-        name = "".join(map(str, lab))
-        lines.append(f'  "{name}" [label="{name}"];')
+    lines += [f'  "{name}" [label="{name}"];' for name in names.values()]
     for e in graph.edges:
-        src = "".join(map(str, e.src))
-        dst = "".join(map(str, e.dst))
-        lines.append(f'  "{src}" -> "{dst}" [label="{e.edge_type}/{e.ratio_from}"];')
+        lines.append(f'  "{names[e.src]}" -> "{names[e.dst]}" [label="{e.edge_type}/{e.ratio_from}"];')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode()
 

@@ -117,7 +117,7 @@ def test_criterion_4_domain_reduction():
     labels = domain.enumerate_domain(3, 3)
     for lab in labels:
         got, wit = domain.reduce_to_domain(building.vertex_from_label(lab, q))
-        assert got == lab and wit == LaurentMatrix.identity(3, q)
+        assert got == lab and wit == LaurentMatrix.diagonal((0, 0, 0), q)
     for i in range(500):
         lab = labels[i % len(labels)]
         g = random_gamma(3, q, 3, rng)
@@ -177,7 +177,7 @@ def test_criterion_6_hecke_identities():
         for u in graph.nodes:
             if u[0] < graph.max_n1:
                 assert sum(r for _, r in graph.forward[graph.index[u]]) == t3
-        ones = hecke.DomainFunction.constant(3, q, 12, Fraction(1))
+        ones = hecke.DomainFunction(3, q, 12, dict.fromkeys(graph.nodes, Fraction(1)))
         for i in (1, 2):
             out = hecke.apply_hecke(graph, i, ones)
             assert out.values and all(v == t3 for v in out.values.values())

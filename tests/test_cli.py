@@ -87,6 +87,16 @@ def test_domain_dot(run):
     assert code == 0 and out.startswith("digraph") and '"000" -> "100"' in out
 
 
+def test_domain_dot_names_below_100_are_concatenated(run):
+    # while every label entry is below 100 the node names are the entries'
+    # digits run together, as the dot exports have always been written
+    code, out, _ = run("domain", "--d", "4", "--q", "2", "--max-n", "11", "--format", "dot")
+    assert code == 0 and '"11100" -> "11110"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4c72f45e80372da413c336da9bb79b979446b91b23867104ce6ba89491da1fd6"
+    )
+
+
 def test_domain_export_builds_no_id_rows(run, monkeypatch):
     # an export reads the labels and edges only; hecke-check reads the rows
     from btq import quotient
@@ -184,6 +194,19 @@ def test_eigenvector_text_and_l2(run):
     obj = json.loads(out)
     assert obj["l2_partial"]["total"] == "671/14336"  # the partial covolume
     assert obj["regression"]["000"]["match"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("--d", "3", "--q", "3", "--lambda1", "3/7", "--lambda2=-1/2", "--max-n", "9"),
+    ("--d", "3", "--q", "2", "--lambda1=-0-1i", "--lambda2=1+2i", "--max-n", "5", "--l2"),
+    ("--d", "2", "--q", "5", "--lambda1=-7/3", "--max-n", "11"),
+])
+def test_eigenvector_text_rows_are_the_json_values(run, argv):
+    code, text, _ = run("eigenvector", *argv, "--format", "text")
+    assert code == 0
+    _, out, _ = run("eigenvector", *argv)
+    rows = [f"{','.join(map(str, v['label'])):>10}  {v['value']}" for v in json.loads(out)["values"]]
+    assert text.splitlines() == ["     label  value", *rows]
 
 
 def test_eigenvector_d2_cli(run):

@@ -26,7 +26,7 @@ from btq.domain import (
     validate_label,
 )
 from btq.errors import InternalInvariantError, InvalidInputError, ResourceBoundError
-from btq.gf import gaussian_binomial, gl_order, left_null_vector, pgl_order
+from btq.gf import gaussian_binomial, gl_order, left_null_vector
 from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
 
 
@@ -393,7 +393,7 @@ def test_stabilizer_order_closed_forms_d3():
 def test_stabilizer_origin_is_pgl():
     for d in (2, 3, 4):
         for q in (2, 3):
-            assert stabilizer_order((0,) * d, q) == pgl_order(d, q)
+            assert stabilizer_order((0,) * d, q) == gl_order(d, q) // (q - 1)
 
 
 def test_stabilizer_enumerate_matches_order_small():
@@ -462,7 +462,7 @@ def test_stabilizer_closure_spot_check():
         lead = next(x for row in prod.rows for x in row if x)
         c = lead.coeffs[min(lead.coeffs)]
         inv = pow(c, q - 2, q) if c != 1 else 1
-        prod = prod * LaurentPoly.constant(inv, q)
+        prod = prod * LaurentPoly({0: inv}, q)
         key = tuple(tuple(sorted(x.coeffs.items())) for row in prod.rows for x in row)
         assert key in keys
 
@@ -540,7 +540,7 @@ def test_reduce_identity_on_domain_vertices():
     for lab in enumerate_domain(3, 3):
         got, witness = reduce_to_domain(vertex_from_label(lab, 2))
         assert got == lab
-        assert witness == LaurentMatrix.identity(3, 2)
+        assert witness == LaurentMatrix.diagonal((0, 0, 0), 2)
 
 
 def test_reduce_out_of_domain_neighbor_lands_on_degree2():
@@ -579,7 +579,7 @@ def step_tracked_reduction(v):
     the row reduction over F_q[t] along with the basis rows."""
     d, q = v.d, v.q
     rows = [list(row) for row in v.basis.rows]
-    witness = [[LaurentPoly.constant(int(i == j), q) for j in range(d)] for i in range(d)]
+    witness = [[LaurentPoly({0: int(i == j)}, q) for j in range(d)] for i in range(d)]
 
     def degree(row):
         return max(x.degree() for x in row if x)
@@ -592,9 +592,9 @@ def step_tracked_reduction(v):
         def step(m):
             out = []
             for j in range(d):
-                acc = LaurentPoly.zero(q)
+                acc = LaurentPoly({}, q)
                 for i in used:
-                    acc = acc + LaurentPoly.t_power(degs[pivot] - degs[i], q, combo[i]) * m[i][j]
+                    acc = acc + LaurentPoly({degs[pivot] - degs[i]: combo[i]}, q) * m[i][j]
                 out.append(acc)
             return out
 

@@ -6,7 +6,7 @@ import pytest
 
 from btq import gf
 from btq.errors import InvalidInputError, ResourceBoundError
-from btq.gf import gaussian_binomial, gl_order, inv_mod, is_prime, left_null_vector, pgl_order
+from btq.gf import gaussian_binomial, gl_order, inv_mod, is_prime, left_null_vector
 
 
 def det_mod(mat, q):
@@ -90,10 +90,9 @@ def test_left_null_vector_exhaustive():
 
 
 def test_pgl_order_examples():
-    assert pgl_order(2, 2) == 6
-    assert pgl_order(3, 2) == 168
-    assert pgl_order(3, 3) == (3 - 1) ** 2 * 13 * 4 * 27 == 5616
-    assert pgl_order(3, 3) == gl_order(3, 3) // 2
+    # |PGL_d(F_q)| = |GL_d(F_q)| / (q - 1)
+    pgl = {(d, q): gl_order(d, q) // (q - 1) for d, q in ((2, 2), (3, 2), (3, 3))}
+    assert pgl == {(2, 2): 6, (3, 2): 168, (3, 3): (3 - 1) ** 2 * 13 * 4 * 27}
 
 
 def test_gaussian_binomial_examples():
@@ -142,8 +141,6 @@ def test_input_validation():
         gl_order(0, 2)
     with pytest.raises(InvalidInputError):
         gl_order(2, 4)
-    with pytest.raises(InvalidInputError):
-        pgl_order(1, 2)
     with pytest.raises(InvalidInputError):
         gaussian_binomial(3, 4, 2)
     with pytest.raises(InvalidInputError):

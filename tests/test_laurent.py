@@ -29,7 +29,7 @@ def laplace_det(rows, q):
     row (d! products): the oracle for the shared-minor expansion."""
     if len(rows) == 1:
         return rows[0][0]
-    acc = LaurentPoly.zero(q)
+    acc = LaurentPoly({}, q)
     for j, top in enumerate(rows[0]):
         if top:
             term = top * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]], q)
@@ -39,7 +39,7 @@ def laplace_det(rows, q):
 
 def random_poly(rng, q, low=-3, high=3, density=0.7):
     if rng.random() > density:
-        return LaurentPoly.zero(q)
+        return LaurentPoly({}, q)
     return LaurentPoly({e: rng.randrange(q) for e in range(low, rng.randint(low, high) + 1)}, q)
 
 
@@ -52,7 +52,9 @@ def test_char2_square():
 
 
 def test_valuation_example():
-    assert P("t^3 + t").valuation() == -3
+    # v(f) = -deg(f) for the uniformizer 1/t
+    assert -P("t^3 + t").degree() == -3
+    assert -P("t^-2 + 1").degree() == 0
 
 
 def test_parse_round_trip():
@@ -87,7 +89,7 @@ def test_ring_axioms_hypothesis(ca, cb, cc):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + (-a) == LaurentPoly.zero(q)
+    assert a + (-a) == LaurentPoly({}, q)
 
 
 @settings(max_examples=150, deadline=None)
@@ -96,13 +98,13 @@ def test_valuation_additivity(ca, cb):
     a, b = LaurentPoly(ca, 3), LaurentPoly(cb, 3)
     if a.is_zero() or b.is_zero():
         return
-    assert (a * b).valuation() == a.valuation() + b.valuation()
+    assert (a * b).degree() == a.degree() + b.degree()
 
 
 def test_det_examples():
     q = 2
     assert LaurentMatrix.diagonal((2, 1, 0), q).det() == P("t^3")
-    assert LaurentMatrix.identity(3, q).det() == P("1")
+    assert LaurentMatrix.diagonal((0, 0, 0), q).det() == P("1")
     m = LaurentMatrix(
         [[P("t^3"), P("0"), P("0")], [P("t^2"), P("t"), P("0")], [P("t"), P("0"), P("1")]],
         q,
@@ -136,7 +138,7 @@ def test_det_matches_laplace_oracle():
             assert m.minor(rows_idx, cols_idx) == laplace_det(sub, q)
     # a singular matrix, and one whose first row vanishes
     rows = [[P("t + 1"), P("1")], [P("t^2 + t"), P("t")]]
-    assert LaurentMatrix(rows, 2).det() == laplace_det(rows, 2) == LaurentPoly.zero(2)
+    assert LaurentMatrix(rows, 2).det() == laplace_det(rows, 2) == LaurentPoly({}, 2)
     assert LaurentMatrix([[P("0"), P("0")], [P("1"), P("t")]], 2).det().is_zero()
 
 
@@ -148,8 +150,8 @@ def test_adjugate_identity():
         det = m.det()
         for i in range(d):
             for j in range(d):
-                expected = det if i == j else LaurentPoly.zero(3)
-                assert prod.entry(i, j) == expected
+                expected = det if i == j else LaurentPoly({}, 3)
+                assert prod.rows[i][j] == expected
 
 
 def test_random_gamma_contract():
@@ -204,12 +206,12 @@ def test_series_inverse_of_a_constant():
     # loop's result for a unit that agrees with it modulo (1/t)^(depth+1)
     for q in (2, 5, 7):
         for c in range(1, q):
-            f = LaurentPoly.constant(c, q)
+            f = LaurentPoly({0: c}, q)
             for depth in (-1, 0, 1, 7, 1000):
                 g = series_inverse(f, depth)
                 assert (f * g).coeffs == {0: 1}
                 if depth >= 0:
-                    assert g == series_inverse(f + LaurentPoly.t_power(-depth - 1, q), depth)
+                    assert g == series_inverse(f + LaurentPoly({-depth - 1: 1}, q), depth)
 
 
 def test_matrix_literal_round_trip():
@@ -319,9 +321,9 @@ def _dot_oracle(terms, q, above):
     # the sum of c * (a * b) from the ring operators, then the cutoff; the
     # operators are themselves terms of dot, so the plain dict reference in
     # the test keeps the check independent
-    total = LaurentPoly.zero(q)
+    total = LaurentPoly({}, q)
     for c, a, b in terms:
-        term = LaurentPoly.constant(abs(c), q) * (a * b)
+        term = LaurentPoly({0: abs(c)}, q) * (a * b)
         if c >= 0:
             total = total + term
         else:  # binary minus, or unary minus and a difference
@@ -372,18 +374,15 @@ def test_dot_matches_operators(operands):
 def test_dot_cancels_to_zero():
     a, b = P("t^3 + 2*t + 4", 5), P("3*t^-2 + 1", 5)
     for above in (None, -5, 0, 10):
-        assert dot([(1, a, b), (-1, b, a)], 5, above) == LaurentPoly.zero(5)
-        assert dot([(2, a, b), (3, a, b)], 5, above) == LaurentPoly.zero(5)
-    assert dot((), 7) == LaurentPoly.zero(7)
+        assert dot([(1, a, b), (-1, b, a)], 5, above) == LaurentPoly({}, 5)
+        assert dot([(2, a, b), (3, a, b)], 5, above) == LaurentPoly({}, 5)
+    assert dot((), 7) == LaurentPoly({}, 7)
 
 
 def test_public_constructors_validate_q():
     for q in (1, 4, 9, 0, -3, 2.0, "2"):
         for build in (
             lambda: LaurentPoly({0: 1}, q),
-            lambda: LaurentPoly.zero(q),
-            lambda: LaurentPoly.constant(1, q),
-            lambda: LaurentPoly.t_power(2, q),
             lambda: LaurentPoly.parse("t + 1", q),
             lambda: LaurentMatrix([[P("1")]], q),
             lambda: LaurentMatrix.from_literal({"q": q, "d": 1, "entries": [["1"]]}),
@@ -405,15 +404,13 @@ def test_matrix_constructors_validate_entries():
         lambda: LaurentMatrix([[one2, one3], [one2, one2]]),
         lambda: LaurentMatrix([[one2]], 3),
         lambda: LaurentMatrix([[one2]], 4),
-        lambda: LaurentMatrix.identity(0, 2),
-        lambda: LaurentMatrix.identity(2, 4),
         lambda: LaurentMatrix.diagonal((), 3),
         lambda: LaurentMatrix.diagonal((1, 0), 6),
     ):
         with pytest.raises(InvalidInputError):
             build()
     zero, one = P("0", 3), P("1", 3)
-    assert LaurentMatrix.identity(2, 3) == LaurentMatrix([[one, zero], [zero, one]])
+    assert LaurentMatrix.diagonal((0, 0), 3) == LaurentMatrix([[one, zero], [zero, one]])
     assert LaurentMatrix.diagonal((2, 0), 2) == LaurentMatrix.from_literal(
         {"q": 2, "d": 2, "entries": [["t^2", "0"], ["0", "1"]]}
     )

@@ -366,6 +366,18 @@ def test_export_dot_arrow_pattern():
     assert text.count("->") == len(g.edges)
 
 
+def test_export_dot_node_names_are_distinct():
+    # from max_n1 = 100 on, concatenated entries would name (10, 10, 0) and
+    # (101, 0, 0) both "10100"; the names join the entries with commas there
+    graph = build_graph(3, 2, 101)
+    out = export_dot(graph)
+    lines = out.decode().splitlines()
+    names = [line.split('"')[1] for line in lines if line.endswith("];") and "->" not in line]
+    assert len(set(names)) == len(names) == len(graph.labels) == 5253
+    assert {"10,10,0", "101,0,0"} <= set(names)
+    assert len(out) <= predicted_export_bytes(3, 2, 101, "dot")
+
+
 def test_export_unknown_format():
     g = build_graph(3, 2, 1)
     with pytest.raises(InvalidInputError):
