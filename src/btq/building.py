@@ -32,7 +32,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gf import check_prime, gaussian_binomial, left_null_vector
-from .laurent import LaurentMatrix, _matrix, _poly, dot, series_inverse
+from .laurent import LaurentMatrix, _matrix, _mul_add, _poly, dot, series_inverse
 
 # The one bound on predicted work, about a microsecond per unit (measured on
 # a shared 2-core x86-64 with Python 3.11): `neighbors` costs one
@@ -145,14 +145,16 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     becomes the pivot, or u^N e_r when the row vanishes modulo u^N.  Then
     N drops by the pivot's valuation, because the lattice left in the rows
     above has that much smaller a determinant.  m's determinant is the one
-    Laurent determinant computed.  Each product or sum of products is one
-    `laurent.dot`: the pivot head and the column updates form only the
-    terms above u^N (every other term is dropped by the truncation modulo
-    u^N), the final reduction above the pivots is exact, and each entry of
-    the certificate's back-substitution is one sum.  The result is
-    certified exactly: canon^-1 * m, found by back-substitution, must lie
-    in GL_d(O).  A failed certificate is a bug and raises
-    InternalInvariantError.
+    Laurent determinant computed.  The pass keeps each column as a list of
+    mutable {exponent: residue} dicts: the truncation modulo u^N deletes
+    keys in place, and the pivot head and each column update x -= f * head
+    go into the dicts through `laurent._mul_add`, forming only the terms
+    above u^N (every other term is dropped by the truncation).  The final
+    reduction above the pivots is exact, on the same dicts, and the
+    LaurentPoly entries of the basis are built once, after it.  The result
+    is certified exactly: canon^-1 * m, found by back-substitution with
+    one `laurent.dot` per entry, must lie in GL_d(O).  A failed
+    certificate is a bug and raises InternalInvariantError.
     """
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
@@ -164,49 +166,53 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     top = max(x.degree() for row in m.rows for x in row if x)
     scaled = m.shift(-top)
     modulus = d * top - det.degree()
-    zero, one = _poly({}, q), _poly({0: 1}, q)
-    cols = [scaled.column(j) for j in range(d)]
+    cols = [[dict(row[j].coeffs) for row in scaled.rows] for j in range(d)]
     work = [None] * d
     pivots = [0] * d
     for r in range(d - 1, -1, -1):
         # each column holds rows 0..r (the rows below are zero), known
-        # modulo u^modulus
-        cols = [[x.part_above(-modulus) for x in col] for col in cols]
+        # modulo u^modulus: the terms at or below -modulus are deleted
+        for col in cols:
+            for x in col:
+                for e in [e for e in x if e <= -modulus]:
+                    del x[e]
         live = [j for j, col in enumerate(cols) if col[r]]
         if live:
-            piv = cols.pop(max(live, key=lambda j: cols[j][r].degree()))
-            a = piv[r].degree()
+            piv = cols.pop(max(live, key=lambda j: max(cols[j][r])))
+            a = max(piv[r])
         else:
             a = -modulus
-            piv = [zero] * r + [_poly({a: 1}, q)]
+            piv = [{}] * r + [{a: 1}]
         # from here on, rows 0..r-1 are needed modulo the new u^modulus only
         modulus += a
-        inv = series_inverse(piv[r].shift(-a), modulus - 1)
-        head = [dot(((1, x, inv),), q, -modulus) if x else x for x in piv[:r]]
-        piv = head + [_poly({a: 1}, q)]
-        for j, col in enumerate(cols):
-            # the next row's truncation drops every term at or below -modulus
-            f = col[r].shift(-a)
+        inv = series_inverse(_poly({e - a: c for e, c in piv[r].items()}, q), modulus - 1).coeffs
+        head = [{} for _ in range(r)]
+        for h, x in zip(head, piv):
+            _mul_add(h, 1, x, inv, q, -modulus)
+        for col in cols:
+            # x -= f * head, forming only the terms above -modulus; the
+            # next row's truncation drops the older terms at or below it
+            f = {e - a: c for e, c in col.pop().items()}
             if f:
-                cols[j] = [dot(((1, x, one), (-1, f, y)), q, -modulus) for x, y in zip(col, head)]
-        work[r] = piv + [zero] * (d - 1 - r)
+                for x, y in zip(col, head):
+                    _mul_add(x, -1, f, y, q, -modulus)
+        work[r] = head + [{a: 1}] + [{} for _ in range(d - 1 - r)]
         pivots[r] = a
     if modulus != 0:
         raise InternalInvariantError(
             f"Hermite pass left modulus u^{modulus}, expected the full determinant"
         )
 
+    # exact reduction of each entry above a pivot to exponents above it
     for j in range(d):
+        col = work[j]
         for i in range(j - 1, -1, -1):
-            low = work[j][i].part_at_most(pivots[i])
+            p = pivots[i]
+            low = {e - p: c for e, c in col[i].items() if e <= p}
             if low:
-                f = low.shift(-pivots[i])
-                col_i = work[i]
-                work[j] = [
-                    dot(((1, x, one), (-1, f, y)), q) if y else x
-                    for x, y in zip(work[j], col_i)
-                ]
-    canon = _matrix([[work[j][i] for j in range(d)] for i in range(d)], q)
+                for x, y in zip(col, work[i]):
+                    _mul_add(x, -1, low, y, q)
+    canon = _matrix([[_poly(work[j][i], q) for j in range(d)] for i in range(d)], q)
     if not _certify_same_lattice(canon, scaled):
         raise InternalInvariantError("lattice normal form failed its exact certificate")
 
@@ -347,18 +353,26 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     the degrees sum to exactly det_deg.  A zero row means a singular matrix
     (SingularMatrixError); any other broken invariant is a bug and raises
     InternalInvariantError.
+
+    The rows are kept as lists of mutable {exponent: residue} dicts for the
+    whole reduction: a step scales the pivot row and adds each other used
+    row into it in place (`laurent._mul_add`, the monomial multiplier an
+    exponent shift and a scalar), degrees and leading coefficients are read
+    straight off the dicts, and the rows become LaurentPoly again once, at
+    the end.
     """
     d = len(rows)
     sign = -1 if over_O else 1
+    polys = [[dict(x.coeffs) for x in row] for row in rows]
 
     def row_degree(i: int) -> int:
-        degs = [x.degree() for x in rows[i] if x]
+        degs = [max(x) for x in polys[i] if x]
         if not degs:
             raise SingularMatrixError("zero row during row reduction")
         return max(degs)
 
     def leading(i: int) -> list[int]:
-        return [x.coeffs.get(degs[i], 0) for x in rows[i]]
+        return [x.get(degs[i], 0) for x in polys[i]]
 
     # only the pivot row changes in a step, so only its degree and leading
     # coefficients are recomputed
@@ -367,8 +381,16 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     while (combo := left_null_vector(lead, q)) is not None:
         used = [i for i in range(d) if combo[i]]
         pivot = max(used, key=lambda i: (sign * degs[i], i))
-        monos = {i: _poly({degs[pivot] - degs[i]: 1}, q) for i in used}
-        rows[pivot] = [dot([(combo[i], monos[i], rows[i][j]) for i in used], q) for j in range(d)]
+        target = polys[pivot]
+        if (c := combo[pivot]) != 1:
+            for x in target:
+                for e in x:
+                    x[e] = x[e] * c % q
+        for i in used:
+            if i != pivot:
+                mono = {degs[pivot] - degs[i]: 1}
+                for x, y in zip(target, polys[i]):
+                    _mul_add(x, combo[i], mono, y, q)
         new_deg = row_degree(pivot)
         if new_deg >= degs[pivot]:
             raise InternalInvariantError("row degree did not decrease during row reduction")
@@ -380,6 +402,7 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
         raise InternalInvariantError(
             f"row degrees {degs} do not account for the determinant degree {det_deg}"
         )
+    rows[:] = [[_poly(x, q) for x in row] for row in polys]
     return degs
 
 

@@ -232,10 +232,11 @@ def _cmd_eigenvector(args) -> int:
                 for name, entry in regression.items()
                 if entry["status"] == "asserted" and not entry["match"]
             ]
-    if args.l2:
-        norm = hecke.l2_partial_norm(func)
     values = [(u, _scalar_str(x)) for u, x in sorted(func.values.items())]
     if args.format == "json":
+        # the text table has no place for the norm, so only JSON computes it
+        if args.l2:
+            norm = hecke.l2_partial_norm(func)
         _emit(_eigenvector_json(args.d, args.q, values, residuals, regression, norm))
     else:
         lines = [f"{'label':>10}  value"]
@@ -377,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda1", required=True)
     sp.add_argument("--lambda2")
     sp.add_argument("--max-n", type=int, default=12)
-    sp.add_argument("--l2", action="store_true")
+    sp.add_argument("--l2", action="store_true",
+                    help="add the partial L2 norm per shell to the JSON output (not printed in text)")
     sp.add_argument("--regression", action="store_true")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=_cmd_eigenvector)

@@ -16,15 +16,19 @@ the private `_poly` or, for a matrix, `_matrix`, which neither re-check q
 nor re-reduce coefficients.  Every binary operation still checks that its
 operands share q.
 
-Every ring operation goes through one private kernel,
-`dot(terms, q, above=None)`: the sum of c * a * b over (c, a, b) triples,
+Every ring operation on LaurentPoly values goes through one private
+kernel, `dot(terms, q)`: the sum of c * a * b over (c, a, b) triples,
 accumulated in one integer dict and reduced mod q once, so a matrix
-entry, a minor or a row update builds one polynomial rather than one per
-product and per partial sum; `+`, `-` and negation are terms against the
-constant 1.  With `above` it equals the sum's `part_above(above)` and
-never forms the products at or below the cutoff: its one user, the
-lattice normal form (`building.vertex_normal_form`), works modulo a
-power of 1/t and discards them anyway.
+entry, a minor or a back-substitution step builds one polynomial rather
+than one per product and per partial sum; `+`, `-` and negation are
+terms against the constant 1.  The lattice layer's row and column
+operations (`building._reduce_rows` and the Hermite pass of
+`building.vertex_normal_form`) keep their rows and columns as mutable
+{exponent: residue} dicts instead, and update them with the one in-place
+primitive `_mul_add(acc, c, a, b, q, above=None)`: acc += c * a * b,
+reduced as it goes, and with `above` forming only the products above the
+cutoff, as the normal form works modulo a power of 1/t and discards the
+rest.  Those loops build their LaurentPoly results once, at the end.
 
 A truncated inverse of an O-unit (`series_inverse`) is exact modulo a
 power of 1/t.  Its one consumer is also the lattice normal form, which
@@ -127,18 +131,6 @@ class LaurentPoly:
             return self
         return _poly({k + e: c for k, c in self.coeffs.items()}, self.q)
 
-    # -- support windows ---------------------------------------------------
-
-    def part_above(self, cutoff: int) -> "LaurentPoly":
-        """Terms with exponent strictly greater than cutoff."""
-        if all(e > cutoff for e in self.coeffs):
-            return self
-        return _poly({e: c for e, c in self.coeffs.items() if e > cutoff}, self.q)
-
-    def part_at_most(self, cutoff: int) -> "LaurentPoly":
-        """Terms with exponent at most cutoff."""
-        return _poly({e: c for e, c in self.coeffs.items() if e <= cutoff}, self.q)
-
     # -- text form ---------------------------------------------------------
 
     def __str__(self):
@@ -227,11 +219,9 @@ def _reduced(coeffs: dict[int, int], q: int) -> dict[int, int]:
     return {e: r for e, c in coeffs.items() if (r := c % q)}
 
 
-def dot(terms, q: int, above: int | None = None) -> LaurentPoly:
+def dot(terms, q: int) -> LaurentPoly:
     """The sum of c * a * b over the (c, a, b) triples, c an int and a, b
-    LaurentPoly over q; with `above`, only its terms of exponent strictly
-    greater than `above`, and the coefficient products at or below it are
-    never formed.
+    LaurentPoly over q.
 
     Every coefficient product goes into one integer dict, reduced mod q
     once at the end, so a sum of products builds one polynomial instead of
@@ -250,28 +240,58 @@ def dot(terms, q: int, above: int | None = None) -> LaurentPoly:
             continue
         if len(short) > len(long):
             short, long = long, short
-        if above is None:
-            for e1, c1 in short.items():
-                c1 *= c
-                for e2, c2 in long.items():
-                    e = e1 + e2
-                    out[e] = get(e, 0) + c1 * c2
-            continue
-        # both factors by falling exponent: once a pair lands at or below
-        # the cutoff, so does every later pair in that row, and every later row
-        inner = sorted(short.items(), reverse=True)
-        top = inner[0][0]
-        for e1, c1 in sorted(long.items(), reverse=True):
-            cut = above - e1
-            if top <= cut:
-                break
+        for e1, c1 in short.items():
             c1 *= c
-            for e2, c2 in inner:
-                if e2 <= cut:
-                    break
+            for e2, c2 in long.items():
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
     return _poly(_reduced(out, q), q)
+
+
+def _mul_add(acc: dict[int, int], c: int, a: dict[int, int], b: dict[int, int], q: int,
+             above: int | None = None) -> None:
+    """acc += c * a * b in place, for an int c and sparse
+    {exponent: nonzero residue} dicts over F_q; with `above`, only the
+    products of exponent strictly greater than `above` are formed, and
+    acc's own terms at or below it stay.
+
+    acc keeps the LaurentPoly invariant: each sum is reduced mod q as it is
+    formed, and a key whose sum vanishes is deleted.  `dot` reduces once
+    at the end instead, which is cheaper for its long products.
+    """
+    c %= q
+    if not (c and a and b):
+        return
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    if above is None:
+        for e1, c1 in a.items():
+            c1 *= c
+            for e2, c2 in b.items():
+                e = e1 + e2
+                if r := (get(e, 0) + c1 * c2) % q:
+                    acc[e] = r
+                else:
+                    del acc[e]
+        return
+    # both factors by falling exponent: once a pair lands at or below
+    # the cutoff, so does every later pair in that row, and every later row
+    inner = sorted(a.items(), reverse=True)
+    top = inner[0][0]
+    for e1, c1 in sorted(b.items(), reverse=True):
+        cut = above - e1
+        if top <= cut:
+            break
+        c1 *= c
+        for e2, c2 in inner:
+            if e2 <= cut:
+                break
+            e = e1 + e2
+            if r := (get(e, 0) + c1 * c2) % q:
+                acc[e] = r
+            else:
+                del acc[e]
 
 
 def series_inverse(f: LaurentPoly, depth: int) -> LaurentPoly:

@@ -32,8 +32,8 @@ from btq.errors import (
     ResourceBoundError,
     SingularMatrixError,
 )
-from btq.gf import gaussian_binomial
-from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
+from btq.gf import gaussian_binomial, left_null_vector
+from btq.laurent import LaurentMatrix, LaurentPoly, _poly, dot, random_gamma, random_k
 
 
 def P(s, q=2):
@@ -138,6 +138,41 @@ def smith_by_minors(x, y):
             )
         )
     return tuple(b - a for a, b in zip(sums, sums[1:]))
+
+
+def reduce_rows_by_dot(rows, det_deg, q, over_O):
+    """`building._reduce_rows` on immutable rows: every step rebuilds the
+    pivot row with one `dot` per entry, from a monomial LaurentPoly per
+    used row.  The in-place reduction must agree with it step for step."""
+    d = len(rows)
+    sign = -1 if over_O else 1
+
+    def row_degree(i):
+        degs = [x.degree() for x in rows[i] if x]
+        if not degs:
+            raise SingularMatrixError("zero row during row reduction")
+        return max(degs)
+
+    def leading(i):
+        return [x.coeffs.get(degs[i], 0) for x in rows[i]]
+
+    degs = [row_degree(i) for i in range(d)]
+    lead = [leading(i) for i in range(d)]
+    while (combo := left_null_vector(lead, q)) is not None:
+        used = [i for i in range(d) if combo[i]]
+        pivot = max(used, key=lambda i: (sign * degs[i], i))
+        monos = {i: _poly({degs[pivot] - degs[i]: 1}, q) for i in used}
+        rows[pivot] = [dot([(combo[i], monos[i], rows[i][j]) for i in used], q) for j in range(d)]
+        new_deg = row_degree(pivot)
+        if new_deg >= degs[pivot]:
+            raise InternalInvariantError("row degree did not decrease during row reduction")
+        degs[pivot] = new_deg
+        lead[pivot] = leading(pivot)
+        if sum(degs) < det_deg:
+            raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
+    if sum(degs) != det_deg:
+        raise InternalInvariantError(f"row degrees {degs} do not account for {det_deg}")
+    return degs
 
 
 def _random_label(rng, d, max_n1):
@@ -470,6 +505,58 @@ def test_label_relative_position_matches_elimination():
             )
     with pytest.raises(InvalidInputError):
         label_relative_position((1, 0), (0, 0, 0))
+
+
+def _reduction_outcome(reduce, rows, det_deg, q, over_O):
+    rows = list(rows)
+    try:
+        degs = reduce(rows, det_deg, q, over_O)
+    except (SingularMatrixError, InternalInvariantError) as exc:
+        return type(exc)
+    return degs, [list(row) for row in rows]
+
+
+def _assert_reductions_agree(rows, det_deg, q, over_O):
+    """Same degrees and rows entry by entry at the true determinant degree,
+    and the same exception types one degree either side of it."""
+    for deg in (det_deg, det_deg - 1, det_deg + 1):
+        got = _reduction_outcome(building._reduce_rows, rows, deg, q, over_O)
+        want = _reduction_outcome(reduce_rows_by_dot, rows, deg, q, over_O)
+        assert got == want, (rows, deg, over_O)
+        assert (deg == det_deg) == (got is not InternalInvariantError)
+
+
+def test_reduce_rows_matches_dot_oracle():
+    rng = random.Random(25)
+    # over F_q[t]: the canonical bases that the domain reduction reduces
+    for d in (3, 4, 5):
+        for q in (2, 3, 5):
+            for _ in range(4):
+                label = _random_label(rng, d, 12)
+                m = (
+                    random_gamma(d, q, rng.choice((2, 4, 6)), rng)
+                    * LaurentMatrix.diagonal(label, q)
+                    * random_k(d, q, 3, rng)
+                )
+                v = vertex_normal_form(m)
+                _assert_reductions_agree(v.basis.rows, sum(v.profile), q, over_O=False)
+    # over O: y^-1 x of relative_position pairs
+    for q in (2, 3):
+        for d in (2, 3, 4):
+            for _ in range(8):
+                x = vertex_normal_form(random_invertible(d, q, rng))
+                y = vertex_normal_form(random_invertible(d, q, rng))
+                rows = building._solve_canonical(y.basis, x.basis).rows
+                _assert_reductions_agree(rows, sum(x.profile) - sum(y.profile), q, over_O=True)
+    # singular inputs: a zero row, and a row that the reduction zeroes
+    r0, r1 = (P("t^2 + 1", 3), P("t", 3), P("2", 3)), (P("t", 3), P("t^-1", 3), P("1", 3))
+    zero = P("0", 3)
+    t = P("t", 3)
+    for rows in ((r0, (zero,) * 3, r1), (r0, r1, tuple(t * x for x in r0))):
+        for over_O in (False, True):
+            for deg in (-5, 0, 3):
+                assert _reduction_outcome(building._reduce_rows, rows, deg, 3, over_O) is SingularMatrixError
+                assert _reduction_outcome(reduce_rows_by_dot, rows, deg, 3, over_O) is SingularMatrixError
 
 
 def test_relative_position_wrong_determinant_is_internal():

@@ -180,6 +180,45 @@ def test_reduce_output_pinned(d, q, tmp_path, capsysbinary):
     assert hashlib.sha256(out).hexdigest() == REDUCE_HASHES[d, q]
 
 
+# the same at the lattice-reduce benchmark's largest sizes: the literal
+# random_gamma(d, q, 6, seed) * diag(label) * random_k(d, q, 4, seed), n_1 = 12
+REDUCE_WIDE_LABELS = {3: (12, 7, 0), 4: (12, 9, 4, 0)}
+REDUCE_WIDE_HASHES = {
+    (3, 2): "7fd328389b60bc6a5bf3f28f32e1db7787cf77f0365f87411683dd80b9947c92",
+    (3, 3): "8985b6ad8ca50d282611317216ed2787620cf11af44802d6695b5e8bf370987d",
+    (4, 2): "31c0a42ee1ffe6d55a484d99158f663bb9e0775c1d1d07b3511205354b2cf882",
+    (4, 3): "75325b6ebfb1f9d961949dae077e4fa8c59eeebe64e2a42dea3a7fb4cc227f07",
+}
+
+
+@pytest.mark.parametrize("d, q", sorted(REDUCE_WIDE_HASHES))
+def test_reduce_output_pinned_at_benchmark_sizes(d, q, tmp_path, capsysbinary):
+    label = REDUCE_WIDE_LABELS[d]
+    seed = 100 * d + q
+    m = random_gamma(d, q, 6, seed) * LaurentMatrix.diagonal(label, q) * random_k(d, q, 4, seed)
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(m.to_literal()))
+    code = main(["reduce", "--matrix", str(path)])
+    out = capsysbinary.readouterr().out
+    assert code == 0 and json.loads(out)["label"] == list(label)
+    assert hashlib.sha256(out).hexdigest() == REDUCE_WIDE_HASHES[d, q]
+
+
+def test_neighbors_matrix_output_pinned(tmp_path, capsysbinary):
+    # random_gamma(4, 2, 2, 401) * diag(2, 1, 1, 0): the 35 degree-2
+    # neighbors of a dense d = 4 basis, as in the building-walk benchmark
+    path = matrix_file(tmp_path, [
+        ["t^4 + t^3", "t", "t", "t + 1"],
+        ["0", "t^2 + t", "t^2 + t", "t"],
+        ["t^2", "t", "t", "1"],
+        ["t^3 + t^2", "t", "0", "t + 1"],
+    ])
+    code = main(["neighbors", "--matrix", path, "--degree", "2"])
+    out = capsysbinary.readouterr().out
+    assert code == 0 and len(json.loads(out)) == 35
+    assert hashlib.sha256(out).hexdigest() == "c08be849eb1f7f258b1e163b1fdcfed72795dec95ccdb63ef44e5052d73585fd"
+
+
 def test_eigenvector_text_and_l2(run):
     code, out, _ = run(
         "eigenvector", "--d", "3", "--q", "2", "--lambda1", "7", "--lambda2", "7",
@@ -194,6 +233,22 @@ def test_eigenvector_text_and_l2(run):
     obj = json.loads(out)
     assert obj["l2_partial"]["total"] == "671/14336"  # the partial covolume
     assert obj["regression"]["000"]["match"] is True
+
+
+def test_eigenvector_text_skips_l2(run, monkeypatch):
+    # the text table never prints the norm, so it is not computed there
+    from btq import hecke
+
+    argv = ("eigenvector", "--d", "3", "--q", "2", "--lambda1", "3/7", "--lambda2=-1/2",
+            "--max-n", "12", "--format", "text")
+    plain = run(*argv)
+
+    def refused(f):
+        raise AssertionError("l2_partial_norm called for text output")
+
+    monkeypatch.setattr(hecke, "l2_partial_norm", refused)
+    assert run(*argv, "--l2") == plain
+    assert plain[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

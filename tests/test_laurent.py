@@ -13,6 +13,7 @@ from btq.errors import InvalidInputError
 from btq.laurent import (
     LaurentMatrix,
     LaurentPoly,
+    _mul_add,
     dot,
     random_gamma,
     random_k,
@@ -311,10 +312,10 @@ def test_kernel_matches_reference(operands):
     product = _ref_mul(ra, rb, q)
     # exponent sums lie in [-16, 16]; the cutoffs cover every split of it
     for cutoff in range(-18, 19):
-        above = dot(((1, a, b),), q, cutoff)
-        assert above == (a * b).part_above(cutoff)
-        assert above.coeffs == {e: c for e, c in product.items() if e > cutoff}
-        assert _clean_invariant(above, q)
+        above = {}
+        _mul_add(above, 1, a.coeffs, b.coeffs, q, cutoff)
+        assert above == {e: c for e, c in product.items() if e > cutoff}
+        assert all(isinstance(c, int) and 0 < c < q for c in above.values())
 
 
 def _dot_oracle(terms, q, above):
@@ -328,7 +329,9 @@ def _dot_oracle(terms, q, above):
             total = total + term
         else:  # binary minus, or unary minus and a difference
             total = total - term if c % 2 else -(term - total)
-    return total if above is None else total.part_above(above)
+    if above is None:
+        return total
+    return LaurentPoly({e: c for e, c in total.coeffs.items() if e > above}, q)
 
 
 @st.composite
@@ -347,36 +350,49 @@ def _dot_terms(draw):
         c, a, b = draw(st.sampled_from(terms))
         terms.append((-c, b, a))
     above = draw(st.none() | st.integers(-18, 18))
-    return q, terms, above
+    return q, terms, above, draw(poly)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_dot_terms())
-@example((2, [], None))
-@example((3, [], -1))
-@example((5, [(2, P("t + 1", 5), P("t - 1", 5)), (-2, P("t^2 - 1", 5), P("1", 5))], None))
-@example((3, [(3, P("t + 1", 3), P("t", 3)), (-4, P("t", 3), P("0", 3))], 0))
+@example((2, [], None, P("0", 2)))
+@example((3, [], -1, P("t", 3)))
+@example((5, [(2, P("t + 1", 5), P("t - 1", 5)), (-2, P("t^2 - 1", 5), P("1", 5))], None, P("1", 5)))
+@example((3, [(3, P("t + 1", 3), P("t", 3)), (-4, P("t", 3), P("0", 3))], 0, P("2*t^-1", 3)))
 def test_dot_matches_operators(operands):
-    q, terms, above = operands
-    got = dot(terms, q, above)
-    assert got == _dot_oracle(terms, q, above)
+    q, terms, above, start = operands
+    got = dot(terms, q)
+    assert got == _dot_oracle(terms, q, None)
     assert _clean_invariant(got, q)
     # and the plain dict reference, free of the operators
     expected = {}
     for c, a, b in terms:
         scaled = {e: v * c for e, v in _ref_mul(a.coeffs, b.coeffs, q).items()}
         expected = _ref_add(expected, _ref_clean(scaled, q), q)
+    assert got.coeffs == expected
+    # the in-place primitive adds the same products onto a start value;
+    # with a cutoff it forms only those above it and keeps start whole
+    acc = dict(start.coeffs)
+    for c, a, b in terms:
+        _mul_add(acc, c, a.coeffs, b.coeffs, q, above)
+    oracle = _dot_oracle(terms, q, above)
+    assert acc == (start + oracle).coeffs
     if above is not None:
         expected = {e: v for e, v in expected.items() if e > above}
-    assert got.coeffs == expected
+    assert acc == _ref_add(start.coeffs, expected, q)
 
 
 def test_dot_cancels_to_zero():
     a, b = P("t^3 + 2*t + 4", 5), P("3*t^-2 + 1", 5)
-    for above in (None, -5, 0, 10):
-        assert dot([(1, a, b), (-1, b, a)], 5, above) == LaurentPoly({}, 5)
-        assert dot([(2, a, b), (3, a, b)], 5, above) == LaurentPoly({}, 5)
+    assert dot([(1, a, b), (-1, b, a)], 5) == LaurentPoly({}, 5)
+    assert dot([(2, a, b), (3, a, b)], 5) == LaurentPoly({}, 5)
     assert dot((), 7) == LaurentPoly({}, 7)
+    for above in (None, -5, 0, 10):
+        for c1, c2 in ((1, -1), (2, 3)):
+            acc = {}
+            _mul_add(acc, c1, a.coeffs, b.coeffs, 5, above)
+            _mul_add(acc, c2, b.coeffs, a.coeffs, 5, above)
+            assert acc == {}
 
 
 def test_public_constructors_validate_q():
@@ -458,7 +474,7 @@ def test_mixed_moduli_rejected():
         lambda: a * b,
         lambda: P("t", 2) * P("2", 3),
         lambda: dot(((1, a, b),), 2),
-        lambda: dot(((1, a, a),), 3, 0),
+        lambda: dot(((1, a, a),), 3),
         lambda: dot(((1, a, a), (1, b, b)), 2),
         lambda: a + 1,
     ):
