@@ -32,7 +32,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gf import check_prime, gaussian_binomial, left_null_vector
-from .laurent import LaurentMatrix, _matrix, _mul_add, _poly, dot, series_inverse
+from .laurent import LaurentMatrix, _matrix, _mul_add, _poly, series_inverse
 
 # The one bound on predicted work, about a microsecond per unit (measured on
 # a shared 2-core x86-64 with Python 3.11): `neighbors` costs one
@@ -92,12 +92,13 @@ def vertex_from_label(label, q: int) -> BuildingVertex:
 def _solve_canonical(canon: LaurentMatrix, m: LaurentMatrix) -> LaurentMatrix:
     """canon^-1 * m, exactly, for canon upper triangular with pivots t^(a_i).
 
-    Back-substitution from the last row, one `dot` per entry; each
-    division is by a monic monomial, so it is an exponent shift.  Any other
-    shape of canon is a bug and raises InternalInvariantError.
+    Back-substitution from the last row on {exponent: residue} dicts: each
+    entry starts as a copy of m's, takes every product of the row above
+    through `laurent._mul_add`, and the division by the monic monomial
+    pivot is an exponent shift.  Each entry becomes a LaurentPoly once.
+    Any other shape of canon is a bug and raises InternalInvariantError.
     """
     d, q, rows = canon.d, canon.q, canon.rows
-    one = _poly({0: 1}, q)
     pivots = []
     for i in range(d):
         piv = rows[i][i].coeffs
@@ -108,10 +109,13 @@ def _solve_canonical(canon: LaurentMatrix, m: LaurentMatrix) -> LaurentMatrix:
         pivots.append(next(iter(piv)))
     out = [[None] * d for _ in range(d)]
     for j in range(d):
+        col = [None] * d
         for i in range(d - 1, -1, -1):
-            terms = [(-1, rows[i][k], out[k][j]) for k in range(i + 1, d) if rows[i][k]]
-            acc = dot([(1, m.rows[i][j], one), *terms], q) if terms else m.rows[i][j]
-            out[i][j] = acc.shift(-pivots[i])
+            acc = dict(m.rows[i][j].coeffs)
+            for k in range(i + 1, d):
+                _mul_add(acc, -1, rows[i][k].coeffs, col[k], q)
+            col[i] = {e - pivots[i]: c for e, c in acc.items()}
+            out[i][j] = _poly(col[i], q)
     return _matrix(out, q)
 
 
@@ -121,8 +125,10 @@ def _certify_same_lattice(canon: LaurentMatrix, original: LaurentMatrix) -> bool
     The lattices agree iff U = canon^-1 * original lies in GL_d(O): every
     entry of U is in O, and U modulo 1/t (its constant-term matrix) is
     invertible over F_q.  canon is upper triangular with monic monomial
-    pivots, so U is one exact back-substitution (`_solve_canonical`); no
-    series arithmetic and no determinant.
+    pivots, so U is one exact back-substitution through the in-place
+    kernel `laurent._mul_add` (`_solve_canonical`), and the residue test
+    is one run of `gf.left_null_vector`; no series arithmetic and no
+    determinant.
     """
     u = _solve_canonical(canon, original)
     if not all(x.in_O() for row in u.rows for x in row):
@@ -152,8 +158,8 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     above u^N (every other term is dropped by the truncation).  The final
     reduction above the pivots is exact, on the same dicts, and the
     LaurentPoly entries of the basis are built once, after it.  The result
-    is certified exactly: canon^-1 * m, found by back-substitution with
-    one `laurent.dot` per entry, must lie in GL_d(O).  A failed
+    is certified exactly: canon^-1 * m, found by back-substitution on the
+    same kind of dicts (`_solve_canonical`), must lie in GL_d(O).  A failed
     certificate is a bug and raises InternalInvariantError.
     """
     if m.d < 2:
@@ -359,7 +365,11 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     row into it in place (`laurent._mul_add`, the monomial multiplier an
     exponent shift and a scalar), degrees and leading coefficients are read
     straight off the dicts, and the rows become LaurentPoly again once, at
-    the end.
+    the end.  The elimination of the leading matrix is kept between steps
+    too: `gf.left_null_vector` stops at the first leading row that depends
+    on the rows above it and keeps the rows it eliminated, and a step
+    changes only the pivot row, so the next step drops the kept rows from
+    the pivot on and eliminates only those.
     """
     d = len(rows)
     sign = -1 if over_O else 1
@@ -378,7 +388,8 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     # coefficients are recomputed
     degs = [row_degree(i) for i in range(d)]
     lead = [leading(i) for i in range(d)]
-    while (combo := left_null_vector(lead, q)) is not None:
+    echelon: list = []
+    while (combo := left_null_vector(lead, q, echelon)) is not None:
         used = [i for i in range(d) if combo[i]]
         pivot = max(used, key=lambda i: (sign * degs[i], i))
         target = polys[pivot]
@@ -396,6 +407,8 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
             raise InternalInvariantError("row degree did not decrease during row reduction")
         degs[pivot] = new_deg
         lead[pivot] = leading(pivot)
+        # the elimination of the rows above the pivot row still holds
+        del echelon[pivot:]
         if sum(degs) < det_deg:
             raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
     if sum(degs) != det_deg:

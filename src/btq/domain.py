@@ -35,7 +35,7 @@ from .building import (
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from .gf import check_prime
-from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _poly, dot
+from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _mul_add, _poly
 
 # enumerate_domain refuses to list more labels than this
 LABEL_COUNT_BOUND = 10**6
@@ -553,8 +553,9 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     degree sum(profile), and row degrees summing to anything else raise
     InternalInvariantError.  The witness is not tracked through the steps
     but solved once afterwards: W = R B^-1, one forward substitution per
-    row, in which every division by a monic monomial pivot is an exponent
-    shift.
+    row on {exponent: residue} dicts through `laurent._mul_add`, in which
+    every division by a monic monomial pivot is an exponent shift; each
+    entry becomes a LaurentPoly once.
     """
     if isinstance(v, LaurentMatrix):
         v = vertex_normal_form(v)
@@ -569,13 +570,13 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     label = tuple(degs[i] - base_deg for i in order)
     # w B = r for each row r of R, B upper triangular with B[j][j] = t^profile_j:
     # w_j = (r_j - sum_{k<j} w_k B[k][j]) / t^profile_j
-    one = _poly({0: 1}, q)
     witness = []
     for i in order:
         w: list = []
         for j, r in enumerate(rows[i]):
-            terms = [(-1, w[k], basis[k][j]) for k in range(j) if w[k] and basis[k][j]]
-            acc = dot([(1, r, one), *terms], q) if terms else r
-            w.append(acc.shift(-v.profile[j]))
-        witness.append(w)
+            acc = dict(r.coeffs)
+            for k in range(j):
+                _mul_add(acc, -1, w[k], basis[k][j].coeffs, q)
+            w.append({e - v.profile[j]: c for e, c in acc.items()})
+        witness.append([_poly(x, q) for x in w])
     return label, _matrix(witness, q)

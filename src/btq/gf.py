@@ -1,7 +1,10 @@
 """Arithmetic in the prime field F_q and q-combinatorial counting functions.
 
 `left_null_vector` is the library's one elimination over F_q: it decides
-invertibility and returns a null combination when there is one.
+invertibility and returns a null combination when there is one.  It runs
+row by row and stops at the first row that depends on the rows above it,
+so a caller that changes one row keeps the elimination of the rows above
+it (`building._reduce_rows`).
 
 Counting functions (`gl_order`, `gaussian_binomial`) return Python ints,
 so they are arbitrary precision by construction.  Extension fields are
@@ -52,37 +55,41 @@ def inv_mod(a: int, q: int) -> int:
     return pow(a, q - 2, q)
 
 
-def left_null_vector(mat, q: int):
+def left_null_vector(mat, q: int, echelon: list | None = None):
     """A nonzero vector c with c * mat = 0 over F_q, or None if mat is invertible.
 
-    Gauss-Jordan elimination on the transpose of the square integer
-    matrix mat, read modulo q.
+    Elimination row by row: row k of the square integer matrix mat, read
+    modulo q, is reduced against the rows above it, and the first row that
+    reduces to zero stops it.  The result is the unique null vector
+    supported on rows 0..k with coefficient 1 at row k (the rows above k
+    are independent), so it does not depend on how the rows are reduced.
+
+    `echelon` holds the reduced rows, one entry (pivot column, row scaled
+    to 1 at the pivot, the combination of mat's rows it equals) per row of
+    mat from the top, and the call extends it in place.  A caller that
+    changes row p of mat between calls keeps `echelon[:p]`, which depends
+    on rows 0..p-1 only, and the next call eliminates from row p on;
+    without it the elimination starts from an empty prefix.
     """
     n = len(mat)
-    a = [[mat[j][i] % q for j in range(n)] for i in range(n)]
-    pivots: dict[int, int] = {}  # column -> reduced row index
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = inv_mod(a[row][col], q)
-        a[row] = [(x * inv) % q for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[row])]
-        pivots[col] = row
-        row += 1
-    if row == n:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    x = [0] * n
-    x[free] = 1
-    for col, r in pivots.items():
-        x[col] = (-a[r][free]) % q
-    return x
+    if echelon is None:
+        echelon = []
+    for k in range(len(echelon), n):
+        row = [x % q for x in mat[k]]
+        combo = [0] * n
+        combo[k] = 1
+        # each kept row is zero at the pivots above its own, so one pass
+        # in order clears every pivot column of row
+        for p, kept, kept_combo in echelon:
+            if f := row[p]:
+                row = [(x - f * y) % q for x, y in zip(row, kept)]
+                combo = [(x - f * y) % q for x, y in zip(combo, kept_combo)]
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            return combo
+        inv = inv_mod(row[p], q)
+        echelon.append((p, [x * inv % q for x in row], [x * inv % q for x in combo]))
+    return None
 
 
 def gl_order(m: int, q: int) -> int:

@@ -216,6 +216,12 @@ def commutator_check(graph: QuotientGraph, f: DomainFunction):
     ints), Fraction values through the number protocol, and both give a
     Fraction.  Raises if the truncation is too small to contain any
     doubly-interior vertex.
+
+    Fraction values cost Fraction arithmetic at every edge: on
+    `build_graph(3, 2, 24)` a call takes 10-14 ms against 0.6-1.4 ms for
+    ints (2-core x86-64, Python 3.11).  Callers with rational values scale
+    them to ints over a common denominator first and divide the residual
+    by it, as `btq hecke-check` does with `DomainFunction.random_integer`.
     """
     values = _on_ids(graph, f)
     one, top = _rows(graph, 1), _rows(graph, graph.d - 1)
@@ -266,7 +272,11 @@ def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunct
     """<A_1 f, g> - <f, A_{d-1} g>; exactly zero for compact supports.
 
     Int f and g run as ints, Fraction values through the number protocol,
-    and both give a Fraction."""
+    and both give a Fraction.  Fraction values cost Fraction arithmetic at
+    every edge and in the pairing, as in `commutator_check` (10-14 ms
+    against 0.6-1.4 ms on `build_graph(3, 2, 24)`), so callers scale them
+    to ints over a common denominator first and divide the residual by its
+    square, as `btq hecke-check` does."""
     x, y = _on_ids(graph, f), _on_ids(graph, g)
     a1x = _apply_rows(_rows(graph, 1), x)
     aty = _apply_rows(_rows(graph, graph.d - 1), y)

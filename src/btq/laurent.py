@@ -19,16 +19,21 @@ operands share q.
 Every ring operation on LaurentPoly values goes through one private
 kernel, `dot(terms, q)`: the sum of c * a * b over (c, a, b) triples,
 accumulated in one integer dict and reduced mod q once, so a matrix
-entry, a minor or a back-substitution step builds one polynomial rather
-than one per product and per partial sum; `+`, `-` and negation are
-terms against the constant 1.  The lattice layer's row and column
-operations (`building._reduce_rows` and the Hermite pass of
-`building.vertex_normal_form`) keep their rows and columns as mutable
-{exponent: residue} dicts instead, and update them with the one in-place
-primitive `_mul_add(acc, c, a, b, q, above=None)`: acc += c * a * b,
-reduced as it goes, and with `above` forming only the products above the
-cutoff, as the normal form works modulo a power of 1/t and discards the
-rest.  Those loops build their LaurentPoly results once, at the end.
+entry or a minor builds one polynomial rather than one per product and
+per partial sum; `+`, `-` and negation are terms against the constant 1.
+`LaurentMatrix.__mul__` and the determinant's minors (`_det_rows`) are
+its loops.  The lattice layer keeps its rows and columns as mutable
+{exponent: residue} dicts instead, and updates them with the one
+in-place primitive `_mul_add(acc, c, a, b, q, above=None)`:
+acc += c * a * b, reduced as it goes, and with `above` forming only the
+products above the cutoff, as the normal form works modulo a power of
+1/t and discards the rest.  Its loops are the row reduction
+(`building._reduce_rows`), the Hermite pass of
+`building.vertex_normal_form`, and the two substitutions by a triangular
+basis with monic monomial pivots: the certificate's back-substitution
+(`building._solve_canonical`, also the start of `relative_position`)
+and the witness of `domain.reduce_to_domain`.  Those loops build their
+LaurentPoly results once, at the end.
 
 A truncated inverse of an O-unit (`series_inverse`) is exact modulo a
 power of 1/t.  Its one consumer is also the lattice normal form, which
@@ -307,16 +312,17 @@ def series_inverse(f: LaurentPoly, depth: int) -> LaurentPoly:
     g: dict[int, int] = {0: c0_inv}
     if len(f.coeffs) == 1:  # a constant: its inverse is exact at every depth
         return _poly(g, q)
+    # g_{-k} = -c0^-1 * sum of f_e g_{-k-e} over the terms e in [-k, -1],
+    # taken from the top, so the loop stops at the first e below -k
+    tail = sorted(((e, c) for e, c in f.coeffs.items() if e < 0), reverse=True)
+    get = g.get
     for k in range(1, depth + 1):
         acc = 0
-        for e, c in f.coeffs.items():
-            if -k < e < 0 or e == -k:
-                # term f_{e} * g_{-k-e}; e in [-k, -1]
-                ge = g.get(-k - e, 0)
-                if ge:
-                    acc += c * ge
-        v = (-c0_inv * acc) % q
-        if v:
+        for e, c in tail:
+            if e < -k:
+                break
+            acc += c * get(-k - e, 0)
+        if v := -c0_inv * acc % q:
             g[-k] = v
     return _poly(g, q)
 

@@ -1,5 +1,6 @@
 """Counting functions checked against exhaustive enumeration oracles."""
 
+import random
 from itertools import product
 
 import pytest
@@ -27,6 +28,38 @@ def det_mod(mat, q):
             for c in range(col, n):
                 m[r][c] = (m[r][c] - f * m[col][c]) % q
     return det % q
+
+
+def null_vector_by_transpose(mat, q):
+    """Gauss-Jordan elimination on the transpose of mat, read modulo q: the
+    first free column f gets coefficient 1 and every pivot column the
+    negated entry of its reduced row at f.  The null vector it returns is
+    the one supported on rows 0..f with coefficient 1 at f."""
+    n = len(mat)
+    a = [[mat[j][i] % q for j in range(n)] for i in range(n)]
+    pivots = {}  # column -> reduced row index
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, n) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = pow(a[row][col], q - 2, q)
+        a[row] = [(x * inv) % q for x in a[row]]
+        for r in range(n):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[row])]
+        pivots[col] = row
+        row += 1
+    if row == n:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    x = [0] * n
+    x[free] = 1
+    for col, r in pivots.items():
+        x[col] = (-a[r][free]) % q
+    return x
 
 
 def count_invertible(m, q):
@@ -87,6 +120,55 @@ def test_left_null_vector_exhaustive():
             else:
                 assert c is not None and any(c), mat
                 assert all(sum(c[i] * mat[i][j] for i in range(m)) % q == 0 for j in range(m))
+
+
+def _small_and_seeded_matrices():
+    # every 2x2 and 3x3 matrix over F_2 and every 2x2 over F_3, then seeded
+    # 4x4 and 5x5 matrices over F_5, a third of them with a row made from
+    # the rows above it so that the elimination stops early
+    for m, q in ((2, 2), (3, 2), (2, 3)):
+        for flat in product(range(q), repeat=m * m):
+            yield [list(flat[i * m : (i + 1) * m]) for i in range(m)], q
+    rng = random.Random(26)
+    for m in (4, 5):
+        for i in range(300):
+            mat = [[rng.randrange(5) for _ in range(m)] for _ in range(m)]
+            if i % 3 == 0:
+                k = rng.randrange(1, m)
+                coefs = [rng.randrange(5) for _ in range(k)]
+                mat[k] = [sum(c * r[j] for c, r in zip(coefs, mat)) % 5 for j in range(m)]
+            yield mat, 5
+
+
+def test_left_null_vector_matches_transpose_oracle():
+    # the row-by-row elimination returns the same vector as Gauss-Jordan on
+    # the transpose, not only some null vector
+    for mat, q in _small_and_seeded_matrices():
+        assert left_null_vector(mat, q) == null_vector_by_transpose(mat, q), (mat, q)
+
+
+def test_left_null_vector_from_kept_prefix():
+    # replacing row p and eliminating again from the rows kept above it is
+    # a fresh run on the new matrix, and the kept rows are extended in place
+    rng = random.Random(2026)
+    runs = 0
+    for mat, q in _small_and_seeded_matrices():
+        if rng.random() > 0.3:
+            continue
+        n = len(mat)
+        echelon = []
+        left_null_vector(mat, q, echelon)
+        for _ in range(3):
+            p = rng.randrange(n)
+            mat = [list(row) for row in mat]
+            mat[p] = [rng.randrange(q) for _ in range(n)]
+            del echelon[p:]
+            got = left_null_vector(mat, q, echelon)
+            assert got == left_null_vector(mat, q) == null_vector_by_transpose(mat, q), (mat, q)
+            # the kept rows cover exactly the rows above the first dependent one
+            assert len(echelon) == (n if got is None else max(i for i in range(n) if got[i]))
+            runs += 1
+    assert runs > 300
 
 
 def test_pgl_order_examples():

@@ -215,6 +215,38 @@ def test_series_inverse_of_a_constant():
                     assert g == series_inverse(f + LaurentPoly({-depth - 1: 1}, q), depth)
 
 
+def series_inverse_all_terms(f, depth):
+    """`series_inverse` by the loop over every term of f at every depth k,
+    testing each exponent against [-k, -1]."""
+    q = f.q
+    c0_inv = pow(f.coeff(0), q - 2, q)
+    g = {0: c0_inv}
+    for k in range(1, depth + 1):
+        acc = 0
+        for e, c in f.coeffs.items():
+            if -k <= e < 0:
+                acc += c * g.get(-k - e, 0)
+        v = (-c0_inv * acc) % q
+        if v:
+            g[-k] = v
+    return LaurentPoly(g, q)
+
+
+def test_series_inverse_matches_all_terms_oracle():
+    # seeded O-units with a term below -depth, so the sorted loop stops
+    # early at every k, and random terms in between
+    rng = random.Random(26)
+    for q in (2, 3, 5, 7):
+        for depth in range(31):
+            for _ in range(3):
+                span = rng.randint(depth + 1, depth + 6)
+                coeffs = {e: rng.randrange(q) for e in rng.sample(range(-span, 0), rng.randint(0, span))}
+                coeffs[0] = rng.randrange(1, q)
+                coeffs[-span] = rng.randrange(1, q)
+                f = LaurentPoly(coeffs, q)
+                assert series_inverse(f, depth) == series_inverse_all_terms(f, depth), (f, depth)
+
+
 def test_matrix_literal_round_trip():
     m = LaurentMatrix(
         [[P("t^2 + 1"), P("t^-1")], [P("0"), P("1")]],
