@@ -137,7 +137,7 @@ def _certify_same_lattice(canon: LaurentMatrix, original: LaurentMatrix) -> bool
     return left_null_vector(residue, canon.q) is None
 
 
-def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
+def vertex_normal_form(m: LaurentMatrix, *, det_degree: int | None = None) -> BuildingVertex:
     """Canonical representative of the homothety class of m's column span.
 
     Idempotent; invariant under right multiplication by GL_d(O) and under
@@ -150,8 +150,14 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     1987).  Row by row from the bottom, the entry of least valuation
     becomes the pivot, or u^N e_r when the row vanishes modulo u^N.  Then
     N drops by the pivot's valuation, because the lattice left in the rows
-    above has that much smaller a determinant.  m's determinant is the one
-    Laurent determinant computed.  The pass keeps each column as a list of
+    above has that much smaller a determinant.  Only the degree of m's
+    determinant enters N.  It is the one Laurent determinant computed,
+    unless the caller knows it and passes it as `det_degree`, vouching
+    that m is nonsingular (`neighbors` does).  A wrong `det_degree` never
+    gives a wrong vertex.  Too low, the pass is exact but ends with a
+    modulus above u^0; too high, it ends on a lattice of another
+    determinant, which the certificate below rejects.  Either raises
+    InternalInvariantError.  The pass keeps each column as a list of
     mutable {exponent: residue} dicts: the truncation modulo u^N deletes
     keys in place, and the pivot head and each column update x -= f * head
     go into the dicts through `laurent._mul_add`, forming only the terms
@@ -165,13 +171,15 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     d, q = m.d, m.q
-    det = m.det()
-    if det.is_zero():
-        raise SingularMatrixError("matrix is singular over F_q((1/t))")
+    if det_degree is None:
+        det = m.det()
+        if det.is_zero():
+            raise SingularMatrixError("matrix is singular over F_q((1/t))")
+        det_degree = det.degree()
 
     top = max(x.degree() for row in m.rows for x in row if x)
     scaled = m.shift(-top)
-    modulus = d * top - det.degree()
+    modulus = d * top - det_degree
     cols = [[dict(row[j].coeffs) for row in scaled.rows] for j in range(d)]
     work = [None] * d
     pivots = [0] * d
@@ -319,15 +327,25 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     """All degree-k neighbors of v: classes [L] with (1/t)L' < L < L', [L':L] = q^k.
 
     Enumerates codimension-k subspaces of the residue space L'/(1/t)L';
-    returns exactly gaussian_binomial(d, k, q) pairwise-distinct vertices.
-    Above NEIGHBOR_WORK_BOUND predicted work (`check_neighbor_work`), this
-    raises ResourceBoundError before enumerating any.
+    returns exactly gaussian_binomial(d, k, q) pairwise-distinct vertices,
+    the i-th one the lattice of the i-th subspace of
+    `subspace_bases(d, d - k, q)`: L = B (W + (1/t)O^d) for the basis B
+    of v and the span W of that subspace's rows.  Above NEIGHBOR_WORK_BOUND
+    predicted work (`check_neighbor_work`), this raises ResourceBoundError
+    before enumerating any.
+
+    Each neighbor is the normal form of B n, where n has the rows of W and
+    (1/t) e_j for the other coordinates j as columns.  Its determinant is
+    not computed: the canonical B has monic pivots t^profile_i and n has
+    determinant +-(1/t)^k, so det(B n) has degree sum(profile) - k, passed
+    as `det_degree`.
     """
     d, q = v.d, v.q
     terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
     check_neighbor_work(d, k, q, terms)
     zero = _poly({}, q)
     uniformizer = _poly({-1: 1}, q)
+    det_degree = sum(v.profile) - k
     out = []
     for rows in subspace_bases(d, d - k, q):
         pivs = {next(j for j in range(d) if r[j]) for r in rows}
@@ -338,7 +356,7 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
             if j not in pivs:
                 ncols.append([uniformizer if i == j else zero for i in range(d)])
         n = _matrix([[ncols[j][i] for j in range(d)] for i in range(d)], q)
-        out.append(vertex_normal_form(v.basis * n))
+        out.append(vertex_normal_form(v.basis * n, det_degree=det_degree))
     return out
 
 

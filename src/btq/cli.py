@@ -84,9 +84,13 @@ def _cmd_domain(args) -> int:
 def _cmd_neighbors(args) -> int:
     if (args.matrix is None) == (args.n is None):
         raise InvalidInputError("provide exactly one of --matrix or --n")
+    if args.in_domain and args.n is None:
+        raise InvalidInputError("--in-domain takes --n, a domain label, not --matrix")
     if args.n is not None:
         label = domain.parse_label(args.n)
         if args.in_domain:
+            # q does not enter the in-domain labels, but it names the building
+            check_prime(args.q)
             work = domain.in_domain_work(label, args.degree)
             building.check_work(work, f"the degree-{args.degree} in-domain neighbors")
             labels = domain.neighbors_in_domain(label, args.degree)

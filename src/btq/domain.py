@@ -11,10 +11,11 @@ memoized per drop in the same way (pattern orders are their oracle in the
 tests), friends, stabilizer orders (one closed-form
 exponent, O(d) for a vertex; the pair sum is its oracle in the tests) and
 brute-force stabilizer groups, the orbit decomposition of neighbors (each
-orbit the closure of one neighbor under a generating set; enumerating the
-whole group is its oracle in the tests), and the reduction of an
-arbitrary building vertex to its unique domain label together with a
-group-element witness.
+orbit the closure of one neighbor's residue subspace under a generating
+set, on reduced echelon bases over F_q with no further normal form;
+enumerating the whole group, and the closure on normal forms, are its
+oracles in the tests), and the reduction of an arbitrary building vertex
+to its unique domain label together with a group-element witness.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .building import (
     vertex_normal_form,
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
-from .gf import check_prime
-from .laurent import LaurentMatrix, _diagonal_rows, _matrix, _mul_add, _poly
+from .gf import check_prime, reduced_echelon_form
+from .laurent import LaurentMatrix, _matrix, _mul_add, _poly
 
 # enumerate_domain refuses to list more labels than this
 LABEL_COUNT_BOUND = 10**6
@@ -475,63 +476,64 @@ def _matrix_sort_key(mat: LaurentMatrix):
     )
 
 
-def _residue_action_generators(label, q: int) -> list[LaurentMatrix]:
+def _residue_action_generators(label, q: int) -> list[tuple[int, int]]:
     # g in Gamma_label acts on the residue space L'/(1/t)L', L' = diag(t^n)O^d,
     # through D^-1 g D mod 1/t, D = diag(t^n): entry (i, j) keeps only the
     # coefficient of t^(n_i - n_j) in g_ij.  The image is the parabolic
     # subgroup with blocks given by the label, and its orbits on subspaces
     # are those of the elementary matrices I + c E_ij, n_i >= n_j: each
     # orbit holds a coordinate subspace (Bruhat decomposition), which the
-    # diagonal matrices fix.  q is prime, so the powers of
-    # I + t^(n_i - n_j) E_ij give every multiple c.
+    # diagonal matrices fix.  q is prime, so the powers of I + E_ij, the
+    # image of I + t^(n_i - n_j) E_ij, give every multiple c.  Each
+    # generator is returned as its pair (i, j).
     d = len(label)
-    gens = []
-    for i in range(d):
-        for j in range(d):
-            if i != j and label[i] >= label[j]:
-                rows = _diagonal_rows((0,) * d, q)
-                rows[i][j] = _poly({label[i] - label[j]: 1}, q)
-                gens.append(_matrix(rows, q))
-    return gens
+    return [(i, j) for i in range(d) for j in range(d) if i != j and label[i] >= label[j]]
 
 
 def orbit_decomposition(label, q: int, k: int) -> list[list[BuildingVertex]]:
     """Partition the degree-k neighbors of the label's vertex into orbits
     of its stabilizer.
 
-    Each orbit is the closure of one representative under a generating
-    set of the stabilizer's action on the neighbors: one normal form per
-    neighbor and generator.  Exact check: every orbit has size
+    The stabilizer acts on the neighbors through the residue space, where
+    `neighbors` lists them in the order of their subspaces in
+    `building.subspace_bases(d, d - k, q)`.  So each orbit is the closure
+    of one subspace under the residue generators I + E_ij
+    (`_residue_action_generators`): a generator adds coordinate j of each
+    basis row to coordinate i, and `gf.reduced_echelon_form` of the result
+    is looked up among the subspaces.  One `neighbors` call makes the only
+    normal forms.  Exact check: every orbit has size
     |Gamma_label| / |Gamma_label cap Gamma_w| for the domain label w it
     reduces to, else InternalInvariantError.  Friends are exactly the
     singleton orbits.  Deterministic order.  Applying every enumerated
-    stabilizer element is the oracle in the tests.
+    stabilizer element, and the closure under the generators' normal
+    forms, are the oracles in the tests.
     """
     label = validate_label(label)
     order = stabilizer_order(label, q)
+    d = len(label)
     gens = _residue_action_generators(label, q)
-    remaining = {v.key(): v for v in neighbors(vertex_from_label(label, q), k)}
+    nbrs = neighbors(vertex_from_label(label, q), k)
+    remaining = dict(zip(building.subspace_bases(d, d - k, q), nbrs))
     orbits: list[list[BuildingVertex]] = []
     while remaining:
-        key = min(remaining, key=_matrix_sort_key)
-        rep = remaining.pop(key)
-        orbit = {key: rep}
-        frontier = [rep]
+        start = next(iter(remaining))
+        orbit = {start}
+        frontier = [start]
         while frontier:
-            v = frontier.pop()
-            for g in gens:
-                img = vertex_normal_form(g * v.basis)
-                if img.key() not in orbit:
-                    orbit[img.key()] = img
-                    remaining.pop(img.key(), None)
+            rows = frontier.pop()
+            for i, j in gens:
+                img = reduced_echelon_form([r[:i] + (r[i] + r[j],) + r[i + 1:] for r in rows], q)
+                if img not in orbit:
+                    orbit.add(img)
                     frontier.append(img)
-        w = reduce_to_domain(rep)[0]
-        if len(orbit) * _pattern_order(label, w, q) != order:
+        members = sorted(map(remaining.pop, orbit), key=lambda v: _matrix_sort_key(v.key()))
+        w = reduce_to_domain(members[0])[0]
+        if len(members) * _pattern_order(label, w, q) != order:
             raise InternalInvariantError(
                 f"the orbit reducing to {w} under the stabilizer of {label}, q={q}, has "
-                f"{len(orbit)} neighbors, not |Gamma_v| / |Gamma_v cap Gamma_w|"
+                f"{len(members)} neighbors, not |Gamma_v| / |Gamma_v cap Gamma_w|"
             )
-        orbits.append(sorted(orbit.values(), key=lambda v: _matrix_sort_key(v.key())))
+        orbits.append(members)
     orbits.sort(key=lambda orb: _matrix_sort_key(orb[0].key()))
     return orbits
 

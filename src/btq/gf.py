@@ -1,10 +1,13 @@
 """Arithmetic in the prime field F_q and q-combinatorial counting functions.
 
-`left_null_vector` is the library's one elimination over F_q: it decides
-invertibility and returns a null combination when there is one.  It runs
-row by row and stops at the first row that depends on the rows above it,
-so a caller that changes one row keeps the elimination of the rows above
-it (`building._reduce_rows`).
+Two eliminations over F_q serve the library.  `left_null_vector`
+decides invertibility and returns a null combination when there is one.
+It runs row by row and stops at the first row that depends on the rows
+above it, so a caller that changes one row keeps the elimination of the
+rows above it (`building._reduce_rows`).  `reduced_echelon_form` gives
+the canonical basis of a span, the form in which `building.subspace_bases`
+lists the subspaces of F_q^d, so a subspace moved by a matrix is looked
+up among them (`domain.orbit_decomposition`).
 
 Counting functions (`gl_order`, `gaussian_binomial`) return Python ints,
 so they are arbitrary precision by construction.  Extension fields are
@@ -90,6 +93,35 @@ def left_null_vector(mat, q: int, echelon: list | None = None):
         inv = inv_mod(row[p], q)
         echelon.append((p, [x * inv % q for x in row], [x * inv % q for x in combo]))
     return None
+
+
+def reduced_echelon_form(rows, q: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced row-echelon basis of the span of `rows` over F_q.
+
+    Each row, read modulo q, is reduced against the basis so far; a
+    nonzero remainder is scaled to 1 at its pivot, cleared from the
+    pivot column of the other basis rows, and kept.  The basis rows are
+    returned sorted by pivot column, so two spanning sets of one subspace
+    give the same tuple of tuples, exactly as `building.subspace_bases`
+    yields it.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> row, 1 there, 0 at other pivots
+    for r in rows:
+        row = [x % q for x in r]
+        for p, kept in basis.items():
+            if f := row[p]:
+                row = [(x - f * y) % q for x, y in zip(row, kept)]
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            continue
+        if row[p] != 1:
+            inv = inv_mod(row[p], q)
+            row = [x * inv % q for x in row]
+        for kept in basis.values():
+            if f := kept[p]:
+                kept[:] = [(x - f * y) % q for x, y in zip(kept, row)]
+        basis[p] = row
+    return tuple(tuple(basis[p]) for p in sorted(basis))
 
 
 def gl_order(m: int, q: int) -> int:

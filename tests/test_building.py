@@ -296,6 +296,22 @@ def test_certificate_catches_wrong_determinant(monkeypatch):
             vertex_normal_form(m)
 
 
+def test_wrong_det_degree_is_internal():
+    # a caller's determinant degree one too high or too low never gives a
+    # vertex: the modulus check or the certificate rejects it
+    rng = random.Random(27)
+    inputs = [LaurentMatrix.diagonal((2, 1, 0), 2), mat([["1", "t^-1"], ["t^-3", "t^-2"]])]
+    inputs += [random_invertible(d, q, rng) for d in (2, 3, 4) for q in (2, 3)]
+    v = vertex_from_label((2, 1, 0), 3)
+    inputs += [n.basis for n in neighbors(v, 1)[:4]]
+    for m in inputs:
+        true = m.det().degree()
+        assert vertex_normal_form(m, det_degree=true) == vertex_normal_form(m)
+        for wrong in (true - 1, true + 1):
+            with pytest.raises(InternalInvariantError):
+                vertex_normal_form(m, det_degree=wrong)
+
+
 def test_solve_canonical_requires_triangular_monic_pivots():
     with pytest.raises(InternalInvariantError):
         building._solve_canonical(mat([["1", "0"], ["t", "1"]]), mat([["1", "0"], ["0", "1"]]))
@@ -318,6 +334,39 @@ def test_neighbor_counts_origin():
     assert len(set(neighbors(v, 1))) == 7
     v2 = standard_vertex(2, 2)
     assert len(neighbors(v2, 1)) == 3
+
+
+def neighbors_by_determinant(v, k):
+    """Oracle: the degree-k neighbors as built before the determinant
+    degree was passed, each normal form computing det(B n) itself."""
+    d, q = v.d, v.q
+    out = []
+    for rows in subspace_bases(d, d - k, q):
+        pivs = {next(j for j in range(d) if r[j]) for r in rows}
+        cols = [[LaurentPoly({0: c} if c else {}, q) for c in r] for r in rows]
+        cols += [
+            [LaurentPoly({-1: 1} if i == j else {}, q) for i in range(d)]
+            for j in range(d)
+            if j not in pivs
+        ]
+        n = LaurentMatrix([[cols[j][i] for j in range(d)] for i in range(d)], q)
+        out.append(vertex_normal_form(v.basis * n))
+    return out
+
+
+def test_neighbors_match_normal_forms_with_determinant():
+    rng = random.Random(271)
+    for d in (3, 4):
+        for q in (2, 3):
+            label = _random_label(rng, d, 3)
+            vertices = [vertex_from_label(label, q)]
+            vertices += [
+                vertex_normal_form(random_gamma(d, q, 2, rng) * LaurentMatrix.diagonal(label, q))
+                for _ in range(2)
+            ]
+            for v in vertices:
+                for k in range(1, d):
+                    assert neighbors(v, k) == neighbors_by_determinant(v, k), (v, k)
 
 
 def test_neighbors_contain_diagonal_shapes():

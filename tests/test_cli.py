@@ -134,6 +134,17 @@ def test_neighbors_label(run):
     assert len(json.loads(out)) == 7
 
 
+def test_neighbors_in_domain_takes_a_label(run, tmp_path):
+    path = matrix_file(tmp_path, [["t", "0"], ["0", "1"]])
+    code, out, err = run("neighbors", "--matrix", path, "--degree", "1", "--in-domain")
+    assert code == 2 and not out and "--in-domain takes --n" in err
+
+
+def test_neighbors_in_domain_checks_q(run):
+    code, out, err = run("neighbors", "--n", "2,1,0", "--degree", "1", "--in-domain", "--q", "4")
+    assert code == 2 and not out and "q must be a prime" in err
+
+
 def test_neighbors_matrix(run, tmp_path):
     path = matrix_file(tmp_path, [["t^2", "0", "0"], ["0", "t", "0"], ["0", "0", "1"]])
     code, out, _ = run("neighbors", "--matrix", path, "--degree", "2")

@@ -504,6 +504,48 @@ def test_orbit_decomposition_matches_enumeration():
         assert got == orbits_by_enumeration(label, q, k), (label, q, k)
 
 
+def orbits_by_closure(label, q, k):
+    """Oracle: the closure of each neighbor under the stabilizer elements
+    I + t^(n_i - n_j) E_ij, n_i >= n_j, applied to its basis and put in
+    normal form, in the deterministic order of orbit_decomposition."""
+    d = len(label)
+    gens = []
+    for i in range(d):
+        for j in range(d):
+            if i != j and label[i] >= label[j]:
+                rows = [list(row) for row in LaurentMatrix.diagonal((0,) * d, q).rows]
+                rows[i][j] = LaurentPoly({label[i] - label[j]: 1}, q)
+                gens.append(LaurentMatrix(rows, q))
+    remaining = {v.key(): v for v in neighbors(vertex_from_label(label, q), k)}
+    orbits = []
+    while remaining:
+        key = min(remaining, key=_matrix_sort_key)
+        rep = remaining.pop(key)
+        orbit = {key: rep}
+        frontier = [rep]
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                img = vertex_normal_form(g * v.basis)
+                if img.key() not in orbit:
+                    orbit[img.key()] = img
+                    remaining.pop(img.key(), None)
+                    frontier.append(img)
+        orbits.append(sorted(orbit.values(), key=lambda v: _matrix_sort_key(v.key())))
+    orbits.sort(key=lambda orb: _matrix_sort_key(orb[0].key()))
+    return orbits
+
+
+def test_orbit_decomposition_matches_closure_d4():
+    # at d = 4 enumerating the whole stabilizer is too slow, so the closure
+    # on normal forms is the oracle
+    for label in ((1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0)):
+        for k in (1, 2):
+            got = orbit_decomposition(label, 2, k)
+            assert got == orbits_by_closure(label, 2, k), (label, k)
+            assert sum(map(len, got)) == gaussian_binomial(4, k, 2)
+
+
 def test_orbit_decomposition_checks_orbit_sizes(monkeypatch):
     # a closure under too few generators leaves orbits the count check rejects
     real = domain._residue_action_generators

@@ -6,8 +6,16 @@ from itertools import product
 import pytest
 
 from btq import gf
+from btq.building import subspace_bases
 from btq.errors import InvalidInputError, ResourceBoundError
-from btq.gf import gaussian_binomial, gl_order, inv_mod, is_prime, left_null_vector
+from btq.gf import (
+    gaussian_binomial,
+    gl_order,
+    inv_mod,
+    is_prime,
+    left_null_vector,
+    reduced_echelon_form,
+)
 
 
 def det_mod(mat, q):
@@ -169,6 +177,38 @@ def test_left_null_vector_from_kept_prefix():
             assert len(echelon) == (n if got is None else max(i for i in range(n) if got[i]))
             runs += 1
     assert runs > 300
+
+
+def test_reduced_echelon_form_fixes_subspace_bases():
+    for q in (2, 3):
+        for d in (2, 3, 4):
+            for s in range(d + 1):
+                for basis in subspace_bases(d, s, q):
+                    assert reduced_echelon_form(basis, q) == basis
+
+
+def _span(rows, q, d):
+    return frozenset(
+        tuple(sum(c * r[j] for c, r in zip(cs, rows)) % q for j in range(d))
+        for cs in product(range(q), repeat=len(rows))
+    )
+
+
+def test_reduced_echelon_form_matches_spans():
+    # seeded spanning sets, often dependent and with entries outside 0..q-1,
+    # give the listed basis of the subspace they span, found by its elements
+    rng = random.Random(2027)
+    for q in (2, 3):
+        for d in (2, 3, 4):
+            by_span = {
+                _span(basis, q, d): basis
+                for s in range(d + 1)
+                for basis in subspace_bases(d, s, q)
+            }
+            for _ in range(60):
+                count = rng.randrange(d + 2)
+                rows = [[rng.randrange(-q, 2 * q) for _ in range(d)] for _ in range(count)]
+                assert reduced_echelon_form(rows, q) == by_span[_span(rows, q, d)], (rows, q)
 
 
 def test_pgl_order_examples():
