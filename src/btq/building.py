@@ -6,7 +6,11 @@ entry above a pivot in row i is supported on exponents strictly greater
 than a_i, and min(a_i) = 0 fixes the homothety.  Two vertices are equal
 iff their canonical bases are entrywise equal.
 
-Neighbor enumeration goes through subspaces of the residue space.  One
+Neighbor enumeration goes through subspaces of the residue space.  The
+lattice routines take and return dict matrices, rows of
+{exponent: residue} dicts, and one back-substitution by a canonical basis
+(`_solve_canonical`) serves the normal form's certificate, the relative
+position and the witness of the domain reduction.  One
 row reduction by leading row coefficients (`_reduce_rows`) serves both
 lattice invariants: over F_q[t] it reduces a vertex into the fundamental
 domain (`domain.reduce_to_domain`), and over O it gives the relative
@@ -89,52 +93,56 @@ def vertex_from_label(label, q: int) -> BuildingVertex:
 # ---------------------------------------------------------------------------
 
 
-def _solve_canonical(canon: LaurentMatrix, m: LaurentMatrix) -> LaurentMatrix:
-    """canon^-1 * m, exactly, for canon upper triangular with pivots t^(a_i).
+def _coeff_rows(m: LaurentMatrix) -> list[list[dict[int, int]]]:
+    """m as a dict matrix: the rows of its entries' coefficient dicts,
+    shared with m, so only for reading."""
+    return [[x.coeffs for x in row] for row in m.rows]
 
-    Back-substitution from the last row on {exponent: residue} dicts: each
-    entry starts as a copy of m's, takes every product of the row above
-    through `laurent._mul_add`, and the division by the monic monomial
-    pivot is an exponent shift.  Each entry becomes a LaurentPoly once.
+
+def _solve_canonical(canon, m, q: int) -> list[list[dict[int, int]]]:
+    """canon^-1 * m, exactly, for dict matrices over F_q (lists of rows of
+    {exponent: residue} dicts, read and not changed), canon upper
+    triangular with pivots t^(a_i); returns a new dict matrix.
+
+    Back-substitution from the last row: each entry starts as a copy of
+    m's, takes every product of the row above through `laurent._mul_add`,
+    and the division by the monic monomial pivot is an exponent shift.
     Any other shape of canon is a bug and raises InternalInvariantError.
     """
-    d, q, rows = canon.d, canon.q, canon.rows
+    d = len(canon)
     pivots = []
     for i in range(d):
-        piv = rows[i][i].coeffs
-        if len(piv) != 1 or 1 not in piv.values() or any(rows[r][i] for r in range(i + 1, d)):
+        piv = canon[i][i]
+        if len(piv) != 1 or 1 not in piv.values() or any(canon[r][i] for r in range(i + 1, d)):
             raise InternalInvariantError(
                 "expected an upper-triangular basis with monic monomial pivots"
             )
         pivots.append(next(iter(piv)))
     out = [[None] * d for _ in range(d)]
     for j in range(d):
-        col = [None] * d
         for i in range(d - 1, -1, -1):
-            acc = dict(m.rows[i][j].coeffs)
+            acc = dict(m[i][j])
             for k in range(i + 1, d):
-                _mul_add(acc, -1, rows[i][k].coeffs, col[k], q)
-            col[i] = {e - pivots[i]: c for e, c in acc.items()}
-            out[i][j] = _poly(col[i], q)
-    return _matrix(out, q)
+                _mul_add(acc, -1, canon[i][k], out[k][j], q)
+            out[i][j] = {e - pivots[i]: c for e, c in acc.items()}
+    return out
 
 
-def _certify_same_lattice(canon: LaurentMatrix, original: LaurentMatrix) -> bool:
-    """Exact check that canon and original span the same O-lattice.
+def _certify_same_lattice(canon, original, q: int) -> bool:
+    """Exact check that the dict matrices canon and original span the same
+    O-lattice.
 
     The lattices agree iff U = canon^-1 * original lies in GL_d(O): every
-    entry of U is in O, and U modulo 1/t (its constant-term matrix) is
-    invertible over F_q.  canon is upper triangular with monic monomial
-    pivots, so U is one exact back-substitution through the in-place
-    kernel `laurent._mul_add` (`_solve_canonical`), and the residue test
-    is one run of `gf.left_null_vector`; no series arithmetic and no
-    determinant.
+    entry of U is in O (no positive exponent), and U modulo 1/t (its
+    constant-term matrix) is invertible over F_q.  canon is upper
+    triangular with monic monomial pivots, so U is one exact
+    back-substitution (`_solve_canonical`), and the residue test is one
+    run of `gf.left_null_vector`; no series arithmetic and no determinant.
     """
-    u = _solve_canonical(canon, original)
-    if not all(x.in_O() for row in u.rows for x in row):
+    u = _solve_canonical(canon, original, q)
+    if any(e > 0 for row in u for x in row for e in x):
         return False
-    residue = [[x.coeff(0) for x in row] for row in u.rows]
-    return left_null_vector(residue, canon.q) is None
+    return left_null_vector([[x.get(0, 0) for x in row] for row in u], q) is None
 
 
 def vertex_normal_form(m: LaurentMatrix, *, det_degree: int | None = None) -> BuildingVertex:
@@ -157,16 +165,18 @@ def vertex_normal_form(m: LaurentMatrix, *, det_degree: int | None = None) -> Bu
     gives a wrong vertex.  Too low, the pass is exact but ends with a
     modulus above u^0; too high, it ends on a lattice of another
     determinant, which the certificate below rejects.  Either raises
-    InternalInvariantError.  The pass keeps each column as a list of
-    mutable {exponent: residue} dicts: the truncation modulo u^N deletes
-    keys in place, and the pivot head and each column update x -= f * head
-    go into the dicts through `laurent._mul_add`, forming only the terms
-    above u^N (every other term is dropped by the truncation).  The final
-    reduction above the pivots is exact, on the same dicts, and the
-    LaurentPoly entries of the basis are built once, after it.  The result
-    is certified exactly: canon^-1 * m, found by back-substitution on the
-    same kind of dicts (`_solve_canonical`), must lie in GL_d(O).  A failed
-    certificate is a bug and raises InternalInvariantError.
+    InternalInvariantError.  m is read once into {exponent: residue}
+    dicts, already scaled into O.  The pass keeps each column as a list of
+    such mutable dicts: the truncation modulo u^N deletes keys in place,
+    and the pivot head and each column update x -= f * head go into the
+    dicts through `laurent._mul_add`, forming only the terms above u^N
+    (every other term is dropped by the truncation).  The final reduction
+    above the pivots is exact, on the same dicts.  The result is certified
+    exactly on dicts: canon^-1 * m, found by back-substitution
+    (`_solve_canonical`), must lie in GL_d(O).  A failed certificate is a
+    bug and raises InternalInvariantError.  The LaurentPoly entries of the
+    basis are built once, at the end, with the homothety to min profile 0
+    applied as they are built.
     """
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
@@ -178,9 +188,10 @@ def vertex_normal_form(m: LaurentMatrix, *, det_degree: int | None = None) -> Bu
         det_degree = det.degree()
 
     top = max(x.degree() for row in m.rows for x in row if x)
-    scaled = m.shift(-top)
+    # m / t^top as a dict matrix, entries in O
+    scaled = [[{e - top: c for e, c in x.coeffs.items()} for x in row] for row in m.rows]
     modulus = d * top - det_degree
-    cols = [[dict(row[j].coeffs) for row in scaled.rows] for j in range(d)]
+    cols = [[dict(row[j]) for row in scaled] for j in range(d)]
     work = [None] * d
     pivots = [0] * d
     for r in range(d - 1, -1, -1):
@@ -226,14 +237,13 @@ def vertex_normal_form(m: LaurentMatrix, *, det_degree: int | None = None) -> Bu
             if low:
                 for x, y in zip(col, work[i]):
                     _mul_add(x, -1, low, y, q)
-    canon = _matrix([[_poly(work[j][i], q) for j in range(d)] for i in range(d)], q)
-    if not _certify_same_lattice(canon, scaled):
+    canon = [[work[j][i] for j in range(d)] for i in range(d)]
+    if not _certify_same_lattice(canon, scaled, q):
         raise InternalInvariantError("lattice normal form failed its exact certificate")
 
     shift = min(pivots)
-    canon = canon.shift(-shift)
-    profile = tuple(a - shift for a in pivots)
-    return BuildingVertex(canon, profile)
+    basis = [[_poly({e - shift: c for e, c in x.items()}, q) for x in row] for row in canon]
+    return BuildingVertex(_matrix(basis, q), tuple(a - shift for a in pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +371,10 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
 
 
 def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
-    """Row reduction of a nonsingular matrix by leading row coefficients, in
-    place, over F_q[t] or, with `over_O`, over O = F_q[[1/t]]; returns the
-    final row degrees.
+    """Row reduction of a nonsingular dict matrix (rows of mutable
+    {exponent: residue} dicts) by leading row coefficients, in place, over
+    F_q[t] or, with `over_O`, over O = F_q[[1/t]]; returns the final row
+    degrees and leaves the reduced rows in `rows`.
 
     While the matrix of leading row coefficients is singular over F_q, a
     null combination cancels the top degree of one used row, the pivot:
@@ -378,29 +389,26 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     (SingularMatrixError); any other broken invariant is a bug and raises
     InternalInvariantError.
 
-    The rows are kept as lists of mutable {exponent: residue} dicts for the
-    whole reduction: a step scales the pivot row and adds each other used
-    row into it in place (`laurent._mul_add`, the monomial multiplier an
-    exponent shift and a scalar), degrees and leading coefficients are read
-    straight off the dicts, and the rows become LaurentPoly again once, at
-    the end.  The elimination of the leading matrix is kept between steps
-    too: `gf.left_null_vector` stops at the first leading row that depends
-    on the rows above it and keeps the rows it eliminated, and a step
-    changes only the pivot row, so the next step drops the kept rows from
-    the pivot on and eliminates only those.
+    A step scales the pivot row and adds each other used row into it in
+    place (`laurent._mul_add`, the monomial multiplier an exponent shift
+    and a scalar), and degrees and leading coefficients are read straight
+    off the dicts.  The elimination of the leading matrix is kept between
+    steps too: `gf.left_null_vector` stops at the first leading row that
+    depends on the rows above it and keeps the rows it eliminated, and a
+    step changes only the pivot row, so the next step drops the kept rows
+    from the pivot on and eliminates only those.
     """
     d = len(rows)
     sign = -1 if over_O else 1
-    polys = [[dict(x.coeffs) for x in row] for row in rows]
 
     def row_degree(i: int) -> int:
-        degs = [max(x) for x in polys[i] if x]
+        degs = [max(x) for x in rows[i] if x]
         if not degs:
             raise SingularMatrixError("zero row during row reduction")
         return max(degs)
 
     def leading(i: int) -> list[int]:
-        return [x.get(degs[i], 0) for x in polys[i]]
+        return [x.get(degs[i], 0) for x in rows[i]]
 
     # only the pivot row changes in a step, so only its degree and leading
     # coefficients are recomputed
@@ -410,7 +418,7 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     while (combo := left_null_vector(lead, q, echelon)) is not None:
         used = [i for i in range(d) if combo[i]]
         pivot = max(used, key=lambda i: (sign * degs[i], i))
-        target = polys[pivot]
+        target = rows[pivot]
         if (c := combo[pivot]) != 1:
             for x in target:
                 for e in x:
@@ -418,7 +426,7 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
         for i in used:
             if i != pivot:
                 mono = {degs[pivot] - degs[i]: 1}
-                for x, y in zip(target, polys[i]):
+                for x, y in zip(target, rows[i]):
                     _mul_add(x, combo[i], mono, y, q)
         new_deg = row_degree(pivot)
         if new_deg >= degs[pivot]:
@@ -433,7 +441,6 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
         raise InternalInvariantError(
             f"row degrees {degs} do not account for the determinant degree {det_deg}"
         )
-    rows[:] = [[_poly(x, q) for x in row] for row in polys]
     return degs
 
 
@@ -453,8 +460,9 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
     """
     if x.q != y.q or x.d != y.d:
         raise InvalidInputError("vertices live in different buildings")
-    rows = list(_solve_canonical(y.basis, x.basis).rows)
-    degs = _reduce_rows(rows, sum(x.profile) - sum(y.profile), x.q, over_O=True)
+    q = x.q
+    rows = _solve_canonical(_coeff_rows(y.basis), _coeff_rows(x.basis), q)
+    degs = _reduce_rows(rows, sum(x.profile) - sum(y.profile), q, over_O=True)
     return tuple(sorted(-e for e in degs))
 
 

@@ -87,19 +87,23 @@ def _cmd_neighbors(args) -> int:
     if args.in_domain and args.n is None:
         raise InvalidInputError("--in-domain takes --n, a domain label, not --matrix")
     if args.n is not None:
+        q = 2 if args.q is None else args.q
         label = domain.parse_label(args.n)
         if args.in_domain:
             # q does not enter the in-domain labels, but it names the building
-            check_prime(args.q)
+            check_prime(q)
             work = domain.in_domain_work(label, args.degree)
             building.check_work(work, f"the degree-{args.degree} in-domain neighbors")
             labels = domain.neighbors_in_domain(label, args.degree)
             _emit("\n".join(domain.format_label(l) for l in labels) + "\n")
             return 0
-        building.check_neighbor_work(len(label), args.degree, args.q)
-        vertex = building.vertex_from_label(label, args.q)
+        building.check_neighbor_work(len(label), args.degree, q)
+        vertex = building.vertex_from_label(label, q)
     else:
         mat = _load_matrix(args.matrix)
+        # the literal carries its q; a --q that names another one is an error
+        if args.q is not None and args.q != mat.q:
+            raise InvalidInputError(f"--q {args.q} does not match the matrix literal's q = {mat.q}")
         # the count alone may refuse them, before the normal form
         building.check_neighbor_work(mat.d, args.degree, mat.q)
         vertex = building.vertex_normal_form(mat)
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("neighbors", help="neighbors of a vertex (building or in-domain)")
     sp.add_argument("--matrix", help="matrix literal JSON file, or - for stdin")
     sp.add_argument("--n", help="domain label, e.g. 2,1,0")
-    sp.add_argument("--q", type=int, default=2)
+    sp.add_argument("--q", type=int, help="2 with --n; with --matrix, the literal's q")
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--in-domain", action="store_true", help="restrict to in-domain labels")
     sp.set_defaults(func=_cmd_neighbors)

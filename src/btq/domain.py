@@ -29,14 +29,16 @@ from operator import add, mul, sub
 from . import building
 from .building import (
     BuildingVertex,
+    _coeff_rows,
     _reduce_rows,
+    _solve_canonical,
     neighbors,
     vertex_from_label,
     vertex_normal_form,
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from .gf import check_prime, reduced_echelon_form
-from .laurent import LaurentMatrix, _matrix, _mul_add, _poly
+from .laurent import LaurentMatrix, _matrix, _poly
 
 # enumerate_domain refuses to list more labels than this
 LABEL_COUNT_BOUND = 10**6
@@ -554,31 +556,27 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     basis is triangular with pivots t^profile_i, so its determinant has
     degree sum(profile), and row degrees summing to anything else raise
     InternalInvariantError.  The witness is not tracked through the steps
-    but solved once afterwards: W = R B^-1, one forward substitution per
-    row on {exponent: residue} dicts through `laurent._mul_add`, in which
-    every division by a monic monomial pivot is an exponent shift; each
-    entry becomes a LaurentPoly once.
+    but solved once afterwards, by the normal form's back-substitution
+    (`building._solve_canonical`): with rev(X) = J X^T J for the index
+    reversal J, rev(B) is upper triangular with the same monic pivots and
+    rev(R) = rev(B) rev(W), so W = rev(rev(B)^-1 rev(R)).  All of it runs
+    on dict matrices; the entries of W become LaurentPoly once.
     """
     if isinstance(v, LaurentMatrix):
         v = vertex_normal_form(v)
     elif not isinstance(v, BuildingVertex):
         raise InvalidInputError("expected a BuildingVertex or LaurentMatrix")
     d, q = v.d, v.q
-    basis = v.basis.rows
-    rows = list(basis)
+    basis = _coeff_rows(v.basis)
+    rows = [[dict(x) for x in row] for row in basis]
     degs = _reduce_rows(rows, sum(v.profile), q, over_O=False)
     order = sorted(range(d), key=lambda i: (-degs[i], i))
     base_deg = min(degs)
     label = tuple(degs[i] - base_deg for i in order)
-    # w B = r for each row r of R, B upper triangular with B[j][j] = t^profile_j:
-    # w_j = (r_j - sum_{k<j} w_k B[k][j]) / t^profile_j
-    witness = []
-    for i in order:
-        w: list = []
-        for j, r in enumerate(rows[i]):
-            acc = dict(r.coeffs)
-            for k in range(j):
-                _mul_add(acc, -1, w[k], basis[k][j].coeffs, q)
-            w.append({e - v.profile[j]: c for e, c in acc.items()})
-        witness.append([_poly(x, q) for x in w])
-    return label, _matrix(witness, q)
+    reduced = [rows[i] for i in order]
+
+    def rev(m):
+        return [[m[d - 1 - j][d - 1 - i] for j in range(d)] for i in range(d)]
+
+    witness = rev(_solve_canonical(rev(basis), rev(reduced), q))
+    return label, _matrix([[_poly(x, q) for x in row] for row in witness], q)

@@ -22,18 +22,19 @@ accumulated in one integer dict and reduced mod q once, so a matrix
 entry or a minor builds one polynomial rather than one per product and
 per partial sum; `+`, `-` and negation are terms against the constant 1.
 `LaurentMatrix.__mul__` and the determinant's minors (`_det_rows`) are
-its loops.  The lattice layer keeps its rows and columns as mutable
-{exponent: residue} dicts instead, and updates them with the one
-in-place primitive `_mul_add(acc, c, a, b, q, above=None)`:
-acc += c * a * b, reduced as it goes, and with `above` forming only the
-products above the cutoff, as the normal form works modulo a power of
-1/t and discards the rest.  Its loops are the row reduction
-(`building._reduce_rows`), the Hermite pass of
-`building.vertex_normal_form`, and the two substitutions by a triangular
-basis with monic monomial pivots: the certificate's back-substitution
-(`building._solve_canonical`, also the start of `relative_position`)
-and the witness of `domain.reduce_to_domain`.  Those loops build their
-LaurentPoly results once, at the end.
+its loops.  The lattice layer works on dict matrices instead: rows of
+mutable {exponent: residue} dicts, updated with the one in-place
+primitive `_mul_add(acc, c, a, b, q, above=None)`: acc += c * a * b,
+reduced as it goes, and with `above` forming only the products above the
+cutoff, as the normal form works modulo a power of 1/t and discards the
+rest.  Its loops are the Hermite pass of `building.vertex_normal_form`,
+the row reduction (`building._reduce_rows`), and the one substitution by
+a triangular basis with monic monomial pivots
+(`building._solve_canonical`), which serves the certificate, the start
+of `relative_position` and, on reversed transposes, the witness of
+`domain.reduce_to_domain`.  Dict matrices pass between those loops as
+they are; LaurentPoly values are built only for what leaves the layer,
+the canonical basis and the witness.
 
 A truncated inverse of an O-unit (`series_inverse`) is exact modulo a
 power of 1/t.  Its one consumer is also the lattice normal form, which
@@ -88,10 +89,6 @@ class LaurentPoly:
     def coeff(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
-    def in_O(self) -> bool:
-        """True iff the element lies in the valuation ring F_q[[1/t]]."""
-        return not self.coeffs or max(self.coeffs) <= 0
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -129,12 +126,6 @@ class LaurentPoly:
     def __mul__(self, other):
         self._check_compat(other)
         return dot(((1, self, other),), self.q)
-
-    def shift(self, e: int) -> "LaurentPoly":
-        """Multiply by t^e."""
-        if not e:
-            return self
-        return _poly({k + e: c for k, c in self.coeffs.items()}, self.q)
 
     # -- text form ---------------------------------------------------------
 
@@ -358,9 +349,6 @@ class LaurentMatrix:
             raise InvalidInputError("matrix must be square and nonempty")
         return _matrix(_diagonal_rows(exps, q), q)
 
-    def column(self, j: int) -> list[LaurentPoly]:
-        return [self.rows[i][j] for i in range(self.d)]
-
     def __eq__(self, other):
         return (
             isinstance(other, LaurentMatrix)
@@ -388,10 +376,6 @@ class LaurentMatrix:
                 terms = [(1, a, b) for a, b in zip(row, col) if a.coeffs and b.coeffs]
                 out[-1].append(dot(terms, q) if terms else zero)
         return _matrix(out, q)
-
-    def shift(self, e: int) -> "LaurentMatrix":
-        """Multiply every entry by t^e (a homothety of the column span)."""
-        return _matrix([[x.shift(e) for x in row] for row in self.rows], self.q)
 
     def minor(self, rows_idx, cols_idx) -> LaurentPoly:
         """Determinant of the submatrix on the given index tuples."""

@@ -122,10 +122,40 @@ def oracle_color1_distance(x, y, radius, bound=ORACLE_VERTEX_BOUND):
     return _bfs(x, y, radius, lambda v: neighbors(v, v.d - 1), bound)
 
 
+def coeff_rows(m):
+    """m as a dict matrix, the form the lattice routines take: fresh
+    coefficient dicts, so a routine may change them."""
+    return [[dict(x.coeffs) for x in row] for row in m.rows]
+
+
+def as_matrix(rows, q):
+    return LaurentMatrix([[LaurentPoly(x, q) for x in row] for row in rows], q)
+
+
+def solve_canonical_matrix(canon, m):
+    """canon^-1 * m by back-substitution in LaurentPoly arithmetic, for
+    canon upper triangular with monic monomial pivots t^(a_i): the
+    LaurentMatrix form of `building._solve_canonical`, its oracle."""
+    d, q = canon.d, canon.q
+    out = [[None] * d for _ in range(d)]
+    for j in range(d):
+        for i in range(d - 1, -1, -1):
+            acc = m.rows[i][j]
+            for k in range(i + 1, d):
+                acc = acc - canon.rows[i][k] * out[k][j]
+            out[i][j] = acc * LaurentPoly({-canon.rows[i][i].degree(): 1}, q)
+    return LaurentMatrix(out, q)
+
+
+def certify(canon, original):
+    """`building._certify_same_lattice` on two LaurentMatrix values."""
+    return building._certify_same_lattice(coeff_rows(canon), coeff_rows(original), canon.q)
+
+
 def smith_by_minors(x, y):
     """Smith valuations of y^-1 x: the k-th partial sum is the least
     valuation of a k x k minor."""
-    rel = building._solve_canonical(y.basis, x.basis)
+    rel = solve_canonical_matrix(y.basis, x.basis)
     idx = range(x.d)
     sums = [0]
     for k in range(1, x.d + 1):
@@ -192,9 +222,9 @@ def test_normal_form_diag_and_homothety():
     m = LaurentMatrix.diagonal((2, 1, 0), 2)
     v = vertex_normal_form(m)
     assert v.basis == m and v.profile == (2, 1, 0)
-    assert vertex_normal_form(m.shift(1)) == v
+    assert vertex_normal_form(m * P("t")) == v
     for j in range(-3, 4):
-        assert vertex_normal_form(m.shift(j)) == v
+        assert vertex_normal_form(m * LaurentPoly({j: 1}, 2)) == v
 
 
 def test_normal_form_idempotent_random():
@@ -226,7 +256,7 @@ def test_normal_form_zero_row_pivot():
 
 
 def test_normal_form_failed_certificate_is_internal(monkeypatch):
-    monkeypatch.setattr(building, "_certify_same_lattice", lambda canon, original: False)
+    monkeypatch.setattr(building, "_certify_same_lattice", lambda canon, original, q: False)
     with pytest.raises(InternalInvariantError):
         vertex_normal_form(LaurentMatrix.diagonal((2, 1, 0), 2))
 
@@ -238,7 +268,7 @@ def _with_entry(canon, r, i, value):
 
 
 def test_certificate_accepts_scaled_frame_only():
-    # canon spans m.shift(e) for the one e matching determinant degrees;
+    # canon spans t^e m for the one e matching determinant degrees;
     # every other homothety is a lattice of different determinant
     rng = random.Random(31)
     for q, d in ((2, 2), (2, 3), (3, 3), (5, 4)):
@@ -247,9 +277,9 @@ def test_certificate_accepts_scaled_frame_only():
             v = vertex_normal_form(m)
             e, rem = divmod(sum(v.profile) - m.det().degree(), d)
             assert rem == 0
-            assert building._certify_same_lattice(v.basis, m.shift(e))
-            assert not building._certify_same_lattice(v.basis, m.shift(e + 1))
-            assert not building._certify_same_lattice(v.basis, m.shift(e - 1))
+            assert certify(v.basis, m * LaurentPoly({e: 1}, q))
+            assert not certify(v.basis, m * LaurentPoly({e + 1: 1}, q))
+            assert not certify(v.basis, m * LaurentPoly({e - 1: 1}, q))
 
 
 def test_certificate_rejects_raised_entry_above_pivot():
@@ -259,15 +289,15 @@ def test_certificate_rejects_raised_entry_above_pivot():
     for q, d in ((2, 3), (3, 3), (2, 4)):
         for _ in range(3):
             canon = vertex_normal_form(random_invertible(d, q, rng)).basis
-            assert building._certify_same_lattice(canon, canon)
+            assert certify(canon, canon)
             for i in range(1, d):
                 for r in range(i):
                     a_r = canon.rows[r][r].degree()
                     raised = canon.rows[r][i] + LaurentPoly({a_r + 1: 1}, q)
                     wrong = _with_entry(canon, r, i, raised)
                     assert wrong.det() == canon.det()
-                    assert not building._certify_same_lattice(wrong, canon)
-                    assert not building._certify_same_lattice(canon, wrong)
+                    assert not certify(wrong, canon)
+                    assert not certify(canon, wrong)
 
 
 def test_certificate_rejects_raised_pivot_mod_uniformizer():
@@ -278,9 +308,9 @@ def test_certificate_rejects_raised_pivot_mod_uniformizer():
         for i in range(len(label)):
             a_i = canon.rows[i][i].degree()
             wrong = _with_entry(canon, i, i, LaurentPoly({a_i + 1: 1}, 3))
-            u = building._solve_canonical(wrong, canon)
-            assert all(x.in_O() for row in u.rows for x in row)
-            assert not building._certify_same_lattice(wrong, canon)
+            u = building._solve_canonical(coeff_rows(wrong), coeff_rows(canon), 3)
+            assert all(e <= 0 for row in u for x in row for e in x)
+            assert not certify(wrong, canon)
 
 
 def test_certificate_catches_wrong_determinant(monkeypatch):
@@ -313,10 +343,26 @@ def test_wrong_det_degree_is_internal():
 
 
 def test_solve_canonical_requires_triangular_monic_pivots():
+    identity = coeff_rows(mat([["1", "0"], ["0", "1"]]))
     with pytest.raises(InternalInvariantError):
-        building._solve_canonical(mat([["1", "0"], ["t", "1"]]), mat([["1", "0"], ["0", "1"]]))
+        building._solve_canonical(coeff_rows(mat([["1", "0"], ["t", "1"]])), identity, 2)
     with pytest.raises(InternalInvariantError):
-        building._solve_canonical(mat([["1", "0"], ["0", "1 + t"]]), mat([["1", "0"], ["0", "1"]]))
+        building._solve_canonical(coeff_rows(mat([["1", "0"], ["0", "1 + t"]])), identity, 2)
+
+
+def test_solve_canonical_matches_matrix_oracle():
+    # canonical bases of seeded vertices against seeded matrices, d = 2-6;
+    # the solve reads its operands without changing them
+    rng = random.Random(281)
+    for d in range(2, 7):
+        for q in (2, 3, 5):
+            for _ in range(3):
+                canon = vertex_normal_form(random_invertible(d, q, rng)).basis
+                m = random_invertible(d, q, rng)
+                a, b = coeff_rows(canon), coeff_rows(m)
+                got = building._solve_canonical(a, b, q)
+                assert as_matrix(got, q) == solve_canonical_matrix(canon, m), (canon, m)
+                assert (a, b) == (coeff_rows(canon), coeff_rows(m))
 
 
 def test_normal_form_rejects_singular():
@@ -556,6 +602,14 @@ def test_label_relative_position_matches_elimination():
         label_relative_position((1, 0), (0, 0, 0))
 
 
+def reduce_rows_in_place(rows, det_deg, q, over_O):
+    """`building._reduce_rows` on LaurentPoly rows, through a dict matrix."""
+    dicts = [[dict(x.coeffs) for x in row] for row in rows]
+    degs = building._reduce_rows(dicts, det_deg, q, over_O)
+    rows[:] = [[LaurentPoly(x, q) for x in row] for row in dicts]
+    return degs
+
+
 def _reduction_outcome(reduce, rows, det_deg, q, over_O):
     rows = list(rows)
     try:
@@ -569,7 +623,7 @@ def _assert_reductions_agree(rows, det_deg, q, over_O):
     """Same degrees and rows entry by entry at the true determinant degree,
     and the same exception types one degree either side of it."""
     for deg in (det_deg, det_deg - 1, det_deg + 1):
-        got = _reduction_outcome(building._reduce_rows, rows, deg, q, over_O)
+        got = _reduction_outcome(reduce_rows_in_place, rows, deg, q, over_O)
         want = _reduction_outcome(reduce_rows_by_dot, rows, deg, q, over_O)
         assert got == want, (rows, deg, over_O)
         assert (deg == det_deg) == (got is not InternalInvariantError)
@@ -595,7 +649,7 @@ def test_reduce_rows_matches_dot_oracle():
             for _ in range(8):
                 x = vertex_normal_form(random_invertible(d, q, rng))
                 y = vertex_normal_form(random_invertible(d, q, rng))
-                rows = building._solve_canonical(y.basis, x.basis).rows
+                rows = solve_canonical_matrix(y.basis, x.basis).rows
                 _assert_reductions_agree(rows, sum(x.profile) - sum(y.profile), q, over_O=True)
     # singular inputs: a zero row, and a row that the reduction zeroes
     r0, r1 = (P("t^2 + 1", 3), P("t", 3), P("2", 3)), (P("t", 3), P("t^-1", 3), P("1", 3))
@@ -604,7 +658,7 @@ def test_reduce_rows_matches_dot_oracle():
     for rows in ((r0, (zero,) * 3, r1), (r0, r1, tuple(t * x for x in r0))):
         for over_O in (False, True):
             for deg in (-5, 0, 3):
-                assert _reduction_outcome(building._reduce_rows, rows, deg, 3, over_O) is SingularMatrixError
+                assert _reduction_outcome(reduce_rows_in_place, rows, deg, 3, over_O) is SingularMatrixError
                 assert _reduction_outcome(reduce_rows_by_dot, rows, deg, 3, over_O) is SingularMatrixError
 
 

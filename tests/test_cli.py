@@ -151,6 +151,18 @@ def test_neighbors_matrix(run, tmp_path):
     assert code == 0 and len(json.loads(out)) == 7
 
 
+def test_neighbors_matrix_checks_q(run, tmp_path):
+    # the literal carries its q: a --q that names another one is refused,
+    # a non-prime one too, and the same q is accepted
+    path = matrix_file(tmp_path, [["t", "0"], ["0", "1"]])
+    for q in ("3", "4"):
+        code, out, err = run("neighbors", "--matrix", path, "--q", q, "--degree", "1")
+        assert code == 2 and not out and "does not match" in err
+    code, out, _ = run("neighbors", "--matrix", path, "--q", "2", "--degree", "1")
+    assert (code, out) == (0, run("neighbors", "--matrix", path, "--degree", "1")[1])
+    assert len(json.loads(out)) == 3
+
+
 def test_reduce_matrix(run, tmp_path):
     path = matrix_file(
         tmp_path, [["t^3", "0", "0"], ["t^2", "t", "0"], ["t", "0", "1"]]
@@ -732,7 +744,7 @@ def test_matrix_literal_work_bound(run, tmp_path, monkeypatch):
 def test_failed_certificate_exit_code(run, tmp_path, monkeypatch):
     from btq import building
 
-    monkeypatch.setattr(building, "_certify_same_lattice", lambda canon, original: False)
+    monkeypatch.setattr(building, "_certify_same_lattice", lambda canon, original, q: False)
     path = matrix_file(tmp_path, [["t^2", "0"], ["1", "t"]])
     code, out, err = run("reduce", "--matrix", path)
     assert code == 4 and not out and "internal invariant" in err

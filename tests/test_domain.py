@@ -661,6 +661,39 @@ def test_solved_witness_matches_step_tracked_witness(d):
         assert got == step_tracked_reduction(v)
 
 
+def witness_by_forward_substitution(v):
+    """reduce_to_domain's witness W = R B^-1 for the reduced rows R in
+    label order, by one forward substitution per row in LaurentPoly
+    arithmetic, w_j = (r_j - sum_{k<j} w_k B[k][j]) / t^profile_j, in
+    place of the back-substitution on reversed transposes."""
+    d, q = v.d, v.q
+    rows = [[dict(x.coeffs) for x in row] for row in v.basis.rows]
+    degs = building._reduce_rows(rows, sum(v.profile), q, over_O=False)
+    basis = v.basis.rows
+    witness = []
+    for i in sorted(range(d), key=lambda i: (-degs[i], i)):
+        w = []
+        for j in range(d):
+            acc = LaurentPoly(rows[i][j], q)
+            for k in range(j):
+                acc = acc - w[k] * basis[k][j]
+            w.append(acc * LaurentPoly({-v.profile[j]: 1}, q))
+        witness.append(w)
+    return LaurentMatrix(witness, q)
+
+
+def test_witness_matches_forward_substitution():
+    rng = random.Random(601)
+    for d in range(2, 7):
+        for q in (2, 3, 5):
+            for _ in range(3):
+                label = [rng.randint(0, 5)]
+                label += sorted((rng.randint(0, label[0]) for _ in range(d - 2)), reverse=True) + [0]
+                m = random_gamma(d, q, 2, rng) * LaurentMatrix.diagonal(label, q) * random_k(d, q, 2, rng)
+                v = vertex_normal_form(m)
+                assert reduce_to_domain(v)[1] == witness_by_forward_substitution(v), (d, q, label)
+
+
 def test_reduce_disjointness():
     # an orbit meets the domain in exactly one label: pushing a domain
     # vertex around by the group never changes its reduction

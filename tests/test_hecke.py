@@ -683,6 +683,20 @@ def covolume_by_compositions(d, q):
     return (q - 1) * total
 
 
+def covolume_by_prefix_sums(d, q):
+    # the composition sum as a recursion over prefix sums, O(d^2) steps:
+    # F[0] = 1, F[P] = sum_{b=1..P} F[P-b] c(P-b) / (|GL_b(F_q)| q^(b(d-P))),
+    # with c(0) = 1 and c(p) = 1/(q^(p(d-p)) - 1); the covolume is (q-1) F[d]
+    prefix = [Fraction(1)]
+    for total in range(1, d + 1):
+        f = sum(
+            prefix[total - b] / (gl_order(b, q) * q ** (b * (d - total)))
+            for b in range(1, total + 1)
+        )
+        prefix.append(f / (q ** (total * (d - total)) - 1) if total < d else f)
+    return (q - 1) * prefix[d]
+
+
 def test_compositions():
     assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert len(list(compositions(4))) == 8
@@ -692,6 +706,14 @@ def test_covolume_recursion_matches_composition_sum():
     for q in (2, 3, 5):
         for d in range(2, 13):
             assert covolume(d, q) == covolume_by_compositions(d, q), (d, q)
+            assert covolume_by_prefix_sums(d, q) == covolume_by_compositions(d, q), (d, q)
+
+
+def test_covolume_product_matches_recursion():
+    # the product form against the prefix-sum recursion on 145 cases
+    for q in (2, 3, 5, 7, 11):
+        for d in range(2, 31):
+            assert covolume(d, q) == covolume_by_prefix_sums(d, q), (d, q)
 
 
 def test_covolume_result_size_bound():
