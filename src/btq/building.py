@@ -145,11 +145,23 @@ def _certify_same_lattice(canon, original, q: int) -> bool:
     return left_null_vector([[x.get(0, 0) for x in row] for row in u], q) is None
 
 
-def vertex_normal_form(m: LaurentMatrix, *, det_degree: int | None = None) -> BuildingVertex:
-    """Canonical representative of the homothety class of m's column span.
+def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
+    """Canonical representative of the homothety class of m's column span,
+    the `_normal_form` of m with the degree of its one Laurent determinant.
 
     Idempotent; invariant under right multiplication by GL_d(O) and under
     scaling by powers of t.
+    """
+    if m.d < 2:
+        raise InvalidInputError("d = 1 is rejected: the building is a point")
+    if (det := m.det()).is_zero():
+        raise SingularMatrixError("matrix is singular over F_q((1/t))")
+    return _normal_form(_coeff_rows(m), det.degree(), m.q)
+
+
+def _normal_form(m, det_degree: int, q: int) -> BuildingVertex:
+    """`vertex_normal_form` of the nonsingular dict matrix m, read and not
+    changed, whose determinant has degree det_degree.
 
     Once m is scaled to entries in O = F_q[[1/t]], its column lattice L
     contains u^N O^d, where u = 1/t and N = v(det m), because
@@ -159,37 +171,25 @@ def vertex_normal_form(m: LaurentMatrix, *, det_degree: int | None = None) -> Bu
     becomes the pivot, or u^N e_r when the row vanishes modulo u^N.  Then
     N drops by the pivot's valuation, because the lattice left in the rows
     above has that much smaller a determinant.  Only the degree of m's
-    determinant enters N.  It is the one Laurent determinant computed,
-    unless the caller knows it and passes it as `det_degree`, vouching
-    that m is nonsingular (`neighbors` does).  A wrong `det_degree` never
-    gives a wrong vertex.  Too low, the pass is exact but ends with a
-    modulus above u^0; too high, it ends on a lattice of another
-    determinant, which the certificate below rejects.  Either raises
-    InternalInvariantError.  m is read once into {exponent: residue}
-    dicts, already scaled into O.  The pass keeps each column as a list of
-    such mutable dicts: the truncation modulo u^N deletes keys in place,
-    and the pivot head and each column update x -= f * head go into the
-    dicts through `laurent._mul_add`, forming only the terms above u^N
-    (every other term is dropped by the truncation).  The final reduction
-    above the pivots is exact, on the same dicts.  The result is certified
-    exactly on dicts: canon^-1 * m, found by back-substitution
-    (`_solve_canonical`), must lie in GL_d(O).  A failed certificate is a
-    bug and raises InternalInvariantError.  The LaurentPoly entries of the
-    basis are built once, at the end, with the homothety to min profile 0
-    applied as they are built.
+    determinant enters N, and a wrong det_degree never gives a wrong
+    vertex: too low, the pass is exact but ends with a modulus above u^0;
+    too high, it ends on a lattice of another determinant, which the
+    certificate below rejects.  Either raises InternalInvariantError.  The
+    pass keeps each column of the scaled m as a list of mutable dicts: the
+    truncation modulo u^N deletes keys in place, and the pivot head and
+    each column update x -= f * head go into the dicts through
+    `laurent._mul_add`, forming only the terms above u^N (every other term
+    is dropped by the truncation).  The final reduction above the pivots
+    is exact, on the same dicts.  The result is certified exactly on
+    dicts: canon^-1 * m, found by back-substitution (`_solve_canonical`),
+    must lie in GL_d(O).  A failed certificate is a bug and raises
+    InternalInvariantError.  The LaurentPoly basis is built once, at the
+    end, already shifted to min profile 0.
     """
-    if m.d < 2:
-        raise InvalidInputError("d = 1 is rejected: the building is a point")
-    d, q = m.d, m.q
-    if det_degree is None:
-        det = m.det()
-        if det.is_zero():
-            raise SingularMatrixError("matrix is singular over F_q((1/t))")
-        det_degree = det.degree()
-
-    top = max(x.degree() for row in m.rows for x in row if x)
-    # m / t^top as a dict matrix, entries in O
-    scaled = [[{e - top: c for e, c in x.coeffs.items()} for x in row] for row in m.rows]
+    d = len(m)
+    top = max(max(x) for row in m for x in row if x)
+    # m / t^top, entries in O
+    scaled = [[{e - top: c for e, c in x.items()} for x in row] for row in m]
     modulus = d * top - det_degree
     cols = [[dict(row[j]) for row in scaled] for j in range(d)]
     work = [None] * d
@@ -318,6 +318,8 @@ def check_neighbor_work(d: int, k: int, q: int, terms: int = 1) -> None:
     one `normal_form_work` per neighbor, is above NEIGHBOR_WORK_BOUND.
     Needs only the sizes, so the CLI runs it on a label before the d x d
     basis exists."""
+    if d < 2:
+        raise InvalidInputError("d = 1 is rejected: the building is a point")
     check_prime(q)
     if not 1 <= k <= d - 1:
         raise InvalidInputError(f"neighbor degree must be in [1, {d - 1}], got {k}")
@@ -344,29 +346,27 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     predicted work (`check_neighbor_work`), this raises ResourceBoundError
     before enumerating any.
 
-    Each neighbor is the normal form of B n, where n has the rows of W and
-    (1/t) e_j for the other coordinates j as columns.  Its determinant is
-    not computed: the canonical B has monic pivots t^profile_i and n has
-    determinant +-(1/t)^k, so det(B n) has degree sum(profile) - k, passed
-    as `det_degree`.
+    Each neighbor is the normal form of B n, whose columns, formed on B's
+    dict rows, are sum_j r_j B[:, j] for each row r of W and B[:, j] (1/t),
+    one exponent lower, for each coordinate j that is no pivot of W.
+    det(B n) is not computed: the canonical B has monic pivots t^profile_i
+    and n has determinant +-(1/t)^k, so its degree is sum(profile) - k.
     """
     d, q = v.d, v.q
-    terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
-    check_neighbor_work(d, k, q, terms)
-    zero = _poly({}, q)
-    uniformizer = _poly({-1: 1}, q)
+    basis = _coeff_rows(v.basis)
+    check_neighbor_work(d, k, q, max(len(x) for row in basis for x in row))
     det_degree = sum(v.profile) - k
+    one = {0: 1}
     out = []
     for rows in subspace_bases(d, d - k, q):
         pivs = {next(j for j in range(d) if r[j]) for r in rows}
-        ncols = []
-        for r in rows:
-            ncols.append([_poly({0: c}, q) if c else zero for c in r])
-        for j in range(d):
-            if j not in pivs:
-                ncols.append([uniformizer if i == j else zero for i in range(d)])
-        n = _matrix([[ncols[j][i] for j in range(d)] for i in range(d)], q)
-        out.append(vertex_normal_form(v.basis * n, det_degree=det_degree))
+        cols = [[{} for _ in range(d)] for _ in rows]
+        for col, r in zip(cols, rows):
+            for x, y in zip(col, basis):
+                for c, z in zip(r, y):
+                    _mul_add(x, c, one, z, q)
+        cols += [[{e - 1: c for e, c in y[j].items()} for y in basis] for j in range(d) if j not in pivs]
+        out.append(_normal_form(list(zip(*cols)), det_degree, q))
     return out
 
 

@@ -34,7 +34,6 @@ from .building import (
     _solve_canonical,
     neighbors,
     vertex_from_label,
-    vertex_normal_form,
 )
 from .errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from .gf import check_prime, reduced_echelon_form
@@ -545,9 +544,10 @@ def orbit_decomposition(label, q: int, k: int) -> list[list[BuildingVertex]]:
 # ---------------------------------------------------------------------------
 
 
-def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
+def reduce_to_domain(v: BuildingVertex) -> tuple[tuple[int, ...], LaurentMatrix]:
     """The unique domain label of a building vertex's orbit, plus a witness
     w over F_q[t] with unit determinant and [w * basis] = [label diagonal].
+    A matrix goes through `building.vertex_normal_form` first.
 
     The basis B goes through the row reduction over F_q[t]
     (`building._reduce_rows`) to R = W B.  R is diag(t^deg) A with A in
@@ -562,10 +562,8 @@ def reduce_to_domain(v) -> tuple[tuple[int, ...], LaurentMatrix]:
     rev(R) = rev(B) rev(W), so W = rev(rev(B)^-1 rev(R)).  All of it runs
     on dict matrices; the entries of W become LaurentPoly once.
     """
-    if isinstance(v, LaurentMatrix):
-        v = vertex_normal_form(v)
-    elif not isinstance(v, BuildingVertex):
-        raise InvalidInputError("expected a BuildingVertex or LaurentMatrix")
+    if not isinstance(v, BuildingVertex):
+        raise InvalidInputError("expected a BuildingVertex")
     d, q = v.d, v.q
     basis = _coeff_rows(v.basis)
     rows = [[dict(x) for x in row] for row in basis]

@@ -21,15 +21,17 @@ kernel, `dot(terms, q)`: the sum of c * a * b over (c, a, b) triples,
 accumulated in one integer dict and reduced mod q once, so a matrix
 entry or a minor builds one polynomial rather than one per product and
 per partial sum; `+`, `-` and negation are terms against the constant 1.
-`LaurentMatrix.__mul__` and the determinant's minors (`_det_rows`) are
-its loops.  The lattice layer works on dict matrices instead: rows of
-mutable {exponent: residue} dicts, updated with the one in-place
-primitive `_mul_add(acc, c, a, b, q, above=None)`: acc += c * a * b,
-reduced as it goes, and with `above` forming only the products above the
-cutoff, as the normal form works modulo a power of 1/t and discards the
-rest.  Its loops are the Hermite pass of `building.vertex_normal_form`,
-the row reduction (`building._reduce_rows`), and the one substitution by
-a triangular basis with monic monomial pivots
+The matrix product `LaurentMatrix.__mul__` (of matrices only, for
+`random_gamma`) and the determinant's minors (`_det_rows`) are its
+loops.  The lattice layer works on dict matrices instead: rows of mutable
+{exponent: residue} dicts, updated with the one in-place primitive
+`_mul_add(acc, c, a, b, q, above=None)`: acc += c * a * b, reduced as it
+goes, and with `above` forming only the products above the cutoff, as
+the normal form works modulo a power of 1/t and discards the rest.  Its
+loops are the Hermite pass of the normal form (`building._normal_form`,
+which also takes the neighbor bases that `building.neighbors` forms on
+dict rows), the row reduction (`building._reduce_rows`), and the one
+substitution by a triangular basis with monic monomial pivots
 (`building._solve_canonical`), which serves the certificate, the start
 of `relative_position` and, on reversed transposes, the witness of
 `domain.reduce_to_domain`.  Dict matrices pass between those loops as
@@ -360,8 +362,6 @@ class LaurentMatrix:
         return hash((self.q, self.rows))
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return _matrix([[x * other for x in row] for row in self.rows], self.q)
         if not isinstance(other, LaurentMatrix) or other.q != self.q:
             raise InvalidInputError("matrix product requires matching moduli")
         if other.d != self.d:

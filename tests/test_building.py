@@ -15,6 +15,7 @@ import pytest
 
 from btq import building
 from btq.building import (
+    BuildingVertex,
     bfs_color1_distance,
     bfs_distance,
     distance_formulas,
@@ -218,13 +219,17 @@ def test_normal_form_worked_example():
     assert v.basis == mat([["t", "0", "t^2"], ["0", "1", "t"], ["0", "0", "1"]])
 
 
+def homothety(m, e):
+    """t^e m, as the product with the scalar matrix t^e I."""
+    return m * LaurentMatrix.diagonal((e,) * m.d, m.q)
+
+
 def test_normal_form_diag_and_homothety():
     m = LaurentMatrix.diagonal((2, 1, 0), 2)
     v = vertex_normal_form(m)
     assert v.basis == m and v.profile == (2, 1, 0)
-    assert vertex_normal_form(m * P("t")) == v
     for j in range(-3, 4):
-        assert vertex_normal_form(m * LaurentPoly({j: 1}, 2)) == v
+        assert vertex_normal_form(homothety(m, j)) == v
 
 
 def test_normal_form_idempotent_random():
@@ -277,9 +282,9 @@ def test_certificate_accepts_scaled_frame_only():
             v = vertex_normal_form(m)
             e, rem = divmod(sum(v.profile) - m.det().degree(), d)
             assert rem == 0
-            assert certify(v.basis, m * LaurentPoly({e: 1}, q))
-            assert not certify(v.basis, m * LaurentPoly({e + 1: 1}, q))
-            assert not certify(v.basis, m * LaurentPoly({e - 1: 1}, q))
+            assert certify(v.basis, homothety(m, e))
+            assert not certify(v.basis, homothety(m, e + 1))
+            assert not certify(v.basis, homothety(m, e - 1))
 
 
 def test_certificate_rejects_raised_entry_above_pivot():
@@ -336,10 +341,10 @@ def test_wrong_det_degree_is_internal():
     inputs += [n.basis for n in neighbors(v, 1)[:4]]
     for m in inputs:
         true = m.det().degree()
-        assert vertex_normal_form(m, det_degree=true) == vertex_normal_form(m)
+        assert building._normal_form(coeff_rows(m), true, m.q) == vertex_normal_form(m)
         for wrong in (true - 1, true + 1):
             with pytest.raises(InternalInvariantError):
-                vertex_normal_form(m, det_degree=wrong)
+                building._normal_form(coeff_rows(m), wrong, m.q)
 
 
 def test_solve_canonical_requires_triangular_monic_pivots():
@@ -383,8 +388,8 @@ def test_neighbor_counts_origin():
 
 
 def neighbors_by_determinant(v, k):
-    """Oracle: the degree-k neighbors as built before the determinant
-    degree was passed, each normal form computing det(B n) itself."""
+    """Oracle: the degree-k neighbors as normal forms of the LaurentMatrix
+    product B n, each computing det(B n) itself."""
     d, q = v.d, v.q
     out = []
     for rows in subspace_bases(d, d - k, q):
@@ -402,17 +407,46 @@ def neighbors_by_determinant(v, k):
 
 def test_neighbors_match_normal_forms_with_determinant():
     rng = random.Random(271)
+    vertices = []
     for d in (3, 4):
         for q in (2, 3):
             label = _random_label(rng, d, 3)
-            vertices = [vertex_from_label(label, q)]
+            vertices.append(vertex_from_label(label, q))
             vertices += [
                 vertex_normal_form(random_gamma(d, q, 2, rng) * LaurentMatrix.diagonal(label, q))
                 for _ in range(2)
             ]
-            for v in vertices:
-                for k in range(1, d):
-                    assert neighbors(v, k) == neighbors_by_determinant(v, k), (v, k)
+    # one more vertex for every other d = 2-5 and q in {2, 3, 5}: a dense
+    # one, or a label where a degree has over 700 neighbors (d = 5, q > 2)
+    for d in (2, 3, 4, 5):
+        for q in (2, 3, 5):
+            if d in (3, 4) and q in (2, 3):
+                continue
+            label = _random_label(rng, d, 3)
+            if d == 5 and q > 2:
+                vertices.append(vertex_from_label(label, q))
+            else:
+                m = random_gamma(d, q, 2, rng) * LaurentMatrix.diagonal(label, q)
+                vertices.append(vertex_normal_form(m))
+    # a basis of a label's lattice that is not canonical: diag(label) k for
+    # k in GL_d(O), whose negative exponents put the one-step shift below
+    # every exponent of a canonical basis; its neighbors are the label
+    # vertex's, in another order
+    label = (3, 1, 1, 0)
+    vertices.append(BuildingVertex(LaurentMatrix.diagonal(label, 3) * random_k(4, 3, 3, rng), label))
+    assert any(e < 0 for row in vertices[-1].basis.rows for x in row for e in x.coeffs)
+    for v in vertices:
+        terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
+        for k in range(1, v.d):
+            try:
+                building.check_neighbor_work(v.d, k, v.q, terms)
+            except ResourceBoundError:
+                assert (v.d, v.q, k) in ((5, 5, 2), (5, 5, 3))
+                continue
+            assert neighbors(v, k) == neighbors_by_determinant(v, k), (v, k)
+    v = vertices[-1]
+    for k in (1, 2, 3):
+        assert set(neighbors(v, k)) == set(neighbors(vertex_from_label(v.profile, 3), k))
 
 
 def test_neighbors_contain_diagonal_shapes():

@@ -525,7 +525,7 @@ def test_distance_discrepancy_note(run):
     assert lines[-1].startswith("note:")
 
 
-def test_exit_code_invalid_input(run):
+def test_exit_code_invalid_input(run, tmp_path):
     code, _, err = run("stabilizer", "--n", "1,2,0", "--q", "2")
     assert code == 2 and "error" in err
     code, _, err = run("stabilizer", "--n", "1,0", "--q", "4")
@@ -542,6 +542,10 @@ def test_exit_code_invalid_input(run):
     for trials in ("0", "-3"):
         code, out, err = run("hecke-check", "--max-n", "4", "--trials", trials)
         assert code == 2 and not out and "--trials" in err
+    # a d = 1 literal names no building, whatever the degree
+    path = matrix_file(tmp_path, [["t"]])
+    code, out, err = run("neighbors", "--matrix", path, "--degree", "1")
+    assert code == 2 and not out and "the building is a point" in err
 
 
 # four over the value-size bound (the last one just over: 7608 bits over

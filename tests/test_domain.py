@@ -462,7 +462,9 @@ def test_stabilizer_closure_spot_check():
         lead = next(x for row in prod.rows for x in row if x)
         c = lead.coeffs[min(lead.coeffs)]
         inv = pow(c, q - 2, q) if c != 1 else 1
-        prod = prod * LaurentPoly({0: inv}, q)
+        prod = prod * LaurentMatrix(
+            [[LaurentPoly({0: inv} if i == j else {}, q) for j in range(3)] for i in range(3)], q
+        )
         key = tuple(tuple(sorted(x.coeffs.items())) for row in prod.rows for x in row)
         assert key in keys
 
@@ -596,7 +598,7 @@ def test_reduce_out_of_domain_neighbor_lands_on_degree2():
                 ["0", "0", "1"],
             ]
             m = LaurentMatrix([[LaurentPoly.parse(s, q) for s in row] for row in rows], q)
-            lab, _ = reduce_to_domain(m)
+            lab, _ = reduce_to_domain(vertex_normal_form(m))
             assert lab == (1, 0, 0)
 
 
@@ -713,3 +715,6 @@ def test_reduce_wrong_determinant_is_internal():
     for profile in ((3, 1, 0), (1, 1, 0)):
         with pytest.raises(InternalInvariantError):
             reduce_to_domain(BuildingVertex(v.basis, profile))
+    # a matrix is not a vertex: its normal form comes first
+    with pytest.raises(InvalidInputError):
+        reduce_to_domain(v.basis)
