@@ -12,9 +12,11 @@ lattice routines take and return dict matrices, rows of
 (`_solve_canonical`) serves the normal form's certificate, the relative
 position and the witness of the domain reduction.  One
 row reduction by leading row coefficients (`_reduce_rows`) serves both
-lattice invariants: over F_q[t] it reduces a vertex into the fundamental
-domain (`domain.reduce_to_domain`), and over O it gives the relative
-position of two vertices, the Smith valuations of y^-1 x.  Both
+lattice invariants and the normal form: over F_q[t] it reduces a vertex
+into the fundamental domain (`domain.reduce_to_domain`) and gives the
+determinant degree of a basis (`vertex_normal_form`), and over O it
+gives the relative position of two vertices, the Smith valuations of
+y^-1 x.  Both
 distances are read off the relative position, or, for two
 label vertices, off the sorted label differences
 (`label_relative_position`); breadth-first search on the 1-skeleton is
@@ -147,16 +149,23 @@ def _certify_same_lattice(canon, original, q: int) -> bool:
 
 def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     """Canonical representative of the homothety class of m's column span,
-    the `_normal_form` of m with the degree of its one Laurent determinant.
+    the `_normal_form` of m with the degree of its determinant.
+
+    That degree comes from the row reduction over F_q[t]
+    (`_reduce_rows`, on a copy of m's rows): every step is a left
+    multiplication by GL_d(F_q[t]), and the row degrees of the reduced
+    form it ends in sum to deg det m (Mulders and Storjohann, J. Symbolic
+    Comput. 2003).  A singular m reaches a zero row there and raises
+    SingularMatrixError.
 
     Idempotent; invariant under right multiplication by GL_d(O) and under
     scaling by powers of t.
     """
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
-    if (det := m.det()).is_zero():
-        raise SingularMatrixError("matrix is singular over F_q((1/t))")
-    return _normal_form(_coeff_rows(m), det.degree(), m.q)
+    rows = _coeff_rows(m)
+    degs = _reduce_rows([[dict(x) for x in row] for row in rows], None, m.q, over_O=False)
+    return _normal_form(rows, sum(degs), m.q)
 
 
 def _normal_form(m, det_degree: int, q: int) -> BuildingVertex:
@@ -289,19 +298,17 @@ def matrix_work(m: LaurentMatrix) -> int:
     """The predicted work of the normal form and domain reduction of an
     arbitrary matrix m, in the units of NEIGHBOR_WORK_BOUND.
 
-    With T the most terms of one entry of m and s its exponent span, the
-    intermediate entries hold up to w = d s + 1 terms.  Each polynomial
-    product costs 3 units plus 1/16 unit per coefficient product: the
-    determinant takes d 2^(d-1) products of an entry by a minor (T w
-    coefficient products each), and the Hermite pass, its certificate and
-    the domain reduction about d^3 / 4 products of entries that may fill
-    up (w^2 each).
+    With s the exponent span of m, the intermediate entries hold up to
+    w = d s + 1 terms.  Each polynomial product costs 3 units plus 1/16
+    unit per coefficient product, and the row reduction that gives the
+    determinant degree, the Hermite pass, its certificate and the domain
+    reduction take about d^3 / 4 products of entries that may fill up
+    (w^2 each).
     """
     d = m.d
     exponents = [e for row in m.rows for x in row for e in x.coeffs]
     window = d * (max(exponents) - min(exponents) if exponents else 0) + 1
-    terms = max(len(x.coeffs) for row in m.rows for x in row)
-    return ((d << (d - 1)) * (48 + terms * window) + d**3 * (12 + window * window // 4)) // 16
+    return d**3 * (12 + window * window // 4) // 16
 
 
 def normal_form_work(d: int, terms: int) -> int:
@@ -370,7 +377,7 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     return out
 
 
-def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
+def _reduce_rows(rows, det_deg: int | None, q: int, over_O: bool) -> list[int]:
     """Row reduction of a nonsingular dict matrix (rows of mutable
     {exponent: residue} dicts) by leading row coefficients, in place, over
     F_q[t] or, with `over_O`, over O = F_q[[1/t]]; returns the final row
@@ -385,7 +392,11 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     strictly lowers the total row degree, which is bounded below by
     det_deg = deg det, the degree every step keeps.  Once the leading
     matrix is invertible the rows are diag(t^deg) A with A in GL_d(O), and
-    the degrees sum to exactly det_deg.  A zero row means a singular matrix
+    the degrees sum to exactly deg det.  So with det_deg None, which only
+    `vertex_normal_form` passes, the sum is the determinant degree it
+    looks for, and only the strict decrease is checked: over F_q[t] the
+    row degrees stay above the least exponent of the input, so the
+    reduction ends.  A zero row means a singular matrix
     (SingularMatrixError); any other broken invariant is a bug and raises
     InternalInvariantError.
 
@@ -404,7 +415,7 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
     def row_degree(i: int) -> int:
         degs = [max(x) for x in rows[i] if x]
         if not degs:
-            raise SingularMatrixError("zero row during row reduction")
+            raise SingularMatrixError("matrix is singular: the row reduction reached a zero row")
         return max(degs)
 
     def leading(i: int) -> list[int]:
@@ -435,9 +446,9 @@ def _reduce_rows(rows, det_deg: int, q: int, over_O: bool) -> list[int]:
         lead[pivot] = leading(pivot)
         # the elimination of the rows above the pivot row still holds
         del echelon[pivot:]
-        if sum(degs) < det_deg:
+        if det_deg is not None and sum(degs) < det_deg:
             raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
-    if sum(degs) != det_deg:
+    if det_deg is not None and sum(degs) != det_deg:
         raise InternalInvariantError(
             f"row degrees {degs} do not account for the determinant degree {det_deg}"
         )

@@ -16,27 +16,26 @@ the private `_poly` or, for a matrix, `_matrix`, which neither re-check q
 nor re-reduce coefficients.  Every binary operation still checks that its
 operands share q.
 
-Every ring operation on LaurentPoly values goes through one private
-kernel, `dot(terms, q)`: the sum of c * a * b over (c, a, b) triples,
-accumulated in one integer dict and reduced mod q once, so a matrix
-entry or a minor builds one polynomial rather than one per product and
-per partial sum; `+`, `-` and negation are terms against the constant 1.
-The matrix product `LaurentMatrix.__mul__` (of matrices only, for
-`random_gamma`) and the determinant's minors (`_det_rows`) are its
-loops.  The lattice layer works on dict matrices instead: rows of mutable
-{exponent: residue} dicts, updated with the one in-place primitive
-`_mul_add(acc, c, a, b, q, above=None)`: acc += c * a * b, reduced as it
-goes, and with `above` forming only the products above the cutoff, as
-the normal form works modulo a power of 1/t and discards the rest.  Its
-loops are the Hermite pass of the normal form (`building._normal_form`,
-which also takes the neighbor bases that `building.neighbors` forms on
-dict rows), the row reduction (`building._reduce_rows`), and the one
-substitution by a triangular basis with monic monomial pivots
-(`building._solve_canonical`), which serves the certificate, the start
-of `relative_position` and, on reversed transposes, the witness of
-`domain.reduce_to_domain`.  Dict matrices pass between those loops as
-they are; LaurentPoly values are built only for what leaves the layer,
-the canonical basis and the witness.
+Every polynomial product goes through one private kernel,
+`_mul_add(acc, c, a, b, q, above=None)`: acc += c * a * b on
+{exponent: residue} dicts, in place and reduced as it goes, and with
+`above` forming only the products above the cutoff, as the normal form
+works modulo a power of 1/t and discards the rest.  LaurentPoly `+`, `-`
+and negation are products with the constant 1, and `*`, the matrix
+product `LaurentMatrix.__mul__` (of matrices only, for `random_gamma`)
+and the determinant's minors (`_det_rows`) accumulate their sums of
+products in one dict each.  The lattice layer works on dict matrices,
+rows of mutable {exponent: residue} dicts, updated by the same kernel.
+Its loops are the Hermite pass of the normal form
+(`building._normal_form`, which also takes the neighbor bases that
+`building.neighbors` forms on dict rows), the row reduction
+(`building._reduce_rows`), which also gives the normal form its
+determinant degree, and the one substitution by a triangular basis with
+monic monomial pivots (`building._solve_canonical`), which serves the
+certificate, the start of `relative_position` and, on reversed
+transposes, the witness of `domain.reduce_to_domain`.  Dict matrices pass
+between those loops as they are; LaurentPoly values are built only for
+what leaves the layer, the canonical basis and the witness.
 
 A truncated inverse of an O-unit (`series_inverse`) is exact modulo a
 power of 1/t.  Its one consumer is also the lattice normal form, which
@@ -48,8 +47,9 @@ triangular canonical basis has monic monomial pivots, so its inverse
 times the input comes from an exact back-substitution, and must lie in
 GL_d(O).
 `LaurentMatrix.det`, `minor` and `adjugate` are exact Laplace expansions
-that compute each minor once: d 2^(d-1) products, not d!.  Matrix
-literals are read as they are; the CLI bounds the work they predict.
+that compute each minor once: d 2^(d-1) products, not d!.  The library
+itself takes no determinant.  Matrix literals are read as they are; the
+CLI bounds the work they predict.
 """
 
 from __future__ import annotations
@@ -114,20 +114,26 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check_compat(other)
-        one = _poly({0: 1}, self.q)
-        return dot(((1, self, one), (1, other, one)), self.q)
+        out = dict(self.coeffs)
+        _mul_add(out, 1, other.coeffs, _ONE, self.q)
+        return _poly(out, self.q)
 
     def __sub__(self, other):
         self._check_compat(other)
-        one = _poly({0: 1}, self.q)
-        return dot(((1, self, one), (-1, other, one)), self.q)
+        out = dict(self.coeffs)
+        _mul_add(out, -1, other.coeffs, _ONE, self.q)
+        return _poly(out, self.q)
 
     def __neg__(self):
-        return dot(((-1, self, _poly({0: 1}, self.q)),), self.q)
+        out: dict[int, int] = {}
+        _mul_add(out, -1, self.coeffs, _ONE, self.q)
+        return _poly(out, self.q)
 
     def __mul__(self, other):
         self._check_compat(other)
-        return dot(((1, self, other),), self.q)
+        out: dict[int, int] = {}
+        _mul_add(out, 1, self.coeffs, other.coeffs, self.q)
+        return _poly(out, self.q)
 
     # -- text form ---------------------------------------------------------
 
@@ -217,33 +223,7 @@ def _reduced(coeffs: dict[int, int], q: int) -> dict[int, int]:
     return {e: r for e, c in coeffs.items() if (r := c % q)}
 
 
-def dot(terms, q: int) -> LaurentPoly:
-    """The sum of c * a * b over the (c, a, b) triples, c an int and a, b
-    LaurentPoly over q.
-
-    Every coefficient product goes into one integer dict, reduced mod q
-    once at the end, so a sum of products builds one polynomial instead of
-    one per product and per partial sum.
-    """
-    out: dict[int, int] = {}
-    get = out.get
-    for c, a, b in terms:
-        if a.q != q or b.q != q:
-            raise InvalidInputError("mixed moduli in Laurent arithmetic")
-        short, long = a.coeffs, b.coeffs
-        if not (short and long):
-            continue
-        c %= q
-        if not c:
-            continue
-        if len(short) > len(long):
-            short, long = long, short
-        for e1, c1 in short.items():
-            c1 *= c
-            for e2, c2 in long.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-    return _poly(_reduced(out, q), q)
+_ONE = {0: 1}
 
 
 def _mul_add(acc: dict[int, int], c: int, a: dict[int, int], b: dict[int, int], q: int,
@@ -254,8 +234,7 @@ def _mul_add(acc: dict[int, int], c: int, a: dict[int, int], b: dict[int, int], 
     acc's own terms at or below it stay.
 
     acc keeps the LaurentPoly invariant: each sum is reduced mod q as it is
-    formed, and a key whose sum vanishes is deleted.  `dot` reduces once
-    at the end instead, which is cheaper for its long products.
+    formed, and a key whose sum vanishes is deleted.
     """
     c %= q
     if not (c and a and b):
@@ -367,24 +346,26 @@ class LaurentMatrix:
         if other.d != self.d:
             raise InvalidInputError("matrix product requires matching sizes")
         q = self.q
-        zero = _poly({}, q)
-        cols = list(zip(*other.rows))
+        cols = [[x.coeffs for x in col] for col in zip(*other.rows)]
         out = []
         for row in self.rows:
             out.append([])
             for col in cols:
-                terms = [(1, a, b) for a, b in zip(row, col) if a.coeffs and b.coeffs]
-                out[-1].append(dot(terms, q) if terms else zero)
+                acc: dict[int, int] = {}
+                for a, b in zip(row, col):
+                    _mul_add(acc, 1, a.coeffs, b, q)
+                out[-1].append(_poly(acc, q))
         return _matrix(out, q)
 
     def minor(self, rows_idx, cols_idx) -> LaurentPoly:
         """Determinant of the submatrix on the given index tuples."""
-        sub = [[self.rows[i][j] for j in cols_idx] for i in rows_idx]
-        return _det_rows(sub, self.q)
+        sub = [[self.rows[i][j].coeffs for j in cols_idx] for i in rows_idx]
+        return _poly(_det_rows(sub, self.q), self.q)
 
     def det(self) -> LaurentPoly:
         """Exact determinant (Laplace expansion with shared minors)."""
-        return _det_rows([list(r) for r in self.rows], self.q)
+        idx = range(self.d)
+        return self.minor(idx, idx)
 
     def adjugate(self) -> "LaurentMatrix":
         """Adjugate matrix: adj(M) * M = det(M) * I, exactly."""
@@ -458,15 +439,15 @@ def _diagonal_rows(exps, q: int) -> list[list[LaurentPoly]]:
     return [[_poly({e: 1}, q) if i == j else zero for j in range(d)] for i, e in enumerate(exps)]
 
 
-def _det_rows(rows: list[list[LaurentPoly]], q: int) -> LaurentPoly:
-    """Laplace expansion along each row in turn, from the bottom up, with
-    every minor of the rows below computed once and keyed by the bitmask
-    of its columns: d 2^(d-1) products where the plain recursion takes d!,
-    summed by one `dot` per minor.  Zero entries and zero minors are
-    skipped."""
+def _det_rows(rows: list[list[dict[int, int]]], q: int) -> dict[int, int]:
+    """The determinant of a dict matrix: Laplace expansion along each row
+    in turn, from the bottom up, with every minor of the rows below
+    computed once and keyed by the bitmask of its columns, d 2^(d-1)
+    products where the plain recursion takes d!, each minor summed in one
+    dict by `_mul_add`.  Zero entries and zero minors are skipped."""
     minors = {1 << j: x for j, x in enumerate(rows[-1]) if x}
     for row in reversed(rows[:-1]):
-        wider: dict[int, list] = {}
+        wider: dict[int, dict[int, int]] = {}
         for mask, m in minors.items():
             for j, x in enumerate(row):
                 bit = 1 << j
@@ -474,9 +455,9 @@ def _det_rows(rows: list[list[LaurentPoly]], q: int) -> LaurentPoly:
                     continue
                 # j's position among the columns of mask | bit gives the sign
                 sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-                wider.setdefault(mask | bit, []).append((sign, x, m))
-        minors = {mask: m for mask, terms in wider.items() if (m := dot(terms, q))}
-    return minors.get((1 << len(rows)) - 1) or _poly({}, q)
+                _mul_add(wider.setdefault(mask | bit, {}), sign, x, m, q)
+        minors = {mask: m for mask, m in wider.items() if m}
+    return minors.get((1 << len(rows)) - 1, {})
 
 
 def _as_rng(seed) -> random.Random:

@@ -7,6 +7,8 @@ distances read off it.  The minors check it up to d = 6 and on a label of
 span 10^4.
 """
 
+import io
+import json
 import random
 import time
 from itertools import combinations
@@ -27,6 +29,7 @@ from btq.building import (
     vertex_from_label,
     vertex_normal_form,
 )
+from btq.cli import main
 from btq.errors import (
     InternalInvariantError,
     InvalidInputError,
@@ -34,7 +37,7 @@ from btq.errors import (
     SingularMatrixError,
 )
 from btq.gf import gaussian_binomial, left_null_vector
-from btq.laurent import LaurentMatrix, LaurentPoly, _poly, dot, random_gamma, random_k
+from btq.laurent import LaurentMatrix, LaurentPoly, _poly, random_gamma, random_k
 
 
 def P(s, q=2):
@@ -172,9 +175,10 @@ def smith_by_minors(x, y):
 
 
 def reduce_rows_by_dot(rows, det_deg, q, over_O):
-    """`building._reduce_rows` on immutable rows: every step rebuilds the
-    pivot row with one `dot` per entry, from a monomial LaurentPoly per
-    used row.  The in-place reduction must agree with it step for step."""
+    """`building._reduce_rows` on immutable rows: every step rebuilds each
+    entry of the pivot row as a dot product, a sum of LaurentPoly operator
+    products of a scalar, a monomial per used row and that row's entry.
+    The in-place reduction must agree with it step for step."""
     d = len(rows)
     sign = -1 if over_O else 1
 
@@ -192,8 +196,9 @@ def reduce_rows_by_dot(rows, det_deg, q, over_O):
     while (combo := left_null_vector(lead, q)) is not None:
         used = [i for i in range(d) if combo[i]]
         pivot = max(used, key=lambda i: (sign * degs[i], i))
-        monos = {i: _poly({degs[pivot] - degs[i]: 1}, q) for i in used}
-        rows[pivot] = [dot([(combo[i], monos[i], rows[i][j]) for i in used], q) for j in range(d)]
+        monos = {i: _poly({degs[pivot] - degs[i]: combo[i]}, q) for i in used}
+        zero = _poly({}, q)
+        rows[pivot] = [sum((monos[i] * rows[i][j] for i in used), zero) for j in range(d)]
         new_deg = row_degree(pivot)
         if new_deg >= degs[pivot]:
             raise InternalInvariantError("row degree did not decrease during row reduction")
@@ -318,25 +323,17 @@ def test_certificate_rejects_raised_pivot_mod_uniformizer():
             assert not certify(wrong, canon)
 
 
-def test_certificate_catches_wrong_determinant(monkeypatch):
-    # a determinant off by a factor of t sets the wrong modulus for the
-    # Hermite pass; the certificate does not trust it
-    inputs = [LaurentMatrix.diagonal((2, 1, 0), 2), mat([["1", "t^-1"], ["t^-3", "t^-2"]])]
-    rng = random.Random(41)
-    inputs += [random_invertible(3, 2, rng) for _ in range(5)]
-    true_det = LaurentMatrix.det
-    monkeypatch.setattr(LaurentMatrix, "det", lambda self: true_det(self) * P("t"))
-    for m in inputs:
-        with pytest.raises(InternalInvariantError):
-            vertex_normal_form(m)
-
-
 def test_wrong_det_degree_is_internal():
-    # a caller's determinant degree one too high or too low never gives a
-    # vertex: the modulus check or the certificate rejects it
+    # a determinant degree one too high or too low sets the wrong modulus
+    # for the Hermite pass and never gives a vertex: the modulus check or
+    # the certificate rejects it; the true degree from the Laplace
+    # expansion gives vertex_normal_form's vertex, whose degree comes from
+    # the row reduction, here on seeded dense inputs up to d = 8
     rng = random.Random(27)
     inputs = [LaurentMatrix.diagonal((2, 1, 0), 2), mat([["1", "t^-1"], ["t^-3", "t^-2"]])]
-    inputs += [random_invertible(d, q, rng) for d in (2, 3, 4) for q in (2, 3)]
+    inputs += [random_invertible(d, q, rng) for d in (2, 3, 4, 6, 8) for q in (2, 3)]
+    rng = random.Random(41)
+    inputs += [random_invertible(3, 2, rng) for _ in range(5)]
     v = vertex_from_label((2, 1, 0), 3)
     inputs += [n.basis for n in neighbors(v, 1)[:4]]
     for m in inputs:
@@ -370,12 +367,21 @@ def test_solve_canonical_matches_matrix_oracle():
                 assert (a, b) == (coeff_rows(canon), coeff_rows(m))
 
 
-def test_normal_form_rejects_singular():
+def test_normal_form_rejects_singular(capsys, monkeypatch):
     one = LaurentPoly({0: 1}, 2)
     with pytest.raises(SingularMatrixError):
         vertex_normal_form(LaurentMatrix([[one, one], [one, one]], 2))
     with pytest.raises(InvalidInputError):
         vertex_normal_form(LaurentMatrix([[one]], 2))
+    # row 3 = t row 1 + t^-1 row 2: no zero row until the reduction reaches one
+    m = mat([["t", "1", "0"], ["0", "t^-1", "1"], ["t^2", "t + t^-2", "t^-1"]], q=3)
+    assert m.det().is_zero()
+    with pytest.raises(SingularMatrixError, match="singular"):
+        vertex_normal_form(m)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(m.to_literal())))
+    assert main(["reduce", "--matrix", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "singular" in err
 
 
 def test_neighbor_counts_origin():

@@ -718,13 +718,21 @@ def test_matrix_literal_work_bound(run, tmp_path, monkeypatch):
     # Hermite pass may fill in (one literal like this one ran for 98 s)
     wide = matrix_file(tmp_path, [["t^1000000000", "0"], ["0", "t^-1"]], name="wide.json")
     rng = random.Random(3)
-    dense = tmp_path / "dense.json"
-    dense.write_text(json.dumps(random_gamma(16, 3, 3, rng).to_literal()))
+    dense16 = tmp_path / "dense16.json"
+    dense16.write_text(json.dumps(random_gamma(16, 3, 3, rng).to_literal()))
     sparse = [
         [" + ".join(f"t^{e}" for e in sorted({rng.randint(0, 16000) for _ in range(3)})) for _ in range(5)]
         for _ in range(5)
     ]
     sparse = matrix_file(tmp_path, sparse, q=5, name="sparse.json")
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(random_gamma(40, 3, 3, random.Random(40)).to_literal()))
+    # a dense d = 16 element of GL_d(F_q[t]) is within the bound and
+    # reduces to the origin's label
+    start = time.perf_counter()
+    code, out, _ = run("reduce", "--matrix", str(dense16))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["label"] == [0] * 16
     for path in (wide, str(dense), sparse):
         for argv in (("reduce", "--matrix", path), ("neighbors", "--matrix", path, "--degree", "1")):
             start = time.perf_counter()

@@ -14,7 +14,6 @@ from btq.laurent import (
     LaurentMatrix,
     LaurentPoly,
     _mul_add,
-    dot,
     random_gamma,
     random_k,
     series_inverse,
@@ -349,9 +348,9 @@ def test_kernel_matches_reference(operands):
         assert all(isinstance(c, int) and 0 < c < q for c in above.values())
 
 
-def _dot_oracle(terms, q, above):
+def _operator_oracle(terms, q, above):
     # the sum of c * (a * b) from the ring operators, then the cutoff; the
-    # operators are themselves terms of dot, so the plain dict reference in
+    # operators themselves run on _mul_add, so the plain dict reference in
     # the test keeps the check independent
     total = LaurentPoly({}, q)
     for c, a, b in terms:
@@ -391,22 +390,27 @@ def _dot_terms(draw):
 @example((5, [(2, P("t + 1", 5), P("t - 1", 5)), (-2, P("t^2 - 1", 5), P("1", 5))], None, P("1", 5)))
 @example((3, [(3, P("t + 1", 3), P("t", 3)), (-4, P("t", 3), P("0", 3))], 0, P("2*t^-1", 3)))
 def test_dot_matches_operators(operands):
+    # a sum of products, a dot product of the terms, accumulated by the
+    # kernel and by the operators, against the plain dict reference
     q, terms, above, start = operands
-    got = dot(terms, q)
-    assert got == _dot_oracle(terms, q, None)
-    assert _clean_invariant(got, q)
-    # and the plain dict reference, free of the operators
     expected = {}
     for c, a, b in terms:
         scaled = {e: v * c for e, v in _ref_mul(a.coeffs, b.coeffs, q).items()}
         expected = _ref_add(expected, _ref_clean(scaled, q), q)
-    assert got.coeffs == expected
+    got = {}
+    for c, a, b in terms:
+        _mul_add(got, c, a.coeffs, b.coeffs, q)
+    assert got == expected
+    assert all(isinstance(c, int) and 0 < c < q for c in got.values())
+    oracle = _operator_oracle(terms, q, None)
+    assert oracle.coeffs == expected
+    assert _clean_invariant(oracle, q)
     # the in-place primitive adds the same products onto a start value;
     # with a cutoff it forms only those above it and keeps start whole
     acc = dict(start.coeffs)
     for c, a, b in terms:
         _mul_add(acc, c, a.coeffs, b.coeffs, q, above)
-    oracle = _dot_oracle(terms, q, above)
+    oracle = _operator_oracle(terms, q, above)
     assert acc == (start + oracle).coeffs
     if above is not None:
         expected = {e: v for e, v in expected.items() if e > above}
@@ -415,9 +419,6 @@ def test_dot_matches_operators(operands):
 
 def test_dot_cancels_to_zero():
     a, b = P("t^3 + 2*t + 4", 5), P("3*t^-2 + 1", 5)
-    assert dot([(1, a, b), (-1, b, a)], 5) == LaurentPoly({}, 5)
-    assert dot([(2, a, b), (3, a, b)], 5) == LaurentPoly({}, 5)
-    assert dot((), 7) == LaurentPoly({}, 7)
     for above in (None, -5, 0, 10):
         for c1, c2 in ((1, -1), (2, 3)):
             acc = {}
@@ -504,9 +505,6 @@ def test_mixed_moduli_rejected():
         lambda: a - b,
         lambda: a * b,
         lambda: P("t", 2) * P("2", 3),
-        lambda: dot(((1, a, b),), 2),
-        lambda: dot(((1, a, a),), 3),
-        lambda: dot(((1, a, a), (1, b, b)), 2),
         lambda: a + 1,
     ):
         with pytest.raises(InvalidInputError):
