@@ -323,6 +323,26 @@ def test_certificate_rejects_raised_pivot_mod_uniformizer():
             assert not certify(wrong, canon)
 
 
+def test_certificate_catches_wrong_determinant(monkeypatch):
+    # a determinant off by a factor of t sets the wrong modulus for the
+    # Hermite pass; the certificate does not trust it.  The normal form
+    # reads the degree off the row reduction, so the reduction is patched
+    # to report one row degree too high
+    inputs = [LaurentMatrix.diagonal((2, 1, 0), 2), mat([["1", "t^-1"], ["t^-3", "t^-2"]])]
+    rng = random.Random(41)
+    inputs += [random_invertible(3, 2, rng) for _ in range(5)]
+    true_reduce = building._reduce_rows
+
+    def reduce_off_by_t(*args, **kwargs):
+        degs = true_reduce(*args, **kwargs)
+        return [degs[0] + 1] + degs[1:]
+
+    monkeypatch.setattr(building, "_reduce_rows", reduce_off_by_t)
+    for m in inputs:
+        with pytest.raises(InternalInvariantError):
+            vertex_normal_form(m)
+
+
 def test_wrong_det_degree_is_internal():
     # a determinant degree one too high or too low sets the wrong modulus
     # for the Hermite pass and never gives a vertex: the modulus check or
@@ -332,8 +352,6 @@ def test_wrong_det_degree_is_internal():
     rng = random.Random(27)
     inputs = [LaurentMatrix.diagonal((2, 1, 0), 2), mat([["1", "t^-1"], ["t^-3", "t^-2"]])]
     inputs += [random_invertible(d, q, rng) for d in (2, 3, 4, 6, 8) for q in (2, 3)]
-    rng = random.Random(41)
-    inputs += [random_invertible(3, 2, rng) for _ in range(5)]
     v = vertex_from_label((2, 1, 0), 3)
     inputs += [n.basis for n in neighbors(v, 1)[:4]]
     for m in inputs:
