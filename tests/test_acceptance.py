@@ -14,6 +14,7 @@ from btq import building, domain, hecke, quotient
 from btq.cli import main as cli_main
 from btq.gf import gaussian_binomial
 from btq.laurent import LaurentMatrix, random_gamma, random_k
+from test_quotient import EDGE_TYPE_CASES, edge_stab_table, ratio_table
 
 
 def _report(name, elapsed, bound):
@@ -33,61 +34,19 @@ def test_criterion_1_stabilizer_orders():
     _report("criterion 1 (stabilizer orders vs enumeration)", time.time() - t0, 30)
 
 
-# one minimal instantiation per d = 3 edge type, with the table columns
-# (|Gamma(u,v)|, w(u,v)/w(u), w(u,v)/w(v)) written out independently in q
-EDGE_TABLE = [
-    ((0, 0, 0), (1, 0, 0), 1,
-     lambda q, n: (q + 1) * (q - 1) ** 2 * q**3,
-     lambda q: (q**2 + q + 1, q**2)),
-    ((1, 0, 0), (1, 1, 0), 2,
-     lambda q, n: (q - 1) ** 2 * q**4,
-     lambda q: ((q + 1) * q, (q + 1) * q)),
-    ((1, 1, 0), (0, 0, 0), 3,
-     lambda q, n: (q + 1) * (q - 1) ** 2 * q**3,
-     lambda q: (q**2, q**2 + q + 1)),
-    ((1, 0, 0), (2, 0, 0), 4,
-     lambda q, n: (q + 1) * (q - 1) ** 2 * q ** (2 * n + 3),
-     lambda q: (1, q**2)),
-    ((2, 0, 0), (2, 1, 0), 5,
-     lambda q, n: (q - 1) ** 2 * q ** (2 * n + 2),
-     lambda q: ((q + 1) * q, q)),
-    ((1, 1, 0), (2, 1, 0), 6,
-     lambda q, n: (q - 1) ** 2 * q ** (2 * n + 3),
-     lambda q: (q + 1, q**2)),
-    ((2, 1, 0), (2, 2, 0), 7,
-     lambda q, n: (q - 1) ** 2 * q ** (2 * n + 2),
-     lambda q: (q, (q + 1) * q)),
-    ((2, 1, 0), (3, 1, 0), 8,
-     lambda q, n: (q - 1) ** 2 * q ** (2 * n + 3),
-     lambda q: (1, q**2)),
-    ((2, 1, 0), (1, 0, 0), 9,
-     lambda q, n: (q - 1) ** 2 * q ** (2 * n + 1),
-     lambda q: (q**2, q + 1)),
-    ((3, 2, 0), (2, 1, 0), 10,
-     lambda q, n: (q - 1) ** 2 * q ** (2 * n + 1),
-     lambda q: (q**2, 1)),
-    ((3, 1, 0), (3, 2, 0), 11,
-     lambda q, n: (q - 1) ** 2 * q ** (2 * n + 2),
-     lambda q: (q, q)),
-    ((2, 2, 0), (1, 1, 0), 12,
-     lambda q, n: (q + 1) * (q - 1) ** 2 * q ** (2 * n + 1),
-     lambda q: (q**2, 1)),
-]
-
-
 def test_criterion_2_edge_table():
     t0 = time.time()
-    for u, v, etype, stab_form, ratios in EDGE_TABLE:
+    for u, v, etype in EDGE_TYPE_CASES:
         assert quotient.classify_edge_d3(u, v) == etype
-        for q in (2, 3, 5):
+        for q in (2, 3, 5, 7):
             stab = domain.pattern_order(u, v, q)
-            assert stab == stab_form(q, u[0]), (etype, q)
-            rf, rt = ratios(q)
+            assert stab == edge_stab_table(etype, u[0], q), (etype, q)
+            rf, rt = ratio_table(etype, q)
             assert domain.stabilizer_order(u, q) == rf * stab, (etype, q)
             assert domain.stabilizer_order(v, q) == rt * stab, (etype, q)
         # brute-force oracle at q = 2
         assert domain.pattern_order(u, v, 2) == domain.edge_stabilizer_brute(u, v, 2)
-    _report("criterion 2 (d=3 edge table, 12 types, q in {2,3,5} + brute force)",
+    _report("criterion 2 (d=3 edge table, 12 types, q in {2,3,5,7} + brute force)",
             time.time() - t0, 120)
 
 

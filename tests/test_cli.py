@@ -60,6 +60,9 @@ def test_stabilizer_order(run):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "order 128" and lines[1] == "enumerated 128" and len(lines) == 130
+    code, out, _ = run("stabilizer", "--n", "1,0", "--q", "7", "--enumerate")
+    lines = out.splitlines()
+    assert code == 0 and lines[:2] == ["order 294", "enumerated 294"] and len(lines) == 296
 
 
 def test_stabilizer_enumerate_count_check_exits_after_output(run, monkeypatch):
@@ -80,6 +83,11 @@ def test_domain_json_nodes(run):
     code, out, _ = run("domain", "--d", "3", "--max-n", "1", "--q", "2", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["nodes"]) == 3
+    # at generic d the writer gives the bytes of json.dumps(indent=2, sort_keys=True)
+    code, out, _ = run("domain", "--d", "5", "--q", "2", "--max-n", "8", "--format", "json")
+    obj = json.loads(out)
+    assert code == 0 and out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert (len(obj["nodes"]), len(obj["edges"])) == (495, 1650)
 
 
 def test_domain_dot(run):
@@ -203,6 +211,35 @@ def test_reduce_output_pinned(d, q, tmp_path, capsysbinary):
     assert hashlib.sha256(out).hexdigest() == REDUCE_HASHES[d, q]
 
 
+# sha256 of `btq reduce --matrix -` stdout for three written-out literals: a
+# d = 2 one; a d = 4 one whose three row steps, two of them on a row above
+# the last one combined, restart the elimination of the leading matrix from
+# a kept prefix; and a seeded d = 5 one, whose witness comes from the
+# back-substitution on reversed transposes
+REDUCE_LITERAL_HASHES = {
+    2: ('{"q": 2, "d": 2, "entries": [["t^2", "1"], ["t", "1"]]}',
+        "f3942fb279d84e95e9397b58164e56637b6836430b6806ba144a4656327c23b9"),
+    4: ('{"q": 3, "d": 4, "entries": [["2", "0", "1", "t^2 + t"], ["2", "t", "2*t^2 + t", "t"], '
+        '["0", "0", "0", "1"], ["0", "0", "2*t^2 + t + 2", "0"]]}',
+        "a36360ec36bc58c7f6326225dbd41790d4338d8e945e5377229840aea19e0883"),
+    5: ('{"q": 3, "d": 5, "entries": [["t^2 + t + 2 + t^-1", "2*t^2 + 2*t^1 + 1 + t^-1", '
+        '"t^3 + t^2 + 1", "2*t^2 + t + 1 + 2*t^-1", "2*t^2 + 2*t^-1"], ["t + 1 + t^-1", "1 + t^-1", '
+        '"t^2 + 2*t^1", "2*t^-1", "2*t^1 + 1 + 2*t^-1"], ["t^3 + 2*t^1 + 1", "t^3 + 2*t^2 + t + 1", '
+        '"t^2 + t", "t^3 + 2*t^2 + 2", "2"], ["2*t^2 + t + 2 + t^-1", "1 + t^-1", "2*t^3 + 1", '
+        '"t + 1 + 2*t^-1", "t^2 + 2*t^-1"], ["t^2 + t + 2", "2*t^1", "t^3 + 2*t^2 + t + 1", "t + 2", '
+        '"2*t^2 + 1"]]}',
+        "552a21eec9287736b6929277daae96cdfdf74baadc48baacbefc22f6e933d199"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(REDUCE_LITERAL_HASHES))
+def test_reduce_literal_output_pinned(d, monkeypatch, capsysbinary):
+    literal, digest = REDUCE_LITERAL_HASHES[d]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
+    code = main(["reduce", "--matrix", "-"])
+    assert code == 0 and hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
+
+
 # the same at the lattice-reduce benchmark's largest sizes: the literal
 # random_gamma(d, q, 6, seed) * diag(label) * random_k(d, q, 4, seed), n_1 = 12
 REDUCE_WIDE_LABELS = {3: (12, 7, 0), 4: (12, 9, 4, 0)}
@@ -227,19 +264,31 @@ def test_reduce_output_pinned_at_benchmark_sizes(d, q, tmp_path, capsysbinary):
     assert hashlib.sha256(out).hexdigest() == REDUCE_WIDE_HASHES[d, q]
 
 
+# (q, entries, {degree: (neighbor count, sha256 of `btq neighbors --matrix` stdout)}):
+# random_gamma(4, 2, 2, 401) * diag(2, 1, 1, 0), a dense d = 4 basis as in the
+# building-walk benchmark, and a seeded dense d = 3, q = 3 literal
+NEIGHBOR_PINS = [
+    (2, [["t^4 + t^3", "t", "t", "t + 1"],
+         ["0", "t^2 + t", "t^2 + t", "t"],
+         ["t^2", "t", "t", "1"],
+         ["t^3 + t^2", "t", "0", "t + 1"]],
+     {2: (35, "c08be849eb1f7f258b1e163b1fdcfed72795dec95ccdb63ef44e5052d73585fd")}),
+    (3, [["2*t^2 + t + 1 + 2*t^-1 + 2*t^-2", "2*t^2 + 1 + 2*t^-1 + 2*t^-2", "t^2 + 1 + 2*t^-1 + t^-2"],
+         ["2 + 2*t^-1 + 2*t^-2", "1 + t^-1 + 2*t^-2", "1 + 2*t^-1 + t^-2"],
+         ["t", "t + 2 + 2*t^-1", "t"]],
+     {1: (13, "dc84d3b4f1a828613d52509981d2ac50be44835fdf3819f3ed9a55b9046c7074"),
+      2: (13, "9d2769ed2b71143849de3adb549619bd3243f5ef0ae0bd1e8cf16942a77bce6b")}),
+]
+
+
 def test_neighbors_matrix_output_pinned(tmp_path, capsysbinary):
-    # random_gamma(4, 2, 2, 401) * diag(2, 1, 1, 0): the 35 degree-2
-    # neighbors of a dense d = 4 basis, as in the building-walk benchmark
-    path = matrix_file(tmp_path, [
-        ["t^4 + t^3", "t", "t", "t + 1"],
-        ["0", "t^2 + t", "t^2 + t", "t"],
-        ["t^2", "t", "t", "1"],
-        ["t^3 + t^2", "t", "0", "t + 1"],
-    ])
-    code = main(["neighbors", "--matrix", path, "--degree", "2"])
-    out = capsysbinary.readouterr().out
-    assert code == 0 and len(json.loads(out)) == 35
-    assert hashlib.sha256(out).hexdigest() == "c08be849eb1f7f258b1e163b1fdcfed72795dec95ccdb63ef44e5052d73585fd"
+    for q, entries, pins in NEIGHBOR_PINS:
+        path = matrix_file(tmp_path, entries, q)
+        for degree, (count, digest) in pins.items():
+            code = main(["neighbors", "--matrix", path, "--degree", str(degree)])
+            out = capsysbinary.readouterr().out
+            assert code == 0 and len(json.loads(out)) == count, (q, degree)
+            assert hashlib.sha256(out).hexdigest() == digest, (q, degree)
 
 
 def test_eigenvector_text_and_l2(run):
@@ -345,8 +394,10 @@ def test_hecke_check(run):
     assert lines[0] == "row_sums ok (expected 7)"
     assert lines[1].startswith("commutator_max_residual 0 ")
     assert lines[2] == "adjointness_residual 0"
-    # the commutator of A_1 and A_(d-1) is checked at every d >= 3
-    for d, q, max_n, sums in (("4", "2", "3", 15), ("5", "2", "3", 31)):
+    # the commutator of A_1 and A_(d-1) is checked at every d >= 3, also on
+    # generic-d graphs deep enough to use every cached edge ratio
+    for d, q, max_n, sums in (("4", "2", "3", 15), ("5", "2", "3", 31),
+                              ("4", "2", "12", 15), ("5", "2", "8", 31)):
         code, out, _ = run("hecke-check", "--d", d, "--q", q, "--max-n", max_n)
         assert code == 0 and out.splitlines() == [
             f"row_sums ok (expected {sums})",
@@ -355,9 +406,11 @@ def test_hecke_check(run):
         ]
     # at d = 2, A_1 = A_(d-1): there is no commutator to check, so no
     # doubly-interior vertex is needed
-    for max_n in ("8", "0"):
-        code, out, _ = run("hecke-check", "--d", "2", "--q", "3", "--max-n", max_n)
-        assert code == 0 and out.splitlines() == ["row_sums ok (expected 4)", "adjointness_residual 0"]
+    for q, max_n in (("3", "8"), ("3", "0"), ("2", "4")):
+        code, out, _ = run("hecke-check", "--d", "2", "--q", q, "--max-n", max_n)
+        assert code == 0 and out.splitlines() == [
+            f"row_sums ok (expected {int(q) + 1})", "adjointness_residual 0",
+        ]
     # a truncation with no doubly-interior vertex is invalid at d >= 3
     for d in ("3", "4"):
         code, out, err = run("hecke-check", "--d", d, "--max-n", "1")
@@ -451,6 +504,8 @@ def test_hecke_check_residual_exit_code(run, monkeypatch, name, failing, d):
         ("--d", "2", "--q", "2", "--lambda1", "3", "--max-n", "30"),
         ("--d", "2", "--q", "5", "--lambda1=-7/3", "--max-n", "9", "--l2"),
         ("--d", "2", "--q", "3", "--lambda1=1+2i", "--max-n", "20", "--l2"),
+        # deep: the CLI checks a complex d = 2 run against the two-root closed form at every depth
+        ("--d", "2", "--q", "3", "--lambda1=1+2i", "--max-n", "150"),
     ],
 )
 def test_eigenvector_json_matches_json_dumps(run, argv):
@@ -549,7 +604,8 @@ def test_exit_code_invalid_input(run, tmp_path):
 
 
 # four over the value-size bound (the last one just over: 7608 bits over
-# 7000, while --max-n=1000 runs) and one outside the float range; a d = 2
+# 7000, while --max-n=1000 runs), one outside the float range, and a d = 3
+# one just over the work bound (5,068,829 units over 5,000,000); a d = 2
 # recursion takes a few products per n, so no d = 2 input is over the work
 # bound alone
 EIGENVECTOR_OVER_BOUNDS = [
@@ -558,6 +614,7 @@ EIGENVECTOR_OVER_BOUNDS = [
     ("eigenvector", "--d=3", "--q=2", "--lambda1=3", "--lambda2=2", "--max-n=2000"),
     ("eigenvector", "--d=2", "--q=2", "--lambda1=3", "--max-n=1200"),
     ("eigenvector", "--d=3", "--q=2", "--lambda1=1e1000", "--lambda2=1+2i"),
+    ("eigenvector", "--d=3", "--q=3", "--lambda1=1", "--lambda2=1", "--max-n=203"),
 ]
 
 
@@ -647,6 +704,7 @@ def test_exit_code_resource_bound(run):
         (("--n", "1000000000,0,0", "--q", "3", "--degree", "1"), 13),
         (("--n", "1000000,0,0", "--q", "3", "--degree", "1"), 13),
         (("--n", "0,0", "--q", "317", "--degree", "1"), 318),
+        (("--n", "2,1,0", "--q", "3", "--degree", "1"), 13),
     ):
         start = time.perf_counter()
         code, out, _ = run("neighbors", *argv)

@@ -11,6 +11,7 @@ import pytest
 from btq import building, domain
 from btq.building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
 from btq.domain import (
+    _matrix_sort_key,
     block_seq,
     edge_stabilizer_brute,
     enumerate_domain,
@@ -471,10 +472,6 @@ def test_stabilizer_closure_spot_check():
 
 def test_edge_stabilizer_brute_example():
     assert edge_stabilizer_brute((1, 0, 0), (1, 1, 0), 2) == 16
-
-
-def _matrix_sort_key(mat):
-    return tuple(tuple(sorted(x.coeffs.items())) for row in mat.rows for x in row)
 
 
 def orbits_by_enumeration(label, q, k):
