@@ -14,7 +14,7 @@ from btq import building, domain, hecke, quotient
 from btq.cli import main as cli_main
 from btq.gf import gaussian_binomial
 from btq.laurent import LaurentMatrix, random_gamma, random_k
-from test_quotient import EDGE_TYPE_CASES, edge_stab_table, ratio_table
+import test_quotient as quotient_tests
 
 
 def _report(name, elapsed, bound):
@@ -36,16 +36,11 @@ def test_criterion_1_stabilizer_orders():
 
 def test_criterion_2_edge_table():
     t0 = time.time()
-    for u, v, etype in EDGE_TYPE_CASES:
+    for u, v, etype in quotient_tests.EDGE_TYPE_CASES:
         assert quotient.classify_edge_d3(u, v) == etype
-        for q in (2, 3, 5, 7):
-            stab = domain.pattern_order(u, v, q)
-            assert stab == edge_stab_table(etype, u[0], q), (etype, q)
-            rf, rt = ratio_table(etype, q)
-            assert domain.stabilizer_order(u, q) == rf * stab, (etype, q)
-            assert domain.stabilizer_order(v, q) == rt * stab, (etype, q)
-        # brute-force oracle at q = 2
-        assert domain.pattern_order(u, v, 2) == domain.edge_stabilizer_brute(u, v, 2)
+    # stabilizer and ratio forms at q in {2, 3, 5, 7}, brute force at q = 2
+    quotient_tests.test_edge_stabilizer_table_consistency()
+    quotient_tests.test_edge_stabilizer_brute_force_agreement()
     _report("criterion 2 (d=3 edge table, 12 types, q in {2,3,5,7} + brute force)",
             time.time() - t0, 120)
 

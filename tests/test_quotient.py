@@ -26,8 +26,8 @@ from btq.quotient import (
 )
 
 # one minimal instantiation per d = 3 edge type: (u, v, expected type); with
-# edge_stab_table and ratio_table it is the twelve-row table that
-# test_acceptance.py's criterion 2 checks
+# edge_stab_table and ratio_table it is the twelve-row table.  Its checks live
+# here; test_acceptance.py's criterion 2 runs them under its time bound
 EDGE_TYPE_CASES = [
     ((0, 0, 0), (1, 0, 0), 1),
     ((1, 0, 0), (1, 1, 0), 2),
@@ -93,6 +93,17 @@ def test_classify_edge_d3():
         classify_edge_d3((2, 1, 0), (0, 0, 0))
 
 
+def test_edge_stabilizer_table_consistency():
+    # across q, the table value against the vertex-order ratios
+    for q in (2, 3, 5, 7):
+        for u, v, etype in EDGE_TYPE_CASES:
+            stab = pattern_order(u, v, q)
+            assert stab == edge_stab_table(etype, u[0], q), (etype, q)
+            rf, rt = ratio_table(etype, q)
+            assert stabilizer_order(u, q) == rf * stab, (etype, q)
+            assert stabilizer_order(v, q) == rt * stab, (etype, q)
+
+
 def test_pattern_formula_matches_table_on_every_d3_edge():
     checked = 0
     for q in (2, 3, 5, 7):
@@ -151,6 +162,12 @@ def test_edge_orders_from_the_drop_cache_match_pattern_orders(d, q, max_n1):
         assert e.edge_stab_order == pattern_order(e.src, e.dst, q), (e.src, e.dst)
         assert e.ratio_from * e.edge_stab_order == g.nodes[e.src] == stabilizer_order(e.src, q)
         assert e.ratio_to * e.edge_stab_order == g.nodes[e.dst] == stabilizer_order(e.dst, q)
+
+
+def test_edge_stabilizer_brute_force_agreement():
+    q = 2
+    for u, v, etype in EDGE_TYPE_CASES:
+        assert pattern_order(u, v, q) == edge_stabilizer_brute(u, v, q), etype
 
 
 def test_edge_stabilizer_examples():
