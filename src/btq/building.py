@@ -6,7 +6,10 @@ entry above a pivot in row i is supported on exponents strictly greater
 than a_i, and min(a_i) = 0 fixes the homothety.  Two vertices are equal
 iff their canonical bases are entrywise equal.
 
-Neighbor enumeration goes through subspaces of the residue space.  The
+Neighbor enumeration goes through subspaces of the residue space: the
+canonical basis of a neighbor is the vertex's canonical basis times a
+triangular basis of the subspace's lattice, reduced above its pivots and
+certified, with no Hermite pass of its own (`neighbors`).  The
 lattice routines take and return dict matrices, rows of
 {exponent: residue} dicts, and one back-substitution by a canonical basis
 (`_solve_canonical`) serves the normal form's certificate, the relative
@@ -37,13 +40,14 @@ from .errors import (
     ResourceBoundError,
     SingularMatrixError,
 )
-from .gf import check_prime, gaussian_binomial, left_null_vector
+from .gf import check_prime, gaussian_binomial, left_null_vector, reduced_echelon_form
 from .laurent import LaurentMatrix, _matrix, _mul_add, _poly, series_inverse
 
 # The one bound on predicted work, about a microsecond per unit (measured on
-# a shared 2-core x86-64 with Python 3.11): `neighbors` costs one
-# `normal_form_work` per neighbor, and the CLI checks label commands and
-# matrix literals against it before it builds anything
+# a shared 2-core x86-64 with Python 3.11): `neighbors` is predicted at one
+# `normal_form_work` per neighbor, an upper bound since a neighbor takes a
+# triangular product and no normal form, and the CLI checks label commands
+# and matrix literals against it before it builds anything
 NEIGHBOR_WORK_BOUND = 5 * 10**6
 
 
@@ -183,17 +187,14 @@ def _normal_form(m, det_degree: int, q: int) -> BuildingVertex:
     determinant enters N, and a wrong det_degree never gives a wrong
     vertex: too low, the pass is exact but ends with a modulus above u^0;
     too high, it ends on a lattice of another determinant, which the
-    certificate below rejects.  Either raises InternalInvariantError.  The
+    certificate rejects.  Either raises InternalInvariantError.  The
     pass keeps each column of the scaled m as a list of mutable dicts: the
     truncation modulo u^N deletes keys in place, and the pivot head and
     each column update x -= f * head go into the dicts through
     `laurent._mul_add`, forming only the terms above u^N (every other term
-    is dropped by the truncation).  The final reduction above the pivots
-    is exact, on the same dicts.  The result is certified exactly on
-    dicts: canon^-1 * m, found by back-substitution (`_solve_canonical`),
-    must lie in GL_d(O).  A failed certificate is a bug and raises
-    InternalInvariantError.  The LaurentPoly basis is built once, at the
-    end, already shifted to min profile 0.
+    is dropped by the truncation).  The exact reduction above the pivots,
+    the certificate against the scaled m and the shift to min profile 0
+    are `_canonical_vertex`'s, on the same dicts.
     """
     d = len(m)
     top = max(max(x) for row in m for x in row if x)
@@ -236,18 +237,34 @@ def _normal_form(m, det_degree: int, q: int) -> BuildingVertex:
         raise InternalInvariantError(
             f"Hermite pass left modulus u^{modulus}, expected the full determinant"
         )
+    return _canonical_vertex(work, pivots, scaled, q)
 
-    # exact reduction of each entry above a pivot to exponents above it
+
+def _canonical_vertex(cols, pivots, original, q: int) -> BuildingVertex:
+    """The vertex of an upper-triangular dict matrix, given by its columns
+    `cols` (mutable dicts, reduced in place) with monic pivots
+    t^pivots[r], that spans the lattice of the dict matrix `original`.
+
+    Each entry above a pivot is reduced, exactly, to exponents above that
+    row's pivot: column j takes the low part of its entry in row i, from
+    the bottom up, times column i, a right multiplication by GL_d(O).  The
+    result is certified exactly on dicts: canon^-1 * original, found by
+    back-substitution (`_solve_canonical`), must lie in GL_d(O).  A failed
+    certificate is a bug and raises InternalInvariantError.  The
+    LaurentPoly basis is built once, at the end, already shifted to min
+    profile 0.
+    """
+    d = len(cols)
     for j in range(d):
-        col = work[j]
+        col = cols[j]
         for i in range(j - 1, -1, -1):
             p = pivots[i]
             low = {e - p: c for e, c in col[i].items() if e <= p}
             if low:
-                for x, y in zip(col, work[i]):
+                for x, y in zip(col, cols[i]):
                     _mul_add(x, -1, low, y, q)
-    canon = [[work[j][i] for j in range(d)] for i in range(d)]
-    if not _certify_same_lattice(canon, scaled, q):
+    canon = [[cols[j][i] for j in range(d)] for i in range(d)]
+    if not _certify_same_lattice(canon, original, q):
         raise InternalInvariantError("lattice normal form failed its exact certificate")
 
     shift = min(pivots)
@@ -322,7 +339,9 @@ def normal_form_work(d: int, terms: int) -> int:
 def check_neighbor_work(d: int, k: int, q: int, terms: int = 1) -> None:
     """Refuse the degree-k neighbors of a vertex of B_d over F_q, whose
     basis entries have at most `terms` terms, when their predicted work,
-    one `normal_form_work` per neighbor, is above NEIGHBOR_WORK_BOUND.
+    one `normal_form_work` per neighbor (an upper bound on the triangular
+    product, reduction and certificate each one takes), is above
+    NEIGHBOR_WORK_BOUND.
     Needs only the sizes, so the CLI runs it on a label before the d x d
     basis exists."""
     if d < 2:
@@ -353,28 +372,99 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     predicted work (`check_neighbor_work`), this raises ResourceBoundError
     before enumerating any.
 
-    Each neighbor is the normal form of B n, whose columns, formed on B's
-    dict rows, are sum_j r_j B[:, j] for each row r of W and B[:, j] (1/t),
-    one exponent lower, for each coordinate j that is no pivot of W.
-    det(B n) is not computed: the canonical B has monic pivots t^profile_i
-    and n has determinant +-(1/t)^k, so its degree is sum(profile) - k.
+    No Hermite pass runs per neighbor.  Write B = C U with C canonical and
+    U in t^s GL_d(O); then L = t^s C N for N = U0 W + (1/t)O^d, U0 the
+    coefficient matrix of t^s in U, because U / t^s fixes (1/t)O^d and
+    acts on the residue space as U0.  N has an upper-triangular basis H
+    with pivots 1 and 1/t (`_triangular_basis`), so C H is upper
+    triangular with monic pivots, and the neighbor is C H after the exact
+    reduction above its pivots and the shift of `_canonical_vertex`.  A B
+    that already has the canonical shape (`_is_canonical`) is C, with
+    s = 0 and U0 = I; any other B takes one `vertex_normal_form` and one
+    back-substitution first.  Every neighbor is certified exactly against
+    B n / t^s, formed on B's dict rows, whose columns are
+    sum_j r_j B[:, j] for each row r of W and B[:, j] (1/t), one exponent
+    lower, for each coordinate j that is no pivot of W.
     """
     d, q = v.d, v.q
     basis = _coeff_rows(v.basis)
     check_neighbor_work(d, k, q, max(len(x) for row in basis for x in row))
-    det_degree = sum(v.profile) - k
+    if _is_canonical(basis, v.profile):
+        canon, residue = basis, None
+    else:
+        canon = _coeff_rows(vertex_normal_form(v.basis).basis)
+        u = _solve_canonical(canon, basis, q)
+        s = max(e for row in u for x in row for e in x)
+        residue = [[x.get(s, 0) for x in row] for row in u]
+        # B / t^s = C (U / t^s) spans C's lattice
+        basis = [[{e - s: c for e, c in x.items()} for x in row] for row in basis]
     one = {0: 1}
     out = []
     for rows in subspace_bases(d, d - k, q):
         pivs = {next(j for j in range(d) if r[j]) for r in rows}
         cols = [[{} for _ in range(d)] for _ in rows]
         for col, r in zip(cols, rows):
-            for x, y in zip(col, basis):
-                for c, z in zip(r, y):
-                    _mul_add(x, c, one, z, q)
+            for j, c in enumerate(r):
+                if c:
+                    for x, y in zip(col, basis):
+                        _mul_add(x, c, one, y[j], q)
         cols += [[{e - 1: c for e, c in y[j].items()} for y in basis] for j in range(d) if j not in pivs]
-        out.append(_normal_form(list(zip(*cols)), det_degree, q))
+        # the subspace U0 W of C's residue space
+        image = rows if residue is None else [
+            [sum(a * c for a, c in zip(u_row, r)) for u_row in residue] for r in rows
+        ]
+        h = _triangular_basis(image, d, q)
+        pivots = [next(iter(canon[r][r])) + next(iter(h[r][r])) for r in range(d)]
+        out.append(_canonical_vertex(_triangular_product(canon, h, q), pivots, list(zip(*cols)), q))
     return out
+
+
+def _is_canonical(rows, profile) -> bool:
+    """Whether the dict matrix `rows` has the shape of a canonical basis
+    with this profile: upper triangular, pivots t^profile_i, each entry
+    above a pivot supported on exponents above that row's pivot, and min
+    profile 0.  Such a basis is its own `vertex_normal_form`."""
+    if len(profile) != len(rows) or min(profile) != 0:
+        return False
+    return all(
+        row[i] == {a: 1} and not any(row[:i]) and all(e > a for x in row[i + 1:] for e in x)
+        for i, (row, a) in enumerate(zip(rows, profile))
+    )
+
+
+def _triangular_basis(rows, d: int, q: int) -> list[list[dict[int, int]]]:
+    """An upper-triangular dict matrix whose columns span the O-lattice
+    W + (1/t)O^d, for the span W over F_q of `rows`, vectors of d
+    residues taken as constant vectors.
+
+    Column r is the vector of W's reduced echelon basis on reversed
+    coordinates (`gf.reduced_echelon_form`) whose last nonzero coordinate
+    is r, a 1 there, or (1/t) e_r when no vector of that basis ends at r.
+    So the pivots are 1 and 1/t, and the columns lie in W + (1/t)O^d and
+    span it: the other coordinates of an end-r vector sit at coordinates
+    where no vector ends, so (1/t) e_r is in the span too.
+    """
+    h = [[{-1: 1} if i == j else {} for j in range(d)] for i in range(d)]
+    for w in reduced_echelon_form([r[::-1] for r in rows], q):
+        # w is reversed: its first nonzero, a 1, is the end coordinate
+        end = d - 1 - next(p for p, c in enumerate(w) if c)
+        for i in range(end + 1):
+            h[i][end] = {0: c} if (c := w[d - 1 - i]) else {}
+    return h
+
+
+def _triangular_product(a, b, q: int) -> list[list[dict[int, int]]]:
+    """The columns of a b, for upper-triangular dict matrices a and b (read
+    and not changed), as lists of new dicts; a b is upper triangular, so
+    column r takes only the products a[i][j] b[j][r] with i <= j <= r."""
+    d = len(a)
+    cols = [[{} for _ in range(d)] for _ in range(d)]
+    for r, col in enumerate(cols):
+        for j in range(r + 1):
+            if y := b[j][r]:
+                for i in range(j + 1):
+                    _mul_add(col[i], 1, a[i][j], y, q)
+    return cols
 
 
 def _reduce_rows(rows, det_deg: int | None, q: int, over_O: bool) -> list[int]:

@@ -501,8 +501,8 @@ def orbit_decomposition(label, q: int, k: int) -> list[list[BuildingVertex]]:
     of one subspace under the residue generators I + E_ij
     (`_residue_action_generators`): a generator adds coordinate j of each
     basis row to coordinate i, and `gf.reduced_echelon_form` of the result
-    is looked up among the subspaces.  One `neighbors` call makes the only
-    normal forms.  Exact check: every orbit has size
+    is looked up among the subspaces.  One `neighbors` call builds the
+    only lattice bases, with no normal form.  Exact check: every orbit has size
     |Gamma_label| / |Gamma_label cap Gamma_w| for the domain label w it
     reduces to, else InternalInvariantError.  Friends are exactly the
     singleton orbits.  Deterministic order.  Applying every enumerated

@@ -27,8 +27,8 @@ and the determinant's minors (`_det_rows`) accumulate their sums of
 products in one dict each.  The lattice layer works on dict matrices,
 rows of mutable {exponent: residue} dicts, updated by the same kernel.
 Its loops are the Hermite pass of the normal form
-(`building._normal_form`, which also takes the neighbor bases that
-`building.neighbors` forms on dict rows), the row reduction
+(`building._normal_form`), the triangular products and reductions that
+give the neighbor bases (`building.neighbors`), the row reduction
 (`building._reduce_rows`), which also gives the normal form its
 determinant degree, and the one substitution by a triangular basis with
 monic monomial pivots (`building._solve_canonical`), which serves the

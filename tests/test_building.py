@@ -11,6 +11,7 @@ import io
 import json
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -411,22 +412,53 @@ def test_neighbor_counts_origin():
     assert len(neighbors(v2, 1)) == 3
 
 
+def residue_lattice_basis(rows, d, q):
+    """n, the basis of W + (1/t)O^d that `neighbors` certifies against: the
+    rows of a subspace basis W as constant columns, then (1/t) e_j for
+    each coordinate j that is no pivot of W."""
+    pivs = {next(j for j in range(d) if r[j]) for r in rows}
+    cols = [[LaurentPoly({0: c} if c else {}, q) for c in r] for r in rows]
+    cols += [
+        [LaurentPoly({-1: 1} if i == j else {}, q) for i in range(d)]
+        for j in range(d)
+        if j not in pivs
+    ]
+    return LaurentMatrix([[cols[j][i] for j in range(d)] for i in range(d)], q)
+
+
 def neighbors_by_determinant(v, k):
     """Oracle: the degree-k neighbors as normal forms of the LaurentMatrix
     product B n, each computing det(B n) itself."""
     d, q = v.d, v.q
-    out = []
-    for rows in subspace_bases(d, d - k, q):
-        pivs = {next(j for j in range(d) if r[j]) for r in rows}
-        cols = [[LaurentPoly({0: c} if c else {}, q) for c in r] for r in rows]
-        cols += [
-            [LaurentPoly({-1: 1} if i == j else {}, q) for i in range(d)]
-            for j in range(d)
-            if j not in pivs
-        ]
-        n = LaurentMatrix([[cols[j][i] for j in range(d)] for i in range(d)], q)
-        out.append(vertex_normal_form(v.basis * n))
-    return out
+    return [
+        vertex_normal_form(v.basis * residue_lattice_basis(rows, d, q))
+        for rows in subspace_bases(d, d - k, q)
+    ]
+
+
+def test_triangular_basis_matches_residue_lattice_basis():
+    # H of `building._triangular_basis` is upper triangular with k pivots
+    # 1/t and the rest 1, and spans the lattice of n: the same normal form
+    # for every subspace at d = 2-5, q in {2, 3, 5} and every k the work
+    # bound allows (all but k = 2, 3 at d = 5, q = 5)
+    refused = []
+    for d in (2, 3, 4, 5):
+        for q in (2, 3, 5):
+            for k in range(1, d):
+                try:
+                    building.check_neighbor_work(d, k, q)
+                except ResourceBoundError:
+                    refused.append((d, q, k))
+                    continue
+                for rows in subspace_bases(d, d - k, q):
+                    h = building._triangular_basis(rows, d, q)
+                    assert not any(h[i][j] for i in range(d) for j in range(i))
+                    pivots = [h[r][r] for r in range(d)]
+                    assert pivots.count({-1: 1}) == k and pivots.count({0: 1}) == d - k
+                    assert vertex_normal_form(as_matrix(h, q)) == vertex_normal_form(
+                        residue_lattice_basis(rows, d, q)
+                    ), (rows, q)
+    assert refused == [(5, 5, 2), (5, 5, 3)]
 
 
 def test_neighbors_match_normal_forms_with_determinant():
@@ -452,14 +484,20 @@ def test_neighbors_match_normal_forms_with_determinant():
             else:
                 m = random_gamma(d, q, 2, rng) * LaurentMatrix.diagonal(label, q)
                 vertices.append(vertex_normal_form(m))
-    # a basis of a label's lattice that is not canonical: diag(label) k for
-    # k in GL_d(O), whose negative exponents put the one-step shift below
-    # every exponent of a canonical basis; its neighbors are the label
-    # vertex's, in another order
-    label = (3, 1, 1, 0)
-    vertices.append(BuildingVertex(LaurentMatrix.diagonal(label, 3) * random_k(4, 3, 3, rng), label))
-    assert any(e < 0 for row in vertices[-1].basis.rows for x in row for e in x.coeffs)
-    for v in vertices:
+    # bases that are not canonical, at d = 2-5: diag(label) k and C k for
+    # a dense canonical C and k in GL_d(O), whose negative exponents put
+    # the one-step shift below every exponent of a canonical basis; their
+    # neighbors are the label's or C's, in another order
+    noncanonical = []
+    for d, q in ((2, 5), (3, 3), (4, 3), (5, 2)):
+        label = (3, 1, 1, 0) if d == 4 else _random_label(rng, d, 3)
+        diag = LaurentMatrix.diagonal(label, q)
+        dense = vertex_normal_form(random_gamma(d, q, 2, rng) * diag)
+        noncanonical.append(BuildingVertex(diag * random_k(d, q, 3, rng), label))
+        noncanonical.append(BuildingVertex(dense.basis * random_k(d, q, 3, rng), dense.profile))
+    for v in noncanonical:
+        assert any(e < 0 for row in v.basis.rows for x in row for e in x.coeffs)
+    for v in vertices + noncanonical:
         terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
         for k in range(1, v.d):
             try:
@@ -468,9 +506,66 @@ def test_neighbors_match_normal_forms_with_determinant():
                 assert (v.d, v.q, k) in ((5, 5, 2), (5, 5, 3))
                 continue
             assert neighbors(v, k) == neighbors_by_determinant(v, k), (v, k)
-    v = vertices[-1]
-    for k in (1, 2, 3):
-        assert set(neighbors(v, k)) == set(neighbors(vertex_from_label(v.profile, 3), k))
+    for v in noncanonical[::2]:
+        for k in range(1, v.d):
+            assert set(neighbors(v, k)) == set(neighbors(vertex_from_label(v.profile, v.q), k))
+
+
+def test_shifted_basis_has_the_same_neighbors():
+    # t^s B spans a lattice of B's class, and its residue space is B's, so
+    # its neighbors are B's, in the same order, for canonical and other B
+    rng = random.Random(272)
+    for d, q in ((2, 5), (3, 3), (4, 2), (5, 2)):
+        label = _random_label(rng, d, 3)
+        diag = LaurentMatrix.diagonal(label, q)
+        bases = [
+            diag,
+            vertex_normal_form(random_gamma(d, q, 2, rng) * diag).basis,
+            diag * random_k(d, q, 3, rng),
+        ]
+        for basis in bases:
+            v = BuildingVertex(basis, label)
+            for s in (-2, 1, 3):
+                shifted = BuildingVertex(homothety(basis, s), label)
+                for k in range(1, d):
+                    assert neighbors(shifted, k) == neighbors(v, k), (d, q, s, k)
+
+
+def test_neighbors_run_no_normal_form_per_neighbor(monkeypatch):
+    # a canonical basis takes no normal form, no Hermite pass (its series
+    # inverses) and one certificate per neighbor; any other basis takes
+    # one normal form, whose own certificate is the one more
+    rng = random.Random(273)
+    label = (3, 1, 1, 0)
+    diag = LaurentMatrix.diagonal(label, 3)
+    canonical = [
+        vertex_from_label(label, 3),
+        vertex_normal_form(random_gamma(4, 3, 2, rng) * diag),
+    ]
+    noncanonical = [
+        BuildingVertex(diag * random_k(4, 3, 3, rng), label),
+        BuildingVertex(homothety(diag, 2), label),
+    ]
+    calls = Counter()
+    for name in ("_normal_form", "_certify_same_lattice", "series_inverse"):
+        real = getattr(building, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(building, name, counted)
+    for v in canonical:
+        for k in range(1, 4):
+            calls.clear()
+            n = len(neighbors(v, k))
+            assert calls == {"_certify_same_lattice": n}, (v, k)
+    for v in noncanonical:
+        for k in range(1, 4):
+            calls.clear()
+            n = len(neighbors(v, k))
+            assert calls["_normal_form"] == 1, (v, k)
+            assert calls["_certify_same_lattice"] == n + 1, (v, k)
 
 
 def test_neighbors_contain_diagonal_shapes():
