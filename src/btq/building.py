@@ -13,13 +13,14 @@ certified, with no Hermite pass of its own (`neighbors`).  The
 lattice routines take and return dict matrices, rows of
 {exponent: residue} dicts, and one back-substitution by a canonical basis
 (`_solve_canonical`) serves the normal form's certificate, the relative
-position and the witness of the domain reduction.  One
-row reduction by leading row coefficients (`_reduce_rows`) serves both
-lattice invariants and the normal form: over F_q[t] it reduces a vertex
-into the fundamental domain (`domain.reduce_to_domain`) and gives the
-determinant degree of a basis (`vertex_normal_form`), and over O it
-gives the relative position of two vertices, the Smith valuations of
-y^-1 x.  Both
+position and the witness of the domain reduction.  Row degrees
+come from one weak Popov pass (`_row_degrees`), which solves no null
+vector: over F_q[t] they sum to the determinant degree a basis's normal
+form needs (`vertex_normal_form`), and over O they give the relative
+position of two vertices, the Smith valuations of y^-1 x.  The row
+reduction by leading row coefficients (`_reduce_rows`) reduces a vertex
+into the fundamental domain (`domain.reduce_to_domain`), whose witness is
+solved from the reduced rows it leaves.  Both
 distances are read off the relative position, or, for two
 label vertices, off the sorted label differences
 (`label_relative_position`); breadth-first search on the 1-skeleton is
@@ -155,12 +156,12 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     """Canonical representative of the homothety class of m's column span,
     the `_normal_form` of m with the degree of its determinant.
 
-    That degree comes from the row reduction over F_q[t]
-    (`_reduce_rows`, on a copy of m's rows): every step is a left
-    multiplication by GL_d(F_q[t]), and the row degrees of the reduced
-    form it ends in sum to deg det m (Mulders and Storjohann, J. Symbolic
-    Comput. 2003).  A singular m reaches a zero row there and raises
-    SingularMatrixError.
+    That degree is the sum of the row degrees of a weak Popov form of m
+    over F_q[t] (`_row_degrees`, which reads m's rows and solves no null
+    vector): every step is a left multiplication by GL_d(F_q[t]), and the
+    leading row coefficients of the form it ends in are invertible
+    (Mulders and Storjohann, J. Symbolic Comput. 2003).  A singular m
+    reaches a zero row there and raises SingularMatrixError.
 
     Idempotent; invariant under right multiplication by GL_d(O) and under
     scaling by powers of t.
@@ -168,8 +169,7 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     rows = _coeff_rows(m)
-    degs = _reduce_rows([[dict(x) for x in row] for row in rows], None, m.q, over_O=False)
-    return _normal_form(rows, sum(degs), m.q)
+    return _normal_form(rows, sum(_row_degrees(rows, m.q, over_O=False)), m.q)
 
 
 def _normal_form(m, det_degree: int, q: int) -> BuildingVertex:
@@ -317,10 +317,11 @@ def matrix_work(m: LaurentMatrix) -> int:
 
     With s the exponent span of m, the intermediate entries hold up to
     w = d s + 1 terms.  Each polynomial product costs 3 units plus 1/16
-    unit per coefficient product, and the row reduction that gives the
+    unit per coefficient product, and the weak Popov pass that gives the
     determinant degree, the Hermite pass, its certificate and the domain
     reduction take about d^3 / 4 products of entries that may fill up
-    (w^2 each).
+    (w^2 each).  The weak Popov pass costs less than the null-vector row
+    reduction the model was fitted to, so the model stays an upper bound.
     """
     d = m.d
     exponents = [e for row in m.rows for x in row for e in x.coeffs]
@@ -467,28 +468,85 @@ def _triangular_product(a, b, q: int) -> list[list[dict[int, int]]]:
     return cols
 
 
-def _reduce_rows(rows, det_deg: int | None, q: int, over_O: bool) -> list[int]:
-    """Row reduction of a nonsingular dict matrix (rows of mutable
-    {exponent: residue} dicts) by leading row coefficients, in place, over
-    F_q[t] or, with `over_O`, over O = F_q[[1/t]]; returns the final row
-    degrees and leaves the reduced rows in `rows`.
+def _row_degrees(rows, q: int, over_O: bool, det_deg: int | None = None) -> list[int]:
+    """The row degrees of a weak Popov form of the nonsingular dict matrix
+    `rows` (read and not changed) over F_q[t] or, with `over_O`, over
+    O = F_q[[1/t]] (Mulders and Storjohann, J. Symbolic Comput. 2003).
+
+    Each row is packed into one dict keyed by e d + j for its term t^e in
+    column j, so its top key gives its degree (key // d) and its leading
+    position (key % d), the rightmost column at that degree.  While two
+    rows share a leading position, c t^shift times one is subtracted from
+    the other to cancel that row's top key: over F_q[t] the row of higher
+    key takes it (shift >= 0), over O the row of lower key (shift <= 0), so
+    every step is left multiplication by an element of GL_d of that ring
+    and strictly lowers one top key.  Once the leading positions differ,
+    the leading row coefficients form an invertible matrix, so the rows are
+    diag(t^deg) A with A in GL_d(O) and the degrees sum to deg det exactly;
+    no null vector is solved.
+
+    Every pass is bounded.  Over F_q[t] no key falls below d times the
+    least exponent of the input.  Over O a degree sum below det_deg = deg
+    det, which the caller must pass, is a bug and raises
+    InternalInvariantError: the degree sum never falls below deg det, and
+    without the check a singular pair such as v, (1 - 1/t) v would be
+    reduced forever.  With det_deg given, degrees that do not sum to it
+    raise InternalInvariantError too.  A zero row means a singular matrix
+    (SingularMatrixError).
+    """
+    d = len(rows)
+    packed = [{e * d + j: c for j, x in enumerate(row) for e, c in x.items()} for row in rows]
+    if not all(packed):
+        raise SingularMatrixError("matrix is singular: the row reduction reached a zero row")
+    tops = [max(p) for p in packed]
+    total = sum(k // d for k in tops)
+    owner: dict[int, int] = {}
+    for row in range(d):
+        i = row
+        while (j := owner.get(pos := tops[i] % d)) is not None:
+            # row i takes the subtraction, unless the ring's multipliers
+            # cancel row j's top key instead, or the keys tie: then the two
+            # swap places
+            if (tops[j] <= tops[i]) if over_O else (tops[j] >= tops[i]):
+                owner[pos] = i
+                i, j = j, i
+            target, top = packed[i], tops[i]
+            # the monomial shifts row j's keys by d per degree of t
+            c = -target[top] * pow(packed[j][tops[j]], -1, q)
+            _mul_add(target, c, {top - tops[j]: 1}, packed[j], q)
+            if not target:
+                raise SingularMatrixError("matrix is singular: the row reduction reached a zero row")
+            tops[i] = max(target)
+            total += tops[i] // d - top // d
+            if det_deg is not None and total < det_deg:
+                raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
+        owner[pos] = i
+    degs = [k // d for k in tops]
+    if det_deg is not None and total != det_deg:
+        raise InternalInvariantError(
+            f"row degrees {degs} do not account for the determinant degree {det_deg}"
+        )
+    return degs
+
+
+def _reduce_rows(rows, det_deg: int, q: int) -> list[int]:
+    """Row reduction over F_q[t] of a nonsingular dict matrix (rows of
+    mutable {exponent: residue} dicts) by leading row coefficients, in
+    place; returns the final row degrees and leaves the reduced rows in
+    `rows`.  Only `domain.reduce_to_domain` calls it: its reduced rows fix
+    the bytes of the domain witness, so it keeps this reduction where the
+    degrees alone come from `_row_degrees`.
 
     While the matrix of leading row coefficients is singular over F_q, a
     null combination cancels the top degree of one used row, the pivot:
-    every used row i enters it as its coefficient times t^(deg p - deg i).
-    Over F_q[t] the pivot is the used row of largest degree, over O the one
-    of least degree, so every multiplier lies in the ring and each step is
-    left multiplication by an element of GL_d of that ring.  Each step
-    strictly lowers the total row degree, which is bounded below by
-    det_deg = deg det, the degree every step keeps.  Once the leading
-    matrix is invertible the rows are diag(t^deg) A with A in GL_d(O), and
-    the degrees sum to exactly deg det.  So with det_deg None, which only
-    `vertex_normal_form` passes, the sum is the determinant degree it
-    looks for, and only the strict decrease is checked: over F_q[t] the
-    row degrees stay above the least exponent of the input, so the
-    reduction ends.  A zero row means a singular matrix
-    (SingularMatrixError); any other broken invariant is a bug and raises
-    InternalInvariantError.
+    the used row of largest degree, which every used row i enters as its
+    coefficient times t^(deg p - deg i), so each step is left
+    multiplication by GL_d(F_q[t]).  Each step strictly lowers the total
+    row degree, which is bounded below by det_deg = deg det, the degree
+    every step keeps.  Once the leading matrix is invertible the rows are
+    diag(t^deg) A with A in GL_d(O), and the degrees sum to exactly
+    det_deg.  A zero row means a singular matrix (SingularMatrixError);
+    any other broken invariant is a bug and raises InternalInvariantError.
 
     A step scales the pivot row and adds each other used row into it in
     place (`laurent._mul_add`, the monomial multiplier an exponent shift
@@ -500,7 +558,6 @@ def _reduce_rows(rows, det_deg: int | None, q: int, over_O: bool) -> list[int]:
     from the pivot on and eliminates only those.
     """
     d = len(rows)
-    sign = -1 if over_O else 1
 
     def row_degree(i: int) -> int:
         degs = [max(x) for x in rows[i] if x]
@@ -518,7 +575,7 @@ def _reduce_rows(rows, det_deg: int | None, q: int, over_O: bool) -> list[int]:
     echelon: list = []
     while (combo := left_null_vector(lead, q, echelon)) is not None:
         used = [i for i in range(d) if combo[i]]
-        pivot = max(used, key=lambda i: (sign * degs[i], i))
+        pivot = max(used, key=lambda i: (degs[i], i))
         target = rows[pivot]
         if (c := combo[pivot]) != 1:
             for x in target:
@@ -536,9 +593,9 @@ def _reduce_rows(rows, det_deg: int | None, q: int, over_O: bool) -> list[int]:
         lead[pivot] = leading(pivot)
         # the elimination of the rows above the pivot row still holds
         del echelon[pivot:]
-        if det_deg is not None and sum(degs) < det_deg:
+        if sum(degs) < det_deg:
             raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
-    if det_deg is not None and sum(degs) != det_deg:
+    if sum(degs) != det_deg:
         raise InternalInvariantError(
             f"row degrees {degs} do not account for the determinant degree {det_deg}"
         )
@@ -552,9 +609,9 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
     (1/t)^(s_i) e_i where y's is spanned by the e_i; the tuple is the
     relative position of the two vertices up to a common shift (Garrett,
     Buildings and Classical Groups, 1997).  y^-1 x comes from one
-    back-substitution, and the row reduction over O (`_reduce_rows`)
-    brings it to diag(t^deg) A with A in GL_d(O), so the valuations are
-    the negated row degrees.  Its determinant has degree
+    back-substitution, and the weak Popov pass over O (`_row_degrees`)
+    finds the row degrees of a form diag(t^deg) A with A in GL_d(O), so the
+    valuations are the negated row degrees.  Its determinant has degree
     sum profile(x) - sum profile(y), read off the monomial determinants of
     the canonical bases; row degrees that do not sum to it raise
     InternalInvariantError.
@@ -563,7 +620,7 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
         raise InvalidInputError("vertices live in different buildings")
     q = x.q
     rows = _solve_canonical(_coeff_rows(y.basis), _coeff_rows(x.basis), q)
-    degs = _reduce_rows(rows, sum(x.profile) - sum(y.profile), q, over_O=True)
+    degs = _row_degrees(rows, q, over_O=True, det_deg=sum(x.profile) - sum(y.profile))
     return tuple(sorted(-e for e in degs))
 
 

@@ -550,7 +550,10 @@ def reduce_to_domain(v: BuildingVertex) -> tuple[tuple[int, ...], LaurentMatrix]
     A matrix goes through `building.vertex_normal_form` first.
 
     The basis B goes through the row reduction over F_q[t]
-    (`building._reduce_rows`) to R = W B.  R is diag(t^deg) A with A in
+    (`building._reduce_rows`) to R = W B.  Its reduced rows, not only their
+    degrees, fix the witness below, so this reduction and not the weak
+    Popov pass of the normal form (`building._row_degrees`) runs here.
+    R is diag(t^deg) A with A in
     GL_d(O), whose lattice class is the diagonal one of the sorted row
     degrees: they are the label exponents up to homothety.  The canonical
     basis is triangular with pivots t^profile_i, so its determinant has
@@ -567,7 +570,7 @@ def reduce_to_domain(v: BuildingVertex) -> tuple[tuple[int, ...], LaurentMatrix]
     d, q = v.d, v.q
     basis = _coeff_rows(v.basis)
     rows = [[dict(x) for x in row] for row in basis]
-    degs = _reduce_rows(rows, sum(v.profile), q, over_O=False)
+    degs = _reduce_rows(rows, sum(v.profile), q)
     order = sorted(range(d), key=lambda i: (-degs[i], i))
     base_deg = min(degs)
     label = tuple(degs[i] - base_deg for i in order)

@@ -4,8 +4,9 @@ Two eliminations over F_q serve the library.  `left_null_vector`
 decides invertibility and returns a null combination when there is one.
 It runs row by row and stops at the first row that depends on the rows
 above it, so a caller that changes one row keeps the elimination of the
-rows above it (`building._reduce_rows`).  `reduced_echelon_form` gives
-the canonical basis of a span, the form in which `building.subspace_bases`
+rows above it (`building._reduce_rows`, the reduction into the
+domain).  `reduced_echelon_form` gives the canonical basis of a span, the
+form in which `building.subspace_bases`
 lists the subspaces of F_q^d, so a subspace moved by a matrix is looked
 up among them (`domain.orbit_decomposition`).
 

@@ -28,9 +28,11 @@ products in one dict each.  The lattice layer works on dict matrices,
 rows of mutable {exponent: residue} dicts, updated by the same kernel.
 Its loops are the Hermite pass of the normal form
 (`building._normal_form`), the triangular products and reductions that
-give the neighbor bases (`building.neighbors`), the row reduction
-(`building._reduce_rows`), which also gives the normal form its
-determinant degree, and the one substitution by a triangular basis with
+give the neighbor bases (`building.neighbors`), the weak Popov pass
+(`building._row_degrees`, on rows packed into one dict each), which gives
+the normal form its determinant degree and the relative position its
+valuations, the row reduction into the domain (`building._reduce_rows`),
+and the one substitution by a triangular basis with
 monic monomial pivots (`building._solve_canonical`), which serves the
 certificate, the start of `relative_position` and, on reversed
 transposes, the witness of `domain.reduce_to_domain`.  Dict matrices pass

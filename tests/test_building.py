@@ -1,12 +1,14 @@
 """Normal forms, neighbors, colors and distances against brute-force oracles.
 
 Breadth-first search over the 1-skeleton and the Smith valuations from
-minors live here as oracles for `relative_position`, the row reduction over
-O that also reduces vertices into the domain over F_q[t], and for the
-distances read off it.  The minors check it up to d = 6 and on a label of
-span 10^4.
+minors live here as oracles for `relative_position`, the weak Popov pass
+over O, and for the distances read off it.  The minors check it up to
+d = 6 and on a label of span 10^4.  The dot-product reduction and the
+Laplace determinant check the pass over F_q[t] and the row reduction that
+reduces vertices into the domain.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -31,6 +33,7 @@ from btq.building import (
     vertex_normal_form,
 )
 from btq.cli import main
+from btq.domain import reduce_to_domain
 from btq.errors import (
     InternalInvariantError,
     InvalidInputError,
@@ -327,18 +330,18 @@ def test_certificate_rejects_raised_pivot_mod_uniformizer():
 def test_certificate_catches_wrong_determinant(monkeypatch):
     # a determinant off by a factor of t sets the wrong modulus for the
     # Hermite pass; the certificate does not trust it.  The normal form
-    # reads the degree off the row reduction, so the reduction is patched
-    # to report one row degree too high
+    # reads the degree off the weak Popov pass, so the pass is patched to
+    # report one row degree too high
     inputs = [LaurentMatrix.diagonal((2, 1, 0), 2), mat([["1", "t^-1"], ["t^-3", "t^-2"]])]
     rng = random.Random(41)
     inputs += [random_invertible(3, 2, rng) for _ in range(5)]
-    true_reduce = building._reduce_rows
+    true_degrees = building._row_degrees
 
-    def reduce_off_by_t(*args, **kwargs):
-        degs = true_reduce(*args, **kwargs)
+    def degrees_off_by_t(*args, **kwargs):
+        degs = true_degrees(*args, **kwargs)
         return [degs[0] + 1] + degs[1:]
 
-    monkeypatch.setattr(building, "_reduce_rows", reduce_off_by_t)
+    monkeypatch.setattr(building, "_row_degrees", degrees_off_by_t)
     for m in inputs:
         with pytest.raises(InternalInvariantError):
             vertex_normal_form(m)
@@ -755,31 +758,53 @@ def test_label_relative_position_matches_elimination():
         label_relative_position((1, 0), (0, 0, 0))
 
 
-def reduce_rows_in_place(rows, det_deg, q, over_O):
+def reduce_rows_in_place(rows, det_deg, q):
     """`building._reduce_rows` on LaurentPoly rows, through a dict matrix."""
     dicts = [[dict(x.coeffs) for x in row] for row in rows]
-    degs = building._reduce_rows(dicts, det_deg, q, over_O)
+    degs = building._reduce_rows(dicts, det_deg, q)
     rows[:] = [[LaurentPoly(x, q) for x in row] for row in dicts]
     return degs
 
 
-def _reduction_outcome(reduce, rows, det_deg, q, over_O):
+def row_degrees(rows, det_deg, q, over_O):
+    """`building._row_degrees` on LaurentPoly rows, in the argument order
+    of `reduce_rows_by_dot`."""
+    return building._row_degrees([[dict(x.coeffs) for x in row] for row in rows], q, over_O, det_deg)
+
+
+def _reduction_outcome(reduce, rows, *args):
+    """The degrees and rows a reduction leaves, or the type of its exception."""
     rows = list(rows)
     try:
-        degs = reduce(rows, det_deg, q, over_O)
+        degs = reduce(rows, *args)
     except (SingularMatrixError, InternalInvariantError) as exc:
         return type(exc)
     return degs, [list(row) for row in rows]
 
 
-def _assert_reductions_agree(rows, det_deg, q, over_O):
-    """Same degrees and rows entry by entry at the true determinant degree,
-    and the same exception types one degree either side of it."""
+def _degree_outcome(reduce, rows, *args):
+    """The sorted degrees of a reduction, or the type of its exception."""
+    out = _reduction_outcome(reduce, rows, *args)
+    return out if isinstance(out, type) else sorted(out[0])
+
+
+def _assert_reductions_agree(rows, det_deg, q):
+    """Over F_q[t]: same degrees and rows entry by entry at the true
+    determinant degree, and the same exception types one degree either side
+    of it."""
     for deg in (det_deg, det_deg - 1, det_deg + 1):
-        got = _reduction_outcome(reduce_rows_in_place, rows, deg, q, over_O)
-        want = _reduction_outcome(reduce_rows_by_dot, rows, deg, q, over_O)
-        assert got == want, (rows, deg, over_O)
+        got = _reduction_outcome(reduce_rows_in_place, rows, deg, q)
+        want = _reduction_outcome(reduce_rows_by_dot, rows, deg, q, False)
+        assert got == want, (rows, deg)
         assert (deg == det_deg) == (got is not InternalInvariantError)
+
+
+def _singular_rows():
+    """Two singular 3 x 3 matrices over F_3: a zero row, and a row that the
+    reduction zeroes."""
+    r0, r1 = (P("t^2 + 1", 3), P("t", 3), P("2", 3)), (P("t", 3), P("t^-1", 3), P("1", 3))
+    t = P("t", 3)
+    return [(r0, (P("0", 3),) * 3, r1), (r0, r1, tuple(t * x for x in r0))]
 
 
 def test_reduce_rows_matches_dot_oracle():
@@ -795,24 +820,68 @@ def test_reduce_rows_matches_dot_oracle():
                     * random_k(d, q, 3, rng)
                 )
                 v = vertex_normal_form(m)
-                _assert_reductions_agree(v.basis.rows, sum(v.profile), q, over_O=False)
-    # over O: y^-1 x of relative_position pairs
+                _assert_reductions_agree(v.basis.rows, sum(v.profile), q)
+    # over O: y^-1 x of relative_position pairs, whose degrees the weak
+    # Popov pass gives; the same up to order, and the same exception types
+    # one degree either side of the determinant's
     for q in (2, 3):
         for d in (2, 3, 4):
             for _ in range(8):
                 x = vertex_normal_form(random_invertible(d, q, rng))
                 y = vertex_normal_form(random_invertible(d, q, rng))
                 rows = solve_canonical_matrix(y.basis, x.basis).rows
-                _assert_reductions_agree(rows, sum(x.profile) - sum(y.profile), q, over_O=True)
-    # singular inputs: a zero row, and a row that the reduction zeroes
-    r0, r1 = (P("t^2 + 1", 3), P("t", 3), P("2", 3)), (P("t", 3), P("t^-1", 3), P("1", 3))
-    zero = P("0", 3)
-    t = P("t", 3)
-    for rows in ((r0, (zero,) * 3, r1), (r0, r1, tuple(t * x for x in r0))):
-        for over_O in (False, True):
-            for deg in (-5, 0, 3):
-                assert _reduction_outcome(reduce_rows_in_place, rows, deg, 3, over_O) is SingularMatrixError
+                det_deg = sum(x.profile) - sum(y.profile)
+                for deg in (det_deg, det_deg - 1, det_deg + 1):
+                    got = _degree_outcome(row_degrees, rows, deg, q, True)
+                    assert got == _degree_outcome(reduce_rows_by_dot, rows, deg, q, True), (rows, deg)
+                    assert (deg == det_deg) == (got is not InternalInvariantError)
+    for rows in _singular_rows():
+        for deg in (-5, 0, 3):
+            assert _reduction_outcome(reduce_rows_in_place, rows, deg, 3) is SingularMatrixError
+            for over_O in (False, True):
                 assert _reduction_outcome(reduce_rows_by_dot, rows, deg, 3, over_O) is SingularMatrixError
+
+
+def test_row_degrees_match_oracles():
+    rng = random.Random(72)
+    # over F_q[t]: seeded dense matrices, against the dot oracle's degrees
+    # and the degree of the Laplace determinant
+    for d in range(2, 9):
+        for q in (2, 3, 5):
+            for _ in range(3 if d <= 5 else 1):
+                m = random_invertible(d, q, rng)
+                det_deg = m.det().degree()
+                degs = row_degrees(m.rows, None, q, False)
+                assert sum(degs) == det_deg, (m, degs)
+                assert sorted(degs) == sorted(reduce_rows_by_dot(list(m.rows), det_deg, q, False))
+                assert row_degrees(m.rows, det_deg, q, False) == degs
+    # over O: the negated degrees of y^-1 x are its Smith valuations
+    for q in (2, 3, 5):
+        for d in (2, 3, 4, 5):
+            for _ in range(4):
+                x = vertex_normal_form(random_invertible(d, q, rng))
+                y = vertex_normal_form(random_invertible(d, q, rng))
+                rows = building._solve_canonical(coeff_rows(y.basis), coeff_rows(x.basis), q)
+                degs = building._row_degrees(rows, q, True, sum(x.profile) - sum(y.profile))
+                assert tuple(sorted(-e for e in degs)) == smith_by_minors(x, y), (x, y)
+    for rows in _singular_rows():
+        for deg in (None, -5, 0, 3):
+            with pytest.raises(SingularMatrixError, match="the row reduction reached a zero row"):
+                row_degrees(rows, deg, 3, False)
+    # rows v and (1 - 1/t) v: over F_q[t] a zero row; over O the pass would
+    # cancel v against the unit multiple forever, and the degree sum
+    # falling below det_deg stops it.  In the other order the pass may
+    # reach a zero row over O instead, but it ends either way
+    v = (P("t^2 + 1", 3), P("t", 3), P("2", 3))
+    w = tuple(P("1 - t^-1", 3) * x for x in v)
+    for third in [r[-1] for r in _singular_rows()]:
+        for deg in (0, -50):
+            with pytest.raises(SingularMatrixError):
+                row_degrees((v, w, third), deg, 3, False)
+            with pytest.raises(InternalInvariantError):
+                row_degrees((v, w, third), deg, 3, True)
+            outcome = _degree_outcome(row_degrees, (w, v, third), deg, 3, True)
+            assert outcome in (SingularMatrixError, InternalInvariantError)
 
 
 def test_relative_position_wrong_determinant_is_internal():
@@ -821,6 +890,29 @@ def test_relative_position_wrong_determinant_is_internal():
     wrong = building.BuildingVertex(v.basis, (3, 1, 0))
     with pytest.raises(InternalInvariantError):
         relative_position(wrong, standard_vertex(3, 2))
+
+
+# sha256 of the seeded lattice results below; a change to the lattice layer
+# that is meant to keep every output keeps this digest
+LATTICE_RESULTS_DIGEST = "872a916623b3b78923e8d0e1af71ef39991fe68fae387c9f54919ea826dce8c4"
+
+
+def test_lattice_results_digest_pinned():
+    # 12 seeded dense inputs at each d = 2..6 and q in {2, 3, 5}: the normal
+    # form, the domain label and witness, and the relative position to the
+    # previous input's vertex (the standard vertex for the first)
+    rng = random.Random(180)
+    digest = hashlib.sha256()
+    for d in range(2, 7):
+        for q in (2, 3, 5):
+            prev = standard_vertex(d, q)
+            for _ in range(12):
+                v = vertex_normal_form(random_invertible(d, q, rng))
+                label, witness = reduce_to_domain(v)
+                record = [v.to_literal(), label, witness.to_literal(), relative_position(v, prev)]
+                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+                prev = v
+    assert digest.hexdigest() == LATTICE_RESULTS_DIGEST
 
 
 # (d, q, label bound, pairs, graph radius, color-1 radius): searches of the

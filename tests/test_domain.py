@@ -667,7 +667,7 @@ def witness_by_forward_substitution(v):
     place of the back-substitution on reversed transposes."""
     d, q = v.d, v.q
     rows = [[dict(x.coeffs) for x in row] for row in v.basis.rows]
-    degs = building._reduce_rows(rows, sum(v.profile), q, over_O=False)
+    degs = building._reduce_rows(rows, sum(v.profile), q)
     basis = v.basis.rows
     witness = []
     for i in sorted(range(d), key=lambda i: (-degs[i], i)):
