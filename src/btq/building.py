@@ -41,7 +41,7 @@ from .errors import (
     ResourceBoundError,
     SingularMatrixError,
 )
-from .gf import check_prime, gaussian_binomial, left_null_vector, reduced_echelon_form
+from .gf import check_prime, gaussian_binomial, inv_mod, left_null_vector, reduced_echelon_form
 from .laurent import LaurentMatrix, _matrix, _mul_add, _poly, series_inverse
 
 # The one bound on predicted work, about a microsecond per unit (measured on
@@ -486,14 +486,16 @@ def _row_degrees(rows, q: int, over_O: bool, det_deg: int | None = None) -> list
     no null vector is solved.
 
     Every pass is bounded.  Over F_q[t] no key falls below d times the
-    least exponent of the input.  Over O a degree sum below det_deg = deg
-    det, which the caller must pass, is a bug and raises
+    least exponent of the input, and det_deg is not taken.  Over O det_deg
+    = deg det is required, and a degree sum below it is a bug and raises
     InternalInvariantError: the degree sum never falls below deg det, and
     without the check a singular pair such as v, (1 - 1/t) v would be
-    reduced forever.  With det_deg given, degrees that do not sum to it
-    raise InternalInvariantError too.  A zero row means a singular matrix
+    reduced forever.  Final degrees that do not sum to det_deg raise
+    InternalInvariantError too.  A zero row means a singular matrix
     (SingularMatrixError).
     """
+    if over_O != (det_deg is not None):
+        raise InternalInvariantError("the weak Popov pass takes det_deg over O and only there")
     d = len(rows)
     packed = [{e * d + j: c for j, x in enumerate(row) for e, c in x.items()} for row in rows]
     if not all(packed):
@@ -512,17 +514,17 @@ def _row_degrees(rows, q: int, over_O: bool, det_deg: int | None = None) -> list
                 i, j = j, i
             target, top = packed[i], tops[i]
             # the monomial shifts row j's keys by d per degree of t
-            c = -target[top] * pow(packed[j][tops[j]], -1, q)
+            c = -target[top] * inv_mod(packed[j][tops[j]], q)
             _mul_add(target, c, {top - tops[j]: 1}, packed[j], q)
             if not target:
                 raise SingularMatrixError("matrix is singular: the row reduction reached a zero row")
             tops[i] = max(target)
             total += tops[i] // d - top // d
-            if det_deg is not None and total < det_deg:
+            if over_O and total < det_deg:
                 raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
         owner[pos] = i
     degs = [k // d for k in tops]
-    if det_deg is not None and total != det_deg:
+    if over_O and total != det_deg:
         raise InternalInvariantError(
             f"row degrees {degs} do not account for the determinant degree {det_deg}"
         )
