@@ -6,12 +6,17 @@ Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 invalid input, 3 resource bound exceeded,
 4 internal invariant violation (always a bug).
+
+`main` may be called any number of times in one process, as the tests and
+the benchmark do.  The process holds one argument parser, built on the
+first `main` call (not at import) and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -107,10 +112,31 @@ def _cmd_neighbors(args) -> int:
         # the count alone may refuse them, before the normal form
         building.check_neighbor_work(mat.d, args.degree, mat.q)
         vertex = building.vertex_normal_form(mat)
-    nbrs = building.neighbors(vertex, args.degree)
-    out = [v.to_literal() for v in nbrs]
-    _emit(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    _emit(_neighbors_json(building.neighbors(vertex, args.degree)))
     return 0
+
+
+def _neighbors_json(vertices: list) -> str:
+    """json.dumps([v.to_literal() for v in vertices], indent=2,
+    sort_keys=True) plus a newline for the `neighbors` output, written from
+    one template per vertex (keys d, entries, profile, q).  The list is
+    never empty: a vertex has at least one neighbor of each degree 1..d-1.
+
+    Integers print as str(int), and every entry is str(LaurentPoly), made
+    of digits, t, ^, *, +, - and spaces, which need no escaping.  The tests
+    keep json.dumps as the oracle.
+    """
+    items = []
+    for v in vertices:
+        rows = ",\n      ".join(
+            '[\n        "' + '",\n        "'.join(map(str, row)) + '"\n      ]' for row in v.basis.rows
+        )
+        profile = ",\n      ".join(map(str, v.profile))
+        items.append(
+            f'  {{\n    "d": {v.d},\n    "entries": [\n      {rows}\n    ],\n'
+            f'    "profile": [\n      {profile}\n    ],\n    "q": {v.q}\n  }}'
+        )
+    return "[\n" + ",\n".join(items) + "\n]\n"
 
 
 def _cmd_stabilizer(args) -> int:
@@ -333,7 +359,15 @@ def _cmd_distance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `btq` argument parser: one instance per process, built on the
+    first call (the first `main` call) and returned by every later one.
+
+    Reusing it carries no state from one `main` call to the next: each
+    parse_args fills a fresh Namespace, and every default is an immutable
+    value (an int, a str, None, False or a subcommand function).
+    """
     p = argparse.ArgumentParser(
         prog="btq",
         description="Exact computations in the PGL_d building quotient",
@@ -411,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidInputError as exc:

@@ -291,6 +291,98 @@ def test_neighbors_matrix_output_pinned(tmp_path, capsysbinary):
             assert hashlib.sha256(out).hexdigest() == digest, (q, degree)
 
 
+def test_neighbors_json_matches_json_dumps(tmp_path, monkeypatch, capsysbinary):
+    # the template writer gives the bytes of json.dumps(indent=2, sort_keys=True)
+    # on the very list building.neighbors returned, for labels and seeded
+    # dense literals at every degree; above the work bound it exits 3 unwritten
+    from btq import building
+
+    results = []
+    exact = building.neighbors
+
+    def recorded(vertex, k):
+        results.append(exact(vertex, k))
+        return results[-1]
+
+    monkeypatch.setattr(building, "neighbors", recorded)
+    for d in range(2, 6):
+        label = tuple(range(d - 1, -1, -1))
+        for q in (2, 3, 5):
+            seed = 100 * d + q
+            m = random_gamma(d, q, 2, seed) * LaurentMatrix.diagonal(label, q) * random_k(d, q, 2, seed)
+            path = tmp_path / f"lattice-{d}-{q}.json"
+            path.write_text(json.dumps(m.to_literal()))
+            for degree in range(1, d):
+                for source in (["--n", ",".join(map(str, label)), "--q", str(q)], ["--matrix", str(path)]):
+                    argv = ["neighbors", *source, "--degree", str(degree)]
+                    count = len(results)
+                    code = main(argv)
+                    out = capsysbinary.readouterr().out
+                    if code == 3:
+                        assert (d, q, degree) in {(5, 5, 2), (5, 5, 3)} and not out, argv
+                        continue
+                    assert code == 0 and len(results) == count + 1, argv
+                    literals = [v.to_literal() for v in results[-1]]
+                    assert out.decode() == json.dumps(literals, indent=2, sort_keys=True) + "\n", argv
+
+
+def test_parser_reuse_after_rejected_and_help_argv(run, capsys):
+    # a parse that argparse ends with SystemExit, an error on stderr or a
+    # help page on stdout, leaves the shared parser as it was
+    valid = ("neighbors", "--n", "2,1,0", "--q", "3", "--degree", "2")
+    expected = run(*valid)
+    assert expected[0] == 0
+    for argv, status in (
+        (["covolume", "--normalization=sl"], 2),
+        (["neighbors", "--n", "2,1,0"], 2),
+        (["--help"], 0),
+        (["neighbors", "--help"], 0),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == status, argv
+        assert (captured.err if status else captured.out).startswith("usage: btq"), argv
+        assert run(*valid) == expected, argv
+
+
+def test_parser_carries_no_default_over(run):
+    # --q 3 in one call leaves --q unset (2 for a label) in the next
+    plain = run("neighbors", "--n", "2,1,0", "--degree", "1")
+    other = run("neighbors", "--n", "2,1,0", "--q", "3", "--degree", "1")
+    assert plain[0] == other[0] == 0 and plain != other
+    assert run("neighbors", "--n", "2,1,0", "--degree", "1") == plain
+    assert run("neighbors", "--n", "2,1,0", "--q", "2", "--degree", "1") == plain
+
+
+def test_main_calls_share_one_parser(run, monkeypatch):
+    # the first main call builds the parser and every later one reuses it
+    import argparse
+
+    from btq import cli
+
+    cli.build_parser.cache_clear()
+    built, used = [], []
+    init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recorded_parse(self, *args, **kwargs):
+        used.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded_parse)
+    assert run("covolume", "--d", "2")[0] == 0
+    count = len(built)
+    assert count > 1  # the top-level parser and its subcommands
+    assert run("stabilizer", "--n", "1,0")[0] == 0
+    assert len(built) == count and len(used) == 2
+    assert used[0] is used[1] is built[0] is cli.build_parser()
+
+
 def test_eigenvector_text_and_l2(run):
     code, out, _ = run(
         "eigenvector", "--d", "3", "--q", "2", "--lambda1", "7", "--lambda2", "7",
