@@ -13,14 +13,13 @@ certified, with no Hermite pass of its own (`neighbors`).  The
 lattice routines take and return dict matrices, rows of
 {exponent: residue} dicts, and one back-substitution by a canonical basis
 (`_solve_canonical`) serves the normal form's certificate, the relative
-position and the witness of the domain reduction.  Row degrees
-come from one weak Popov pass (`_row_degrees`), which solves no null
-vector: over F_q[t] they sum to the determinant degree a basis's normal
-form needs (`vertex_normal_form`), and over O they give the relative
-position of two vertices, the Smith valuations of y^-1 x.  The row
-reduction by leading row coefficients (`_reduce_rows`) reduces a vertex
-into the fundamental domain (`domain.reduce_to_domain`), whose witness is
-solved from the reduced rows it leaves.  Both
+position and the witness of the domain reduction.  One weak Popov pass
+(`_weak_popov`), which solves no null vector, is the one row reduction:
+over F_q[t] its row degrees sum to the determinant degree a basis's
+normal form needs (`vertex_normal_form`), and its reduced rows take a
+vertex into the fundamental domain (`domain.reduce_to_domain`), whose
+witness is solved from them; over O its row degrees give the relative
+position of two vertices, the Smith valuations of y^-1 x.  Both
 distances are read off the relative position, or, for two
 label vertices, off the sorted label differences
 (`label_relative_position`); breadth-first search on the 1-skeleton is
@@ -157,7 +156,7 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     the `_normal_form` of m with the degree of its determinant.
 
     That degree is the sum of the row degrees of a weak Popov form of m
-    over F_q[t] (`_row_degrees`, which reads m's rows and solves no null
+    over F_q[t] (`_weak_popov`, which reads m's rows and solves no null
     vector): every step is a left multiplication by GL_d(F_q[t]), and the
     leading row coefficients of the form it ends in are invertible
     (Mulders and Storjohann, J. Symbolic Comput. 2003).  A singular m
@@ -169,7 +168,7 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     rows = _coeff_rows(m)
-    return _normal_form(rows, sum(_row_degrees(rows, m.q, over_O=False)), m.q)
+    return _normal_form(rows, sum(_weak_popov(rows, m.q, over_O=False)[0]), m.q)
 
 
 def _normal_form(m, det_degree: int, q: int) -> BuildingVertex:
@@ -317,11 +316,12 @@ def matrix_work(m: LaurentMatrix) -> int:
 
     With s the exponent span of m, the intermediate entries hold up to
     w = d s + 1 terms.  Each polynomial product costs 3 units plus 1/16
-    unit per coefficient product, and the weak Popov pass that gives the
-    determinant degree, the Hermite pass, its certificate and the domain
-    reduction take about d^3 / 4 products of entries that may fill up
-    (w^2 each).  The weak Popov pass costs less than the null-vector row
-    reduction the model was fitted to, so the model stays an upper bound.
+    unit per coefficient product, and the weak Popov passes of the
+    determinant degree and of the domain reduction, the Hermite pass, its
+    certificate and the witness's back-substitution take about d^3 / 4
+    products of entries that may fill up (w^2 each).  The model is an
+    estimate of that work, not a proven upper bound: on a few small
+    inputs the counted products exceed it.
     """
     d = m.d
     exponents = [e for row in m.rows for x in row for e in x.coeffs]
@@ -468,10 +468,13 @@ def _triangular_product(a, b, q: int) -> list[list[dict[int, int]]]:
     return cols
 
 
-def _row_degrees(rows, q: int, over_O: bool, det_deg: int | None = None) -> list[int]:
-    """The row degrees of a weak Popov form of the nonsingular dict matrix
-    `rows` (read and not changed) over F_q[t] or, with `over_O`, over
-    O = F_q[[1/t]] (Mulders and Storjohann, J. Symbolic Comput. 2003).
+def _weak_popov(
+    rows, q: int, over_O: bool, det_deg: int | None = None
+) -> tuple[list[int], list[dict[int, int]]]:
+    """A weak Popov form of the nonsingular dict matrix `rows` (read and
+    not changed) over F_q[t] or, with `over_O`, over O = F_q[[1/t]]
+    (Mulders and Storjohann, J. Symbolic Comput. 2003): its row degrees and
+    its rows, packed.
 
     Each row is packed into one dict keyed by e d + j for its term t^e in
     column j, so its top key gives its degree (key // d) and its leading
@@ -480,10 +483,13 @@ def _row_degrees(rows, q: int, over_O: bool, det_deg: int | None = None) -> list
     the other to cancel that row's top key: over F_q[t] the row of higher
     key takes it (shift >= 0), over O the row of lower key (shift <= 0), so
     every step is left multiplication by an element of GL_d of that ring
-    and strictly lowers one top key.  Once the leading positions differ,
-    the leading row coefficients form an invertible matrix, so the rows are
-    diag(t^deg) A with A in GL_d(O) and the degrees sum to deg det exactly;
-    no null vector is solved.
+    and strictly lowers one top key.  On a tie of top keys the row that
+    holds the position keeps it over F_q[t], which keeps the domain
+    witness solved from the rows smaller, and passes it to the incoming
+    row over O.  Once the leading positions differ, the leading row
+    coefficients form an invertible matrix, so the rows are diag(t^deg) A
+    with A in GL_d(O) and the degrees sum to deg det exactly; no null
+    vector is solved.
 
     Every pass is bounded.  Over F_q[t] no key falls below d times the
     least exponent of the input, and det_deg is not taken.  Over O det_deg
@@ -507,9 +513,8 @@ def _row_degrees(rows, q: int, over_O: bool, det_deg: int | None = None) -> list
         i = row
         while (j := owner.get(pos := tops[i] % d)) is not None:
             # row i takes the subtraction, unless the ring's multipliers
-            # cancel row j's top key instead, or the keys tie: then the two
-            # swap places
-            if (tops[j] <= tops[i]) if over_O else (tops[j] >= tops[i]):
+            # cancel row j's top key instead: then the two swap places
+            if (tops[j] <= tops[i]) if over_O else (tops[j] > tops[i]):
                 owner[pos] = i
                 i, j = j, i
             target, top = packed[i], tops[i]
@@ -528,80 +533,7 @@ def _row_degrees(rows, q: int, over_O: bool, det_deg: int | None = None) -> list
         raise InternalInvariantError(
             f"row degrees {degs} do not account for the determinant degree {det_deg}"
         )
-    return degs
-
-
-def _reduce_rows(rows, det_deg: int, q: int) -> list[int]:
-    """Row reduction over F_q[t] of a nonsingular dict matrix (rows of
-    mutable {exponent: residue} dicts) by leading row coefficients, in
-    place; returns the final row degrees and leaves the reduced rows in
-    `rows`.  Only `domain.reduce_to_domain` calls it: its reduced rows fix
-    the bytes of the domain witness, so it keeps this reduction where the
-    degrees alone come from `_row_degrees`.
-
-    While the matrix of leading row coefficients is singular over F_q, a
-    null combination cancels the top degree of one used row, the pivot:
-    the used row of largest degree, which every used row i enters as its
-    coefficient times t^(deg p - deg i), so each step is left
-    multiplication by GL_d(F_q[t]).  Each step strictly lowers the total
-    row degree, which is bounded below by det_deg = deg det, the degree
-    every step keeps.  Once the leading matrix is invertible the rows are
-    diag(t^deg) A with A in GL_d(O), and the degrees sum to exactly
-    det_deg.  A zero row means a singular matrix (SingularMatrixError);
-    any other broken invariant is a bug and raises InternalInvariantError.
-
-    A step scales the pivot row and adds each other used row into it in
-    place (`laurent._mul_add`, the monomial multiplier an exponent shift
-    and a scalar), and degrees and leading coefficients are read straight
-    off the dicts.  The elimination of the leading matrix is kept between
-    steps too: `gf.left_null_vector` stops at the first leading row that
-    depends on the rows above it and keeps the rows it eliminated, and a
-    step changes only the pivot row, so the next step drops the kept rows
-    from the pivot on and eliminates only those.
-    """
-    d = len(rows)
-
-    def row_degree(i: int) -> int:
-        degs = [max(x) for x in rows[i] if x]
-        if not degs:
-            raise SingularMatrixError("matrix is singular: the row reduction reached a zero row")
-        return max(degs)
-
-    def leading(i: int) -> list[int]:
-        return [x.get(degs[i], 0) for x in rows[i]]
-
-    # only the pivot row changes in a step, so only its degree and leading
-    # coefficients are recomputed
-    degs = [row_degree(i) for i in range(d)]
-    lead = [leading(i) for i in range(d)]
-    echelon: list = []
-    while (combo := left_null_vector(lead, q, echelon)) is not None:
-        used = [i for i in range(d) if combo[i]]
-        pivot = max(used, key=lambda i: (degs[i], i))
-        target = rows[pivot]
-        if (c := combo[pivot]) != 1:
-            for x in target:
-                for e in x:
-                    x[e] = x[e] * c % q
-        for i in used:
-            if i != pivot:
-                mono = {degs[pivot] - degs[i]: 1}
-                for x, y in zip(target, rows[i]):
-                    _mul_add(x, combo[i], mono, y, q)
-        new_deg = row_degree(pivot)
-        if new_deg >= degs[pivot]:
-            raise InternalInvariantError("row degree did not decrease during row reduction")
-        degs[pivot] = new_deg
-        lead[pivot] = leading(pivot)
-        # the elimination of the rows above the pivot row still holds
-        del echelon[pivot:]
-        if sum(degs) < det_deg:
-            raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
-    if sum(degs) != det_deg:
-        raise InternalInvariantError(
-            f"row degrees {degs} do not account for the determinant degree {det_deg}"
-        )
-    return degs
+    return degs, packed
 
 
 def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
@@ -611,7 +543,7 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
     (1/t)^(s_i) e_i where y's is spanned by the e_i; the tuple is the
     relative position of the two vertices up to a common shift (Garrett,
     Buildings and Classical Groups, 1997).  y^-1 x comes from one
-    back-substitution, and the weak Popov pass over O (`_row_degrees`)
+    back-substitution, and the weak Popov pass over O (`_weak_popov`)
     finds the row degrees of a form diag(t^deg) A with A in GL_d(O), so the
     valuations are the negated row degrees.  Its determinant has degree
     sum profile(x) - sum profile(y), read off the monomial determinants of
@@ -622,7 +554,7 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
         raise InvalidInputError("vertices live in different buildings")
     q = x.q
     rows = _solve_canonical(_coeff_rows(y.basis), _coeff_rows(x.basis), q)
-    degs = _row_degrees(rows, q, over_O=True, det_deg=sum(x.profile) - sum(y.profile))
+    degs = _weak_popov(rows, q, over_O=True, det_deg=sum(x.profile) - sum(y.profile))[0]
     return tuple(sorted(-e for e in degs))
 
 

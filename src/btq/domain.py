@@ -30,8 +30,8 @@ from . import building
 from .building import (
     BuildingVertex,
     _coeff_rows,
-    _reduce_rows,
     _solve_canonical,
+    _weak_popov,
     neighbors,
     vertex_from_label,
 )
@@ -549,17 +549,16 @@ def reduce_to_domain(v: BuildingVertex) -> tuple[tuple[int, ...], LaurentMatrix]
     w over F_q[t] with unit determinant and [w * basis] = [label diagonal].
     A matrix goes through `building.vertex_normal_form` first.
 
-    The basis B goes through the row reduction over F_q[t]
-    (`building._reduce_rows`) to R = W B.  Its reduced rows, not only their
-    degrees, fix the witness below, so this reduction and not the weak
-    Popov pass of the normal form (`building._row_degrees`) runs here.
-    R is diag(t^deg) A with A in
-    GL_d(O), whose lattice class is the diagonal one of the sorted row
-    degrees: they are the label exponents up to homothety.  The canonical
-    basis is triangular with pivots t^profile_i, so its determinant has
-    degree sum(profile), and row degrees summing to anything else raise
+    The basis B goes through the weak Popov pass over F_q[t]
+    (`building._weak_popov`, the one that gives the normal form its
+    determinant degree) to R = W B, diag(t^deg) A with A in GL_d(O), whose
+    lattice class is the diagonal one of the sorted row degrees: they are
+    the label exponents up to homothety.  The canonical basis is
+    triangular with pivots t^profile_i, so its determinant has degree
+    sum(profile), and row degrees summing to anything else raise
     InternalInvariantError.  The witness is not tracked through the steps
-    but solved once afterwards, by the normal form's back-substitution
+    but solved once afterwards from the reduced rows, unpacked into a dict
+    matrix in label order, by the normal form's back-substitution
     (`building._solve_canonical`): with rev(X) = J X^T J for the index
     reversal J, rev(B) is upper triangular with the same monic pivots and
     rev(R) = rev(B) rev(W), so W = rev(rev(B)^-1 rev(R)).  All of it runs
@@ -569,12 +568,20 @@ def reduce_to_domain(v: BuildingVertex) -> tuple[tuple[int, ...], LaurentMatrix]
         raise InvalidInputError("expected a BuildingVertex")
     d, q = v.d, v.q
     basis = _coeff_rows(v.basis)
-    rows = [[dict(x) for x in row] for row in basis]
-    degs = _reduce_rows(rows, sum(v.profile), q)
+    degs, packed = _weak_popov(basis, q, over_O=False)
+    if sum(degs) != sum(v.profile):
+        raise InternalInvariantError(
+            f"row degrees {degs} do not account for the determinant degree {sum(v.profile)}"
+        )
     order = sorted(range(d), key=lambda i: (-degs[i], i))
     base_deg = min(degs)
     label = tuple(degs[i] - base_deg for i in order)
-    reduced = [rows[i] for i in order]
+    reduced = [[{} for _ in range(d)] for _ in range(d)]
+    for row, i in zip(reduced, order):
+        # the packed key e d + j is the term t^e in column j
+        for key, c in packed[i].items():
+            e, j = divmod(key, d)
+            row[j][e] = c
 
     def rev(m):
         return [[m[d - 1 - j][d - 1 - i] for j in range(d)] for i in range(d)]

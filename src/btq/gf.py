@@ -1,14 +1,14 @@
 """Arithmetic in the prime field F_q and q-combinatorial counting functions.
 
 Two eliminations over F_q serve the library.  `left_null_vector`
-decides invertibility and returns a null combination when there is one.
-It runs row by row and stops at the first row that depends on the rows
-above it, so a caller that changes one row keeps the elimination of the
-rows above it (`building._reduce_rows`, the reduction into the
-domain).  `reduced_echelon_form` gives the canonical basis of a span, the
-form in which `building.subspace_bases`
-lists the subspaces of F_q^d, so a subspace moved by a matrix is looked
-up among them (`domain.orbit_decomposition`).
+decides invertibility and returns a null combination when there is one,
+row by row, stopping at the first row that depends on the rows above it;
+the normal form's certificate (`building._certify_same_lattice`) and the
+samplers `laurent.random_gamma` and `laurent.random_k` call it.
+`reduced_echelon_form` gives the canonical basis of a span, the form in
+which `building.subspace_bases` lists the subspaces of F_q^d, so a
+subspace moved by a matrix is looked up among them
+(`domain.orbit_decomposition`).
 
 Counting functions (`gl_order`, `gaussian_binomial`) return Python ints,
 so they are arbitrary precision by construction.  Extension fields are
@@ -59,7 +59,7 @@ def inv_mod(a: int, q: int) -> int:
     return pow(a, q - 2, q)
 
 
-def left_null_vector(mat, q: int, echelon: list | None = None):
+def left_null_vector(mat, q: int):
     """A nonzero vector c with c * mat = 0 over F_q, or None if mat is invertible.
 
     Elimination row by row: row k of the square integer matrix mat, read
@@ -67,24 +67,18 @@ def left_null_vector(mat, q: int, echelon: list | None = None):
     reduces to zero stops it.  The result is the unique null vector
     supported on rows 0..k with coefficient 1 at row k (the rows above k
     are independent), so it does not depend on how the rows are reduced.
-
-    `echelon` holds the reduced rows, one entry (pivot column, row scaled
-    to 1 at the pivot, the combination of mat's rows it equals) per row of
-    mat from the top, and the call extends it in place.  A caller that
-    changes row p of mat between calls keeps `echelon[:p]`, which depends
-    on rows 0..p-1 only, and the next call eliminates from row p on;
-    without it the elimination starts from an empty prefix.
     """
     n = len(mat)
-    if echelon is None:
-        echelon = []
-    for k in range(len(echelon), n):
+    # (pivot column, row scaled to 1 at the pivot, the combination of
+    # mat's rows it equals) for each row above k
+    eliminated = []
+    for k in range(n):
         row = [x % q for x in mat[k]]
         combo = [0] * n
         combo[k] = 1
         # each kept row is zero at the pivots above its own, so one pass
         # in order clears every pivot column of row
-        for p, kept, kept_combo in echelon:
+        for p, kept, kept_combo in eliminated:
             if f := row[p]:
                 row = [(x - f * y) % q for x, y in zip(row, kept)]
                 combo = [(x - f * y) % q for x, y in zip(combo, kept_combo)]
@@ -92,7 +86,7 @@ def left_null_vector(mat, q: int, echelon: list | None = None):
         if p is None:
             return combo
         inv = inv_mod(row[p], q)
-        echelon.append((p, [x * inv % q for x in row], [x * inv % q for x in combo]))
+        eliminated.append((p, [x * inv % q for x in row], [x * inv % q for x in combo]))
     return None
 
 

@@ -29,10 +29,10 @@ rows of mutable {exponent: residue} dicts, updated by the same kernel.
 Its loops are the Hermite pass of the normal form
 (`building._normal_form`), the triangular products and reductions that
 give the neighbor bases (`building.neighbors`), the weak Popov pass
-(`building._row_degrees`, on rows packed into one dict each), which gives
-the normal form its determinant degree and the relative position its
-valuations, the row reduction into the domain (`building._reduce_rows`),
-and the one substitution by a triangular basis with
+(`building._weak_popov`, on rows packed into one dict each), the one row
+reduction, which gives the normal form its determinant degree, the
+relative position its valuations and the domain reduction its reduced
+rows, and the one substitution by a triangular basis with
 monic monomial pivots (`building._solve_canonical`), which serves the
 certificate, the start of `relative_position` and, on reversed
 transposes, the witness of `domain.reduce_to_domain`.  Dict matrices pass

@@ -3,9 +3,10 @@
 Breadth-first search over the 1-skeleton and the Smith valuations from
 minors live here as oracles for `relative_position`, the weak Popov pass
 over O, and for the distances read off it.  The minors check it up to
-d = 6 and on a label of span 10^4.  The dot-product reduction and the
-Laplace determinant check the pass over F_q[t] and the row reduction that
-reduces vertices into the domain.
+d = 6 and on a label of span 10^4.  The null-vector reduction on dot
+products and the Laplace determinant check the pass over F_q[t], whose
+row degrees give the normal form its determinant degree and the domain
+reduction its label.
 """
 
 import hashlib
@@ -179,10 +180,13 @@ def smith_by_minors(x, y):
 
 
 def reduce_rows_by_dot(rows, det_deg, q, over_O):
-    """`building._reduce_rows` on immutable rows: every step rebuilds each
-    entry of the pivot row as a dot product, a sum of LaurentPoly operator
-    products of a scalar, a monomial per used row and that row's entry.
-    The in-place reduction must agree with it step for step."""
+    """A row reduction by leading row coefficients on immutable rows,
+    independent of the weak Popov pass: while the leading matrix has a null
+    combination, the used row of largest degree over F_q[t] (least over
+    O) is rebuilt as a dot product, a sum of LaurentPoly operator products
+    of a scalar, a monomial per used row and that row's entry.  Its
+    degrees, sorted, are the pass's, and its rows give a witness of the
+    domain reduction to compare sizes with."""
     d = len(rows)
     sign = -1 if over_O else 1
 
@@ -335,13 +339,13 @@ def test_certificate_catches_wrong_determinant(monkeypatch):
     inputs = [LaurentMatrix.diagonal((2, 1, 0), 2), mat([["1", "t^-1"], ["t^-3", "t^-2"]])]
     rng = random.Random(41)
     inputs += [random_invertible(3, 2, rng) for _ in range(5)]
-    true_degrees = building._row_degrees
+    true_pass = building._weak_popov
 
     def degrees_off_by_t(*args, **kwargs):
-        degs = true_degrees(*args, **kwargs)
-        return [degs[0] + 1] + degs[1:]
+        degs, packed = true_pass(*args, **kwargs)
+        return [degs[0] + 1] + degs[1:], packed
 
-    monkeypatch.setattr(building, "_row_degrees", degrees_off_by_t)
+    monkeypatch.setattr(building, "_weak_popov", degrees_off_by_t)
     for m in inputs:
         with pytest.raises(InternalInvariantError):
             vertex_normal_form(m)
@@ -758,45 +762,29 @@ def test_label_relative_position_matches_elimination():
         label_relative_position((1, 0), (0, 0, 0))
 
 
-def reduce_rows_in_place(rows, det_deg, q):
-    """`building._reduce_rows` on LaurentPoly rows, through a dict matrix."""
-    dicts = [[dict(x.coeffs) for x in row] for row in rows]
-    degs = building._reduce_rows(dicts, det_deg, q)
-    rows[:] = [[LaurentPoly(x, q) for x in row] for row in dicts]
-    return degs
-
-
 def row_degrees(rows, det_deg, q, over_O):
-    """`building._row_degrees` on LaurentPoly rows, in the argument order
-    of `reduce_rows_by_dot`."""
-    return building._row_degrees([[dict(x.coeffs) for x in row] for row in rows], q, over_O, det_deg)
-
-
-def _reduction_outcome(reduce, rows, *args):
-    """The degrees and rows a reduction leaves, or the type of its exception."""
-    rows = list(rows)
-    try:
-        degs = reduce(rows, *args)
-    except (SingularMatrixError, InternalInvariantError) as exc:
-        return type(exc)
-    return degs, [list(row) for row in rows]
+    """The degrees of `building._weak_popov` on LaurentPoly rows, in the
+    argument order of `reduce_rows_by_dot`."""
+    return building._weak_popov([[dict(x.coeffs) for x in row] for row in rows], q, over_O, det_deg)[0]
 
 
 def _degree_outcome(reduce, rows, *args):
     """The sorted degrees of a reduction, or the type of its exception."""
-    out = _reduction_outcome(reduce, rows, *args)
-    return out if isinstance(out, type) else sorted(out[0])
+    try:
+        return sorted(reduce(list(rows), *args))
+    except (SingularMatrixError, InternalInvariantError) as exc:
+        return type(exc)
 
 
-def _assert_reductions_agree(rows, det_deg, q):
-    """Over F_q[t]: same degrees and rows entry by entry at the true
-    determinant degree, and the same exception types one degree either side
-    of it."""
-    for deg in (det_deg, det_deg - 1, det_deg + 1):
-        got = _reduction_outcome(reduce_rows_in_place, rows, deg, q)
-        want = _reduction_outcome(reduce_rows_by_dot, rows, deg, q, False)
-        assert got == want, (rows, deg)
-        assert (deg == det_deg) == (got is not InternalInvariantError)
+def _assert_reductions_agree(v):
+    """Over F_q[t], on a canonical basis: the pass's sorted degrees are the
+    oracle's, and the domain label is the oracle's sorted degrees, shifted
+    to end in 0."""
+    q = v.q
+    degs = row_degrees(v.basis.rows, None, q, False)
+    want = sorted(reduce_rows_by_dot(list(v.basis.rows), sum(v.profile), q, False), reverse=True)
+    assert sorted(degs, reverse=True) == want, v
+    assert reduce_to_domain(v)[0] == tuple(e - want[-1] for e in want), v
 
 
 def _singular_rows():
@@ -819,8 +807,7 @@ def test_reduce_rows_matches_dot_oracle():
                     * LaurentMatrix.diagonal(label, q)
                     * random_k(d, q, 3, rng)
                 )
-                v = vertex_normal_form(m)
-                _assert_reductions_agree(v.basis.rows, sum(v.profile), q)
+                _assert_reductions_agree(vertex_normal_form(m))
     # over O: y^-1 x of relative_position pairs, whose degrees the weak
     # Popov pass gives; the same up to order, and the same exception types
     # one degree either side of the determinant's
@@ -836,11 +823,11 @@ def test_reduce_rows_matches_dot_oracle():
                     assert got == _degree_outcome(reduce_rows_by_dot, rows, deg, q, True), (rows, deg)
                     assert (deg == det_deg) == (got is not InternalInvariantError)
     for rows in _singular_rows():
+        assert _degree_outcome(row_degrees, rows, None, 3, False) is SingularMatrixError
         for deg in (-5, 0, 3):
-            assert _reduction_outcome(reduce_rows_in_place, rows, deg, 3) is SingularMatrixError
             assert _degree_outcome(row_degrees, rows, deg, 3, True) is SingularMatrixError
             for over_O in (False, True):
-                assert _reduction_outcome(reduce_rows_by_dot, rows, deg, 3, over_O) is SingularMatrixError
+                assert _degree_outcome(reduce_rows_by_dot, rows, deg, 3, over_O) is SingularMatrixError
 
 
 def test_row_degrees_match_oracles():
@@ -867,7 +854,7 @@ def test_row_degrees_match_oracles():
                 x = vertex_normal_form(random_invertible(d, q, rng))
                 y = vertex_normal_form(random_invertible(d, q, rng))
                 rows = building._solve_canonical(coeff_rows(y.basis), coeff_rows(x.basis), q)
-                degs = building._row_degrees(rows, q, True, sum(x.profile) - sum(y.profile))
+                degs = building._weak_popov(rows, q, True, sum(x.profile) - sum(y.profile))[0]
                 assert tuple(sorted(-e for e in degs)) == smith_by_minors(x, y), (x, y)
     for rows in _singular_rows():
         with pytest.raises(SingularMatrixError, match="the row reduction reached a zero row"):
@@ -898,7 +885,7 @@ def test_relative_position_wrong_determinant_is_internal():
 
 # sha256 of the seeded lattice results below; a change to the lattice layer
 # that is meant to keep every output keeps this digest
-LATTICE_RESULTS_DIGEST = "872a916623b3b78923e8d0e1af71ef39991fe68fae387c9f54919ea826dce8c4"
+LATTICE_RESULTS_DIGEST = "caefafa5696ceb623f4b8295818c7c7fb0e0de203a3b5e6befe7c57416bebf8c"
 
 
 def test_lattice_results_digest_pinned():

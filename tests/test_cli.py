@@ -187,14 +187,14 @@ def test_reduce_matrix(run, tmp_path):
 REDUCE_LABELS = {3: (4, 1, 0), 4: (3, 2, 2, 0), 5: (5, 3, 1, 1, 0)}
 REDUCE_HASHES = {
     (3, 2): "9cd5425f290ccd158396b0e7aa990fcdd7e350d7f5a95f90e607fa7fded78f74",
-    (3, 3): "1224af2de98ff23f83beeaf3ac3c82b497930b6ba0998c8bdf5ca30533ac2c82",
-    (3, 5): "ce565fc1a95e316a3c47dc9af46a18e4a0940cbbeb0c0dfb5f8b683f6624ce18",
+    (3, 3): "c60f6802fe179b830d953d9445ad10b63f283b1fac960c05edbcb6685d9c83cd",
+    (3, 5): "131b2fe148855585d66adb0a94dfb05d132bd528dcd91fc23b77b26a58b0b3be",
     (4, 2): "46e440d73f2f7ba94c1d2f9e4da2960a267d0f0ec401cbe0658653df7d67da96",
-    (4, 3): "94ef3620ac8799f9a750ffdee83f7e54e4e453922520d3092b74cc6e9a290bba",
-    (4, 5): "6ccff6d26d71b59602b138e0117d4d7ac1d7ef6c4846a8e97e3f80cd4c897efa",
-    (5, 2): "ec97ff49b41f67b015bbae9972d5869eba062a1e99f801983967e32eb500a91a",
-    (5, 3): "04f486bbcc0645a97572ea2ed0a9ed6f5c322deec9056a103978be6ef31d94c7",
-    (5, 5): "2aa4b5d0fbecd493429f5f7017490d8c540bb82c3cb9fe937f367d5a4e862e7d",
+    (4, 3): "7941c316fc5fa2d9ebcf19ef384729f9d426d5110011b552e2783fde2b7083e0",
+    (4, 5): "8d8647845ceac31e6aa4dbb256d1da5f61fff313fa04a0eea27c1cfc4ae13b9e",
+    (5, 2): "0955047ac1052acf9fd203f2322898452eb6a852e685e767f40d48cfacde99b4",
+    (5, 3): "e2525ba064f673342a7f1a59ea9a93bb8ede76bbf64ef401d70712521d94d1c4",
+    (5, 5): "3ab75304b11b67f38b298898a79d59b6737ac7cc42da976ec1d0f511049903ea",
 }
 
 
@@ -212,23 +212,24 @@ def test_reduce_output_pinned(d, q, tmp_path, capsysbinary):
 
 
 # sha256 of `btq reduce --matrix -` stdout for three written-out literals: a
-# d = 2 one; a d = 4 one whose three row steps, two of them on a row above
-# the last one combined, restart the elimination of the leading matrix from
-# a kept prefix; and a seeded d = 5 one, whose witness comes from the
-# back-substitution on reversed transposes
+# d = 2 one; a d = 4 one whose weak Popov pass takes three steps, one where
+# the row holding a leading position gives it up, one plain subtraction and
+# one tie of top keys, where the incoming row is reduced; and a seeded
+# d = 5 one, whose witness comes from the back-substitution on reversed
+# transposes
 REDUCE_LITERAL_HASHES = {
     2: ('{"q": 2, "d": 2, "entries": [["t^2", "1"], ["t", "1"]]}',
         "f3942fb279d84e95e9397b58164e56637b6836430b6806ba144a4656327c23b9"),
     4: ('{"q": 3, "d": 4, "entries": [["2", "0", "1", "t^2 + t"], ["2", "t", "2*t^2 + t", "t"], '
         '["0", "0", "0", "1"], ["0", "0", "2*t^2 + t + 2", "0"]]}',
-        "a36360ec36bc58c7f6326225dbd41790d4338d8e945e5377229840aea19e0883"),
+        "6066514f7b62844806ae3eba0ab8febfc3ea9f9da6c70ab3eb92d1aad323b736"),
     5: ('{"q": 3, "d": 5, "entries": [["t^2 + t + 2 + t^-1", "2*t^2 + 2*t^1 + 1 + t^-1", '
         '"t^3 + t^2 + 1", "2*t^2 + t + 1 + 2*t^-1", "2*t^2 + 2*t^-1"], ["t + 1 + t^-1", "1 + t^-1", '
         '"t^2 + 2*t^1", "2*t^-1", "2*t^1 + 1 + 2*t^-1"], ["t^3 + 2*t^1 + 1", "t^3 + 2*t^2 + t + 1", '
         '"t^2 + t", "t^3 + 2*t^2 + 2", "2"], ["2*t^2 + t + 2 + t^-1", "1 + t^-1", "2*t^3 + 1", '
         '"t + 1 + 2*t^-1", "t^2 + 2*t^-1"], ["t^2 + t + 2", "2*t^1", "t^3 + 2*t^2 + t + 1", "t + 2", '
         '"2*t^2 + 1"]]}',
-        "552a21eec9287736b6929277daae96cdfdf74baadc48baacbefc22f6e933d199"),
+        "b802a0db492e6ee73a9c3f2b6bb4b8b5e1fc05ee4587a73343f6b2519885fd10"),
 }
 
 
@@ -244,10 +245,10 @@ def test_reduce_literal_output_pinned(d, monkeypatch, capsysbinary):
 # random_gamma(d, q, 6, seed) * diag(label) * random_k(d, q, 4, seed), n_1 = 12
 REDUCE_WIDE_LABELS = {3: (12, 7, 0), 4: (12, 9, 4, 0)}
 REDUCE_WIDE_HASHES = {
-    (3, 2): "7fd328389b60bc6a5bf3f28f32e1db7787cf77f0365f87411683dd80b9947c92",
-    (3, 3): "8985b6ad8ca50d282611317216ed2787620cf11af44802d6695b5e8bf370987d",
-    (4, 2): "31c0a42ee1ffe6d55a484d99158f663bb9e0775c1d1d07b3511205354b2cf882",
-    (4, 3): "75325b6ebfb1f9d961949dae077e4fa8c59eeebe64e2a42dea3a7fb4cc227f07",
+    (3, 2): "0805b19037fcd6b2bfab493a0afb6e774b2525381b792f498dd074a2e3fe3e1f",
+    (3, 3): "1372496ddff7721f08c930c5020813bb9ad51014dff58a30f270d407e9eab011",
+    (4, 2): "889ba56861531252080049e2105fb3e6c3cd59013d3f131b3a8665d85d8df589",
+    (4, 3): "4999f7b1b1ef80e98b72fac2eb90f6e245fc36465b17f1237187b13f76b1bff8",
 }
 
 

@@ -29,6 +29,7 @@ from btq.domain import (
 from btq.errors import InternalInvariantError, InvalidInputError, ResourceBoundError
 from btq.gf import gaussian_binomial, gl_order, left_null_vector
 from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
+from test_building import reduce_rows_by_dot
 
 
 def test_label_validation():
@@ -617,30 +618,32 @@ def test_reduce_orbit_invariance():
 
 def step_tracked_reduction(v):
     """reduce_to_domain's label and witness, the witness taking every step of
-    the row reduction over F_q[t] along with the basis rows."""
+    the weak Popov pass over F_q[t] along with the basis rows.  A row leads
+    at its rightmost entry of top degree.  The rows come in order, and
+    while row i leads where an earlier row j does, the one of higher
+    degree (row i on a tie) takes c t^shift times the other, which cancels
+    its leading term, and the other one holds the position."""
     d, q = v.d, v.q
     rows = [list(row) for row in v.basis.rows]
     witness = [[LaurentPoly({0: int(i == j)}, q) for j in range(d)] for i in range(d)]
 
-    def degree(row):
-        return max(x.degree() for x in row if x)
+    def lead(i):
+        deg = max(x.degree() for x in rows[i] if x)
+        return deg, max(j for j, x in enumerate(rows[i]) if x and x.degree() == deg)
 
-    degs = [degree(row) for row in rows]
-    while (combo := left_null_vector([[x.coeff(degs[i]) for x in rows[i]] for i in range(d)], q)):
-        used = [i for i in range(d) if combo[i]]
-        pivot = max(used, key=lambda i: (degs[i], i))
-
-        def step(m):
-            out = []
-            for j in range(d):
-                acc = LaurentPoly({}, q)
-                for i in used:
-                    acc = acc + LaurentPoly({degs[pivot] - degs[i]: combo[i]}, q) * m[i][j]
-                out.append(acc)
-            return out
-
-        rows[pivot], witness[pivot] = step(rows), step(witness)
-        degs[pivot] = degree(rows[pivot])
+    owner = {}
+    for i in range(d):
+        while (j := owner.get(lead(i)[1])) is not None:
+            if lead(j)[0] > lead(i)[0]:
+                owner[lead(i)[1]] = i
+                i, j = j, i
+            (deg_i, pos), deg_j = lead(i), lead(j)[0]
+            c = rows[i][pos].coeff(deg_i) * pow(rows[j][pos].coeff(deg_j), -1, q)
+            mono = LaurentPoly({deg_i - deg_j: -c}, q)
+            rows[i] = [x + mono * y for x, y in zip(rows[i], rows[j])]
+            witness[i] = [x + mono * y for x, y in zip(witness[i], witness[j])]
+        owner[lead(i)[1]] = i
+    degs = [lead(i)[0] for i in range(d)]
     order = sorted(range(d), key=lambda i: (-degs[i], i))
     label = tuple(degs[i] - min(degs) for i in order)
     return label, LaurentMatrix([witness[i] for i in order], q)
@@ -660,25 +663,35 @@ def test_solved_witness_matches_step_tracked_witness(d):
         assert got == step_tracked_reduction(v)
 
 
-def witness_by_forward_substitution(v):
-    """reduce_to_domain's witness W = R B^-1 for the reduced rows R in
+def witness_from_rows(v, degs, rows):
+    """The witness W = R B^-1 for the reduced LaurentPoly rows R, taken in
     label order, by one forward substitution per row in LaurentPoly
     arithmetic, w_j = (r_j - sum_{k<j} w_k B[k][j]) / t^profile_j, in
     place of the back-substitution on reversed transposes."""
     d, q = v.d, v.q
-    rows = [[dict(x.coeffs) for x in row] for row in v.basis.rows]
-    degs = building._reduce_rows(rows, sum(v.profile), q)
     basis = v.basis.rows
     witness = []
     for i in sorted(range(d), key=lambda i: (-degs[i], i)):
         w = []
         for j in range(d):
-            acc = LaurentPoly(rows[i][j], q)
+            acc = rows[i][j]
             for k in range(j):
                 acc = acc - w[k] * basis[k][j]
             w.append(acc * LaurentPoly({-v.profile[j]: 1}, q))
         witness.append(w)
     return LaurentMatrix(witness, q)
+
+
+def witness_by_forward_substitution(v):
+    """reduce_to_domain's witness, solved by `witness_from_rows` from the
+    rows the weak Popov pass leaves, unpacked from their keys e d + j."""
+    d, q = v.d, v.q
+    degs, packed = building._weak_popov([[dict(x.coeffs) for x in row] for row in v.basis.rows], q, False)
+    rows = [[{} for _ in range(d)] for _ in range(d)]
+    for row, keys in zip(rows, packed):
+        for key, c in keys.items():
+            row[key % d][key // d] = c
+    return witness_from_rows(v, degs, [[LaurentPoly(x, q) for x in row] for row in rows])
 
 
 def test_witness_matches_forward_substitution():
@@ -691,6 +704,54 @@ def test_witness_matches_forward_substitution():
                 m = random_gamma(d, q, 2, rng) * LaurentMatrix.diagonal(label, q) * random_k(d, q, 2, rng)
                 v = vertex_normal_form(m)
                 assert reduce_to_domain(v)[1] == witness_by_forward_substitution(v), (d, q, label)
+
+
+def elementary_product(d, q, exponents, count, rng):
+    """A product of `count` elementary matrices I + c t^e E_ij, i != j, each
+    e drawn from `exponents`: in GL_d(F_q[t]) for exponents >= 0 and in
+    GL_d(O) for exponents <= 0, with few nonzero entries."""
+    m = LaurentMatrix.diagonal((0,) * d, q)
+    for _ in range(count):
+        i, j = rng.sample(range(d), 2)
+        rows = [[LaurentPoly({0: 1} if a == b else {}, q) for b in range(d)] for a in range(d)]
+        rows[i][j] = LaurentPoly({rng.choice(exponents): rng.randrange(1, q)}, q)
+        m = m * LaurentMatrix(rows, q)
+    return m
+
+
+def witness_terms(w):
+    return sum(len(x.coeffs) for row in w.rows for x in row)
+
+
+def test_witness_on_dense_and_sparse_inputs():
+    # the witness that the weak Popov pass leaves, on seeded dense inputs
+    # (random_gamma, random_k) and sparse ones (a few elementary matrices
+    # on each side of the label's diagonal): the drawn label, a witness
+    # over F_q[t] of constant determinant that takes the basis to the
+    # label's vertex, and no more than 1.6 times the terms of the witness
+    # solved from the null-vector reduction's rows
+    rng = random.Random(36)
+    terms = oracle_terms = 0
+    for d in range(2, 9):
+        for q in (2, 3, 5):
+            label = [rng.randint(0, 6)]
+            label = tuple(label + sorted((rng.randint(0, label[0]) for _ in range(d - 2)), reverse=True) + [0])
+            diag = LaurentMatrix.diagonal(label, q)
+            for m in (
+                random_gamma(d, q, 2, rng) * diag * random_k(d, q, 2, rng),
+                elementary_product(d, q, range(4), d, rng) * diag * elementary_product(d, q, range(-3, 1), d, rng),
+            ):
+                v = vertex_normal_form(m)
+                got, witness = reduce_to_domain(v)
+                assert got == label, (m, got)
+                assert set(witness.det().coeffs) == {0}, m
+                assert all(e >= 0 for row in witness.rows for x in row for e in x.coeffs), m
+                assert vertex_normal_form(witness * v.basis) == vertex_from_label(label, q), m
+                rows = list(v.basis.rows)
+                degs = reduce_rows_by_dot(rows, sum(v.profile), q, False)
+                terms += witness_terms(witness)
+                oracle_terms += witness_terms(witness_from_rows(v, degs, rows))
+    assert terms <= 1.6 * oracle_terms, (terms, oracle_terms)
 
 
 def test_reduce_disjointness():
