@@ -4,7 +4,9 @@ Vertices are homothety classes of O-lattices in F^d, represented by a
 canonical upper-triangular basis: pivots are exact monomials t^(a_i), the
 entry above a pivot in row i is supported on exponents strictly greater
 than a_i, and min(a_i) = 0 fixes the homothety.  Two vertices are equal
-iff their canonical bases are entrywise equal.
+iff their canonical bases are entrywise equal.  A `BuildingVertex` is
+its canonical basis: it reads the profile (a_i) off the pivots and
+refuses any other basis.
 
 Neighbor enumeration goes through subspaces of the residue space: the
 canonical basis of a neighbor is the vertex's canonical basis times a
@@ -40,7 +42,7 @@ from .errors import (
     ResourceBoundError,
     SingularMatrixError,
 )
-from .gf import check_prime, gaussian_binomial, inv_mod, left_null_vector, reduced_echelon_form
+from .gf import check_prime, gaussian_binomial, inv_mod, reduced_echelon_form
 from .laurent import LaurentMatrix, _matrix, _mul_add, _poly, series_inverse
 
 # The one bound on predicted work, about a microsecond per unit (measured on
@@ -52,11 +54,27 @@ NEIGHBOR_WORK_BOUND = 5 * 10**6
 
 
 class BuildingVertex:
-    """A vertex of B: canonical lattice basis plus its diagonal profile."""
+    """A vertex of B, given by its canonical basis; the profile, the
+    exponents of the pivots, is read off it (`_canonical_profile`).
+
+    Any other basis raises InvalidInputError: `vertex_normal_form` gives
+    the vertex of an arbitrary one.  The library builds its vertices,
+    canonical by construction, through `_vertex`, which skips the check.
+    """
 
     __slots__ = ("basis", "profile", "d", "q")
 
-    def __init__(self, basis: LaurentMatrix, profile: tuple[int, ...]):
+    def __init__(self, basis: LaurentMatrix):
+        if not isinstance(basis, LaurentMatrix) or basis.d < 2:
+            raise InvalidInputError("a vertex basis is a LaurentMatrix with d >= 2")
+        profile = _canonical_profile(_coeff_rows(basis))
+        if profile is None:
+            raise InvalidInputError(
+                "not a canonical basis; vertex_normal_form gives the vertex of any basis"
+            )
+        self._set(basis, profile)
+
+    def _set(self, basis, profile):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "d", basis.d)
@@ -83,6 +101,14 @@ class BuildingVertex:
         return obj
 
 
+def _vertex(basis: LaurentMatrix, profile: tuple[int, ...]) -> BuildingVertex:
+    """The constructor of library-built vertices: `BuildingVertex` for a
+    basis that is canonical with this profile by construction, unchecked."""
+    v = object.__new__(BuildingVertex)
+    v._set(basis, profile)
+    return v
+
+
 def vertex_from_label(label, q: int) -> BuildingVertex:
     """The diagonal vertex diag(t^n_1, ..., t^n_d) for a domain label."""
     label = tuple(label)
@@ -91,7 +117,7 @@ def vertex_from_label(label, q: int) -> BuildingVertex:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     if any(n < 0 for n in label) or label[-1] != 0 or list(label) != sorted(label, reverse=True):
         raise InvalidInputError(f"not a domain label: {label}")
-    return BuildingVertex(LaurentMatrix.diagonal(label, q), label)
+    return _vertex(LaurentMatrix.diagonal(label, q), label)
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +168,14 @@ def _certify_same_lattice(canon, original, q: int) -> bool:
     entry of U is in O (no positive exponent), and U modulo 1/t (its
     constant-term matrix) is invertible over F_q.  canon is upper
     triangular with monic monomial pivots, so U is one exact
-    back-substitution (`_solve_canonical`), and the residue test is one
-    run of `gf.left_null_vector`; no series arithmetic and no determinant.
+    back-substitution (`_solve_canonical`), and the residue matrix is
+    invertible when its reduced echelon basis (`gf.reduced_echelon_form`)
+    has d rows; no series arithmetic and no determinant.
     """
     u = _solve_canonical(canon, original, q)
     if any(e > 0 for row in u for x in row for e in x):
         return False
-    return left_null_vector([[x.get(0, 0) for x in row] for row in u], q) is None
+    return len(reduced_echelon_form([[x.get(0, 0) for x in row] for row in u], q)) == len(u)
 
 
 def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
@@ -168,7 +195,7 @@ def vertex_normal_form(m: LaurentMatrix) -> BuildingVertex:
     if m.d < 2:
         raise InvalidInputError("d = 1 is rejected: the building is a point")
     rows = _coeff_rows(m)
-    return _normal_form(rows, sum(_weak_popov(rows, m.q, over_O=False)[0]), m.q)
+    return _normal_form(rows, sum(_weak_popov(rows, m.q)[0]), m.q)
 
 
 def _normal_form(m, det_degree: int, q: int) -> BuildingVertex:
@@ -268,7 +295,7 @@ def _canonical_vertex(cols, pivots, original, q: int) -> BuildingVertex:
 
     shift = min(pivots)
     basis = [[_poly({e - shift: c for e, c in x.items()}, q) for x in row] for row in canon]
-    return BuildingVertex(_matrix(basis, q), tuple(a - shift for a in pivots))
+    return _vertex(_matrix(basis, q), tuple(a - shift for a in pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -368,37 +395,23 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     Enumerates codimension-k subspaces of the residue space L'/(1/t)L';
     returns exactly gaussian_binomial(d, k, q) pairwise-distinct vertices,
     the i-th one the lattice of the i-th subspace of
-    `subspace_bases(d, d - k, q)`: L = B (W + (1/t)O^d) for the basis B
-    of v and the span W of that subspace's rows.  Above NEIGHBOR_WORK_BOUND
-    predicted work (`check_neighbor_work`), this raises ResourceBoundError
-    before enumerating any.
+    `subspace_bases(d, d - k, q)`: L = C (W + (1/t)O^d) for the canonical
+    basis C of v and the span W of that subspace's rows.  Above
+    NEIGHBOR_WORK_BOUND predicted work (`check_neighbor_work`), this
+    raises ResourceBoundError before enumerating any.
 
-    No Hermite pass runs per neighbor.  Write B = C U with C canonical and
-    U in t^s GL_d(O); then L = t^s C N for N = U0 W + (1/t)O^d, U0 the
-    coefficient matrix of t^s in U, because U / t^s fixes (1/t)O^d and
-    acts on the residue space as U0.  N has an upper-triangular basis H
-    with pivots 1 and 1/t (`_triangular_basis`), so C H is upper
-    triangular with monic pivots, and the neighbor is C H after the exact
-    reduction above its pivots and the shift of `_canonical_vertex`.  A B
-    that already has the canonical shape (`_is_canonical`) is C, with
-    s = 0 and U0 = I; any other B takes one `vertex_normal_form` and one
-    back-substitution first.  Every neighbor is certified exactly against
-    B n / t^s, formed on B's dict rows, whose columns are
-    sum_j r_j B[:, j] for each row r of W and B[:, j] (1/t), one exponent
-    lower, for each coordinate j that is no pivot of W.
+    No Hermite pass runs per neighbor.  W + (1/t)O^d has an
+    upper-triangular basis H with pivots 1 and 1/t (`_triangular_basis`),
+    so C H is upper triangular with monic pivots, and the neighbor is C H
+    after the exact reduction above its pivots and the shift of
+    `_canonical_vertex`.  Every neighbor is certified exactly against a
+    basis formed on C's dict rows, whose columns are sum_j r_j C[:, j] for
+    each row r of W and C[:, j] (1/t), one exponent lower, for each
+    coordinate j that is no pivot of W.
     """
     d, q = v.d, v.q
-    basis = _coeff_rows(v.basis)
-    check_neighbor_work(d, k, q, max(len(x) for row in basis for x in row))
-    if _is_canonical(basis, v.profile):
-        canon, residue = basis, None
-    else:
-        canon = _coeff_rows(vertex_normal_form(v.basis).basis)
-        u = _solve_canonical(canon, basis, q)
-        s = max(e for row in u for x in row for e in x)
-        residue = [[x.get(s, 0) for x in row] for row in u]
-        # B / t^s = C (U / t^s) spans C's lattice
-        basis = [[{e - s: c for e, c in x.items()} for x in row] for row in basis]
+    canon = _coeff_rows(v.basis)
+    check_neighbor_work(d, k, q, max(len(x) for row in canon for x in row))
     one = {0: 1}
     out = []
     for rows in subspace_bases(d, d - k, q):
@@ -407,30 +420,27 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
         for col, r in zip(cols, rows):
             for j, c in enumerate(r):
                 if c:
-                    for x, y in zip(col, basis):
+                    for x, y in zip(col, canon):
                         _mul_add(x, c, one, y[j], q)
-        cols += [[{e - 1: c for e, c in y[j].items()} for y in basis] for j in range(d) if j not in pivs]
-        # the subspace U0 W of C's residue space
-        image = rows if residue is None else [
-            [sum(a * c for a, c in zip(u_row, r)) for u_row in residue] for r in rows
-        ]
-        h = _triangular_basis(image, d, q)
+        cols += [[{e - 1: c for e, c in y[j].items()} for y in canon] for j in range(d) if j not in pivs]
+        h = _triangular_basis(rows, d, q)
         pivots = [next(iter(canon[r][r])) + next(iter(h[r][r])) for r in range(d)]
         out.append(_canonical_vertex(_triangular_product(canon, h, q), pivots, list(zip(*cols)), q))
     return out
 
 
-def _is_canonical(rows, profile) -> bool:
-    """Whether the dict matrix `rows` has the shape of a canonical basis
-    with this profile: upper triangular, pivots t^profile_i, each entry
-    above a pivot supported on exponents above that row's pivot, and min
-    profile 0.  Such a basis is its own `vertex_normal_form`."""
-    if len(profile) != len(rows) or min(profile) != 0:
-        return False
-    return all(
+def _canonical_profile(rows) -> tuple[int, ...] | None:
+    """The profile of the dict matrix `rows` if it has the shape of a
+    canonical basis, else None.  The shape: upper triangular, pivots
+    t^profile_i, each entry above a pivot supported on exponents above
+    that row's pivot, and min profile 0.  Such a basis is its own
+    `vertex_normal_form`."""
+    profile = tuple(next(iter(row[i]), 0) for i, row in enumerate(rows))
+    canonical = min(profile) == 0 and all(
         row[i] == {a: 1} and not any(row[:i]) and all(e > a for x in row[i + 1:] for e in x)
         for i, (row, a) in enumerate(zip(rows, profile))
     )
+    return profile if canonical else None
 
 
 def _triangular_basis(rows, d: int, q: int) -> list[list[dict[int, int]]]:
@@ -468,13 +478,11 @@ def _triangular_product(a, b, q: int) -> list[list[dict[int, int]]]:
     return cols
 
 
-def _weak_popov(
-    rows, q: int, over_O: bool, det_deg: int | None = None
-) -> tuple[list[int], list[dict[int, int]]]:
+def _weak_popov(rows, q: int, det_deg: int | None = None) -> tuple[list[int], list[dict[int, int]]]:
     """A weak Popov form of the nonsingular dict matrix `rows` (read and
-    not changed) over F_q[t] or, with `over_O`, over O = F_q[[1/t]]
-    (Mulders and Storjohann, J. Symbolic Comput. 2003): its row degrees and
-    its rows, packed.
+    not changed) over F_q[t] or, given the degree det_deg of its
+    determinant, over O = F_q[[1/t]] (Mulders and Storjohann, J. Symbolic
+    Comput. 2003): its row degrees and its rows, packed.
 
     Each row is packed into one dict keyed by e d + j for its term t^e in
     column j, so its top key gives its degree (key // d) and its leading
@@ -492,16 +500,13 @@ def _weak_popov(
     vector is solved.
 
     Every pass is bounded.  Over F_q[t] no key falls below d times the
-    least exponent of the input, and det_deg is not taken.  Over O det_deg
-    = deg det is required, and a degree sum below it is a bug and raises
-    InternalInvariantError: the degree sum never falls below deg det, and
-    without the check a singular pair such as v, (1 - 1/t) v would be
-    reduced forever.  Final degrees that do not sum to det_deg raise
-    InternalInvariantError too.  A zero row means a singular matrix
-    (SingularMatrixError).
+    least exponent of the input.  Over O det_deg is the bound, and a
+    degree sum below it is a bug and raises InternalInvariantError: the
+    degree sum never falls below deg det, and without the check a singular
+    pair such as v, (1 - 1/t) v would be reduced forever.  Final degrees
+    that do not sum to det_deg raise InternalInvariantError too.  A zero
+    row means a singular matrix (SingularMatrixError).
     """
-    if over_O != (det_deg is not None):
-        raise InternalInvariantError("the weak Popov pass takes det_deg over O and only there")
     d = len(rows)
     packed = [{e * d + j: c for j, x in enumerate(row) for e, c in x.items()} for row in rows]
     if not all(packed):
@@ -514,7 +519,7 @@ def _weak_popov(
         while (j := owner.get(pos := tops[i] % d)) is not None:
             # row i takes the subtraction, unless the ring's multipliers
             # cancel row j's top key instead: then the two swap places
-            if (tops[j] <= tops[i]) if over_O else (tops[j] > tops[i]):
+            if (tops[j] > tops[i]) if det_deg is None else (tops[j] <= tops[i]):
                 owner[pos] = i
                 i, j = j, i
             target, top = packed[i], tops[i]
@@ -525,11 +530,11 @@ def _weak_popov(
                 raise SingularMatrixError("matrix is singular: the row reduction reached a zero row")
             tops[i] = max(target)
             total += tops[i] // d - top // d
-            if over_O and total < det_deg:
+            if det_deg is not None and total < det_deg:
                 raise InternalInvariantError("total row degree fell below deg(det) during row reduction")
         owner[pos] = i
     degs = [k // d for k in tops]
-    if over_O and total != det_deg:
+    if det_deg is not None and total != det_deg:
         raise InternalInvariantError(
             f"row degrees {degs} do not account for the determinant degree {det_deg}"
         )
@@ -554,7 +559,7 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
         raise InvalidInputError("vertices live in different buildings")
     q = x.q
     rows = _solve_canonical(_coeff_rows(y.basis), _coeff_rows(x.basis), q)
-    degs = _weak_popov(rows, q, over_O=True, det_deg=sum(x.profile) - sum(y.profile))[0]
+    degs = _weak_popov(rows, q, det_deg=sum(x.profile) - sum(y.profile))[0]
     return tuple(sorted(-e for e in degs))
 
 

@@ -568,7 +568,7 @@ def reduce_to_domain(v: BuildingVertex) -> tuple[tuple[int, ...], LaurentMatrix]
         raise InvalidInputError("expected a BuildingVertex")
     d, q = v.d, v.q
     basis = _coeff_rows(v.basis)
-    degs, packed = _weak_popov(basis, q, over_O=False)
+    degs, packed = _weak_popov(basis, q)
     if sum(degs) != sum(v.profile):
         raise InternalInvariantError(
             f"row degrees {degs} do not account for the determinant degree {sum(v.profile)}"

@@ -1,14 +1,13 @@
 """Arithmetic in the prime field F_q and q-combinatorial counting functions.
 
-Two eliminations over F_q serve the library.  `left_null_vector`
-decides invertibility and returns a null combination when there is one,
-row by row, stopping at the first row that depends on the rows above it;
-the normal form's certificate (`building._certify_same_lattice`) and the
-samplers `laurent.random_gamma` and `laurent.random_k` call it.
-`reduced_echelon_form` gives the canonical basis of a span, the form in
-which `building.subspace_bases` lists the subspaces of F_q^d, so a
-subspace moved by a matrix is looked up among them
-(`domain.orbit_decomposition`).
+One elimination over F_q serves the library: `reduced_echelon_form`
+gives the canonical basis of a span, the form in which
+`building.subspace_bases` lists the subspaces of F_q^d, so a subspace
+moved by a matrix is looked up among them (`domain.orbit_decomposition`).
+A d x d matrix is invertible exactly when that basis of its row span
+has d rows, which is the test of the normal form's certificate
+(`building._certify_same_lattice`) and of the samplers
+`laurent.random_gamma` and `laurent.random_k`.
 
 Counting functions (`gl_order`, `gaussian_binomial`) return Python ints,
 so they are arbitrary precision by construction.  Extension fields are
@@ -57,37 +56,6 @@ def inv_mod(a: int, q: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in F_q")
     return pow(a, q - 2, q)
-
-
-def left_null_vector(mat, q: int):
-    """A nonzero vector c with c * mat = 0 over F_q, or None if mat is invertible.
-
-    Elimination row by row: row k of the square integer matrix mat, read
-    modulo q, is reduced against the rows above it, and the first row that
-    reduces to zero stops it.  The result is the unique null vector
-    supported on rows 0..k with coefficient 1 at row k (the rows above k
-    are independent), so it does not depend on how the rows are reduced.
-    """
-    n = len(mat)
-    # (pivot column, row scaled to 1 at the pivot, the combination of
-    # mat's rows it equals) for each row above k
-    eliminated = []
-    for k in range(n):
-        row = [x % q for x in mat[k]]
-        combo = [0] * n
-        combo[k] = 1
-        # each kept row is zero at the pivots above its own, so one pass
-        # in order clears every pivot column of row
-        for p, kept, kept_combo in eliminated:
-            if f := row[p]:
-                row = [(x - f * y) % q for x, y in zip(row, kept)]
-                combo = [(x - f * y) % q for x, y in zip(combo, kept_combo)]
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            return combo
-        inv = inv_mod(row[p], q)
-        eliminated.append((p, [x * inv % q for x in row], [x * inv % q for x in combo]))
-    return None
 
 
 def reduced_echelon_form(rows, q: int) -> tuple[tuple[int, ...], ...]:

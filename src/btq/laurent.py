@@ -60,7 +60,7 @@ import random
 import re
 
 from .errors import InvalidInputError
-from .gf import check_prime, inv_mod, left_null_vector
+from .gf import check_prime, inv_mod, reduced_echelon_form
 
 
 class LaurentPoly:
@@ -492,7 +492,7 @@ def _random_permutation(d, q, rng) -> LaurentMatrix:
 def _random_constant_invertible(d, q, rng) -> LaurentMatrix:
     while True:
         rows = [[rng.randrange(q) for _ in range(d)] for _ in range(d)]
-        if left_null_vector(rows, q) is None:
+        if len(reduced_echelon_form(rows, q)) == d:
             return _matrix([[_poly({0: c} if c else {}, q) for c in row] for row in rows], q)
 
 
@@ -532,5 +532,5 @@ def random_k(d: int, q: int, depth: int, seed) -> LaurentMatrix:
     while True:
         exponents = range(0, -depth - 1, -1)
         rows = [[_random_poly(exponents, q, rng) for _ in range(d)] for _ in range(d)]
-        if left_null_vector([[x.coeff(0) for x in row] for row in rows], q) is None:
+        if len(reduced_echelon_form([[x.coeff(0) for x in row] for row in rows], q)) == d:
             return _matrix(rows, q)

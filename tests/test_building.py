@@ -41,8 +41,9 @@ from btq.errors import (
     ResourceBoundError,
     SingularMatrixError,
 )
-from btq.gf import gaussian_binomial, left_null_vector
+from btq.gf import gaussian_binomial
 from btq.laurent import LaurentMatrix, LaurentPoly, _poly, random_gamma, random_k
+from test_gf import null_vector_by_transpose
 
 
 def P(s, q=2):
@@ -201,7 +202,7 @@ def reduce_rows_by_dot(rows, det_deg, q, over_O):
 
     degs = [row_degree(i) for i in range(d)]
     lead = [leading(i) for i in range(d)]
-    while (combo := left_null_vector(lead, q)) is not None:
+    while (combo := null_vector_by_transpose(lead, q)) is not None:
         used = [i for i in range(d) if combo[i]]
         pivot = max(used, key=lambda i: (sign * degs[i], i))
         monos = {i: _poly({degs[pivot] - degs[i]: combo[i]}, q) for i in used}
@@ -264,6 +265,37 @@ def test_normal_form_k_invariance():
                 m = random_invertible(d, q, rng)
                 k = random_k(d, q, 10, rng)
                 assert vertex_normal_form(m * k) == vertex_normal_form(m)
+
+
+def test_vertex_is_its_canonical_basis():
+    # every normal form and label basis is a vertex basis with its profile
+    rng = random.Random(29)
+    for q in (2, 3, 5):
+        for d in (2, 3, 4):
+            for v in [vertex_normal_form(random_invertible(d, q, rng)) for _ in range(10)] + [
+                vertex_from_label(_random_label(rng, d, 5), q) for _ in range(3)
+            ]:
+                w = BuildingVertex(v.basis)
+                assert w == v and w.profile == v.profile
+    # any other basis is refused at construction
+    diag = LaurentMatrix.diagonal((2, 1, 0), 3)
+    canon = vertex_normal_form(random_gamma(3, 3, 2, rng) * diag).basis
+    refused = [
+        diag * random_k(3, 3, 3, random.Random(1)),
+        homothety(diag, 2),
+        homothety(canon, -1),
+        _with_entry(diag, 1, 1, P("2*t", 3)),  # a pivot that is not monic
+        _with_entry(diag, 2, 0, P("1", 3)),  # an entry below the diagonal
+        _with_entry(diag, 0, 1, P("t^3 + t^2", 3)),  # t^2 is not above the pivot t^2
+        # an entry with a term at its row's pivot exponent
+        _with_entry(canon, 0, 2, canon.rows[0][2] + LaurentPoly({canon.rows[0][0].degree(): 1}, 3)),
+        LaurentMatrix.diagonal((0,), 3),
+    ]
+    for basis in refused:
+        with pytest.raises(InvalidInputError):
+            BuildingVertex(basis)
+    with pytest.raises(InvalidInputError):
+        BuildingVertex(vertex_from_label((2, 1, 0), 3))
 
 
 def test_normal_form_zero_row_pivot():
@@ -491,20 +523,7 @@ def test_neighbors_match_normal_forms_with_determinant():
             else:
                 m = random_gamma(d, q, 2, rng) * LaurentMatrix.diagonal(label, q)
                 vertices.append(vertex_normal_form(m))
-    # bases that are not canonical, at d = 2-5: diag(label) k and C k for
-    # a dense canonical C and k in GL_d(O), whose negative exponents put
-    # the one-step shift below every exponent of a canonical basis; their
-    # neighbors are the label's or C's, in another order
-    noncanonical = []
-    for d, q in ((2, 5), (3, 3), (4, 3), (5, 2)):
-        label = (3, 1, 1, 0) if d == 4 else _random_label(rng, d, 3)
-        diag = LaurentMatrix.diagonal(label, q)
-        dense = vertex_normal_form(random_gamma(d, q, 2, rng) * diag)
-        noncanonical.append(BuildingVertex(diag * random_k(d, q, 3, rng), label))
-        noncanonical.append(BuildingVertex(dense.basis * random_k(d, q, 3, rng), dense.profile))
-    for v in noncanonical:
-        assert any(e < 0 for row in v.basis.rows for x in row for e in x.coeffs)
-    for v in vertices + noncanonical:
+    for v in vertices:
         terms = max(len(x.coeffs) for row in v.basis.rows for x in row)
         for k in range(1, v.d):
             try:
@@ -513,45 +532,35 @@ def test_neighbors_match_normal_forms_with_determinant():
                 assert (v.d, v.q, k) in ((5, 5, 2), (5, 5, 3))
                 continue
             assert neighbors(v, k) == neighbors_by_determinant(v, k), (v, k)
-    for v in noncanonical[::2]:
-        for k in range(1, v.d):
-            assert set(neighbors(v, k)) == set(neighbors(vertex_from_label(v.profile, v.q), k))
 
 
 def test_shifted_basis_has_the_same_neighbors():
-    # t^s B spans a lattice of B's class, and its residue space is B's, so
-    # its neighbors are B's, in the same order, for canonical and other B
+    # t^s C spans a lattice of C's class, so it is no vertex basis, and its
+    # normal form is C's vertex, with the same neighbors in the same order
     rng = random.Random(272)
     for d, q in ((2, 5), (3, 3), (4, 2), (5, 2)):
         label = _random_label(rng, d, 3)
         diag = LaurentMatrix.diagonal(label, q)
-        bases = [
-            diag,
-            vertex_normal_form(random_gamma(d, q, 2, rng) * diag).basis,
-            diag * random_k(d, q, 3, rng),
-        ]
-        for basis in bases:
-            v = BuildingVertex(basis, label)
+        for basis in (diag, vertex_normal_form(random_gamma(d, q, 2, rng) * diag).basis):
+            v = BuildingVertex(basis)
             for s in (-2, 1, 3):
-                shifted = BuildingVertex(homothety(basis, s), label)
+                with pytest.raises(InvalidInputError):
+                    BuildingVertex(homothety(basis, s))
+                shifted = vertex_normal_form(homothety(basis, s))
+                assert shifted.basis == basis and shifted.profile == v.profile
                 for k in range(1, d):
                     assert neighbors(shifted, k) == neighbors(v, k), (d, q, s, k)
 
 
 def test_neighbors_run_no_normal_form_per_neighbor(monkeypatch):
-    # a canonical basis takes no normal form, no Hermite pass (its series
-    # inverses) and one certificate per neighbor; any other basis takes
-    # one normal form, whose own certificate is the one more
+    # a vertex takes no normal form, no Hermite pass (its series inverses)
+    # and one certificate per neighbor
     rng = random.Random(273)
     label = (3, 1, 1, 0)
     diag = LaurentMatrix.diagonal(label, 3)
     canonical = [
         vertex_from_label(label, 3),
         vertex_normal_form(random_gamma(4, 3, 2, rng) * diag),
-    ]
-    noncanonical = [
-        BuildingVertex(diag * random_k(4, 3, 3, rng), label),
-        BuildingVertex(homothety(diag, 2), label),
     ]
     calls = Counter()
     for name in ("_normal_form", "_certify_same_lattice", "series_inverse"):
@@ -567,12 +576,6 @@ def test_neighbors_run_no_normal_form_per_neighbor(monkeypatch):
             calls.clear()
             n = len(neighbors(v, k))
             assert calls == {"_certify_same_lattice": n}, (v, k)
-    for v in noncanonical:
-        for k in range(1, 4):
-            calls.clear()
-            n = len(neighbors(v, k))
-            assert calls["_normal_form"] == 1, (v, k)
-            assert calls["_certify_same_lattice"] == n + 1, (v, k)
 
 
 def test_neighbors_contain_diagonal_shapes():
@@ -762,10 +765,9 @@ def test_label_relative_position_matches_elimination():
         label_relative_position((1, 0), (0, 0, 0))
 
 
-def row_degrees(rows, det_deg, q, over_O):
-    """The degrees of `building._weak_popov` on LaurentPoly rows, in the
-    argument order of `reduce_rows_by_dot`."""
-    return building._weak_popov([[dict(x.coeffs) for x in row] for row in rows], q, over_O, det_deg)[0]
+def row_degrees(rows, q, det_deg=None):
+    """The degrees of `building._weak_popov` on LaurentPoly rows."""
+    return building._weak_popov([[dict(x.coeffs) for x in row] for row in rows], q, det_deg)[0]
 
 
 def _degree_outcome(reduce, rows, *args):
@@ -781,7 +783,7 @@ def _assert_reductions_agree(v):
     oracle's, and the domain label is the oracle's sorted degrees, shifted
     to end in 0."""
     q = v.q
-    degs = row_degrees(v.basis.rows, None, q, False)
+    degs = row_degrees(v.basis.rows, q)
     want = sorted(reduce_rows_by_dot(list(v.basis.rows), sum(v.profile), q, False), reverse=True)
     assert sorted(degs, reverse=True) == want, v
     assert reduce_to_domain(v)[0] == tuple(e - want[-1] for e in want), v
@@ -819,13 +821,13 @@ def test_reduce_rows_matches_dot_oracle():
                 rows = solve_canonical_matrix(y.basis, x.basis).rows
                 det_deg = sum(x.profile) - sum(y.profile)
                 for deg in (det_deg, det_deg - 1, det_deg + 1):
-                    got = _degree_outcome(row_degrees, rows, deg, q, True)
+                    got = _degree_outcome(row_degrees, rows, q, deg)
                     assert got == _degree_outcome(reduce_rows_by_dot, rows, deg, q, True), (rows, deg)
                     assert (deg == det_deg) == (got is not InternalInvariantError)
     for rows in _singular_rows():
-        assert _degree_outcome(row_degrees, rows, None, 3, False) is SingularMatrixError
+        assert _degree_outcome(row_degrees, rows, 3) is SingularMatrixError
         for deg in (-5, 0, 3):
-            assert _degree_outcome(row_degrees, rows, deg, 3, True) is SingularMatrixError
+            assert _degree_outcome(row_degrees, rows, 3, deg) is SingularMatrixError
             for over_O in (False, True):
                 assert _degree_outcome(reduce_rows_by_dot, rows, deg, 3, over_O) is SingularMatrixError
 
@@ -839,14 +841,9 @@ def test_row_degrees_match_oracles():
             for _ in range(3 if d <= 5 else 1):
                 m = random_invertible(d, q, rng)
                 det_deg = m.det().degree()
-                degs = row_degrees(m.rows, None, q, False)
+                degs = row_degrees(m.rows, q)
                 assert sum(degs) == det_deg, (m, degs)
                 assert sorted(degs) == sorted(reduce_rows_by_dot(list(m.rows), det_deg, q, False))
-                # det_deg is the bound over O and is taken only there
-                with pytest.raises(InternalInvariantError):
-                    row_degrees(m.rows, det_deg, q, False)
-                with pytest.raises(InternalInvariantError):
-                    row_degrees(m.rows, None, q, True)
     # over O: the negated degrees of y^-1 x are its Smith valuations
     for q in (2, 3, 5):
         for d in (2, 3, 4, 5):
@@ -854,11 +851,11 @@ def test_row_degrees_match_oracles():
                 x = vertex_normal_form(random_invertible(d, q, rng))
                 y = vertex_normal_form(random_invertible(d, q, rng))
                 rows = building._solve_canonical(coeff_rows(y.basis), coeff_rows(x.basis), q)
-                degs = building._weak_popov(rows, q, True, sum(x.profile) - sum(y.profile))[0]
+                degs = building._weak_popov(rows, q, sum(x.profile) - sum(y.profile))[0]
                 assert tuple(sorted(-e for e in degs)) == smith_by_minors(x, y), (x, y)
     for rows in _singular_rows():
         with pytest.raises(SingularMatrixError, match="the row reduction reached a zero row"):
-            row_degrees(rows, None, 3, False)
+            row_degrees(rows, 3)
     # rows v and (1 - 1/t) v: over F_q[t] a zero row; over O the pass would
     # cancel v against the unit multiple forever, and the degree sum
     # falling below det_deg stops it.  In the other order the pass may
@@ -867,18 +864,19 @@ def test_row_degrees_match_oracles():
     w = tuple(P("1 - t^-1", 3) * x for x in v)
     for third in [r[-1] for r in _singular_rows()]:
         with pytest.raises(SingularMatrixError):
-            row_degrees((v, w, third), None, 3, False)
+            row_degrees((v, w, third), 3)
         for deg in (0, -50):
             with pytest.raises(InternalInvariantError):
-                row_degrees((v, w, third), deg, 3, True)
-            outcome = _degree_outcome(row_degrees, (w, v, third), deg, 3, True)
+                row_degrees((v, w, third), 3, deg)
+            outcome = _degree_outcome(row_degrees, (w, v, third), 3, deg)
             assert outcome in (SingularMatrixError, InternalInvariantError)
 
 
 def test_relative_position_wrong_determinant_is_internal():
-    # a profile that misstates the determinant leaves valuations unaccounted
+    # a profile that misstates the determinant leaves valuations
+    # unaccounted; only the unchecked constructor can build such a vertex
     v = vertex_from_label((2, 1, 0), 2)
-    wrong = building.BuildingVertex(v.basis, (3, 1, 0))
+    wrong = building._vertex(v.basis, (3, 1, 0))
     with pytest.raises(InternalInvariantError):
         relative_position(wrong, standard_vertex(3, 2))
 

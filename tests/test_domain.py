@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from btq import building, domain
-from btq.building import BuildingVertex, neighbors, vertex_from_label, vertex_normal_form
+from btq.building import neighbors, vertex_from_label, vertex_normal_form
 from btq.domain import (
     _matrix_sort_key,
     block_seq,
@@ -27,7 +27,7 @@ from btq.domain import (
     validate_label,
 )
 from btq.errors import InternalInvariantError, InvalidInputError, ResourceBoundError
-from btq.gf import gaussian_binomial, gl_order, left_null_vector
+from btq.gf import gaussian_binomial, gl_order, reduced_echelon_form
 from btq.laurent import LaurentMatrix, LaurentPoly, random_gamma, random_k
 from test_building import reduce_rows_by_dot
 
@@ -413,7 +413,7 @@ def test_gl_matrices_match_full_scan():
             tuple(flat[i * m : (i + 1) * m] for i in range(m))
             for flat in product(range(q), repeat=m * m)
         ]
-        invertible = [mat for mat in scan if left_null_vector(mat, q) is None]
+        invertible = [mat for mat in scan if len(reduced_echelon_form(mat, q)) == m]
         assert domain._gl_matrices(m, q) == invertible, (m, q)
         assert len(invertible) == gl_order(m, q)
         leading_one = [mat for mat in invertible if next(x for x in mat[0] if x) == 1]
@@ -686,7 +686,7 @@ def witness_by_forward_substitution(v):
     """reduce_to_domain's witness, solved by `witness_from_rows` from the
     rows the weak Popov pass leaves, unpacked from their keys e d + j."""
     d, q = v.d, v.q
-    degs, packed = building._weak_popov([[dict(x.coeffs) for x in row] for row in v.basis.rows], q, False)
+    degs, packed = building._weak_popov([[dict(x.coeffs) for x in row] for row in v.basis.rows], q)
     rows = [[{} for _ in range(d)] for _ in range(d)]
     for row, keys in zip(rows, packed):
         for key, c in keys.items():
@@ -768,11 +768,12 @@ def test_reduce_disjointness():
 
 
 def test_reduce_wrong_determinant_is_internal():
-    # a profile that misstates the determinant leaves row degrees unaccounted
+    # a profile that misstates the determinant leaves row degrees
+    # unaccounted; only the unchecked constructor can build such a vertex
     v = vertex_from_label((2, 1, 0), 2)
     for profile in ((3, 1, 0), (1, 1, 0)):
         with pytest.raises(InternalInvariantError):
-            reduce_to_domain(BuildingVertex(v.basis, profile))
+            reduce_to_domain(building._vertex(v.basis, profile))
     # a matrix is not a vertex: its normal form comes first
     with pytest.raises(InvalidInputError):
         reduce_to_domain(v.basis)
