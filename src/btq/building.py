@@ -409,6 +409,8 @@ def neighbors(v: BuildingVertex, k: int) -> list[BuildingVertex]:
     each row r of W and C[:, j] (1/t), one exponent lower, for each
     coordinate j that is no pivot of W.
     """
+    if not isinstance(v, BuildingVertex):
+        raise InvalidInputError("expected a BuildingVertex")
     d, q = v.d, v.q
     canon = _coeff_rows(v.basis)
     check_neighbor_work(d, k, q, max(len(x) for row in canon for x in row))
@@ -555,6 +557,8 @@ def relative_position(x: BuildingVertex, y: BuildingVertex) -> tuple[int, ...]:
     the canonical bases; row degrees that do not sum to it raise
     InternalInvariantError.
     """
+    if not (isinstance(x, BuildingVertex) and isinstance(y, BuildingVertex)):
+        raise InvalidInputError("expected a BuildingVertex")
     if x.q != y.q or x.d != y.d:
         raise InvalidInputError("vertices live in different buildings")
     q = x.q

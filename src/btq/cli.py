@@ -205,16 +205,11 @@ def _cmd_hecke_check(args) -> int:
     # the forward rows of the boundary nodes are None
     row_ok = all(sum(r for _, r in row) == gb for row in graph.forward if row is not None)
     lines.append(f"row_sums {'ok' if row_ok else 'FAIL'} (expected {gb})")
-    # the random functions are ints over RANDOM_DENOMINATOR, which the
-    # checks run on as they are, so their residuals are divided by it here:
-    # once for the commutator, and twice for the adjointness pairing
-    scale = hecke.RANDOM_DENOMINATOR
     worst = Fraction(0)
     if two_operators:
         for seed in range(args.trials):
             f = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + seed)
             worst = max(worst, hecke.commutator_check(graph, f))
-        worst /= scale
         lines.append(f"commutator_max_residual {worst} over {args.trials} random functions")
     rng_f = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + 104729)
     rng_g = hecke.DomainFunction.random_integer(args.d, args.q, args.max_n, args.seed + 1299709)
@@ -223,7 +218,7 @@ def _cmd_hecke_check(args) -> int:
     gvals = {u: (rng_g.values[u] if u in interior2 else 0) for u in graph.nodes}
     f = hecke.DomainFunction(args.d, args.q, args.max_n, fvals)
     g = hecke.DomainFunction(args.d, args.q, args.max_n, gvals)
-    adjointness = hecke.adjointness_residual(graph, f, g) / (scale * scale)
+    adjointness = hecke.adjointness_residual(graph, f, g)
     lines.append(f"adjointness_residual {adjointness}")
     _emit("\n".join(lines) + "\n")
     checks = {"row sums": row_ok, "commutator": worst == 0, "adjointness": adjointness == 0}

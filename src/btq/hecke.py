@@ -7,28 +7,28 @@ over a denominator known in advance, and each returned value becomes one
 Fraction at the end (fraction-free, as in Bareiss elimination): the
 d = 3 recursion over g^(n_1 + n_2), the d = 2 recursion over (q+1) b^n
 for lam = a/b.  The sums weighted by 1/|Gamma_u| (the pairing, the norm
-and the partial covolume) add int numerators over the lcm of their orders.  The
-commutator and adjointness checks run int values as ints (a caller that
-holds a function as ints over its own denominator divides the result by
-it) and return a Fraction; Fraction values go through the number
-protocol, which is exact for them.  An exact d = 2 value is computed
-once, since exact arithmetic cannot drift; an inexact one is also
-checked against the two-root closed form.  Any other scalar (Python
-complex, mpmath mpf/mpc for high-precision runs) goes through the number
-protocol only: `x.conjugate()`, `abs(x)`, `(x * x.conjugate()).real` and
-`** 0.5`, and is compared within COMPLEX_TOLERANCE relative to its size.
-The tabulated d = 3 closed forms are the code in CLOSED_FORMS.
+and the partial covolume) add int numerators over the lcm of their
+orders.  The commutator and adjointness checks run int values as ints
+and return a Fraction; Fraction values go through the number protocol,
+which is exact for them.  An exact d = 2 value is computed once, since
+exact arithmetic cannot drift; an inexact one is also checked against
+the two-root closed form.  Any other scalar (Python complex, mpmath
+mpf/mpc for high-precision runs) goes through the number protocol only:
+`x.conjugate()`, `abs(x)`, `(x * x.conjugate()).real` and `** 0.5`, and
+is compared within COMPLEX_TOLERANCE relative to its size.  The
+tabulated d = 3 closed forms are the code in CLOSED_FORMS.
 
 The operators run on the quotient graph's node ids: each call reads a
-label-keyed DomainFunction into a list indexed by node id once, applies
-A_1 on the forward rows and A_(d-1) on the backward rows of
-(id, ratio) pairs, and gives its results label-keyed again; the
-commutator and adjointness checks apply all their operators to such
-lists, and a function with int values enters them as it is.  Operator
-application at a truncation boundary yields an explicit undefined marker
-(None in a list, and the vertex absent from a DomainFunction), never a
-silent zero: zero-padding would fabricate boundary conditions and corrupt
-the commutator and adjointness identities.
+label-keyed DomainFunction into a list indexed by node id once (one of
+another d or q is refused), applies A_1 on the forward rows and A_(d-1)
+on the backward rows of (id, ratio) pairs, and gives its results
+label-keyed again; the commutator and adjointness checks apply all their
+operators to such lists, and a function with int values enters them as
+it is.  Operator application at a truncation boundary yields an explicit
+undefined marker (None in a list, and the vertex absent from a
+DomainFunction), never a silent zero: zero-padding would fabricate
+boundary conditions and corrupt the commutator and adjointness
+identities.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ from .quotient import QuotientGraph
 Label = tuple[int, ...]
 
 COMPLEX_TOLERANCE = 1e-9
-# lcm(1, ..., 20): every value of DomainFunction.random_integer is an int
-# over this denominator
-RANDOM_DENOMINATOR = lcm(*range(1, 21))
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +117,8 @@ class DomainFunction:
     """A scalar-valued function on a truncation of the fundamental domain.
 
     Vertices absent from `values` are undefined (the boundary marker after
-    operator application).  Values are Fractions or inexact scalars (Python
-    complex, or mpmath numbers for high-precision runs).
+    operator application).  Values are ints, Fractions or inexact scalars
+    (Python complex, or mpmath numbers for high-precision runs).
     """
 
     def __init__(self, d: int, q: int, max_n1: int, values: dict[Label, object]):
@@ -132,19 +129,11 @@ class DomainFunction:
 
     @classmethod
     def random_integer(cls, d: int, q: int, max_n1: int, seed: int) -> "DomainFunction":
-        """A random function times RANDOM_DENOMINATOR, with int values.
-
-        At each label, in lexicographic order, a in [-50, 50] and then b in
-        [1, 20] are drawn uniformly; the value a / b is held as the int
-        a * (RANDOM_DENOMINATOR // b).  The checks run on such ints as
-        they are: the commutator residual comes out RANDOM_DENOMINATOR
-        times that of the rationals a / b, and the adjointness residual
-        of two such functions its square times.
-        """
+        """A random function with int values, one uniform draw from
+        [-50, 50] per label in lexicographic order."""
         rng = random.Random(seed)
         labels = domain.enumerate_domain(d, max_n1)
-        per_b = [0] + [RANDOM_DENOMINATOR // b for b in range(1, 21)]
-        return cls(d, q, max_n1, {lab: rng.randint(-50, 50) * per_b[rng.randint(1, 20)] for lab in labels})
+        return cls(d, q, max_n1, {lab: rng.randint(-50, 50) for lab in labels})
 
     def __getitem__(self, label):
         label = tuple(label)
@@ -172,7 +161,12 @@ def _rows(graph: QuotientGraph, i: int) -> list:
 
 
 def _on_ids(graph: QuotientGraph, f: DomainFunction) -> list:
-    """The values of f by node id, None where f is undefined."""
+    """The values of f by node id, None where f is undefined.  f must live
+    on the graph's building; a smaller truncation is fine."""
+    if (f.d, f.q) != (graph.d, graph.q):
+        raise InvalidInputError(
+            f"function on the d = {f.d}, q = {f.q} building, graph on d = {graph.d}, q = {graph.q}"
+        )
     get = f.values.get
     return [get(lab) for lab in graph.labels]
 
@@ -221,7 +215,7 @@ def commutator_check(graph: QuotientGraph, f: DomainFunction):
     `build_graph(3, 2, 24)` a call takes 10-14 ms against 0.6-1.4 ms for
     ints (2-core x86-64, Python 3.11).  Callers with rational values scale
     them to ints over a common denominator first and divide the residual
-    by it, as `btq hecke-check` does with `DomainFunction.random_integer`.
+    by it.
     """
     values = _on_ids(graph, f)
     one, top = _rows(graph, 1), _rows(graph, graph.d - 1)
@@ -276,7 +270,7 @@ def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunct
     every edge and in the pairing, as in `commutator_check` (10-14 ms
     against 0.6-1.4 ms on `build_graph(3, 2, 24)`), so callers scale them
     to ints over a common denominator first and divide the residual by its
-    square, as `btq hecke-check` does."""
+    square."""
     x, y = _on_ids(graph, f), _on_ids(graph, g)
     a1x = _apply_rows(_rows(graph, 1), x)
     aty = _apply_rows(_rows(graph, graph.d - 1), y)

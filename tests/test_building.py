@@ -744,6 +744,13 @@ def test_relative_position_labels_and_checks():
         relative_position(vertex_from_label((1, 0), 2), standard_vertex(3, 2))
     with pytest.raises(InvalidInputError):
         edge_color(standard_vertex(2, 3), standard_vertex(2, 2))
+    # a matrix is not a vertex, as in reduce_to_domain
+    m, v = LaurentMatrix.diagonal((1, 0), 2), standard_vertex(2, 2)
+    for call in (lambda: neighbors(m, 1), lambda: relative_position(m, v),
+                 lambda: relative_position(v, m), lambda: bfs_distance(m, v, 2),
+                 lambda: bfs_color1_distance(v, m, 2), lambda: reduce_to_domain(m)):
+        with pytest.raises(InvalidInputError, match="expected a BuildingVertex"):
+            call()
 
 
 def test_label_relative_position_matches_elimination():

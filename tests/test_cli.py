@@ -481,29 +481,24 @@ def test_eigenvector_complex(run):
 
 
 def test_hecke_check(run):
-    code, out, _ = run("hecke-check", "--d", "3", "--q", "2", "--max-n", "8", "--trials", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "row_sums ok (expected 7)"
-    assert lines[1].startswith("commutator_max_residual 0 ")
-    assert lines[2] == "adjointness_residual 0"
+    cases = [(("--d", "3", "--q", "2", "--max-n", "8", "--trials", "2"),
+              ["row_sums ok (expected 7)", "commutator_max_residual 0 over 2 random functions"])]
     # the commutator of A_1 and A_(d-1) is checked at every d >= 3, also on
     # generic-d graphs deep enough to use every cached edge ratio
     for d, q, max_n, sums in (("4", "2", "3", 15), ("5", "2", "3", 31),
                               ("4", "2", "12", 15), ("5", "2", "8", 31)):
-        code, out, _ = run("hecke-check", "--d", d, "--q", q, "--max-n", max_n)
-        assert code == 0 and out.splitlines() == [
-            f"row_sums ok (expected {sums})",
-            "commutator_max_residual 0 over 5 random functions",
-            "adjointness_residual 0",
-        ]
+        cases.append((("--d", d, "--q", q, "--max-n", max_n),
+                      [f"row_sums ok (expected {sums})", "commutator_max_residual 0 over 5 random functions"]))
     # at d = 2, A_1 = A_(d-1): there is no commutator to check, so no
     # doubly-interior vertex is needed
     for q, max_n in (("3", "8"), ("3", "0"), ("2", "4")):
-        code, out, _ = run("hecke-check", "--d", "2", "--q", q, "--max-n", max_n)
-        assert code == 0 and out.splitlines() == [
-            f"row_sums ok (expected {int(q) + 1})", "adjointness_residual 0",
-        ]
+        cases.append((("--d", "2", "--q", q, "--max-n", max_n), [f"row_sums ok (expected {int(q) + 1})"]))
+    # the checks print exact zeros whatever is drawn, so --seed does not
+    # change the output
+    for argv, lines in cases:
+        for seed in ("0", "1", "123456789"):
+            code, out, _ = run("hecke-check", *argv, "--seed", seed)
+            assert code == 0 and out.splitlines() == [*lines, "adjointness_residual 0"], (argv, seed)
     # a truncation with no doubly-interior vertex is invalid at d >= 3
     for d in ("3", "4"):
         code, out, err = run("hecke-check", "--d", d, "--max-n", "1")
@@ -534,28 +529,27 @@ def test_hecke_check_fail_exit_code(run, monkeypatch):
 
 @pytest.mark.parametrize("d, max_n, seed", [(3, 6, 0), (4, 4, 3)])
 def test_hecke_check_prints_residuals_of_the_rationals(run, monkeypatch, d, max_n, seed):
-    # the CLI draws ints over RANDOM_DENOMINATOR; the residuals it prints are
-    # those of the rationals they stand for, summed here directly as Fractions
+    # the residuals the CLI prints are those of the ints it draws, summed
+    # here directly
     from btq import hecke, quotient
 
     _one_wrong_ratio(monkeypatch)
     graph = quotient.build_graph(d, 2, max_n)
     top = d - 1
 
-    def rational(draw_seed):
-        f = hecke.DomainFunction.random_integer(d, 2, max_n, draw_seed)
-        return {u: Fraction(x, hecke.RANDOM_DENOMINATOR) for u, x in f.values.items()}
+    def drawn(draw_seed):
+        return hecke.DomainFunction.random_integer(d, 2, max_n, draw_seed).values
 
     def apply(i, values):
         return hecke.apply_hecke(graph, i, hecke.DomainFunction(d, 2, max_n, values)).values
 
-    commutator = Fraction(0)
+    commutator = 0
     for trial in range(2):
-        f = rational(seed + trial)
+        f = drawn(seed + trial)
         left, right = apply(1, apply(top, f)), apply(top, apply(1, f))
         commutator = max(commutator, *(abs(left[u] - right[u]) for u in set(left) & set(right)))
     interior = {u for u in graph.nodes if u[0] + 2 <= max_n}
-    f, g = ({u: x if u in interior else 0 for u, x in rational(seed + s).items()}
+    f, g = ({u: x if u in interior else 0 for u, x in drawn(seed + s).items()}
             for s in (104729, 1299709))
     a1f, atg = apply(1, f), apply(top, g)
     adjointness = sum(Fraction(a1f[u] * g[u], order) for u, order in graph.nodes.items() if u in a1f)
@@ -576,8 +570,7 @@ def test_hecke_check_prints_residuals_of_the_rationals(run, monkeypatch, d, max_
 def test_hecke_check_residual_exit_code(run, monkeypatch, name, failing, d):
     from btq import hecke
 
-    # the library's units: the drawn functions are ints over RANDOM_DENOMINATOR
-    monkeypatch.setattr(hecke, name, lambda *args: Fraction(hecke.RANDOM_DENOMINATOR**2, 3))
+    monkeypatch.setattr(hecke, name, lambda *args: Fraction(1, 3))
     code, out, err = run("hecke-check", "--d", d, "--q", "2", "--max-n", "4", "--trials", "1")
     assert code == 4 and out.splitlines()[0].startswith("row_sums ok")
     assert out.splitlines()[-1] == "adjointness_residual " + ("1/3" if d == "4" else "0")

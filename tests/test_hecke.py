@@ -14,7 +14,6 @@ from btq.gf import gaussian_binomial, gl_order
 from btq.hecke import (
     CLOSED_FORMS,
     COMPLEX_TOLERANCE,
-    RANDOM_DENOMINATOR,
     DomainFunction,
     adjointness_residual,
     apply_hecke,
@@ -269,31 +268,24 @@ def test_integer_scaled_checks_match_direct_sums(kind):
 
 
 def test_drawn_integer_functions_check_as_their_rationals():
-    # random_integer draws a / b as the Fractions of one randint pair per
-    # label would; the checks run on its ints as they are, and give what
-    # the Fractions they stand for give times RANDOM_DENOMINATOR (squared
-    # for the adjointness pairing)
+    # random_integer draws one randint per label in lexicographic order,
+    # and the checks run on those ints as they are: no factor
     q, N = 2, 8
     g = one_wrong_ratio(3, q, N)
     interior = {u for u in g.nodes if u[0] + 2 <= N}
-    drawn, rational = [], []
+    drawn = []
     for seed in (1, 2):
         f = DomainFunction.random_integer(3, q, N, seed)
         rng = random.Random(seed)
         assert all(type(x) is int for x in f.values.values())
-        assert {u: Fraction(x, RANDOM_DENOMINATOR) for u, x in f.values.items()} == {
-            u: Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for u in enumerate_domain(3, N)
-        }
+        assert f.values == {u: rng.randint(-50, 50) for u in enumerate_domain(3, N)}
         drawn.append(DomainFunction(3, q, N, {u: f[u] if u in interior else 0 for u in g.nodes}))
-        rational.append(DomainFunction(3, q, N, {
-            u: Fraction(x, RANDOM_DENOMINATOR) for u, x in drawn[-1].values.items()
-        }))
     commutator = commutator_check(g, drawn[0])
     assert type(commutator) is Fraction and commutator != 0
-    assert commutator == direct_commutator(g, rational[0]) * RANDOM_DENOMINATOR
+    assert commutator == direct_commutator(g, drawn[0])
     adjointness = adjointness_residual(g, *drawn)
     assert type(adjointness) is Fraction and adjointness != 0
-    assert adjointness == direct_adjointness(g, *rational) * RANDOM_DENOMINATOR**2
+    assert adjointness == direct_adjointness(g, *drawn)
 
 
 def test_integer_scaled_checks_leave_complex_input_generic():
@@ -319,6 +311,19 @@ def test_weighted_inner_rejects_lossy_pairing():
     a1 = apply_hecke(g, 1, f)  # undefined on the outer shell
     with pytest.raises(InvalidInputError):
         weighted_inner(g, a1, f)
+    # a function on another building would read as undefined everywhere
+    g = build_graph(3, 2, 8)
+    f = DomainFunction.random_integer(3, 2, 8, 1)
+    for other in (DomainFunction.random_integer(4, 2, 8, 1), DomainFunction.random_integer(3, 3, 8, 1)):
+        for call in (lambda: apply_hecke(g, 1, other), lambda: commutator_check(g, other),
+                     lambda: weighted_inner(g, other, other), lambda: adjointness_residual(g, other, other),
+                     lambda: adjointness_residual(g, f, other)):
+            with pytest.raises(InvalidInputError, match="building"):
+                call()
+    # a smaller truncation of the same building is undefined beyond it, the
+    # boundary marker
+    small = DomainFunction.random_integer(3, 2, 4, 1)
+    assert apply_hecke(g, 1, small).values == apply_hecke(build_graph(3, 2, 4), 1, small).values != {}
 
 
 # -- eigenvectors -------------------------------------------------------------
