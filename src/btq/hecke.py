@@ -33,6 +33,7 @@ identities.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -118,14 +119,19 @@ class DomainFunction:
 
     Vertices absent from `values` are undefined (the boundary marker after
     operator application).  Values are ints, Fractions or inexact scalars
-    (Python complex, or mpmath numbers for high-precision runs).
+    (Python complex, or mpmath numbers for high-precision runs); a float
+    value is lifted to its Fraction, and inf or nan is refused.
     """
 
     def __init__(self, d: int, q: int, max_n1: int, values: dict[Label, object]):
         self.d = d
         self.q = q
         self.max_n1 = max_n1
-        self.values = dict(values)
+        values = dict(values)
+        # the scan of the value types runs in C; most functions hold no float
+        if any(issubclass(t, float) for t in set(map(type, values.values()))):
+            values = {u: _lift(x) if isinstance(x, float) else x for u, x in values.items()}
+        self.values = values
 
     @classmethod
     def random_integer(cls, d: int, q: int, max_n1: int, seed: int) -> "DomainFunction":
@@ -282,58 +288,6 @@ def adjointness_residual(graph: QuotientGraph, f: DomainFunction, g: DomainFunct
 # ---------------------------------------------------------------------------
 
 
-def _recursion_steps(q: int, max_n1: int):
-    """The d = 3 recursion as one table.
-
-    Returns (cases, steps).  `steps` lists (a, b, case) in evaluation
-    order: the diagonals a + b in increasing order, larger b first within
-    a diagonal.  cases[case] = (divisor, terms, second): f(a, b) is the
-    sum of sign * coef * f(a - da, b - db) over the (sign, coef, da, db)
-    in `terms`, divided by `divisor`, and where a second recursion also
-    defines f(a, b), `second` holds its terms (no divisor), else it is
-    None.  coef is "l1", "l2" or an int; f(0, 0) = 1 has case None.  An
-    l1 term always steps back one diagonal (da + db = 1), an l2 term two.
-    """
-    t3, r = q * q + q + 1, q + 1
-    upper_l2 = [(1, "l2", 1, 1), (-1, q * q, 2, 1)]
-    lower_l1 = [(1, "l1", 1, 0), (-1, q, 1, -1), (-1, q * q, 2, 1)]
-    cases = {
-        "10": (t3, [(1, "l1", 1, 0)], None),
-        "11": (t3, [(1, "l2", 1, 1)], None),
-        "21": (r, upper_l2, None),
-        "bottom": (1, [(1, "l1", 1, 0), (-1, r * q, 1, -1)], None),
-        "equal": (1, [(1, "l2", 1, 1), (-1, q * r, 1, 2)], None),
-        "b=1": (r, upper_l2, lower_l1),
-        "b=a-1": (
-            r,
-            [(1, "l1", 1, 0), (-1, q * q, 2, 1)],
-            [(1, "l2", 1, 1), (-1, q, 1, 2), (-1, q * q, 2, 1)],
-        ),
-        "interior": (1, [(1, "l2", 1, 1), (-1, q, 1, 2), (-1, q * q, 2, 1)], lower_l1),
-    }
-    first = {(0, 0): None, (1, 0): "10", (1, 1): "11", (2, 1): "21"}
-    steps = []
-    for s in range(0, 2 * max_n1 + 1):
-        for b in range(s // 2, -1, -1):
-            a = s - b
-            if a > max_n1:
-                continue
-            if (a, b) in first:
-                case = first[a, b]
-            elif b == 0:
-                case = "bottom"
-            elif b == a:
-                case = "equal"
-            elif b == 1:
-                case = "b=1"
-            elif b == a - 1:
-                case = "b=a-1"
-            else:
-                case = "interior"
-            steps.append((a, b, case))
-    return cases, steps
-
-
 def eigenvector_d3(lambda1, lambda2, q: int, max_n1: int):
     """Simultaneous eigenvector values on the truncation, plus residuals.
 
@@ -343,12 +297,17 @@ def eigenvector_d3(lambda1, lambda2, q: int, max_n1: int):
     two is recorded as a residual.  With exact scalars every residual is
     identically zero; that is the commutation of the two operators.
 
-    One loop runs the table of `_recursion_steps` for every scalar.  Exact
-    eigenvalues run it on integers: N(a, b) = f(a, b) g^(a+b) with
-    g = lcm(den l1, den l2) (q^2 + q + 1)(q + 1), so every coefficient
-    times g to the diagonals it steps back, divided by its divisor, is an
-    int, and each value and residual becomes one Fraction at the end.  Any
-    other scalar keeps the divisors and runs through the number protocol.
+    One loop writes out the eight cases for every scalar.  Exact
+    eigenvalues run it on the ints N(a, b) = f(a, b) g^(a+b), with
+    g = lcm(den l1, den l2) (q^2 + q + 1)(q + 1): a term that steps back
+    k diagonals takes g^k, so l1 enters as l1 g and l2 as l2 g^2, the int
+    coefficients of the terms that step back three diagonals (q, q^2 and
+    q (q + 1)) take g^3, and the two that step back none (q f(a-1, b+1)
+    and q (q + 1) f(a-1, 1)) stay plain.  g^3 and l1 g, l2 g^2 are
+    divisible by q^2 + q + 1 and q + 1, so a divided sum divides exactly,
+    and each value and residual becomes one Fraction at the end.  Any
+    other scalar runs the same expressions with l1, l2, g^3 = 1 and true
+    division.
     """
     if max_n1 < 2:
         raise InvalidInputError("the recursion needs max_n1 >= 2")
@@ -356,59 +315,53 @@ def eigenvector_d3(lambda1, lambda2, q: int, max_n1: int):
     l1, l2 = _lift(lambda1), _lift(lambda2)
     # about six products per label, on (max_n1 + 1)(max_n1 + 2)/2 labels
     _check_eigenvector_size((l1, l2), q, max_n1, 3 * (max_n1 + 1) ** 2)
-    cases, steps = _recursion_steps(q, max_n1)
+    t3, r = q * q + q + 1, q + 1
     exact = _exact(l1) and _exact(l2)
     if exact:
-        g = lcm(l1.denominator, l2.denominator) * (q * q + q + 1) * (q + 1)
-        # an l1 term steps back one diagonal and an l2 term two, so den
-        # divides g and g^2; the divisor t3 or r divides g, and a term of
-        # an int coefficient that is divided steps back three
-        coef = {"l1": l1.numerator * (g // l1.denominator), "l2": l2.numerator * (g * g // l2.denominator)}
-        one = 1
+        g = lcm(l1.denominator, l2.denominator) * t3 * r
+        c1 = l1.numerator * (g // l1.denominator)
+        c2 = l2.numerator * (g * g // l2.denominator)
+        g3, div = g**3, operator.floordiv
     else:
-        coef = {"l1": l1, "l2": l2}
-        one = l1 * 0 + 1  # one in the scalar type of l1
-
-    def row(terms, divisor):
-        if not exact:
-            return [(sign, coef.get(c, c), da, db) for sign, c, da, db in terms]
-        return [
-            (sign, (coef[c] if c in coef else c * g ** (da + db)) // divisor, da, db)
-            for sign, c, da, db in terms
-        ]
-
-    table = {
-        case: (1 if exact else divisor, row(terms, divisor), second and row(second, 1))
-        for case, (divisor, terms, second) in cases.items()
-    }
-
-    def combine(terms, a, b):
-        acc = None
-        for sign, m, da, db in terms:
-            x = m * f[(a - da, b - db, 0)]
-            acc = x if acc is None else acc + x if sign > 0 else acc - x
-        return acc
-
-    f: dict[Label, object] = {}  # N(a, b) for exact eigenvalues, until the end
+        c1, c2, g3, div = l1, l2, 1, operator.truediv
+    qg3, q2g3, qrg3 = q * g3, q * q * g3, q * r * g3
+    one = c1 * 0 + 1  # one in the scalar type of c1
+    start = {(0, 0): one}
+    start[1, 0] = div(c1 * one, t3)
+    start[1, 1] = div(c2 * one, t3)
+    start[2, 1] = div(c2 * start[1, 0] - q2g3 * one, r)
+    F: dict[tuple[int, int], object] = {}  # N(a, b) for exact eigenvalues
     residuals: list[tuple[Label, object]] = []
-    for a, b, case in steps:
-        if case is None:
-            val = one
-        else:
-            divisor, terms, second = table[case]
-            val = combine(terms, a, b)
-            if divisor != 1:
-                val = val / divisor
-            if second:
-                residuals.append(((a, b, 0), val - combine(second, a, b)))
-        f[(a, b, 0)] = val
+    for s in range(2 * max_n1 + 1):
+        for b in range(s // 2, max(s - max_n1, 0) - 1, -1):
+            a = s - b
+            if (a, b) in start:
+                val = start[a, b]
+            elif b == 0:
+                val = c1 * F[a - 1, 0] - q * r * F[a - 1, 1]
+            elif b == a:
+                val = c2 * F[a - 1, b - 1] - qrg3 * F[a - 1, b - 2]
+            else:
+                if b == 1:
+                    val = div(c2 * F[a - 1, 0] - q2g3 * F[a - 2, 0], r)
+                    second = c1 * F[a - 1, 1] - q * F[a - 1, 2] - q2g3 * F[a - 2, 0]
+                elif b == a - 1:
+                    val = div(c1 * F[a - 1, b] - q2g3 * F[a - 2, b - 1], r)
+                    second = c2 * F[a - 1, b - 1] - qg3 * F[a - 1, b - 2] - q2g3 * F[a - 2, b - 1]
+                else:
+                    val = c2 * F[a - 1, b - 1] - qg3 * F[a - 1, b - 2] - q2g3 * F[a - 2, b - 1]
+                    second = c1 * F[a - 1, b] - q * F[a - 1, b + 1] - q2g3 * F[a - 2, b - 1]
+                residuals.append(((a, b, 0), val - second))
+            F[a, b] = val
     if exact:
         power = [1]
         for _ in range(2 * max_n1):
             power.append(power[-1] * g)
-        f = {u: Fraction(x, power[u[0] + u[1]]) for u, x in f.items()}
+        values = {(a, b, 0): Fraction(x, power[a + b]) for (a, b), x in F.items()}
         residuals = [(u, Fraction(x, power[u[0] + u[1]])) for u, x in residuals]
-    return DomainFunction(3, q, max_n1, f), residuals
+    else:
+        values = {(a, b, 0): x for (a, b), x in F.items()}
+    return DomainFunction(3, q, max_n1, values), residuals
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +519,17 @@ def l2_partial_norm(f: DomainFunction):
 
     Returns (total, shells) where shells[n] is the contribution of the
     vertices with n_1 = n <= f.max_n1; the total is monotone in the
-    truncation.  The labels of f are domain labels, as every constructor
-    of a DomainFunction makes them.  Exact f sums each shell from the int
+    truncation.  A label of f that is not a domain label of f's d with
+    n_1 <= f.max_n1 is refused.  Exact f sums each shell from the int
     pairs (numerator^2, denominator^2 |Gamma_u|) over the lcm of its
     second entries, and the total from the shells the same way: one
     Fraction each.
     """
     q = check_prime(f.q)
+    for u in f.values:
+        label = domain._read_label(u)[0]
+        if len(label) != f.d or label[0] > f.max_n1:
+            raise InvalidInputError(f"{label} is not a d = {f.d} domain label with n_1 <= {f.max_n1}")
     if all(_exact(x) for x in f.values.values()):
         members: list[list[tuple[int, int]]] = [[] for _ in range(f.max_n1 + 1)]
         for u, x in f.values.items():

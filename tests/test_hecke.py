@@ -100,6 +100,13 @@ def test_commutator_vanishes_random():
         for seed in range(3):
             f = DomainFunction.random_integer(d, q, max_n, seed=seed)
             assert commutator_check(g, f) == 0, (d, q, max_n, seed)
+    # float values enter as their Fractions, so the commutator is exactly 0
+    g = build_graph(3, 2, 8)
+    rng = random.Random(1)
+    f = DomainFunction(3, 2, 8, {u: rng.uniform(-1, 1) for u in g.labels})
+    assert all(type(x) is Fraction for x in f.values.values())
+    commutator = commutator_check(g, f)
+    assert type(commutator) is Fraction and commutator == 0
     # the check sees a wrong edge at d != 3 too
     g = one_wrong_ratio(4, 2, 4)
     f = DomainFunction.random_integer(4, 2, 4, seed=0)
@@ -342,20 +349,28 @@ def test_eigenvector_d3_first_values():
 
 
 def test_eigenvector_d3_is_simultaneous_eigenvector():
-    l1, l2, q = rational_params(8, q=3)
-    f, _ = eigenvector_d3(l1, l2, q, 7)
-    g = build_graph(3, q, 7)
-    a1 = apply_hecke(g, 1, f)
-    a2 = apply_hecke(g, 2, f)
-    for u, val in a1.values.items():
-        assert val == l1 * f[u]
-    for u, val in a2.values.items():
-        assert val == l2 * f[u]
+    # the operators share no case split with the recursion, so this is the
+    # check of eigenvector_d3 that does not go through hand_recursion_d3
+    for q in (2, 3, 5):
+        g = build_graph(3, q, 9)
+        for seed in (8, 9, 10):
+            l1, l2, _ = rational_params(seed, q=q)
+            f, _ = eigenvector_d3(l1, l2, q, 9)
+            for i, lam in ((1, l1), (2, l2)):
+                out = apply_hecke(g, i, f)
+                assert len(out.values) == len(enumerate_domain(3, 8)), (q, seed, i)
+                for u, val in out.values.items():
+                    assert val == lam * f[u], (q, seed, i, u)
 
 
 def hand_recursion_d3(l1, l2, q, max_n1):
-    """The d = 3 recursion written out case by case, independently of the
-    table that eigenvector_d3 reads: (values, residuals)."""
+    """The d = 3 recursion written out case by case on the eigenvalues
+    themselves, through the number protocol: (values, residuals).
+
+    eigenvector_d3 writes the same cases, so this checks its integer form
+    N(a, b) and its order of operations on inexact scalars, not the cases;
+    test_eigenvector_d3_is_simultaneous_eigenvector checks those against
+    the operators."""
     t3, r = q * q + q + 1, q + 1
     f, residuals = {}, []
 
@@ -397,7 +412,7 @@ def hand_recursion_d3(l1, l2, q, max_n1):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_eigenvector_d3_integer_recursion_matches_number_protocol(q):
-    # exact eigenvalues run the recursion table on integers, and the hand
+    # exact eigenvalues run the recursion on integers, and the hand
     # recursion runs its cases on Fractions through the number protocol
     rng = random.Random(q)
     for _ in range(8):
@@ -649,6 +664,10 @@ def test_l2_partial_norm_of_constant_is_covolume_partial():
         assert shells[0] == Fraction(q - 1, gl_order(d, q))  # 1 / |PGL_d(F_q)|
     zero = DomainFunction(3, 2, 10, dict.fromkeys(enumerate_domain(3, 10), Fraction(0)))
     assert l2_partial_norm(zero)[0] == 0
+    # a label beyond the truncation, not weakly decreasing, or of another d
+    for values in ({(5, 0, 0): 1}, {(1, 2, 0): 1}, {(1, 0): 1}, {(1, 1, 1): 1}):
+        with pytest.raises(InvalidInputError):
+            l2_partial_norm(DomainFunction(3, 2, 4, values))
 
 
 def test_l2_partial_norm_rho_coloring_matches_ones():
@@ -822,6 +841,15 @@ def test_weighted_inner_integer_sum_matches_fraction_sum():
         assert type(inner) is Fraction and inner == direct
         as_fractions = DomainFunction(3, q, 8, {u: Fraction(x) for u, x in f.values.items()})
         assert weighted_inner(graph, as_fractions, g) == inner
+    # float values enter as their Fractions, so the pairing and the norm agree
+    graph = build_graph(3, 2, 8)
+    interior = {u for u in graph.nodes if u[0] + 2 <= 8}
+    h = DomainFunction(3, 2, 8, {u: 0.3 if u in interior else 0.0 for u in graph.nodes})
+    direct = sum(Fraction(0.3) ** 2 / stabilizer_order(u, 2) for u in interior)
+    assert weighted_inner(graph, h, h) == l2_partial_norm(h)[0] == direct
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InvalidInputError):
+            DomainFunction(3, 2, 8, {(0, 0, 0): bad})
 
 
 def test_covolume_partial_integer_sum_matches_fraction_sum():
